@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Verify every builtin relation and print a one-line-per-relation table.
 
-Usage: python scripts/run_catalog.py [--fast] [--jobs N]
+Usage: python scripts/run_catalog.py [--fast]
 """
 
 import argparse
@@ -14,14 +14,13 @@ from planar_monoid.catalog import builtin, verify_all
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fast", action="store_true", help="skip the Lawrence-Krammer pass")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     failures = 0
     t0 = time.time()
     for n in (5, 6, 7):
         rels = builtin(n)
-        reports = verify_all(rels, lk=not args.fast, jobs=args.jobs)
+        reports = verify_all(rels, lk=not args.fast)
         print(f"-- n = {n} ({len(rels)} relations)")
         for r, rep in zip(rels, reports):
             mark = "ok " if rep.verified else "FAIL"

@@ -15,11 +15,9 @@ Permutations are stored internally as 0-indexed image tuples; the public
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .laurent import LaurentPoly2
 
 __all__ = [
     "BraidWord",
@@ -36,7 +34,6 @@ __all__ = [
     "full_twist",
     "lk_matrix",
     "lk_equal",
-    "LaurentPoly2",
 ]
 
 
@@ -89,10 +86,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
-
-    def after(self, other: "Permutation") -> "Permutation":
-        """Function composition: (self.after(other))(x) = self(other(x))."""
-        return Permutation(tuple(self.images[v - 1] for v in other.images))
 
 
 @dataclass(frozen=True)
@@ -580,17 +573,18 @@ def _lk_packed(w: BraidWord) -> list[list[dict]]:
     return cols
 
 
-def lk_matrix(w: BraidWord) -> list[list[LaurentPoly2]]:
-    """Lawrence-Krammer matrix of the word, rows x columns of LaurentPoly2."""
+def lk_matrix(w: BraidWord) -> list[list[dict[tuple[int, int], int]]]:
+    """Lawrence-Krammer matrix of the word, rows x columns.
+
+    Each entry maps (q degree, t degree) to its nonzero coefficient, so
+    the zero polynomial is {} and equality is dict equality.
+    """
     cols = _lk_packed(w)
     d = len(cols)
-    out = []
-    for r in range(d):
-        row = []
-        for j in range(d):
-            row.append(LaurentPoly2({_unpack(k): v for k, v in cols[j][r].items()}))
-        out.append(row)
-    return out
+    return [
+        [{_unpack(k): v for k, v in cols[j][r].items()} for j in range(d)]
+        for r in range(d)
+    ]
 
 
 def lk_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -29,7 +29,14 @@ from .designs import (
     search_orderings,
 )
 from .plumbing import euler_characteristic
-from .surface import BoundaryWord, TwistWord, multiplicities, to_braid
+from .surface import (
+    BoundaryWord,
+    ConvexCurve,
+    SurfaceSpec,
+    TwistWord,
+    multiplicities,
+    to_braid,
+)
 
 __all__ = [
     "Relation",
@@ -47,6 +54,11 @@ __all__ = [
 ]
 
 
+def _check_same_surface(lhs: BoundaryWord, rhs: TwistWord) -> None:
+    if lhs.surface != rhs.surface:
+        raise ValueError("lhs and rhs must live on the same surface")
+
+
 @dataclass(frozen=True)
 class Relation:
     """One catalogued equality: boundary product = twist product."""
@@ -57,8 +69,7 @@ class Relation:
     expected: bool = True
 
     def __post_init__(self):
-        if self.lhs.surface != self.rhs.surface:
-            raise ValueError("lhs and rhs must live on the same surface")
+        _check_same_surface(self.lhs, self.rhs)
         for c in self.rhs.factors:
             if c.is_boundary_parallel(self.rhs.surface):
                 raise ValueError(f"rhs factor {c.support} is boundary-parallel")
@@ -79,11 +90,6 @@ class VerificationReport:
     def verified(self) -> bool:
         return self.braid_equal and self.multiplicities_equal
 
-    @property
-    def outer_mismatch(self) -> bool:
-        # reported, not part of `verified`: the braid check subsumes it
-        return self.lhs_outer != self.rhs_outer
-
     def to_json_obj(self) -> dict:
         return {
             "label": self.label,
@@ -95,7 +101,6 @@ class VerificationReport:
             "oracle_agreement": self.oracle_agreement,
             "lhs_outer": self.lhs_outer,
             "rhs_outer": self.rhs_outer,
-            "outer_mismatch": self.outer_mismatch,
         }
 
 
@@ -130,10 +135,12 @@ def verify_words(
 ) -> VerificationReport:
     """Check an lhs/rhs pair end to end, without Relation's factor rules.
 
-    Failures are report states, never exceptions.  oracle_agreement says
+    A falsified relation is a report state, not an exception; an lhs and
+    rhs on different surfaces raise ValueError.  oracle_agreement says
     whether the Lawrence-Krammer engine reached the same yes/no as the
     Garside engine (None when lk=False).
     """
+    _check_same_surface(lhs, rhs)
     ml = multiplicities(lhs)
     mr = multiplicities(rhs)
     bl = to_braid(lhs)
@@ -161,23 +168,16 @@ def _verify_task(args: tuple[Relation, bool]) -> VerificationReport:
     return verify(args[0], lk=args[1])
 
 
-def default_jobs() -> int:
-    env = os.environ.get("PLANAR_MONOID_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def verify_all(relations: Sequence[Relation], lk: bool = True) -> list[VerificationReport]:
+    """Verify a batch, one worker process per core up to one per relation.
 
-
-def verify_all(
-    relations: Sequence[Relation], lk: bool = True, jobs: Optional[int] = None
-) -> list[VerificationReport]:
-    """Verify a batch; reports come back in input order regardless of jobs."""
-    if jobs is None:
-        jobs = default_jobs()
+    Reports come back in input order.
+    """
     work = [(r, lk) for r in relations]
-    if jobs <= 1 or len(work) <= 1:
+    workers = min(os.cpu_count() or 1, len(work))
+    if workers <= 1:
         return [_verify_task(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_verify_task, work))
 
 
@@ -336,8 +336,7 @@ def completeness_check(
     classes = []
     for reps in sorted({e.replications for e in entries}):
         cls = [e for e in entries if e.replications == reps]
-        lhs_chi = 2 - n + sum(r - 1 for r in reps) + 1
-        rhs_chi = 2 - n + len(cls[0].design.blocks)
+        lhs_chi, rhs_chi = _chi_pair(cls[0].design)
         classes.append(
             ReplicationClassSummary(
                 replications=reps,
@@ -377,12 +376,20 @@ class ChiRecord:
         }
 
 
+def _chi_pair(d: Design) -> tuple[int, int]:
+    """(lhs_chi, rhs_chi) of the relation whose rhs supports are d's blocks.
+
+    Both depend on d only through its replication multiset for m <= 6:
+    designs sharing one have the same block count.
+    """
+    rhs = TwistWord(SurfaceSpec(d.points + 1), tuple(ConvexCurve.over(b) for b in d.blocks))
+    return euler_characteristic(exponents_from_design(d)), euler_characteristic(rhs)
+
+
 @functools.cache
-def _class_block_counts(m: int) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for d in enumerate_designs(m, "symmetric"):
-        out[tuple(sorted(replication(d)))] = len(d.blocks)
-    return out
+def _class_designs(m: int) -> dict[tuple[int, ...], Design]:
+    """One representative design per replication multiset on m points."""
+    return {tuple(sorted(replication(d))): d for d in enumerate_designs(m, "symmetric")}
 
 
 def chi_discrepancies() -> list[ChiRecord]:
@@ -394,17 +401,15 @@ def chi_discrepancies() -> list[ChiRecord]:
     records = []
     for n_str, recs in sorted(_printed_chi().items()):
         n = int(n_str)
-        counts = _class_block_counts(n - 1)
+        designs = _class_designs(n - 1)
         for rec in recs:
             reps = tuple(rec["replications"])
-            lhs_chi = 2 - n + sum(r - 1 for r in reps) + 1
-            rhs_chi = 2 - n + counts[reps]
             records.append(
                 ChiRecord(
                     n=n,
                     replications=reps,
                     printed=tuple(rec["printed"]),
-                    computed=(lhs_chi, rhs_chi),
+                    computed=_chi_pair(designs[reps]),
                 )
             )
     return records

@@ -69,7 +69,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    reports = verify_all(builtin(args.n), lk=not args.fast, jobs=args.jobs)
+    reports = verify_all(builtin(args.n), lk=not args.fast)
     ok = sum(r.verified for r in reports)
     _emit_json(
         {
@@ -141,12 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("catalog", help="verify the builtin relations for one n")
     c.add_argument("--n", type=int, required=True, choices=(5, 6, 7))
     c.add_argument("--fast", action="store_true", help="skip the second engine")
-    c.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: PLANAR_MONOID_JOBS or all cores)",
-    )
     c.set_defaults(fn=_cmd_catalog)
 
     e = sub.add_parser("enumerate", help="list design classes on m points")

@@ -14,7 +14,7 @@ of known relations pins the side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .braid import BraidWord, equals, full_twist

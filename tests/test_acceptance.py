@@ -45,7 +45,7 @@ def test_c1_catalog_verifies():
     t0 = time.time()
     reports = []
     for n in (5, 6, 7):
-        reports.extend(verify_all(builtin(n), lk=True, jobs=1))
+        reports.extend(verify_all(builtin(n), lk=True))
     elapsed = time.time() - t0
     all_ok = all(r.verified and r.oracle_agreement for r in reports)
 

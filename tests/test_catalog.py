@@ -7,7 +7,6 @@ from planar_monoid.catalog import (
     builtin,
     chi_discrepancies,
     completeness_check,
-    default_jobs,
     verify,
     verify_all,
     verify_words,
@@ -102,30 +101,22 @@ def test_report_json_keys():
         "oracle_agreement",
         "lhs_outer",
         "rhs_outer",
-        "outer_mismatch",
     }
     json.dumps(obj)  # serializable
 
 
 def test_verify_all_preserves_order_and_passes():
     rels = builtin(6)
-    reports = verify_all(rels, lk=False, jobs=1)
+    reports = verify_all(rels, lk=False)
     assert [r.label for r in reports] == [r.label for r in rels]
     assert all(r.verified for r in reports)
 
 
 def test_verify_all_parallel_matches_sequential():
     rels = builtin(5)
-    seq = verify_all(rels, lk=False, jobs=1)
-    par = verify_all(rels, lk=False, jobs=2)
+    seq = [verify(r, lk=False) for r in rels]
+    par = verify_all(rels, lk=False)
     assert seq == par
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("PLANAR_MONOID_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.delenv("PLANAR_MONOID_JOBS")
-    assert default_jobs() >= 1
 
 
 def test_completeness_check_n5():

@@ -81,6 +81,15 @@ def test_verify_missing_file(capsys):
     assert "error:" in err
 
 
+def test_verify_rejects_surface_mismatch(tmp_path, capsys):
+    bad = dict(LANTERN_N5, lhs={"n": 6, "exponents": [2, 2, 2, 2, 2], "outer": 1})
+    path = write(tmp_path, "rel.json", bad)
+    code, out, err = run(capsys, "verify", path, "--fast")
+    assert code == 2
+    assert out == ""
+    assert "lhs and rhs must live on the same surface" in err
+
+
 def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):
     # T_outer alone equals the boundary word with zero interior exponents
     obj = {
@@ -95,7 +104,7 @@ def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):
 
 
 def test_catalog_command(capsys):
-    code, out, err = run(capsys, "catalog", "--n", "5", "--fast", "--jobs", "1")
+    code, out, err = run(capsys, "catalog", "--n", "5", "--fast")
     assert code == 0
     obj = json.loads(out)
     assert obj["total"] == 2 and obj["verified"] == 2

@@ -63,8 +63,10 @@ def test_from_rhs_rejects_outer_factor():
 
 def test_from_rhs_rejects_non_design():
     s = SurfaceSpec(5)
-    with pytest.raises(PairCoverageError):
+    with pytest.raises(PairCoverageError) as exc:
         from_rhs(TwistWord(s, (ConvexCurve.over([1, 2]),)))
+    e = exc.value
+    assert (e.x, e.y, e.count) == (1, 3, 0)
 
 
 def test_exponents_are_replication_minus_one():
