@@ -14,16 +14,20 @@ import sys
 import time
 
 from planar_monoid.catalog import completeness_check
-from planar_monoid.designs import SearchBudget
+from planar_monoid.designs import SYMMETRY_MODES, SearchBudget
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=7, choices=(5, 6, 7))
-    ap.add_argument("--mode", default="symmetric", choices=("dihedral", "symmetric"))
-    ap.add_argument("--cap", type=int, default=8, help="exhaustive search up to this many blocks")
-    ap.add_argument("--tries", type=int, default=2000, help="random shuffles past the cap")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--mode", default="symmetric", choices=SYMMETRY_MODES)
+    default = SearchBudget()
+    ap.add_argument(
+        "--cap", type=int, default=default.exhaustive_cap,
+        help="exhaustive search up to this many blocks",
+    )
+    ap.add_argument("--tries", type=int, default=default.tries, help="random shuffles past the cap")
+    ap.add_argument("--seed", type=int, default=default.seed)
     ap.add_argument("--json", metavar="PATH", help="also dump the full report as JSON")
     args = ap.parse_args()
 

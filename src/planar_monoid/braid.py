@@ -32,7 +32,6 @@ __all__ = [
     "nf_mul",
     "equals",
     "full_twist",
-    "lk_matrix",
     "lk_equal",
 ]
 
@@ -361,21 +360,20 @@ def full_twist(m: int) -> BraidWord:
 # Lawrence-Krammer oracle
 #
 # Basis x_{s,t} for 1 <= s < t <= m, dimension m(m-1)/2.  Matrices act by
-# columns; lk_matrix multiplies generator matrices in word order, which is
-# an (anti)isomorphic copy of the usual representation and equally faithful.
-# Polynomials in the hot path are dicts keyed by packed (q,t) degrees.
+# columns; a word's matrix is the product of its generator matrices in word
+# order, which is an (anti)isomorphic copy of the usual representation and
+# equally faithful.  Polynomials are dicts keyed by packed (q,t) degrees.
 
 _TSTRIDE = 1 << 21
-_HALF = _TSTRIDE >> 1
 
 
 def _pack(qd: int, td: int) -> int:
     return qd * _TSTRIDE + td
 
 
-def _unpack(key: int) -> tuple[int, int]:
-    qd = (key + _HALF) // _TSTRIDE
-    return qd, key - qd * _TSTRIDE
+def _poly(td: int, lo: int, *coeffs: int) -> tuple[tuple[int, int], ...]:
+    """t^td (c0 q^lo + c1 q^(lo+1) + ...) as packed (key, coeff) terms."""
+    return tuple((_pack(lo + e, td), c) for e, c in enumerate(coeffs) if c)
 
 
 @functools.cache
@@ -384,153 +382,62 @@ def _lk_basis(m: int) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int]
     return pairs, {p: idx for idx, p in enumerate(pairs)}
 
 
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) + v
-        if nv:
-            out[k] = nv
-        else:
-            del out[k]
-    return out
+def _lk_column(s: int, t: int, i: int):
+    """Column x_{s,t} of sigma_i as {row pair: terms}; None for a unit column."""
+    if i < s - 1 or i > t:
+        return None
+    if i == s - 1:
+        return {(s - 1, t): _poly(0, 0, 1), (s, t): _poly(0, 0, 1, -1)}
+    if i == s and s == t - 1:
+        return {(s, t): _poly(1, 2, 1)}  # t q^2
+    if i == s:
+        return {(s, s + 1): _poly(1, 1, -1, 1), (s + 1, t): _poly(0, 1, 1)}
+    if i < t - 1:
+        return {(s, t): _poly(0, 0, 1), (i, i + 1): _poly(1, i - s, 1, -2, 1)}
+    if i == t - 1:
+        return {(s, t - 1): _poly(0, 0, 1), (t - 1, t): _poly(1, t - s, -1, 1)}
+    return {(s, t): _poly(0, 0, 1, -1), (s, t + 1): _poly(0, 1, 1)}  # i == t
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict[int, int] = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            nv = get(k, 0) + va * vb
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-    return out
+def _lk_inverse_column(s: int, t: int, i: int):
+    """Column x_{s,t} of sigma_i^-1 as {row pair: terms}; None for a unit column."""
+    if s > i + 1 or t < i:
+        return None
+    if (s, t) == (i, i + 1):
+        return {(i, i + 1): _poly(-1, -2, 1)}  # t^-1 q^-2
+    if s == i + 1:
+        return {(i, i + 1): _poly(0, -2, 1, -1), (i, t): _poly(0, -1, 1)}
+    if s == i:
+        return {
+            (i, i + 1): _poly(0, -2, -1, 2, -1),  # -q^-2 (q-1)^2
+            (i, t): _poly(0, -1, -1, 1),
+            (i + 1, t): _poly(0, 0, 1),
+        }
+    if t > i + 1:
+        return {(s, t): _poly(0, 0, 1), (i, i + 1): _poly(0, i - s - 2, -1, 2, -1)}
+    if t == i + 1:
+        return {
+            (s, i): _poly(0, -1, 1),
+            (s, i + 1): _poly(0, -1, -1, 1),
+            (i, i + 1): _poly(0, i - s - 2, -1, 2, -1),
+        }
+    return {(s, i + 1): _poly(0, 0, 1), (i, i + 1): _poly(0, i - s - 1, 1, -1)}  # t == i
 
 
-def _poly_scale(a: dict, key: int, coeff: int) -> dict:
-    if coeff == 1 and key == 0:
-        return dict(a)
-    return {k + key: v * coeff for k, v in a.items()}
-
-
-@functools.cache
-def _lk_gen_matrix(m: int, i: int) -> tuple[dict[int, dict], ...]:
-    """Column-sparse matrix of sigma_i: cols[j] maps row index -> packed poly."""
-    pairs, index = _lk_basis(m)
-    cols: list[dict[int, dict]] = []
-    for (s, t) in pairs:
-        j = index[(s, t)]
-        col: dict[int, dict] = {}
-        if i < s - 1 or i > t:
-            col[j] = {_pack(0, 0): 1}
-        elif i == s - 1:
-            col[index[(s - 1, t)]] = {_pack(0, 0): 1}
-            col[j] = {_pack(0, 0): 1, _pack(1, 0): -1}  # 1 - q
-        elif i == s and s < t - 1:
-            col[index[(s, s + 1)]] = {_pack(2, 1): 1, _pack(1, 1): -1}  # tq(q-1)
-            col[index[(s + 1, t)]] = {_pack(1, 0): 1}  # q
-        elif i == s and s == t - 1:
-            col[j] = {_pack(2, 1): 1}  # tq^2
-        elif s < i < t - 1:
-            col[j] = {_pack(0, 0): 1}
-            col[index[(i, i + 1)]] = {  # t q^{i-s} (q-1)^2
-                _pack(i - s + 2, 1): 1,
-                _pack(i - s + 1, 1): -2,
-                _pack(i - s, 1): 1,
-            }
-        elif i == t - 1:
-            col[index[(s, t - 1)]] = {_pack(0, 0): 1}
-            col[index[(t - 1, t)]] = {  # t q^{t-s} (q-1)
-                _pack(t - s + 1, 1): 1,
-                _pack(t - s, 1): -1,
-            }
-        else:  # i == t
-            col[j] = {_pack(0, 0): 1, _pack(1, 0): -1}  # 1 - q
-            col[index[(s, t + 1)]] = {_pack(1, 0): 1}  # q
-        cols.append(col)
-    return tuple(cols)
-
-
-def _sparse_mat_mul(a: Sequence[dict[int, dict]], b: Sequence[dict[int, dict]]):
-    """Product of two column-sparse matrices: (a.b) col j = sum_k a_col_k * b[k][j]."""
-    d = len(a)
-    out: list[dict[int, dict]] = []
-    for j in range(d):
-        acc: dict[int, dict] = {}
-        for k, coeff in b[j].items():
-            for r, poly in a[k].items():
-                contrib = _poly_mul(poly, coeff)
-                if r in acc:
-                    merged = _poly_add(acc[r], contrib)
-                    if merged:
-                        acc[r] = merged
-                    else:
-                        del acc[r]
-                elif contrib:
-                    acc[r] = contrib
-        out.append(acc)
-    return out
-
-
-@functools.cache
-def _lk_gen_inverse(m: int, i: int) -> tuple[dict[int, dict], ...]:
-    """Inverse generator matrix, from the minimal cubic of sigma_i.
-
-    The LK generator has eigenvalues {1, -q, tq^2}, so
-    G^-1 = (G^2 - e1 G + e2 I) / e3 with the elementary symmetric e_k.
-    Verified against G.G^-1 = I at build time.
-    """
-    g = _lk_gen_matrix(m, i)
-    d = len(g)
-    e1 = {_pack(0, 0): 1, _pack(1, 0): -1, _pack(2, 1): 1}
-    e2 = {_pack(1, 0): -1, _pack(2, 1): 1, _pack(3, 1): -1}
-    inv_e3 = (_pack(-3, -1), -1)  # 1 / (-t q^3)
-    g2 = _sparse_mat_mul(g, g)
-    cols: list[dict[int, dict]] = []
-    for j in range(d):
-        acc: dict[int, dict] = dict(g2[j])
-        for r, poly in g[j].items():
-            term = _poly_mul(poly, e1)
-            cur = acc.get(r, {})
-            merged = _poly_add(cur, {k: -v for k, v in term.items()})
-            if merged:
-                acc[r] = merged
-            else:
-                acc.pop(r, None)
-        cur = acc.get(j, {})
-        merged = _poly_add(cur, e2)
-        if merged:
-            acc[j] = merged
-        else:
-            acc.pop(j, None)
-        key, coeff = inv_e3
-        cols.append({r: _poly_scale(poly, key, coeff) for r, poly in acc.items()})
-    inverse = tuple(cols)
-    check = _sparse_mat_mul(g, inverse)
-    for j in range(d):
-        if check[j] != {j: {_pack(0, 0): 1}}:
-            raise AssertionError(
-                f"LK inverse verification failed for m={m}, i={i}"
-            )
-    return inverse
-
-
+# sigma_i^-1 is written in closed form like sigma_i; _lk_check verifies
+# G.G^-1 = G^-1.G = I for every generator before a word on m strands is used.
 @functools.cache
 def _lk_active(m: int, letter: int) -> tuple[tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]:
     """Non-identity columns of the (possibly inverse) generator matrix,
     flattened for the hot loop: (col_j, ((row_k, ((packed_key, coeff), ...)), ...))."""
     i = abs(letter)
-    mat = _lk_gen_matrix(m, i) if letter > 0 else _lk_gen_inverse(m, i)
+    column = _lk_column if letter > 0 else _lk_inverse_column
+    pairs, index = _lk_basis(m)
     active = []
-    for j, col in enumerate(mat):
-        if list(col.keys()) == [j] and col[j] == {_pack(0, 0): 1}:
-            continue
-        contribs = tuple(
-            (k, tuple(poly.items())) for k, poly in sorted(col.items())
-        )
-        active.append((j, contribs))
+    for j, (s, t) in enumerate(pairs):
+        col = column(s, t, i)
+        if col is not None:
+            active.append((j, tuple(sorted((index[p], terms) for p, terms in col.items()))))
     return tuple(active)
 
 
@@ -561,30 +468,33 @@ def _lk_apply(cols: list[list[dict]], m: int, letter: int) -> None:
         cols[j] = newcol
 
 
+def _lk_identity(m: int) -> list[list[dict]]:
+    d = m * (m - 1) // 2
+    return [[({_pack(0, 0): 1} if r == j else {}) for r in range(d)] for j in range(d)]
+
+
+@functools.cache
+def _lk_check(m: int) -> None:
+    """Safety check of the closed forms: sigma_i sigma_i^-1 and sigma_i^-1
+    sigma_i are the identity under _lk_apply for every i."""
+    ident = _lk_identity(m)
+    for i in range(1, m):
+        for pair in ((i, -i), (-i, i)):
+            cols = _lk_identity(m)
+            for letter in pair:
+                _lk_apply(cols, m, letter)
+            if cols != ident:
+                raise AssertionError(f"LK inverse verification failed for m={m}, i={i}")
+
+
 def _lk_packed(w: BraidWord) -> list[list[dict]]:
     """Column-major matrix of packed polynomials for the word."""
     m = w.strands
-    d = m * (m - 1) // 2
-    cols: list[list[dict]] = [
-        [({_pack(0, 0): 1} if r == j else {}) for r in range(d)] for j in range(d)
-    ]
+    _lk_check(m)
+    cols = _lk_identity(m)
     for letter in w.letters:
         _lk_apply(cols, m, letter)
     return cols
-
-
-def lk_matrix(w: BraidWord) -> list[list[dict[tuple[int, int], int]]]:
-    """Lawrence-Krammer matrix of the word, rows x columns.
-
-    Each entry maps (q degree, t degree) to its nonzero coefficient, so
-    the zero polynomial is {} and equality is dict equality.
-    """
-    cols = _lk_packed(w)
-    d = len(cols)
-    return [
-        [{_unpack(k): v for k, v in cols[j][r].items()} for j in range(d)]
-        for r in range(d)
-    ]
 
 
 def lk_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -25,9 +25,9 @@ import sys
 from pathlib import Path
 
 from .catalog import builtin, verify_all, verify_words
-from .designs import Design, SearchBudget, enumerate_designs, search_orderings
+from .designs import SYMMETRY_MODES, Design, SearchBudget, enumerate_designs, search_orderings
 from .plumbing import bounds, emit, plumbing_of
-from .surface import BoundaryWord, TwistWord
+from .surface import BoundaryWord, TwistWord, _json_int, _json_list
 
 _ORDERS = ("rightmost-first", "leftmost-first")
 
@@ -43,7 +43,7 @@ def _load_json(path: str):
 
 def _parse_relation_file(obj: dict, fallback_label: str):
     """RelationFile -> (label, BoundaryWord, TwistWord or None)."""
-    n = int(obj["n"])
+    n = _json_int(obj["n"], "n")
     lhs_obj = dict(obj["lhs"])
     lhs_obj.setdefault("n", n)
     lhs = BoundaryWord.from_json_obj(lhs_obj)
@@ -52,7 +52,7 @@ def _parse_relation_file(obj: dict, fallback_label: str):
         order = obj.get("order", "rightmost-first")
         if order not in _ORDERS:
             raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
-        factors = list(obj["rhs"])
+        factors = list(_json_list(obj["rhs"], "rhs"))
         if order == "leftmost-first":
             factors.reverse()
         rhs = TwistWord.from_json_obj({"n": n, "factors": factors})
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--m", type=int, required=True)
     e.add_argument(
         "--sym",
-        choices=("labeled", "dihedral", "symmetric"),
+        choices=SYMMETRY_MODES,
         default="dihedral",
         help="relabeling group for class reduction",
     )
@@ -155,9 +155,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="search block orderings realizing the full twist")
     s.add_argument("--design", required=True, help="JSON design file {m, blocks}")
-    s.add_argument("--cap", type=int, default=8, help="max blocks for exhaustive search")
-    s.add_argument("--tries", type=int, default=2000, help="random shuffles past the cap")
-    s.add_argument("--seed", type=int, default=0)
+    default = SearchBudget()
+    s.add_argument(
+        "--cap", type=int, default=default.exhaustive_cap, help="max blocks for exhaustive search"
+    )
+    s.add_argument("--tries", type=int, default=default.tries, help="random shuffles past the cap")
+    s.add_argument("--seed", type=int, default=default.seed)
     s.set_defaults(fn=_cmd_search)
 
     g = sub.add_parser("plumb", help="plumbing graph of a relation file's lhs")

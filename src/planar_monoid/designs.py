@@ -19,7 +19,15 @@ import random
 from dataclasses import dataclass
 
 from .braid import NormalForm, full_twist, nf_mul, normal_form
-from .surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord, swing_word
+from .surface import (
+    BoundaryWord,
+    ConvexCurve,
+    SurfaceSpec,
+    TwistWord,
+    _json_int,
+    _json_list,
+    swing_word,
+)
 
 __all__ = [
     "Design",
@@ -82,7 +90,11 @@ class Design:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Design":
-        return Design(int(obj["m"]), tuple(tuple(int(x) for x in b) for b in obj["blocks"]))
+        blocks = _json_list(obj["blocks"], "blocks")
+        return Design(
+            _json_int(obj["m"], "m"),
+            tuple(tuple(_json_int(x, "label") for x in _json_list(b, "block")) for b in blocks),
+        )
 
 
 def from_rhs(word: TwistWord) -> Design:

@@ -37,6 +37,20 @@ __all__ = [
 _GATHER_SIGN = -1
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer from an input file; floats, strings and booleans raise."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    """A JSON array from an input file; strings and objects raise."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Sphere with n boundary components: interior labels 1..n-1, outer n."""
@@ -100,7 +114,7 @@ class ConvexCurve:
     def from_json_factor(obj) -> "ConvexCurve":
         if obj == "outer":
             return ConvexCurve.outer_parallel()
-        return ConvexCurve.over(int(x) for x in obj)
+        return ConvexCurve.over(_json_int(x, "label") for x in _json_list(obj, "factor"))
 
 
 @dataclass(frozen=True)
@@ -131,8 +145,10 @@ class TwistWord:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TwistWord":
-        surface = SurfaceSpec(int(obj["n"]))
-        factors = tuple(ConvexCurve.from_json_factor(f) for f in obj["factors"])
+        surface = SurfaceSpec(_json_int(obj["n"], "n"))
+        factors = tuple(
+            ConvexCurve.from_json_factor(f) for f in _json_list(obj["factors"], "factors")
+        )
         return TwistWord(surface, factors)
 
 
@@ -173,9 +189,9 @@ class BoundaryWord:
     @staticmethod
     def from_json_obj(obj: dict) -> "BoundaryWord":
         return BoundaryWord(
-            SurfaceSpec(int(obj["n"])),
-            tuple(int(a) for a in obj["exponents"]),
-            int(obj.get("outer", 1)),
+            SurfaceSpec(_json_int(obj["n"], "n")),
+            tuple(_json_int(a, "exponent") for a in _json_list(obj["exponents"], "exponents")),
+            _json_int(obj.get("outer", 1), "outer"),
         )
 
 

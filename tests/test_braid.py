@@ -11,7 +11,6 @@ from planar_monoid.braid import (
     invert,
     linking_matrix,
     lk_equal,
-    lk_matrix,
     nf_mul,
     normal_form,
     permutation,
@@ -143,12 +142,28 @@ def test_linking_is_conjugation_invariant_total(w):
     assert total == total_c
 
 
-def test_lk_matrix_identity_word():
-    mat = lk_matrix(BraidWord(4))
-    d = len(mat)
-    for r in range(d):
-        for c in range(d):
-            assert mat[r][c] == ({(0, 0): 1} if r == c else {})
+@pytest.mark.parametrize(
+    "m,letter",
+    [(m, sign * i) for m in range(2, 9) for i in range(1, m) for sign in (1, -1)],
+)
+def test_lk_generator_relations(m, letter):
+    # hypothesis words stop at 6 strands; this covers every generator and
+    # its inverse up to the 8 strands the n=9 daisy family uses
+    def w(*letters):
+        return BraidWord(m, letters)
+
+    i, sign = abs(letter), (1 if letter > 0 else -1)
+    assert lk_equal(w(letter, -letter), w())
+    assert lk_equal(w(-letter, letter), w())
+    if i + 1 < m:
+        nxt = sign * (i + 1)
+        assert lk_equal(w(letter, nxt, letter), w(nxt, letter, nxt))
+    for j in range(1, m):
+        if abs(i - j) >= 2:
+            for far in (j, -j):
+                assert lk_equal(w(letter, far), w(far, letter))
+    ft = full_twist(m).letters
+    assert lk_equal(w(*ft, letter), w(letter, *ft))
 
 
 @given(braid_word_pairs(max_len=20))

@@ -103,6 +103,36 @@ def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):
     assert json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "cmd,obj",
+    [
+        ("verify", dict(LANTERN_N5, lhs={"exponents": [2.9, 2, 2, 2], "outer": 1})),
+        ("verify", dict(LANTERN_N5, lhs={"exponents": "2222", "outer": 1})),
+        ("verify", dict(LANTERN_N5, rhs=["12", "23", "13", "34", "24", "14"])),
+        ("verify", dict(LANTERN_N5, lhs={"exponents": [2, 2, 2, 2], "outer": True})),
+        ("verify", dict(LANTERN_N5, n=5.0)),
+        ("search", {"m": 3, "blocks": ["12", [2, 3], [1, 3]]}),
+        ("search", {"m": 3, "blocks": [[1, 2.0], [2, 3], [1, 3]]}),
+    ],
+    ids=[
+        "float-exponent",
+        "string-exponents",
+        "string-factors",
+        "bool-outer",
+        "float-n",
+        "string-block",
+        "float-label",
+    ],
+)
+def test_rejects_malformed_numbers(tmp_path, capsys, cmd, obj):
+    path = write(tmp_path, "input.json", obj)
+    argv = ("verify", path, "--fast") if cmd == "verify" else ("search", "--design", path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_catalog_command(capsys):
     code, out, err = run(capsys, "catalog", "--n", "5", "--fast")
     assert code == 0
