@@ -13,14 +13,14 @@ import json
 import sys
 import time
 
-from planar_monoid.catalog import completeness_check
-from planar_monoid.designs import SYMMETRY_MODES, SearchBudget
+from planar_monoid.catalog import AUDIT_MODES, completeness_check
+from planar_monoid.designs import SearchBudget
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=7, choices=(5, 6, 7))
-    ap.add_argument("--mode", default="symmetric", choices=SYMMETRY_MODES)
+    ap.add_argument("--mode", default="symmetric", choices=AUDIT_MODES)
     default = SearchBudget()
     ap.add_argument(
         "--cap", type=int, default=default.exhaustive_cap,

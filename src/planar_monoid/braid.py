@@ -4,7 +4,9 @@ Words are sequences of signed Artin generator indices in *application order*:
 ``letters[0]`` acts first.  Equality is decided two independent ways:
 
 * Garside left-greedy normal form over permutation braids (the canonical
-  engine; normal forms are hashable and double as memoization keys), and
+  engine; normal forms are hashable and double as memoization keys).
+  `normal_form` and `nf_mul` share one kernel, `_left_weighted`, that
+  appends simple factors one at a time to a left-weighted prefix; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).
 
@@ -164,13 +166,15 @@ def _tau(p: Sequence[int]) -> tuple[int, ...]:
 
 
 @functools.cache
-def _neg_letter_factor(m: int, i: int) -> tuple[int, ...]:
-    """The permutation braid u with sigma_{i+1}^-1 = Delta^-1 . u
-    (u is Delta with the final crossing of values i, i+1 undone)."""
-    d = list(_delta(m))
-    pa, pb = d.index(i), d.index(i + 1)
-    d[pa], d[pb] = i + 1, i
-    return tuple(d)
+def _letter_factor(m: int, letter: int) -> tuple[int, ...]:
+    """The permutation braid of sigma_k for letter k > 0, and for letter -k
+    the u with sigma_k^-1 = Delta^-1 . u (Delta with the final crossing of
+    values k-1, k undone)."""
+    i = abs(letter) - 1
+    p = list(_ident(m) if letter > 0 else _delta(m))
+    pa, pb = p.index(i), p.index(i + 1)
+    p[pa], p[pb] = i + 1, i
+    return tuple(p)
 
 
 def _slide(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -204,30 +208,35 @@ def _slide(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[i
     return tuple(al), tuple(bl)
 
 
-def _normalize_factors(m: int, factors: Iterable[Sequence[int]]):
-    """Left-greedy normalization; returns (extracted Delta power, factor tuple)."""
+def _left_weighted(m: int, prefix: Iterable[tuple[int, ...]], factors: Iterable[tuple[int, ...]]):
+    """Append simple factors to a left-weighted, Delta-free prefix.
+
+    Each factor is slid left pair by pair until a pair comes back unchanged;
+    a factor slid down to the identity is dropped.  Returns (Delta power
+    stripped from the front, left-weighted factor tuple).
+    """
     ident = _ident(m)
-    delta = _delta(m)
-    fs = [tuple(f) for f in factors if tuple(f) != ident]
-    i = 0
-    while i < len(fs) - 1:
-        a, b = fs[i], fs[i + 1]
-        a2, b2 = _slide(a, b)
-        if a2 == a:
-            i += 1
+    fs = list(prefix)
+    for f in factors:
+        if f == ident:
             continue
-        if b2 == ident:
-            fs[i] = a2
-            del fs[i + 1]
-        else:
-            fs[i], fs[i + 1] = a2, b2
-        if i:
-            i -= 1
-    inf = 0
-    while fs and fs[0] == delta:
-        inf += 1
-        fs.pop(0)
-    return inf, tuple(fs)
+        j = len(fs)
+        fs.append(f)
+        while j:
+            a2, b2 = _slide(fs[j - 1], fs[j])
+            if a2 == fs[j - 1]:
+                break
+            fs[j - 1] = a2
+            if b2 == ident:
+                del fs[j]
+            else:
+                fs[j] = b2
+            j -= 1
+    delta = _delta(m)
+    k = 0
+    while k < len(fs) and fs[k] == delta:
+        k += 1
+    return k, tuple(fs[k:])
 
 
 def _simple_letters(p: Sequence[int]) -> list[int]:
@@ -287,57 +296,26 @@ def linking_matrix(w: BraidWord) -> LinkingMatrix:
 
 
 def normal_form(w: BraidWord) -> NormalForm:
+    # Each sigma_k^-1 is Delta^-1 . u; a Delta^-1 moved to the front
+    # conjugates every factor it passes, which swaps sigma_k and sigma_{m-k}.
     m = w.strands
-    ident = _ident(m)
-    factors: list[tuple[int, ...]] = []
-    dpows: list[int] = []
-
-    # Greedily pack runs of positive letters into permutation braids.
-    cur = list(ident)
-    curinv = list(ident)
-    packed = False
-
-    def flush():
-        nonlocal cur, curinv, packed
-        if packed:
-            factors.append(tuple(cur))
-            dpows.append(0)
-            cur = list(ident)
-            curinv = list(ident)
-            packed = False
-
-    for letter in w.letters:
-        i = abs(letter) - 1
-        if letter > 0:
-            if curinv[i] > curinv[i + 1]:
-                flush()
-            pa, pb = curinv[i], curinv[i + 1]
-            cur[pa], cur[pb] = i + 1, i
-            curinv[i], curinv[i + 1] = pb, pa
-            packed = True
-        else:
-            flush()
-            factors.append(_neg_letter_factor(m, i))
-            dpows.append(-1)
-    flush()
-
-    # Push the Delta^-1 markers to the front, conjugating what they pass.
-    total = 0
-    for idx in range(len(factors) - 1, -1, -1):
-        if total % 2:
-            factors[idx] = _tau(factors[idx])
-        total += dpows[idx]
-
-    extra, normalized = _normalize_factors(m, factors)
-    return NormalForm(m, total + extra, normalized)
+    negatives = sum(1 for k in w.letters if k < 0)
+    odd = negatives % 2  # parity of the Delta^-1 markers right of the letter
+    factors = []
+    for k in w.letters:
+        if k < 0:
+            odd ^= 1
+        factors.append(_letter_factor(m, (m if k > 0 else -m) - k if odd else k))
+    extra, normalized = _left_weighted(m, (), factors)
+    return NormalForm(m, extra - negatives, normalized)
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     """Normal form of the concatenation 'a then b'."""
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
-    afs = [_tau(f) for f in a.factors] if b.infimum % 2 else list(a.factors)
-    extra, factors = _normalize_factors(a.strands, afs + list(b.factors))
+    prefix = map(_tau, a.factors) if b.infimum % 2 else a.factors
+    extra, factors = _left_weighted(a.strands, prefix, b.factors)
     return NormalForm(a.strands, a.infimum + b.infimum + extra, factors)
 
 

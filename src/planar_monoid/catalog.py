@@ -49,6 +49,7 @@ __all__ = [
     "verify",
     "verify_words",
     "verify_all",
+    "AUDIT_MODES",
     "completeness_check",
     "chi_discrepancies",
 ]
@@ -264,6 +265,11 @@ def _printed_chi() -> dict:
     return json.loads(_data_text("printed_chi.json"))
 
 
+# The catalog is written up to relabeling, so an audit needs a symmetry group;
+# "labeled" mode would read every unwritten relabeling as a mismatch.
+AUDIT_MODES = ("dihedral", "symmetric")
+
+
 def completeness_check(
     n: int, mode: str = "dihedral", budget: SearchBudget = SearchBudget()
 ) -> AuditReport:
@@ -277,6 +283,8 @@ def completeness_check(
     """
     if n not in (5, 6, 7):
         raise ValueError(f"no catalog to audit against for n={n}")
+    if mode not in AUDIT_MODES:
+        raise ValueError(f"unknown audit mode {mode!r}, want one of {AUDIT_MODES}")
     m = n - 1
     group = _group_perms(m, mode)
 

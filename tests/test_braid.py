@@ -105,6 +105,30 @@ def test_nf_mul_matches_concatenation(pair):
     assert nf_mul(normal_form(a), normal_form(b)) == normal_form(concat)
 
 
+def _assert_left_weighted(nf):
+    # Checked from the definition, independent of the library's slide code.
+    m = nf.strands
+    for f in nf.factors:
+        assert f != tuple(range(m)) and f != tuple(range(m - 1, -1, -1))
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        a_inv = [0] * m
+        for x, y in enumerate(a):
+            a_inv[y] = x
+        for i in range(m - 1):
+            if b[i] > b[i + 1]:
+                assert a_inv[i] > a_inv[i + 1], (a, b, i)
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_normal_form_is_left_weighted(pair):
+    a, b = pair
+    na, nb = normal_form(a), normal_form(b)
+    _assert_left_weighted(na)
+    _assert_left_weighted(nb)
+    _assert_left_weighted(nf_mul(na, nb))
+
+
 def test_full_twist_normal_form():
     # the full twist is Delta^2; with the negative-letter convention the
     # normal form is the bare Delta power, no factors

@@ -130,9 +130,10 @@ def test_completeness_check_n5():
     assert sorted(len(e.catalog_labels) for e in rep.entries) == [1, 1]
 
 
-def test_completeness_rejects_unknown_n():
+@pytest.mark.parametrize("n, mode", [(9, "dihedral"), (5, "labeled")])
+def test_completeness_rejects_unknown_n(n, mode):
     with pytest.raises(ValueError):
-        completeness_check(9)
+        completeness_check(n, mode)
 
 
 def test_audit_entry_json_schema():

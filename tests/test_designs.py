@@ -132,6 +132,23 @@ def test_search_all_pairs_m4():
     assert len(res.orderings) == 48
 
 
+@pytest.mark.parametrize(
+    "m, blocks, count",
+    [
+        (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3, 4, 5)), 5),
+        (5, ((1, 2), (1, 3), (1, 4, 5), (2, 3, 4), (2, 5), (3, 5)), 12),
+        (5, ((1, 2), (1, 3), (1, 4, 5), (2, 3, 5), (2, 4), (3, 4)), 6),
+        (5, ((1, 2), (1, 3, 4), (1, 5), (2, 3), (2, 4, 5), (3, 5)), 6),
+        (6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3, 4, 5, 6)), 6),
+        (6, ((1, 2), (1, 3, 4), (1, 5, 6), (2, 3, 5), (2, 4, 6), (3, 6), (4, 5)), 0),
+    ],
+)
+def test_search_exhausted_ordering_counts(m, blocks, count):
+    res = search_orderings(Design(m, blocks))
+    assert res.status == "exhausted"
+    assert len(res.orderings) == count
+
+
 def test_search_reports_written_order():
     # every reported ordering must itself verify as a relation
     d = Design(3, ((1, 2), (2, 3), (1, 3)))
