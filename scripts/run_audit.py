@@ -31,7 +31,10 @@ def main() -> int:
     ap.add_argument("--json", metavar="PATH", help="also dump the full report as JSON")
     args = ap.parse_args()
 
-    budget = SearchBudget(exhaustive_cap=args.cap, tries=args.tries, seed=args.seed)
+    try:
+        budget = SearchBudget(exhaustive_cap=args.cap, tries=args.tries, seed=args.seed)
+    except ValueError as e:
+        ap.error(str(e))
     t0 = time.time()
     rep = completeness_check(args.n, mode=args.mode, budget=budget)
     elapsed = time.time() - t0

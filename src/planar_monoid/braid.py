@@ -6,7 +6,9 @@ Words are sequences of signed Artin generator indices in *application order*:
 * Garside left-greedy normal form over permutation braids (the canonical
   engine; normal forms are hashable and double as memoization keys).
   `normal_form` and `nf_mul` share one kernel, `_left_weighted`, that
-  appends simple factors one at a time to a left-weighted prefix; and
+  appends simple factors one at a time to a left-weighted prefix.  It
+  slides interned simple factors (small ints, one lazily filled table per
+  strand count) by their starting- and finishing-set bitmasks; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).
 
@@ -177,66 +179,114 @@ def _letter_factor(m: int, letter: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _slide(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Make the adjacent factor pair (a, b) left-weighted.
+def _descents(p: Sequence[int]) -> int:
+    """Bitmask of {i : p[i] > p[i+1]}."""
+    return sum(1 << i for i in range(len(p) - 1) if p[i] > p[i + 1])
 
-    Moves every generator that starts b but does not finish a across the
-    boundary: a <- a.s_i, b <- s_i.b, until S(b) is contained in F(a).
+
+class _Simples:
+    """The permutation braids on m strands met so far, interned as ints.
+
+    For each id: `perm` is its image tuple, `starts` its starting set S
+    (the descents of p) and `finishes` its finishing set F (the descents of
+    p^-1), both as bitmasks.  `right(a, i)` is the id of a.s_i and
+    `left(b, i)` the id of s_i.b; each is computed on first use and kept in
+    `rights[a][i]` / `lefts[b][i]` (-1 until then).  Elements are added only
+    as they are reached, so large m costs only what is used.
     """
-    m = len(a)
-    al = list(a)
-    ainv = list(_pinv(a))
-    bl = list(b)
-    moved = False
-    while True:
-        hit = -1
-        for i in range(m - 1):
-            # i in S(b): descent of b; i not in F(a): no descent of a^-1
-            if bl[i] > bl[i + 1] and ainv[i] < ainv[i + 1]:
-                hit = i
-                break
-        if hit < 0:
-            break
-        moved = True
-        i = hit
-        pa, pb = ainv[i], ainv[i + 1]
-        al[pa], al[pb] = i + 1, i
-        ainv[i], ainv[i + 1] = pb, pa
-        bl[i], bl[i + 1] = bl[i + 1], bl[i]
-    if not moved:
-        return tuple(a), tuple(b)
-    return tuple(al), tuple(bl)
+
+    __slots__ = ("m", "ids", "perm", "starts", "finishes", "rights", "lefts")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.perm: list[tuple[int, ...]] = []
+        self.starts: list[int] = []
+        self.finishes: list[int] = []
+        self.rights: list[list[int]] = []
+        self.lefts: list[list[int]] = []
+
+    def intern(self, p: tuple[int, ...]) -> int:
+        x = self.ids.get(p)
+        if x is None:
+            x = self.ids[p] = len(self.perm)
+            self.perm.append(p)
+            self.starts.append(_descents(p))
+            self.finishes.append(_descents(_pinv(p)))
+            self.rights.append([-1] * (self.m - 1))
+            self.lefts.append([-1] * (self.m - 1))
+        return x
+
+    def right(self, a: int, i: int) -> int:
+        """a.s_i: apply a, then swap the values i and i+1."""
+        x = self.rights[a][i]
+        if x < 0:
+            p = self.perm[a]
+            x = self.rights[a][i] = self.intern(
+                tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
+            )
+        return x
+
+    def left(self, b: int, i: int) -> int:
+        """s_i.b: swap the positions i and i+1, then apply b."""
+        x = self.lefts[b][i]
+        if x < 0:
+            p = self.perm[b]
+            x = self.lefts[b][i] = self.intern(p[:i] + (p[i + 1], p[i]) + p[i + 2:])
+        return x
+
+
+@functools.cache
+def _simples(m: int) -> _Simples:
+    return _Simples(m)
 
 
 def _left_weighted(m: int, prefix: Iterable[tuple[int, ...]], factors: Iterable[tuple[int, ...]]):
     """Append simple factors to a left-weighted, Delta-free prefix.
 
-    Each factor is slid left pair by pair until a pair comes back unchanged;
-    a factor slid down to the identity is dropped.  Returns (Delta power
-    stripped from the front, left-weighted factor tuple).
+    Each factor is slid left pair by pair until a pair is already
+    left-weighted; a factor slid down to the identity is dropped.  A pair
+    (a, b) is left-weighted iff S(b) is contained in F(a); otherwise the
+    lowest i in S(b) - F(a) crosses the boundary, a <- a.s_i and
+    b <- s_i.b, until it is.  Returns (Delta power stripped from the front,
+    left-weighted factor tuple).
     """
-    ident = _ident(m)
-    fs = list(prefix)
+    table = _simples(m)
+    intern, starts, finishes = table.intern, table.starts, table.finishes
+    rights, lefts = table.rights, table.lefts
+    ident = intern(_ident(m))
+    fs = [intern(p) for p in prefix]
     for f in factors:
-        if f == ident:
+        b = intern(f)
+        if b == ident:
             continue
         j = len(fs)
-        fs.append(f)
+        fs.append(b)
         while j:
-            a2, b2 = _slide(fs[j - 1], fs[j])
-            if a2 == fs[j - 1]:
+            a = fs[j - 1]
+            mask = starts[b] & ~finishes[a]
+            if not mask:
                 break
-            fs[j - 1] = a2
-            if b2 == ident:
+            while mask:
+                i = (mask & -mask).bit_length() - 1
+                # read the filled table inline; the methods fill a miss
+                x = rights[a][i]
+                a = x if x >= 0 else table.right(a, i)
+                x = lefts[b][i]
+                b = x if x >= 0 else table.left(b, i)
+                mask = starts[b] & ~finishes[a]
+            fs[j - 1] = a
+            if b == ident:
                 del fs[j]
             else:
-                fs[j] = b2
+                fs[j] = b
             j -= 1
-    delta = _delta(m)
+            b = a
+    delta = intern(_delta(m))
     k = 0
     while k < len(fs) and fs[k] == delta:
         k += 1
-    return k, tuple(fs[k:])
+    return k, tuple(table.perm[x] for x in fs[k:])
 
 
 def _simple_letters(p: Sequence[int]) -> list[int]:

@@ -277,13 +277,19 @@ class SearchBudget:
 
     exhaustive_cap: max block count for the complete DFS; above it the
     search degrades to seeds plus random shuffles and the result's status
-    says so.
+    says so.  tries: random shuffles past the cap.  Neither may be negative.
     """
 
     exhaustive_cap: int = 8
     tries: int = 2000
     seed: int = 0
     seeds: tuple[tuple[tuple[int, ...], ...], ...] = ()
+
+    def __post_init__(self):
+        if self.exhaustive_cap < 0:
+            raise ValueError(f"exhaustive_cap must be >= 0, got {self.exhaustive_cap}")
+        if self.tries < 0:
+            raise ValueError(f"tries must be >= 0, got {self.tries}")
 
 
 @dataclass(frozen=True)
@@ -322,6 +328,13 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     Up to budget.exhaustive_cap blocks the DFS with normal-form
     memoization is complete; beyond that, seed orderings are checked and
     random shuffles tried.
+
+    The exhaustive DFS fixes the block applied first and rotates what it
+    finds.  This is sound because the full twist is central: if b.w is the
+    full twist, so is w.b = b^-1 (b.w) b.  The realizing application orders
+    are therefore closed under cyclic rotation, and since the blocks are
+    distinct each of them has exactly one rotation that starts with the
+    fixed block.
     """
     m = d.points
     target = normal_form(full_twist(m))
@@ -352,8 +365,11 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                 memo[key] = hit
             return hit
 
-        sequences = complete(frozenset(d.blocks), identity)
-        orderings = tuple(sorted(tuple(reversed(seq)) for seq in sequences))
+        first = d.blocks[:1]  # empty only when there are no pairs to cover
+        sequences = [first + s for s in complete(frozenset(d.blocks[1:]), product_nf(first))]
+        orderings = tuple(sorted(
+            tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq) or 1)
+        ))
         return SearchResult(d, orderings, "exhausted")
 
     found: set[tuple[tuple[int, ...], ...]] = set()

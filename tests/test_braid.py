@@ -129,6 +129,37 @@ def test_normal_form_is_left_weighted(pair):
     _assert_left_weighted(nf_mul(na, nb))
 
 
+@given(st.integers(2, 8).flatmap(lambda m: st.permutations(list(range(m)))))
+@settings(deadline=None)
+def test_interned_simple_factors_match_definitions(p):
+    # the kernel's table, checked from the definitions: S(p) = descents of p,
+    # F(p) = descents of p^-1, and right/left compose with s_i after/before p
+    from planar_monoid.braid import _simples
+
+    p = tuple(p)
+    m = len(p)
+    table = _simples(m)
+
+    def check(x):
+        q = table.perm[x]
+        q_inv = tuple(sorted(range(m), key=q.__getitem__))
+        assert table.intern(q) == x
+        assert table.starts[x] == sum(1 << i for i in range(m - 1) if q[i] > q[i + 1])
+        assert table.finishes[x] == sum(1 << i for i in range(m - 1) if q_inv[i] > q_inv[i + 1])
+
+    a = table.intern(p)
+    assert table.perm[a] == p
+    check(a)
+    for i in range(m - 1):
+        s = list(range(m))
+        s[i], s[i + 1] = i + 1, i
+        right, left = table.right(a, i), table.left(a, i)
+        assert table.perm[right] == tuple(s[p[x]] for x in range(m))  # p, then s_i
+        assert table.perm[left] == tuple(p[s[x]] for x in range(m))  # s_i, then p
+        check(right)
+        check(left)
+
+
 def test_full_twist_normal_form():
     # the full twist is Delta^2; with the negative-letter convention the
     # normal form is the bare Delta power, no factors

@@ -193,6 +193,15 @@ def test_search_budget_flags(tmp_path, capsys):
     assert json.loads(out)["status"] == "budget"
 
 
+@pytest.mark.parametrize("flag", ["--cap", "--tries"])
+def test_search_rejects_negative_budget(tmp_path, capsys, flag):
+    path = write(tmp_path, "design.json", {"m": 3, "blocks": [[1, 2], [2, 3], [1, 3]]})
+    code, out, err = run(capsys, "search", "--design", path, flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
+
+
 def test_plumb_json(tmp_path, capsys):
     path = write(tmp_path, "rel.json", LANTERN_N5)
     code, out, _ = run(capsys, "plumb", "--file", path)

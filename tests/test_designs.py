@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from planar_monoid.braid import NormalForm, full_twist, nf_mul, normal_form
 from planar_monoid.catalog import builtin, verify
 from planar_monoid.designs import (
     Design,
@@ -16,7 +19,7 @@ from planar_monoid.designs import (
     replication,
     search_orderings,
 )
-from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord
+from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word
 
 ALL_PAIRS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
@@ -141,12 +144,46 @@ def test_search_all_pairs_m4():
         (5, ((1, 2), (1, 3, 4), (1, 5), (2, 3), (2, 4, 5), (3, 5)), 6),
         (6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3, 4, 5, 6)), 6),
         (6, ((1, 2), (1, 3, 4), (1, 5, 6), (2, 3, 5), (2, 4, 6), (3, 6), (4, 5)), 0),
+        (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4, 5)), 176),
+        (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4, 5), (3, 4), (3, 5)), 160),
+        (6, ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3, 4, 5), (2, 6), (3, 6), (4, 6)), 40),
     ],
 )
 def test_search_exhausted_ordering_counts(m, blocks, count):
     res = search_orderings(Design(m, blocks))
     assert res.status == "exhausted"
     assert len(res.orderings) == count
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_search_matches_brute_force(m):
+    # reference path: every application order, multiplied left to right
+    # from the identity, without the search's DFS or rotation quotient
+    target = normal_form(full_twist(m))
+    for d in enumerate_designs(m, "dihedral"):
+        if len(d.blocks) > 6:
+            continue
+        nf_of = {b: normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))) for b in d.blocks}
+        expected = set()
+        for order in itertools.permutations(d.blocks):
+            acc = NormalForm(m, 0, ())
+            for b in order:
+                acc = nf_mul(acc, nf_of[b])
+            if acc == target:
+                expected.add(tuple(reversed(order)))
+        res = search_orderings(d)
+        assert res.status == "exhausted"
+        assert set(res.orderings) == expected, d
+        assert len(res.orderings) == len(expected)
+        assert {o[k:] + o[:k] for o in expected for k in range(len(o))} == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"exhaustive_cap": -1}, {"tries": -1}, {"exhaustive_cap": -3, "tries": -5}]
+)
+def test_search_budget_rejects_negative(kwargs):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        SearchBudget(**kwargs)
 
 
 def test_search_reports_written_order():
