@@ -288,30 +288,29 @@ def completeness_check(
     m = n - 1
     group = _group_perms(m, mode)
 
-    by_rep: dict[tuple[tuple[int, ...], ...], list[Relation]] = {}
+    # representative -> (relation, the relabelings taking it there)
+    by_rep: dict[tuple[tuple[int, ...], ...], list[tuple[Relation, list]]] = {}
     for r in builtin(n):
-        d = from_rhs(r.rhs)
-        rep = min(_relabel(g, d.blocks) for g in group)
-        by_rep.setdefault(rep, []).append(r)
+        blocks = from_rhs(r.rhs).blocks
+        relabeled = [(g, _relabel(g, blocks)) for g in group]
+        rep = min(image for _, image in relabeled)
+        by_rep.setdefault(rep, []).append((r, [g for g, image in relabeled if image == rep]))
 
     entries = []
     for d in enumerate_designs(m, mode):
-        members = by_rep.get(d.blocks, [])
+        landing = by_rep.get(d.blocks, [])
+        members = [r for r, _ in landing]
         # Candidate seeds: every relabeling of a member's written ordering
         # that lands on this representative.  Only disk symmetries are
         # guaranteed to preserve relations, so beyond dihedral mode these
         # are guesses; search_orderings verifies each and keeps the true
         # ones.
         seeds = []
-        for r in members:
-            db = from_rhs(r.rhs)
-            for g in group:
-                if _relabel(g, db.blocks) == d.blocks:
-                    s = tuple(
-                        tuple(sorted(g[x - 1] for x in c.support)) for c in r.rhs.factors
-                    )
-                    if s not in seeds:
-                        seeds.append(s)
+        for r, perms in landing:
+            for g in perms:
+                s = tuple(tuple(sorted(g[x - 1] for x in c.support)) for c in r.rhs.factors)
+                if s not in seeds:
+                    seeds.append(s)
         b = budget
         if seeds:
             b = SearchBudget(

@@ -278,6 +278,9 @@ class SearchBudget:
     exhaustive_cap: max block count for the complete DFS; above it the
     search degrades to seeds plus random shuffles and the result's status
     says so.  tries: random shuffles past the cap.  Neither may be negative.
+    Both paths drop a partial product as soon as the Garside inf/sup bound
+    (see search_orderings) shows no order of the unused blocks can complete
+    it; this changes what is found by neither path, only its cost.
     """
 
     exhaustive_cap: int = 8
@@ -335,23 +338,50 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     are therefore closed under cyclic rotation, and since the blocks are
     distinct each of them has exactly one rotation that starts with the
     fixed block.
+
+    Both paths prune by the Garside infimum and supremum (sup = inf +
+    canonical length), which are super- and sub-additive: inf(xy) >=
+    inf x + inf y, sup(xy) <= sup x + sup y, and inf(x^-1) = -sup x
+    (Elrifai-Morton 1994).  If a partial product acc times the product P of
+    the unused blocks R, in any order, is the target T, then acc = T P^-1,
+    so inf(acc) >= inf T - sum_R sup(b) and sup(acc) <= sup T - sum_R inf(b).
+    A partial product that breaks either bound has no completion and is
+    dropped: in the DFS before its memo lookup (the memo keeps only viable
+    states), in the budget path after each multiplication of a seed or
+    shuffle.  The two sums over R are carried along as ints.
     """
     m = d.points
     target = normal_form(full_twist(m))
+    low, high = target.infimum, target.infimum + len(target.factors)
     nf_of = {b: _block_nf(m, b) for b in d.blocks}
+    inf_of = {b: nf.infimum for b, nf in nf_of.items()}
+    sup_of = {b: nf.infimum + len(nf.factors) for b, nf in nf_of.items()}
+    total_inf, total_sup = sum(inf_of.values()), sum(sup_of.values())
     identity = NormalForm(m, 0, ())
 
-    def product_nf(application_order) -> NormalForm:
+    def viable(acc: NormalForm, rest_inf: int, rest_sup: int) -> bool:
+        """Can acc times the unused blocks (their infima summing to rest_inf,
+        their suprema to rest_sup), in some order, still be the target?"""
+        return acc.infimum + rest_sup >= low and acc.infimum + len(acc.factors) + rest_inf <= high
+
+    def realizes(application_order) -> bool:
         acc = identity
+        rest_inf, rest_sup = total_inf, total_sup
         for b in application_order:
             acc = nf_mul(acc, nf_of[b])
-        return acc
+            rest_inf -= inf_of[b]
+            rest_sup -= sup_of[b]
+            if not viable(acc, rest_inf, rest_sup):
+                return False
+        return acc == target
 
     if len(d.blocks) <= budget.exhaustive_cap:
-        # memo: (remaining blocks, partial-product NF) -> all completing suffixes
+        # memo: (remaining blocks, viable partial-product NF) -> all completing suffixes
         memo: dict[tuple[frozenset, NormalForm], tuple] = {}
 
-        def complete(remaining: frozenset, acc: NormalForm):
+        def complete(remaining: frozenset, acc: NormalForm, rest_inf: int, rest_sup: int):
+            if not viable(acc, rest_inf, rest_sup):
+                return ()
             if not remaining:
                 return ((),) if acc == target else ()
             key = (remaining, acc)
@@ -359,14 +389,20 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
             if hit is None:
                 found = []
                 for b in sorted(remaining):
-                    for suffix in complete(remaining - {b}, nf_mul(acc, nf_of[b])):
+                    suffixes = complete(
+                        remaining - {b}, nf_mul(acc, nf_of[b]),
+                        rest_inf - inf_of[b], rest_sup - sup_of[b],
+                    )
+                    for suffix in suffixes:
                         found.append((b,) + suffix)
                 hit = tuple(found)
                 memo[key] = hit
             return hit
 
-        first = d.blocks[:1]  # empty only when there are no pairs to cover
-        sequences = [first + s for s in complete(frozenset(d.blocks[1:]), product_nf(first))]
+        first, rest = d.blocks[:1], d.blocks[1:]  # first is empty only with no pairs to cover
+        acc = nf_of[first[0]] if first else identity
+        rest_inf, rest_sup = sum(inf_of[b] for b in rest), sum(sup_of[b] for b in rest)
+        sequences = [first + s for s in complete(frozenset(rest), acc, rest_inf, rest_sup)]
         orderings = tuple(sorted(
             tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq) or 1)
         ))
@@ -377,12 +413,12 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     for ordering in budget.seeds:
         if sorted(ordering) != block_set:
             continue
-        if product_nf(tuple(reversed(ordering))) == target:
+        if realizes(reversed(ordering)):
             found.add(tuple(ordering))
     rng = random.Random(budget.seed)
     shuffled = list(d.blocks)
     for _ in range(budget.tries):
         rng.shuffle(shuffled)
-        if product_nf(tuple(shuffled)) == target:
+        if realizes(shuffled):
             found.add(tuple(reversed(shuffled)))
     return SearchResult(d, tuple(sorted(found)), "budget")

@@ -105,6 +105,25 @@ def test_nf_mul_matches_concatenation(pair):
     assert nf_mul(normal_form(a), normal_form(b)) == normal_form(concat)
 
 
+def _sup(nf):
+    return nf.infimum + nf.canonical_length()
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_inf_sup_bounds(pair):
+    # the lemma search_orderings prunes by: inf is superadditive, sup is
+    # subadditive, and inverting swaps them with a sign
+    a, b = pair
+    na, nb = normal_form(a), normal_form(b)
+    prod = nf_mul(na, nb)
+    assert prod.infimum >= na.infimum + nb.infimum
+    assert _sup(prod) <= _sup(na) + _sup(nb)
+    inv = normal_form(invert(a))
+    assert inv.infimum == -_sup(na)
+    assert _sup(inv) == -na.infimum
+
+
 def _assert_left_weighted(nf):
     # Checked from the definition, independent of the library's slide code.
     m = nf.strands

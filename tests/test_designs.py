@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from planar_monoid.designs import (
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word
 
 ALL_PAIRS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+K5 = tuple(itertools.combinations(range(1, 6), 2))
 
 
 def test_design_normalizes_blocks():
@@ -147,12 +149,57 @@ def test_search_all_pairs_m4():
         (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4, 5)), 176),
         (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4, 5), (3, 4), (3, 5)), 160),
         (6, ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3, 4, 5), (2, 6), (3, 6), (4, 6)), 40),
+        # past the default cap: exhausted in seconds because the DFS prunes
+        # by the inf/sup bound
+        (5, K5, 5150),
+        (
+            6,
+            ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4, 5, 6)),
+            640,
+        ),
+        (6, ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3), (2, 4, 5), (2, 6), (3, 4, 6), (3, 5)), 18),
+        (
+            6,
+            ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5, 6), (3, 4, 5), (3, 6),
+             (4, 6)),
+            1947,
+        ),
     ],
 )
 def test_search_exhausted_ordering_counts(m, blocks, count):
-    res = search_orderings(Design(m, blocks))
+    res = search_orderings(Design(m, blocks), SearchBudget(exhaustive_cap=len(blocks)))
     assert res.status == "exhausted"
     assert len(res.orderings) == count
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m, blocks", [(5, K5), (4, ALL_PAIRS_4)])
+def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed):
+    # reference: the same shuffles, each multiplied out in full with no
+    # bound (K5 finds a shuffle at some seeds, all pairs on 4 at every one)
+    d = Design(m, blocks)
+    seed_ordering = search_orderings(d, SearchBudget(exhaustive_cap=len(blocks))).orderings[seed]
+    budget = SearchBudget(exhaustive_cap=0, tries=300, seed=seed, seeds=(seed_ordering,))
+    target = normal_form(full_twist(m))
+    nf_of = {b: normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))) for b in d.blocks}
+
+    def product(application_order):
+        acc = NormalForm(m, 0, ())
+        for b in application_order:
+            acc = nf_mul(acc, nf_of[b])
+        return acc
+
+    expected = {seed_ordering} if product(reversed(seed_ordering)) == target else set()
+    rng = random.Random(seed)
+    shuffled = list(d.blocks)
+    for _ in range(budget.tries):
+        rng.shuffle(shuffled)
+        if product(shuffled) == target:
+            expected.add(tuple(reversed(shuffled)))
+    res = search_orderings(d, budget)
+    assert res.status == "budget"
+    assert seed_ordering in expected
+    assert set(res.orderings) == expected
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
