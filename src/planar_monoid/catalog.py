@@ -189,13 +189,16 @@ def verify_all(relations: Sequence[Relation], lk: bool = True) -> list[Verificat
 class AuditEntry:
     """Search outcome for one design class.
 
-    matches_catalog compares "the class is realizable" with "the catalog
-    contains a relation of this class"; when status is "budget" a False
-    can mean the search was simply too small.  class_realizable may be
-    True with orderings_found == 0: a catalog member exhibits the class
-    through its own labelling even when no ordering of this particular
-    representative was found (relabelings outside the dihedral group do
-    not preserve relations).
+    orderings_found counts what search_orderings found for the canonical
+    representative under the audit's budget; with status "budget" that is
+    random shuffles only.  class_realizable is True when that count is
+    positive or when a catalogued member of the class verifies: the member
+    is the proof, and it exhibits the class through its own labelling even
+    when no ordering of this representative was found (relabelings outside
+    the dihedral group do not preserve relations).  matches_catalog
+    compares class_realizable with "the catalog contains a relation of
+    this class"; when status is "budget" a False can mean the search was
+    simply too small.
     """
 
     design: Design
@@ -275,11 +278,12 @@ def completeness_check(
 ) -> AuditReport:
     """Enumerate design classes at m = n-1 and search each for realizability.
 
-    Classes containing a catalogued relation are seeded with that
-    relation's written ordering (relabeled onto the canonical
-    representative), so realizability there never hinges on the random
-    budget.  Replication-class summaries compare against the bundled
-    printed-chi table for this n.
+    Every class is searched with the caller's budget.  A class is
+    realizable when the search finds an ordering or when a catalogued
+    relation of the class verifies; either is a proof.  An empty search
+    proves non-realizability only with status "exhausted"; with "budget"
+    it proves nothing.  Replication-class summaries compare against the
+    bundled printed-chi table for this n.
     """
     if n not in (5, 6, 7):
         raise ValueError(f"no catalog to audit against for n={n}")
@@ -288,44 +292,19 @@ def completeness_check(
     m = n - 1
     group = _group_perms(m, mode)
 
-    # representative -> (relation, the relabelings taking it there)
-    by_rep: dict[tuple[tuple[int, ...], ...], list[tuple[Relation, list]]] = {}
+    by_rep: dict[tuple[tuple[int, ...], ...], list[Relation]] = {}
     for r in builtin(n):
         blocks = from_rhs(r.rhs).blocks
-        relabeled = [(g, _relabel(g, blocks)) for g in group]
-        rep = min(image for _, image in relabeled)
-        by_rep.setdefault(rep, []).append((r, [g for g, image in relabeled if image == rep]))
+        by_rep.setdefault(min(_relabel(g, blocks) for g in group), []).append(r)
 
     entries = []
     for d in enumerate_designs(m, mode):
-        landing = by_rep.get(d.blocks, [])
-        members = [r for r, _ in landing]
-        # Candidate seeds: every relabeling of a member's written ordering
-        # that lands on this representative.  Only disk symmetries are
-        # guaranteed to preserve relations, so beyond dihedral mode these
-        # are guesses; search_orderings verifies each and keeps the true
-        # ones.
-        seeds = []
-        for r, perms in landing:
-            for g in perms:
-                s = tuple(tuple(sorted(g[x - 1] for x in c.support)) for c in r.rhs.factors)
-                if s not in seeds:
-                    seeds.append(s)
-        b = budget
-        if seeds:
-            b = SearchBudget(
-                exhaustive_cap=budget.exhaustive_cap,
-                tries=budget.tries,
-                seed=budget.seed,
-                seeds=tuple(seeds) + tuple(budget.seeds),
-            )
-        res = search_orderings(d, b)
+        members = by_rep.get(d.blocks, [])
+        res = search_orderings(d, budget)
         # A member's own written word realizes its own (orbit-mate) design,
         # so the class is realizable even when this representative's search
         # comes up empty.
-        witness = bool(res.orderings) or any(
-            verify(r, lk=False).verified for r in members
-        )
+        witness = res.realizable() or any(verify(r, lk=False).verified for r in members)
         entries.append(
             AuditEntry(
                 design=d,

@@ -129,53 +129,39 @@ def exponents_from_design(d: Design) -> BoundaryWord:
 # exhaustive enumeration (exact cover over the pair columns)
 
 def _cover_all(m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All labeled designs on m points, as sorted block tuples."""
-    pairs = list(itertools.combinations(range(1, m + 1), 2))
-    rows: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+    """All labeled designs on m points, as sorted block tuples.
+
+    Pairs are numbered as bits and each candidate block carries the mask of
+    the pairs it covers.  The search always branches on the lowest uncovered
+    pair, over the blocks through it that are disjoint from the covered mask,
+    so each design is reached exactly once.
+    """
+    bit = {p: 1 << i for i, p in enumerate(itertools.combinations(range(1, m + 1), 2))}
+    full = (1 << len(bit)) - 1
+    # Every pair below the lowest uncovered one is covered, so a block
+    # through it that also holds a lower pair clashes anyway: filing each
+    # block under its own lowest pair lists only blocks that can fit.
+    through: dict[int, list[tuple[int, tuple[int, ...]]]] = {b: [] for b in bit.values()}
     for size in range(2, m):
-        for subset in itertools.combinations(range(1, m + 1), size):
-            rows[subset] = tuple(itertools.combinations(subset, 2))
-    cols: dict[tuple[int, int], set[tuple[int, ...]]] = {p: set() for p in pairs}
-    for row, covered in rows.items():
-        for p in covered:
-            cols[p].add(row)
+        for block in itertools.combinations(range(1, m + 1), size):
+            mask = sum(bit[p] for p in itertools.combinations(block, 2))
+            through[mask & -mask].append((mask, block))
 
     out: list[tuple[tuple[int, ...], ...]] = []
     partial: list[tuple[int, ...]] = []
 
-    def _select(row):
-        removed = []
-        for j in rows[row]:
-            for other in cols[j]:
-                for k in rows[other]:
-                    if k != j:
-                        cols[k].remove(other)
-            removed.append(cols.pop(j))
-        return removed
-
-    def _deselect(row, removed):
-        for j in reversed(rows[row]):
-            cols[j] = removed.pop()
-            for other in cols[j]:
-                for k in rows[other]:
-                    if k != j:
-                        cols[k].add(other)
-
-    def _walk():
-        if not cols:
+    def _walk(covered: int) -> None:
+        if covered == full:
             out.append(tuple(sorted(partial)))
             return
-        col = min(cols, key=lambda c: (len(cols[c]), c))
-        if not cols[col]:
-            return
-        for row in sorted(cols[col]):
-            partial.append(row)
-            removed = _select(row)
-            _walk()
-            _deselect(row, removed)
-            partial.pop()
+        low = ~covered & (covered + 1)
+        for mask, block in through[low]:
+            if not mask & covered:
+                partial.append(block)
+                _walk(covered | mask)
+                partial.pop()
 
-    _walk()
+    _walk(0)
     return out
 
 
@@ -276,8 +262,9 @@ class SearchBudget:
     """Limits for search_orderings.
 
     exhaustive_cap: max block count for the complete DFS; above it the
-    search degrades to seeds plus random shuffles and the result's status
-    says so.  tries: random shuffles past the cap.  Neither may be negative.
+    search degrades to random shuffles and the result's status says so.
+    tries: random shuffles past the cap, drawn from random.Random(seed).
+    Neither may be negative.
     Both paths drop a partial product as soon as the Garside inf/sup bound
     (see search_orderings) shows no order of the unused blocks can complete
     it; this changes what is found by neither path, only its cost.
@@ -286,7 +273,6 @@ class SearchBudget:
     exhaustive_cap: int = 8
     tries: int = 2000
     seed: int = 0
-    seeds: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
     def __post_init__(self):
         if self.exhaustive_cap < 0:
@@ -329,8 +315,8 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
 
     Orderings are reported in written order (last block applied first).
     Up to budget.exhaustive_cap blocks the DFS with normal-form
-    memoization is complete; beyond that, seed orderings are checked and
-    random shuffles tried.
+    memoization is complete; beyond that, budget.tries random shuffles are
+    tried and an empty result proves nothing.
 
     The exhaustive DFS fixes the block applied first and rotates what it
     finds.  This is sound because the full twist is central: if b.w is the
@@ -347,8 +333,8 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     so inf(acc) >= inf T - sum_R sup(b) and sup(acc) <= sup T - sum_R inf(b).
     A partial product that breaks either bound has no completion and is
     dropped: in the DFS before its memo lookup (the memo keeps only viable
-    states), in the budget path after each multiplication of a seed or
-    shuffle.  The two sums over R are carried along as ints.
+    states), in the budget path after each multiplication of a shuffle.
+    The two sums over R are carried along as ints.
     """
     m = d.points
     target = normal_form(full_twist(m))
@@ -409,12 +395,6 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         return SearchResult(d, orderings, "exhausted")
 
     found: set[tuple[tuple[int, ...], ...]] = set()
-    block_set = sorted(d.blocks)
-    for ordering in budget.seeds:
-        if sorted(ordering) != block_set:
-            continue
-        if realizes(reversed(ordering)):
-            found.add(tuple(ordering))
     rng = random.Random(budget.seed)
     shuffled = list(d.blocks)
     for _ in range(budget.tries):

@@ -11,7 +11,7 @@ from planar_monoid.catalog import (
     verify_all,
     verify_words,
 )
-from planar_monoid.designs import from_rhs, replication
+from planar_monoid.designs import SearchBudget, from_rhs, replication
 from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
 
 
@@ -128,6 +128,24 @@ def test_completeness_check_n5():
     assert all(e.orderings_found > 0 for e in rep.entries)
     # both classes carry exactly one catalog relation
     assert sorted(len(e.catalog_labels) for e in rep.entries) == [1, 1]
+
+
+def test_completeness_member_witness_decides_catalogued_classes():
+    # no shuffles: every class past the cap is decided by its catalogued
+    # members' own words, never by a search find
+    rep = completeness_check(6, "dihedral", SearchBudget(exhaustive_cap=8, tries=0))
+    assert rep.all_match()
+    k5 = next(e for e in rep.entries if e.replications == (4, 4, 4, 4, 4))
+    assert k5.status == "budget" and k5.orderings_found == 0
+    assert k5.class_realizable
+
+    rep = completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=0))
+    assert all(c.realizable for c in rep.replication_classes if c.in_catalog)
+    four_triples = next(e for e in rep.entries if e.replications == (3, 3, 3, 3, 3, 3))
+    assert four_triples.status == "exhausted" and four_triples.orderings_found == 0
+    assert not four_triples.class_realizable
+    by_reps = {c.replications: c for c in rep.replication_classes}
+    assert not by_reps[(3, 3, 3, 3, 3, 3)].realizable
 
 
 @pytest.mark.parametrize("n, mode", [(9, "dihedral"), (5, "labeled")])

@@ -89,7 +89,15 @@ def test_exponents_are_replication_minus_one():
         (4, "symmetric", 2),
         (5, "dihedral", 7),
         (5, "symmetric", 4),
+        (6, "dihedral", 44),
         (6, "symmetric", 9),
+        (7, "dihedral", 653),
+        # every labeled design, one per exact cover of the pairs
+        (3, "labeled", 1),
+        (4, "labeled", 5),
+        (5, "labeled", 31),
+        (6, "labeled", 352),
+        (7, "labeled", 8389),
     ],
 )
 def test_enumeration_class_counts(m, mode, count):
@@ -176,10 +184,10 @@ def test_search_exhausted_ordering_counts(m, blocks, count):
 @pytest.mark.parametrize("m, blocks", [(5, K5), (4, ALL_PAIRS_4)])
 def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed):
     # reference: the same shuffles, each multiplied out in full with no
-    # bound (K5 finds a shuffle at some seeds, all pairs on 4 at every one)
+    # bound (K5 finds 2, 5 and 4 realizing shuffles at seeds 0, 1 and 2,
+    # all pairs on 4 finds 45-47)
     d = Design(m, blocks)
-    seed_ordering = search_orderings(d, SearchBudget(exhaustive_cap=len(blocks))).orderings[seed]
-    budget = SearchBudget(exhaustive_cap=0, tries=300, seed=seed, seeds=(seed_ordering,))
+    budget = SearchBudget(exhaustive_cap=0, tries=2000, seed=seed)
     target = normal_form(full_twist(m))
     nf_of = {b: normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))) for b in d.blocks}
 
@@ -189,7 +197,7 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed):
             acc = nf_mul(acc, nf_of[b])
         return acc
 
-    expected = {seed_ordering} if product(reversed(seed_ordering)) == target else set()
+    expected = set()
     rng = random.Random(seed)
     shuffled = list(d.blocks)
     for _ in range(budget.tries):
@@ -198,7 +206,7 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed):
             expected.add(tuple(reversed(shuffled)))
     res = search_orderings(d, budget)
     assert res.status == "budget"
-    assert seed_ordering in expected
+    assert expected
     assert set(res.orderings) == expected
 
 
@@ -253,22 +261,6 @@ def test_search_budget_path_is_deterministic():
     r2 = search_orderings(d, budget)
     assert r1.status == "budget"
     assert r1.orderings == r2.orderings
-
-
-def test_search_accepts_valid_seed_past_cap():
-    d = Design(4, ALL_PAIRS_4)
-    exhaustive = search_orderings(d)
-    seed_ordering = exhaustive.orderings[0]
-    budget = SearchBudget(exhaustive_cap=2, tries=0, seeds=(seed_ordering,))
-    res = search_orderings(d, budget)
-    assert res.status == "budget"
-    assert seed_ordering in res.orderings
-
-
-def test_search_ignores_seed_with_wrong_blocks():
-    d = Design(4, ALL_PAIRS_4)
-    budget = SearchBudget(exhaustive_cap=2, tries=0, seeds=(((1, 2), (3, 4)),))
-    assert search_orderings(d, budget).orderings == ()
 
 
 def test_search_result_json():
