@@ -20,8 +20,7 @@ from .braid import equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
-    _group_perms,
-    _relabel,
+    _class_map,
     enumerate_designs,
     exponents_from_design,
     from_rhs,
@@ -170,12 +169,18 @@ def _verify_task(args: tuple[Relation, bool]) -> VerificationReport:
 
 
 def verify_all(relations: Sequence[Relation], lk: bool = True) -> list[VerificationReport]:
-    """Verify a batch, one worker process per core up to one per relation.
+    """Verify a batch, one worker process per usable core up to one per
+    relation.
 
     Reports come back in input order.
     """
     work = [(r, lk) for r in relations]
-    workers = min(os.cpu_count() or 1, len(work))
+    # the cores this process may run on, where the platform reports them
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(cores, len(work))
     if workers <= 1:
         return [_verify_task(w) for w in work]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -290,12 +295,11 @@ def completeness_check(
     if mode not in AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}, want one of {AUDIT_MODES}")
     m = n - 1
-    group = _group_perms(m, mode)
+    least = _class_map(m, mode)
 
     by_rep: dict[tuple[tuple[int, ...], ...], list[Relation]] = {}
     for r in builtin(n):
-        blocks = from_rhs(r.rhs).blocks
-        by_rep.setdefault(min(_relabel(g, blocks) for g in group), []).append(r)
+        by_rep.setdefault(least[from_rhs(r.rhs).blocks], []).append(r)
 
     entries = []
     for d in enumerate_designs(m, mode):

@@ -16,7 +16,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .braid import NormalForm, full_twist, nf_mul, normal_form
 from .surface import (
@@ -190,22 +192,27 @@ def _relabel(perm: tuple[int, ...], blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(perm[x - 1] for x in b)) for b in blocks))
 
 
+@functools.cache
+def _class_map(m: int, mode: SymmetryMode) -> Mapping[tuple, tuple]:
+    """Every labeled design on m points, as sorted block tuples, mapped to
+    the least member of its orbit under the mode's group (read-only)."""
+    group = _group_perms(m, mode)
+    least: dict[tuple, tuple] = {}
+    for sol in _labeled_block_sets(m):
+        if sol not in least:
+            orbit = {_relabel(g, sol) for g in group}
+            least.update(dict.fromkeys(orbit, min(orbit)))
+    return MappingProxyType(least)
+
+
 def enumerate_designs(m: int, mode: SymmetryMode = "dihedral") -> list[Design]:
     """All designs on m points, one canonical representative per orbit.
 
     Modes: "labeled" (no reduction), "dihedral" (the 2m isometries of the
-    convex arrangement), "symmetric" (all m! relabelings).
+    convex arrangement), "symmetric" (all m! relabelings).  The
+    representative is the least member of its orbit.
     """
-    group = _group_perms(m, mode)
-    seen: set[tuple] = set()
-    reps: list[tuple] = []
-    for sol in _labeled_block_sets(m):
-        if sol in seen:
-            continue
-        orbit = {_relabel(g, sol) for g in group}
-        seen |= orbit
-        reps.append(min(orbit))
-    return [Design(m, blocks) for blocks in sorted(reps)]
+    return [Design(m, blocks) for blocks in sorted(set(_class_map(m, mode).values()))]
 
 
 @functools.cache
@@ -267,7 +274,9 @@ class SearchBudget:
     Neither may be negative.
     Both paths drop a partial product as soon as the Garside inf/sup bound
     (see search_orderings) shows no order of the unused blocks can complete
-    it; this changes what is found by neither path, only its cost.
+    it.  The shuffle path also rotates every draw to start at the same
+    block and walks the draws in sorted order, multiplying each shared
+    prefix once.  Neither changes what is found, only its cost.
     """
 
     exhaustive_cap: int = 8
@@ -325,6 +334,14 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     distinct each of them has exactly one rotation that starts with the
     fixed block.
 
+    The shuffle path uses the same fact.  It rotates each draw to start
+    with the first block, which keeps whether the draw realizes the full
+    twist, then sorts the rotated draws and walks them in that order with
+    a stack of partial products: each draw resumes from the prefix it
+    shares with the draw before.  It reports the written orders of the
+    realizing draws as drawn, unrotated, so it finds exactly what
+    multiplying each draw out on its own would find.
+
     Both paths prune by the Garside infimum and supremum (sup = inf +
     canonical length), which are super- and sub-additive: inf(xy) >=
     inf x + inf y, sup(xy) <= sup x + sup y, and inf(x^-1) = -sup x
@@ -333,7 +350,8 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     so inf(acc) >= inf T - sum_R sup(b) and sup(acc) <= sup T - sum_R inf(b).
     A partial product that breaks either bound has no completion and is
     dropped: in the DFS before its memo lookup (the memo keeps only viable
-    states), in the budget path after each multiplication of a shuffle.
+    states), in the shuffle path after each multiplication, together with
+    every later draw that shares the failed prefix.
     The two sums over R are carried along as ints.
     """
     m = d.points
@@ -349,17 +367,6 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         """Can acc times the unused blocks (their infima summing to rest_inf,
         their suprema to rest_sup), in some order, still be the target?"""
         return acc.infimum + rest_sup >= low and acc.infimum + len(acc.factors) + rest_inf <= high
-
-    def realizes(application_order) -> bool:
-        acc = identity
-        rest_inf, rest_sup = total_inf, total_sup
-        for b in application_order:
-            acc = nf_mul(acc, nf_of[b])
-            rest_inf -= inf_of[b]
-            rest_sup -= sup_of[b]
-            if not viable(acc, rest_inf, rest_sup):
-                return False
-        return acc == target
 
     if len(d.blocks) <= budget.exhaustive_cap:
         # memo: (remaining blocks, viable partial-product NF) -> all completing suffixes
@@ -394,11 +401,47 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         ))
         return SearchResult(d, orderings, "exhausted")
 
-    found: set[tuple[tuple[int, ...], ...]] = set()
+    # Each draw is kept as bytes: its block indices rotated to start at
+    # index 0, then the rotation (a byte holds 255 blocks, far past any
+    # design whose search ends).
+    k = len(d.blocks)
     rng = random.Random(budget.seed)
-    shuffled = list(d.blocks)
+    shuffled = list(range(k))  # shuffle permutes positions the same whatever the items
+    draws = []
     for _ in range(budget.tries):
         rng.shuffle(shuffled)
-        if realizes(shuffled):
-            found.add(tuple(reversed(shuffled)))
+        rot = shuffled.index(0)
+        draws.append(bytes(shuffled[rot:] + shuffled[:rot] + [rot]))
+    draws.sort()
+
+    head = d.blocks[0]
+    # states[i]: (product, rest_inf, rest_sup) after the first i+1 blocks of
+    # the draw before, all viable; dead: the block count at which that draw
+    # failed the prune, None when it was multiplied out in full.
+    states = [(nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])]
+    dead = None if viable(*states[0]) else 1
+    prev = bytes(k)  # index 0 only leads a draw, so the first draw shares one block with this
+    found: set[tuple[tuple[int, ...], ...]] = set()
+    for draw in draws:
+        shared = 1
+        while shared < k and draw[shared] == prev[shared]:
+            shared += 1
+        prev = draw
+        if dead is not None and shared >= dead:
+            continue
+        del states[shared:]
+        dead = None
+        for depth in range(shared, k):
+            acc, rest_inf, rest_sup = states[-1]
+            b = d.blocks[draw[depth]]
+            state = (nf_mul(acc, nf_of[b]), rest_inf - inf_of[b], rest_sup - sup_of[b])
+            if not viable(*state):
+                dead = depth + 1
+                break
+            states.append(state)
+        else:
+            if states[-1][0] == target:
+                rot = draw[k]
+                applied = draw[k - rot:k] + draw[:k - rot]
+                found.add(tuple(d.blocks[i] for i in reversed(applied)))
     return SearchResult(d, tuple(sorted(found)), "budget")

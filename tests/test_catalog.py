@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from planar_monoid import catalog
 from planar_monoid.catalog import (
     Relation,
     builtin,
@@ -11,7 +12,7 @@ from planar_monoid.catalog import (
     verify_all,
     verify_words,
 )
-from planar_monoid.designs import SearchBudget, from_rhs, replication
+from planar_monoid.designs import SearchBudget, _group_perms, _relabel, from_rhs, replication
 from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
 
 
@@ -119,6 +120,18 @@ def test_verify_all_parallel_matches_sequential():
     assert seq == par
 
 
+def test_verify_all_stays_serial_on_one_usable_core(monkeypatch):
+    # pinned to one core: the affinity, not the machine's core count, sizes the pool
+    monkeypatch.setattr(catalog.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify_all built a process pool")
+
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", no_pool)
+    rels = builtin(5)
+    assert verify_all(rels, lk=False) == [verify(r, lk=False) for r in rels]
+
+
 def test_completeness_check_n5():
     rep = completeness_check(5)
     assert rep.n == 5 and rep.mode == "dihedral"
@@ -146,6 +159,18 @@ def test_completeness_member_witness_decides_catalogued_classes():
     assert not four_triples.class_realizable
     by_reps = {c.replications: c for c in rep.replication_classes}
     assert not by_reps[(3, 3, 3, 3, 3, 3)].realizable
+
+
+def test_completeness_groups_catalog_by_orbit_min():
+    group = _group_perms(6, "symmetric")
+    expected: dict[tuple, list[str]] = {}
+    for r in builtin(7):
+        blocks = from_rhs(r.rhs).blocks
+        expected.setdefault(min(_relabel(g, blocks) for g in group), []).append(r.label)
+    rep = completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=0))
+    assert {e.design.blocks for e in rep.entries} >= set(expected)
+    for e in rep.entries:
+        assert e.catalog_labels == tuple(expected.get(e.design.blocks, ()))
 
 
 @pytest.mark.parametrize("n, mode", [(9, "dihedral"), (5, "labeled")])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from planar_monoid import designs
 from planar_monoid.braid import NormalForm, full_twist, nf_mul, normal_form
 from planar_monoid.catalog import builtin, verify
 from planar_monoid.designs import (
@@ -19,11 +20,15 @@ from planar_monoid.designs import (
     from_rhs,
     replication,
     search_orderings,
+    _class_map,
+    _group_perms,
+    _relabel,
 )
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word
 
 ALL_PAIRS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K5 = tuple(itertools.combinations(range(1, 6), 2))
+THREE_TRIPLES = ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3), (2, 4, 5), (2, 6), (3, 4, 6), (3, 5))
 
 
 def test_design_normalizes_blocks():
@@ -105,8 +110,6 @@ def test_enumeration_class_counts(m, mode, count):
 
 
 def test_enumeration_orbits_partition_labeled_designs():
-    from planar_monoid.designs import _group_perms, _relabel
-
     labeled = {d.blocks for d in enumerate_designs(5, "labeled")}
     assert len(labeled) == 31
     group = _group_perms(5, "dihedral")
@@ -116,6 +119,34 @@ def test_enumeration_orbits_partition_labeled_designs():
     covered = set().union(*orbits)
     assert covered == labeled
     assert sum(len(o) for o in orbits) == len(labeled)  # orbits are disjoint
+
+
+@pytest.mark.parametrize("mode", ["dihedral", "symmetric"])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_class_map_sends_each_design_to_its_orbit_min(m, mode):
+    least = _class_map(m, mode)
+    assert set(least) == {d.blocks for d in enumerate_designs(m, "labeled")}
+    by_image: dict[tuple, set] = {}
+    for sol, image in least.items():
+        by_image.setdefault(image, set()).add(sol)
+    # Each image's orbit is exactly the designs sent to it, and the image is
+    # its least member, so every labeled design sol goes to
+    # min(_relabel(g, sol) for g in group).
+    group = _group_perms(m, mode)
+    for image, sols in by_image.items():
+        orbit = {_relabel(g, image) for g in group}
+        assert sols == orbit
+        assert image == min(orbit)
+    assert sorted(by_image) == [d.blocks for d in enumerate_designs(m, mode)]
+
+
+def test_class_map_is_read_only():
+    least = _class_map(5, "dihedral")
+    with pytest.raises(TypeError):
+        least[K5] = ()
+    reps = enumerate_designs(5, "dihedral")
+    reps.clear()
+    assert len(enumerate_designs(5, "dihedral")) == 7
 
 
 def test_enumeration_rejects_out_of_range():
@@ -180,14 +211,26 @@ def test_search_exhausted_ordering_counts(m, blocks, count):
     assert len(res.orderings) == count
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("m, blocks", [(5, K5), (4, ALL_PAIRS_4)])
-def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed):
-    # reference: the same shuffles, each multiplied out in full with no
-    # bound (K5 finds 2, 5 and 4 realizing shuffles at seeds 0, 1 and 2,
-    # all pairs on 4 finds 45-47)
+@pytest.mark.parametrize(
+    "m, blocks, seed, tries, finds",
+    [
+        pytest.param(5, K5, 0, 2000, 2, id="5-blocks0-0"),
+        pytest.param(5, K5, 1, 2000, 5, id="5-blocks0-1"),
+        pytest.param(5, K5, 2, 2000, 4, id="5-blocks0-2"),
+        pytest.param(4, ALL_PAIRS_4, 0, 2000, 47, id="4-blocks1-0"),
+        pytest.param(4, ALL_PAIRS_4, 1, 2000, 45, id="4-blocks1-1"),
+        pytest.param(4, ALL_PAIRS_4, 2, 2000, 47, id="4-blocks1-2"),
+        # the n=7 (3,3,3,4,4,4) symmetric representative: 9 blocks, so the
+        # walk shares prefixes up to 8 deep
+        pytest.param(6, THREE_TRIPLES, 3, 2000, 1, id="6-three-triples-3"),
+        pytest.param(5, K5, 0, 0, 0, id="5-blocks0-no-tries"),
+    ],
+)
+def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, finds):
+    # reference: the same shuffles, each multiplied out in full from the
+    # identity, unrotated, unsorted and with no bound
     d = Design(m, blocks)
-    budget = SearchBudget(exhaustive_cap=0, tries=2000, seed=seed)
+    budget = SearchBudget(exhaustive_cap=0, tries=tries, seed=seed)
     target = normal_form(full_twist(m))
     nf_of = {b: normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))) for b in d.blocks}
 
@@ -206,8 +249,24 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed):
             expected.add(tuple(reversed(shuffled)))
     res = search_orderings(d, budget)
     assert res.status == "budget"
-    assert expected
-    assert set(res.orderings) == expected
+    assert len(expected) == finds
+    assert res.orderings == tuple(sorted(expected))
+
+
+def test_search_shuffle_walk_shares_prefix_products(monkeypatch):
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return nf_mul(a, b)
+
+    monkeypatch.setattr(designs, "nf_mul", counted)
+    res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000, seed=0))
+    assert len(res.orderings) == 2
+    # multiplying each of the 2,000 shuffles out on its own, with the same
+    # prune, takes 11,137 calls
+    assert calls == 4004
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
