@@ -21,6 +21,7 @@ from .designs import (
     Design,
     SearchBudget,
     _class_map,
+    _multiset_designs,
     enumerate_designs,
     exponents_from_design,
     from_rhs,
@@ -66,7 +67,6 @@ class Relation:
     label: str
     lhs: BoundaryWord
     rhs: TwistWord
-    expected: bool = True
 
     def __post_init__(self):
         _check_same_surface(self.lhs, self.rhs)
@@ -369,17 +369,11 @@ class ChiRecord:
 def _chi_pair(d: Design) -> tuple[int, int]:
     """(lhs_chi, rhs_chi) of the relation whose rhs supports are d's blocks.
 
-    Both depend on d only through its replication multiset for m <= 6:
+    Both depend on d only through its replication multiset for m <= 7:
     designs sharing one have the same block count.
     """
     rhs = TwistWord(SurfaceSpec(d.points + 1), tuple(ConvexCurve.over(b) for b in d.blocks))
     return euler_characteristic(exponents_from_design(d)), euler_characteristic(rhs)
-
-
-@functools.cache
-def _class_designs(m: int) -> dict[tuple[int, ...], Design]:
-    """One representative design per replication multiset on m points."""
-    return {tuple(sorted(replication(d))): d for d in enumerate_designs(m, "symmetric")}
 
 
 def chi_discrepancies() -> list[ChiRecord]:
@@ -391,7 +385,7 @@ def chi_discrepancies() -> list[ChiRecord]:
     records = []
     for n_str, recs in sorted(_printed_chi().items()):
         n = int(n_str)
-        designs = _class_designs(n - 1)
+        designs = _multiset_designs(n - 1)
         for rec in recs:
             reps = tuple(rec["replications"])
             records.append(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -64,13 +65,15 @@ class PairCoverageError(ValueError):
 
 @dataclass(frozen=True)
 class Design:
-    """Linear space on points 1..m: every pair in exactly one block."""
+    """Linear space on points 1..m, m >= 3: every pair in exactly one block."""
 
     points: int
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         m = self.points
+        if m < 3:
+            raise ValueError(f"a design needs at least 3 points, got {m}")
         blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
         object.__setattr__(self, "blocks", blocks)
         cover: dict[tuple[int, int], int] = {}
@@ -216,15 +219,14 @@ def enumerate_designs(m: int, mode: SymmetryMode = "dihedral") -> list[Design]:
 
 
 @functools.cache
-def _replication_multisets(m: int) -> frozenset[tuple[int, ...]]:
-    out = set()
-    for sol in _labeled_block_sets(m):
-        counts = [0] * m
-        for b in sol:
-            for x in b:
-                counts[x - 1] += 1
-        out.add(tuple(sorted(counts)))
-    return frozenset(out)
+def _multiset_designs(m: int) -> Mapping[tuple[int, ...], Design]:
+    """One design on m points per replication multiset, keyed by the sorted
+    replication vector (read-only)."""
+    table: dict[tuple[int, ...], Design] = {}
+    for blocks in _labeled_block_sets(m):
+        d = Design(m, blocks)
+        table.setdefault(tuple(sorted(replication(d))), d)
+    return MappingProxyType(table)
 
 
 def feasible_replication(m: int, r: ReplicationVector) -> bool:
@@ -233,7 +235,7 @@ def feasible_replication(m: int, r: ReplicationVector) -> bool:
         raise ValueError(f"replication vector length {len(r)} != {m} points")
     if m < 3:
         return False
-    return tuple(sorted(r)) in _replication_multisets(m)
+    return tuple(sorted(r)) in _multiset_designs(m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +277,9 @@ class SearchBudget:
     Both paths drop a partial product as soon as the Garside inf/sup bound
     (see search_orderings) shows no order of the unused blocks can complete
     it.  The shuffle path also rotates every draw to start at the same
-    block and walks the draws in sorted order, multiplying each shared
-    prefix once.  Neither changes what is found, only its cost.
+    block, sorts the draws and recurses over them grouped by their next
+    block, multiplying each shared prefix once.  Neither changes what is
+    found, only its cost.
     """
 
     exhaustive_cap: int = 8
@@ -336,11 +339,12 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
 
     The shuffle path uses the same fact.  It rotates each draw to start
     with the first block, which keeps whether the draw realizes the full
-    twist, then sorts the rotated draws and walks them in that order with
-    a stack of partial products: each draw resumes from the prefix it
-    shares with the draw before.  It reports the written orders of the
-    realizing draws as drawn, unrotated, so it finds exactly what
-    multiplying each draw out on its own would find.
+    twist, and sorts the rotated draws.  Like the DFS it then recurses
+    from the first block: at each depth it groups the draws by their next
+    block and multiplies once per group, so each prefix that draws share
+    is multiplied once.  It reports the written orders of the realizing
+    draws as drawn, unrotated, so it finds exactly what multiplying each
+    draw out on its own would find.
 
     Both paths prune by the Garside infimum and supremum (sup = inf +
     canonical length), which are super- and sub-additive: inf(xy) >=
@@ -350,8 +354,8 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     so inf(acc) >= inf T - sum_R sup(b) and sup(acc) <= sup T - sum_R inf(b).
     A partial product that breaks either bound has no completion and is
     dropped: in the DFS before its memo lookup (the memo keeps only viable
-    states), in the shuffle path after each multiplication, together with
-    every later draw that shares the failed prefix.
+    states), in the shuffle path together with every draw that shares the
+    failed prefix.
     The two sums over R are carried along as ints.
     """
     m = d.points
@@ -361,12 +365,14 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     inf_of = {b: nf.infimum for b, nf in nf_of.items()}
     sup_of = {b: nf.infimum + len(nf.factors) for b, nf in nf_of.items()}
     total_inf, total_sup = sum(inf_of.values()), sum(sup_of.values())
-    identity = NormalForm(m, 0, ())
 
     def viable(acc: NormalForm, rest_inf: int, rest_sup: int) -> bool:
         """Can acc times the unused blocks (their infima summing to rest_inf,
         their suprema to rest_sup), in some order, still be the target?"""
         return acc.infimum + rest_sup >= low and acc.infimum + len(acc.factors) + rest_inf <= high
+
+    head = d.blocks[0]
+    start = (nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])
 
     if len(d.blocks) <= budget.exhaustive_cap:
         # memo: (remaining blocks, viable partial-product NF) -> all completing suffixes
@@ -392,18 +398,13 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                 memo[key] = hit
             return hit
 
-        first, rest = d.blocks[:1], d.blocks[1:]  # first is empty only with no pairs to cover
-        acc = nf_of[first[0]] if first else identity
-        rest_inf, rest_sup = sum(inf_of[b] for b in rest), sum(sup_of[b] for b in rest)
-        sequences = [first + s for s in complete(frozenset(rest), acc, rest_inf, rest_sup)]
+        sequences = [(head,) + s for s in complete(frozenset(d.blocks[1:]), *start)]
         orderings = tuple(sorted(
-            tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq) or 1)
+            tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq))
         ))
         return SearchResult(d, orderings, "exhausted")
 
-    # Each draw is kept as bytes: its block indices rotated to start at
-    # index 0, then the rotation (a byte holds 255 blocks, far past any
-    # design whose search ends).
+    # each draw: its block indices rotated to start at index 0, then the rotation
     k = len(d.blocks)
     rng = random.Random(budget.seed)
     shuffled = list(range(k))  # shuffle permutes positions the same whatever the items
@@ -411,37 +412,28 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     for _ in range(budget.tries):
         rng.shuffle(shuffled)
         rot = shuffled.index(0)
-        draws.append(bytes(shuffled[rot:] + shuffled[:rot] + [rot]))
+        draws.append((*shuffled[rot:], *shuffled[:rot], rot))
     draws.sort()
-
-    head = d.blocks[0]
-    # states[i]: (product, rest_inf, rest_sup) after the first i+1 blocks of
-    # the draw before, all viable; dead: the block count at which that draw
-    # failed the prune, None when it was multiplied out in full.
-    states = [(nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])]
-    dead = None if viable(*states[0]) else 1
-    prev = bytes(k)  # index 0 only leads a draw, so the first draw shares one block with this
     found: set[tuple[tuple[int, ...], ...]] = set()
-    for draw in draws:
-        shared = 1
-        while shared < k and draw[shared] == prev[shared]:
-            shared += 1
-        prev = draw
-        if dead is not None and shared >= dead:
-            continue
-        del states[shared:]
-        dead = None
-        for depth in range(shared, k):
-            acc, rest_inf, rest_sup = states[-1]
-            b = d.blocks[draw[depth]]
-            state = (nf_mul(acc, nf_of[b]), rest_inf - inf_of[b], rest_sup - sup_of[b])
-            if not viable(*state):
-                dead = depth + 1
-                break
-            states.append(state)
-        else:
-            if states[-1][0] == target:
-                rot = draw[k]
-                applied = draw[k - rot:k] + draw[:k - rot]
-                found.add(tuple(d.blocks[i] for i in reversed(applied)))
+
+    def walk(group: list, depth: int, acc: NormalForm, rest_inf: int, rest_sup: int) -> None:
+        """Extend acc, the product of the first depth blocks shared by the
+        draws in group, by each distinct next block among them."""
+        if not viable(acc, rest_inf, rest_sup):
+            return
+        if depth == k:
+            if acc == target:
+                for draw in group:
+                    rot = draw[k]
+                    applied = draw[k - rot:k] + draw[:k - rot]
+                    found.add(tuple(d.blocks[i] for i in reversed(applied)))
+            return
+        for i, sub in itertools.groupby(group, key=operator.itemgetter(depth)):
+            b = d.blocks[i]
+            walk(
+                list(sub), depth + 1, nf_mul(acc, nf_of[b]),
+                rest_inf - inf_of[b], rest_sup - sup_of[b],
+            )
+
+    walk(draws, 1, *start)
     return SearchResult(d, tuple(sorted(found)), "budget")

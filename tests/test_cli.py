@@ -182,6 +182,14 @@ def test_search_command(tmp_path, capsys):
     assert len(obj["orderings"]) == 3
 
 
+def test_search_rejects_design_on_fewer_than_three_points(tmp_path, capsys):
+    path = write(tmp_path, "design.json", {"m": 1, "blocks": []})
+    code, out, err = run(capsys, "search", "--design", path)
+    assert code == 2
+    assert out == ""
+    assert "at least 3 points" in err
+
+
 def test_search_budget_flags(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -52,6 +52,14 @@ def test_design_rejects_full_block():
         Design(4, ((1, 2, 3, 4),))
 
 
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_design_rejects_fewer_than_three_points(m):
+    # no boundary product has these supports: m = 1 would need a negative
+    # exponent, and m <= 0 has no strands
+    with pytest.raises(ValueError, match="at least 3 points"):
+        Design(m, ())
+
+
 def test_replication_counts():
     d = Design(4, ALL_PAIRS_4)
     assert replication(d) == (3, 3, 3, 3)
@@ -161,6 +169,18 @@ def test_feasible_replication_screens():
     assert not feasible_replication(4, (2, 2, 2, 2))
     with pytest.raises(ValueError):
         feasible_replication(4, (3, 3, 3))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_multiset_designs_fix_the_block_count(m):
+    # the chi pair of a replication multiset is read off one design per
+    # multiset, which is sound because every design sharing the multiset
+    # has the same number of blocks
+    table = designs._multiset_designs(m)
+    for blocks in designs._labeled_block_sets(m):
+        d = Design(m, blocks)
+        assert len(table[tuple(sorted(replication(d)))].blocks) == len(blocks)
+    assert all(tuple(sorted(replication(d))) == reps for reps, d in table.items())
 
 
 def test_search_lantern_class_exhaustive():
@@ -311,6 +331,15 @@ def test_search_reports_written_order():
     for ordering in res.orderings:
         rhs = TwistWord(s, tuple(ConvexCurve.over(b) for b in ordering))
         assert equivalent(lhs, rhs)
+
+
+def test_search_shuffle_path_takes_designs_past_256_blocks():
+    # the 24-point all-pairs design has 276 blocks; draws are plain int
+    # tuples, so no block index has a byte-sized limit
+    d = Design(24, tuple(itertools.combinations(range(1, 25), 2)))
+    res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=1))
+    assert len(d.blocks) == 276
+    assert res.status == "budget"
 
 
 def test_search_budget_path_is_deterministic():
