@@ -10,7 +10,10 @@ Words are sequences of signed Artin generator indices in *application order*:
   slides interned simple factors (small ints, one lazily filled table per
   strand count) by their starting- and finishing-set bitmasks; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
-  cross-check oracle with exact arithmetic).
+  cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
+  "the freely and cyclically reduced word a.b^-1 is the identity" by
+  comparing the matrices of its two halves, kept as one sparse dict per
+  column.
 
 Permutations are stored internally as 0-indexed image tuples; the public
 `Permutation` type is 1-indexed to match boundary-component labels.
@@ -390,9 +393,20 @@ def full_twist(m: int) -> BraidWord:
 # Basis x_{s,t} for 1 <= s < t <= m, dimension m(m-1)/2.  Matrices act by
 # columns; a word's matrix is the product of its generator matrices in word
 # order, which is an (anti)isomorphic copy of the usual representation and
-# equally faithful.  Polynomials are dicts keyed by packed (q,t) degrees.
+# equally faithful.
+#
+# Column layout: a column is one dict holding only its non-zero terms.  The
+# term c q^a t^b of row r sits under the key r * _ROWSTRIDE + _pack(a, b).
+# The key is one-to-one while |b| < _TDEG_LIMIT and |a| < _QDEG_LIMIT, so
+# adding a generator term's _pack key to it never changes its row.  Each
+# letter moves a q-degree by -2 .. +m and a t-degree by -1 .. +1 (see
+# _lk_column), so a matrix of l letters stays inside once l * m < _QDEG_LIMIT
+# and l < _TDEG_LIMIT; lk_equal raises ValueError before it would leave.
 
-_TSTRIDE = 1 << 21
+_TDEG_LIMIT = 1 << 20
+_QDEG_LIMIT = 1 << 20
+_TSTRIDE = 2 * _TDEG_LIMIT
+_ROWSTRIDE = 2 * _QDEG_LIMIT * _TSTRIDE
 
 
 def _pack(qd: int, td: int) -> int:
@@ -455,50 +469,51 @@ def _lk_inverse_column(s: int, t: int, i: int):
 # sigma_i^-1 is written in closed form like sigma_i; _lk_check verifies
 # G.G^-1 = G^-1.G = I for every generator before a word on m strands is used.
 @functools.cache
-def _lk_active(m: int, letter: int) -> tuple[tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]:
+def _lk_active(m: int, letter: int) -> tuple[tuple[int, int, int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]:
     """Non-identity columns of the (possibly inverse) generator matrix,
-    flattened for the hot loop: (col_j, ((row_k, ((packed_key, coeff), ...)), ...))."""
+    flattened for the hot loop: (col_j, row_k0, key_shift, ((row_k, terms), ...)).
+
+    Every such column has exactly one entry that is a monomial with
+    coefficient 1; it is pulled out as (row_k0, key_shift), and the rest
+    keep their ((packed_key, coeff), ...) terms."""
     i = abs(letter)
     column = _lk_column if letter > 0 else _lk_inverse_column
     pairs, index = _lk_basis(m)
     active = []
     for j, (s, t) in enumerate(pairs):
         col = column(s, t, i)
-        if col is not None:
-            active.append((j, tuple(sorted((index[p], terms) for p, terms in col.items()))))
+        if col is None:
+            continue
+        entries = sorted((index[p], terms) for p, terms in col.items())
+        # the unpacking raises unless exactly one entry is a monic monomial
+        [(k0, shift)] = [(k, terms[0][0]) for k, terms in entries if len(terms) == 1 and terms[0][1] == 1]
+        active.append((j, k0, shift, tuple((k, terms) for k, terms in entries if k != k0)))
     return tuple(active)
 
 
-def _lk_apply(cols: list[list[dict]], m: int, letter: int) -> None:
+def _lk_apply(cols: list[dict], m: int, letter: int) -> None:
     """In-place right multiplication by the letter's generator matrix."""
-    d = len(cols)
     updates = []
-    for j, contribs in _lk_active(m, letter):
-        newcol = []
-        for r in range(d):
-            acc: dict[int, int] = {}
-            get = acc.get
-            for k, terms in contribs:
-                poly = cols[k][r]
-                if not poly:
-                    continue
-                for dk, c in terms:
-                    for key, v in poly.items():
-                        kk = key + dk
-                        nv = get(kk, 0) + v * c
-                        if nv:
-                            acc[kk] = nv
-                        else:
-                            del acc[kk]
-            newcol.append(acc)
-        updates.append((j, newcol))
-    for j, newcol in updates:
-        cols[j] = newcol
+    for j, k0, shift, rest in _lk_active(m, letter):
+        acc = {key + shift: v for key, v in cols[k0].items()}
+        get = acc.get
+        for k, terms in rest:
+            col = cols[k].items()
+            for dk, c in terms:
+                for key, v in col:
+                    kk = key + dk
+                    nv = get(kk, 0) + v * c
+                    if nv:
+                        acc[kk] = nv
+                    else:
+                        del acc[kk]
+        updates.append((j, acc))
+    for j, acc in updates:
+        cols[j] = acc
 
 
-def _lk_identity(m: int) -> list[list[dict]]:
-    d = m * (m - 1) // 2
-    return [[({_pack(0, 0): 1} if r == j else {}) for r in range(d)] for j in range(d)]
+def _lk_identity(m: int) -> list[dict]:
+    return [{j * _ROWSTRIDE + _pack(0, 0): 1} for j in range(m * (m - 1) // 2)]
 
 
 @functools.cache
@@ -515,18 +530,42 @@ def _lk_check(m: int) -> None:
                 raise AssertionError(f"LK inverse verification failed for m={m}, i={i}")
 
 
-def _lk_packed(w: BraidWord) -> list[list[dict]]:
-    """Column-major matrix of packed polynomials for the word."""
-    m = w.strands
+def _lk_matrix(m: int, letters: Iterable[int]) -> list[dict]:
+    """The word's matrix: one dict of packed terms per column."""
     _lk_check(m)
     cols = _lk_identity(m)
-    for letter in w.letters:
+    for letter in letters:
         _lk_apply(cols, m, letter)
     return cols
 
 
 def lk_equal(a: BraidWord, b: BraidWord) -> bool:
-    """True iff the LK matrices agree; faithful, so equivalent to equals()."""
+    """True iff a and b are the same braid, decided by the Lawrence-Krammer
+    matrices; the representation is faithful, so this agrees with equals().
+
+    a = b exactly when w = a.b^-1 is the identity.  w is freely reduced in
+    one stack pass and then cyclically reduced, since x.w'.x^-1 = 1 iff
+    w' = 1.  The result u.v^-1 is the identity iff u = v, so only the
+    matrices of its two halves u and v are computed and compared.  Raises
+    ValueError when a half is too long for the packed-key layout.
+    """
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
-    return _lk_packed(a) == _lk_packed(b)
+    m = a.strands
+    w: list[int] = []
+    for k in a.letters + tuple(-k for k in reversed(b.letters)):
+        if w and w[-1] == -k:
+            w.pop()
+        else:
+            w.append(k)
+    lo, hi = 0, len(w)
+    while hi - lo > 1 and w[lo] == -w[hi - 1]:
+        lo += 1
+        hi -= 1
+    mid = (lo + hi) // 2
+    if (hi - mid) * m >= _QDEG_LIMIT or hi - mid >= _TDEG_LIMIT:
+        raise ValueError(
+            f"a reduced word of {hi - lo} letters on {m} strands exceeds the "
+            f"LK degree limits (q: {_QDEG_LIMIT}, t: {_TDEG_LIMIT})"
+        )
+    return _lk_matrix(m, w[lo:mid]) == _lk_matrix(m, [-k for k in reversed(w[mid:hi])])

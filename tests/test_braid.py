@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from planar_monoid import braid
 from planar_monoid.braid import (
     BraidWord,
     NormalForm,
@@ -15,6 +16,8 @@ from planar_monoid.braid import (
     normal_form,
     permutation,
 )
+from planar_monoid.catalog import builtin
+from planar_monoid.surface import TwistWord, to_braid
 
 
 @st.composite
@@ -252,6 +255,156 @@ def test_lk_agrees_with_garside(pair):
 def test_lk_detects_trivial_insertions(w):
     padded = BraidWord(w.strands, w.letters + (1, -1))
     assert lk_equal(w, padded)
+
+
+def _lk_reference(w):
+    """LK matrix of w as {(row, col): {(q-degree, t-degree): coeff}},
+    evaluated letter by letter from the identity with no reduction, straight
+    from the closed-form generator columns (no packed keys, no flattening)."""
+    pairs, index = braid._lk_basis(w.strands)
+    mat = {(r, r): {(0, 0): 1} for r in range(len(pairs))}
+    for letter in w.letters:
+        column = braid._lk_column if letter > 0 else braid._lk_inverse_column
+        gen_row = {}  # row k of the generator -> [(col j, [(dq, dt, coeff)])]
+        for j, (s, t) in enumerate(pairs):
+            col = column(s, t, abs(letter)) or {(s, t): ((0, 1),)}
+            for p, terms in col.items():
+                degs = []
+                for key, c in terms:
+                    dq, dt = divmod(key + braid._TDEG_LIMIT, braid._TSTRIDE)
+                    degs.append((dq, dt - braid._TDEG_LIMIT, c))
+                gen_row.setdefault(index[p], []).append((j, degs))
+        new = {}
+        for (r, k), poly in mat.items():
+            for j, degs in gen_row.get(k, ()):
+                entry = new.setdefault((r, j), {})
+                for dq, dt, c in degs:
+                    for (q, t), v in poly.items():
+                        entry[q + dq, t + dt] = entry.get((q + dq, t + dt), 0) + v * c
+        mat = {}
+        for rc, poly in new.items():
+            poly = {e: v for e, v in poly.items() if v}
+            if poly:
+                mat[rc] = poly
+    return mat
+
+
+def _lk_reference_equal(a, b):
+    return _lk_reference(a) == _lk_reference(b)
+
+
+def _lk_unpacked(cols):
+    """braid._lk_matrix's column dicts in _lk_reference's shape."""
+    half = braid._ROWSTRIDE // 2
+    mat = {}
+    for j, col in enumerate(cols):
+        for key, v in col.items():
+            r, rest = divmod(key + half, braid._ROWSTRIDE)
+            q, t = divmod(rest - half + braid._TDEG_LIMIT, braid._TSTRIDE)
+            mat.setdefault((r, j), {})[q, t - braid._TDEG_LIMIT] = v
+    return mat
+
+
+@given(braid_word_pairs(max_len=16))
+@settings(max_examples=60, deadline=None)
+def test_lk_equal_matches_unreduced_reference(pair):
+    a, b = pair
+    assert lk_equal(a, b) == _lk_reference_equal(a, b)
+    # entry by entry, so a row stride too small to keep rows apart shows
+    assert _lk_unpacked(braid._lk_matrix(a.strands, a.letters)) == _lk_reference(a)
+
+
+def _catalog_cases():
+    for n in (5, 6, 7):
+        for r in builtin(n):
+            f = r.rhs.factors
+            yield pytest.param(r.lhs, r.rhs, True, id=r.label)
+            rot = TwistWord(r.rhs.surface, f[1:] + f[:1])
+            yield pytest.param(r.lhs, rot, True, id=f"{r.label}~rot1")
+    k4 = builtin(5)[0]  # the six pair twists of the five-holed sphere
+    lex = TwistWord(k4.rhs.surface, tuple(sorted(k4.rhs.factors, key=lambda c: c.support)))
+    yield pytest.param(k4.lhs, lex, False, id="n5/1~lex")
+
+
+@pytest.mark.parametrize(("lhs", "rhs", "holds"), list(_catalog_cases()))
+def test_lk_equal_matches_reference_on_catalog(lhs, rhs, holds):
+    # a rotation of a relation is again a relation (the boundary side is
+    # central); the lexicographic K4 order is the README's falsified one
+    bl, br = to_braid(lhs), to_braid(rhs)
+    assert lk_equal(bl, br) == _lk_reference_equal(bl, br) == equals(bl, br) == holds
+
+
+@st.composite
+def relator_insertions(draw):
+    """(w, w with a braid relator or a far commutator inserted somewhere)."""
+    w = draw(braid_words(max_len=16).filter(lambda w: w.strands >= 3))
+    s = w.strands
+    i = draw(st.integers(1, s - 2))
+    far = [j for j in range(1, s) if abs(i - j) >= 2]
+    if far and draw(st.booleans()):
+        j = draw(st.sampled_from(far))
+        rel = [i, j, -i, -j]
+    else:
+        rel = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+    if draw(st.booleans()):
+        rel = [-k for k in reversed(rel)]
+    pos = draw(st.integers(0, len(w.letters)))
+    letters = list(w.letters)
+    letters[pos:pos] = rel
+    return w, BraidWord(s, tuple(letters))
+
+
+@given(relator_insertions())
+@settings(max_examples=60, deadline=None)
+def test_lk_proves_inserted_relators(case):
+    # free and cyclic reduction leave a cyclic shift of the relator, so the
+    # LK arithmetic has to multiply it out to see the identity
+    w, padded = case
+    braid._lk_check(w.strands)  # its own letters are not the word's
+    applied = []
+    apply = braid._lk_apply
+
+    def counting(cols, m, letter):
+        applied.append(letter)
+        apply(cols, m, letter)
+
+    braid._lk_apply = counting
+    try:
+        assert lk_equal(w, padded)
+    finally:
+        braid._lk_apply = apply
+    assert len(applied) >= 4
+    assert lk_equal(w, padded) == _lk_reference_equal(w, padded)
+
+
+def test_lk_generator_degrees_fit_key_layout():
+    # the per-letter reach lk_equal's length limit rests on: every generator
+    # term has q-degree -2..m and t-degree -1..1
+    for m in range(2, 10):
+        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
+            for _, _, shift, rest in braid._lk_active(m, letter):
+                for key in [shift] + [key for _, terms in rest for key, _ in terms]:
+                    dq, dt = divmod(key + braid._TDEG_LIMIT, braid._TSTRIDE)
+                    assert -2 <= dq <= m and -1 <= dt - braid._TDEG_LIMIT <= 1
+
+
+def test_lk_equal_rejects_words_past_the_key_layout(monkeypatch):
+    def no_matrix_work(*args):
+        raise AssertionError("matrix work started")
+
+    monkeypatch.setattr(braid, "_lk_matrix", no_matrix_work)
+    m = 8
+    half = braid._QDEG_LIMIT // m  # a half of this many letters reaches the q limit
+    long = BraidWord(m, (1, 3) * half)
+    with pytest.raises(ValueError, match="degree limits"):
+        lk_equal(long, BraidWord(m))
+    with pytest.raises(ValueError, match="degree limits"):
+        lk_equal(BraidWord(m), long)
+    # the limit applies to the reduced word: long.long^-1 reduces to nothing
+    monkeypatch.setattr(braid, "_lk_matrix", lambda m, letters: list(letters))
+    assert lk_equal(long, long)
+    # one letter fewer per half is inside the layout
+    assert not lk_equal(BraidWord(m, (1, 3) * (half - 1)), BraidWord(m))
 
 
 def test_nf_equality_is_exact_on_rewritings():
