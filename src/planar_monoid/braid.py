@@ -6,9 +6,10 @@ Words are sequences of signed Artin generator indices in *application order*:
 * Garside left-greedy normal form over permutation braids (the canonical
   engine; normal forms are hashable and double as memoization keys).
   `normal_form` and `nf_mul` share one kernel, `_left_weighted`, that
-  appends simple factors one at a time to a left-weighted prefix.  It
-  slides interned simple factors (small ints, one lazily filled table per
-  strand count) by their starting- and finishing-set bitmasks; and
+  appends simple factors one at a time to a left-weighted prefix.  Simple
+  factors are interned as small ints with starting- and finishing-set
+  bitmasks, and each pair that is not left-weighted is replaced by its
+  left-weighted pair from one lazily filled table per strand count; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
   "the freely and cyclically reduced word a.b^-1 is the identity" by
@@ -22,6 +23,7 @@ Permutations are stored internally as 0-indexed image tuples; the public
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -192,22 +194,25 @@ class _Simples:
 
     For each id: `perm` is its image tuple, `starts` its starting set S
     (the descents of p) and `finishes` its finishing set F (the descents of
-    p^-1), both as bitmasks.  `right(a, i)` is the id of a.s_i and
-    `left(b, i)` the id of s_i.b; each is computed on first use and kept in
-    `rights[a][i]` / `lefts[b][i]` (-1 until then).  Elements are added only
-    as they are reached, so large m costs only what is used.
+    p^-1), both as bitmasks.  `pairs` maps a pair (a, b) that is not
+    left-weighted to the left-weighted pair (a', b') with a'.b' = a.b, both
+    packed as a * size + b, where size = m! bounds every id; `slide` fills
+    a miss.  Only the factors of the pairs met are interned, so large m
+    costs only what is used.
     """
 
-    __slots__ = ("m", "ids", "perm", "starts", "finishes", "rights", "lefts")
+    __slots__ = ("m", "size", "ids", "perm", "starts", "finishes", "pairs", "ident", "delta")
 
     def __init__(self, m: int):
         self.m = m
+        self.size = math.factorial(m)
         self.ids: dict[tuple[int, ...], int] = {}
         self.perm: list[tuple[int, ...]] = []
         self.starts: list[int] = []
         self.finishes: list[int] = []
-        self.rights: list[list[int]] = []
-        self.lefts: list[list[int]] = []
+        self.pairs: dict[int, int] = {}
+        self.ident = self.intern(_ident(m))
+        self.delta = self.intern(_delta(m))
 
     def intern(self, p: tuple[int, ...]) -> int:
         x = self.ids.get(p)
@@ -216,27 +221,32 @@ class _Simples:
             self.perm.append(p)
             self.starts.append(_descents(p))
             self.finishes.append(_descents(_pinv(p)))
-            self.rights.append([-1] * (self.m - 1))
-            self.lefts.append([-1] * (self.m - 1))
         return x
 
-    def right(self, a: int, i: int) -> int:
-        """a.s_i: apply a, then swap the values i and i+1."""
-        x = self.rights[a][i]
-        if x < 0:
-            p = self.perm[a]
-            x = self.rights[a][i] = self.intern(
-                tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)
-            )
-        return x
+    def slide(self, a: int, b: int) -> int:
+        """The packed left-weighted pair for (a, b), computed and stored.
 
-    def left(self, b: int, i: int) -> int:
-        """s_i.b: swap the positions i and i+1, then apply b."""
-        x = self.lefts[b][i]
-        if x < 0:
-            p = self.perm[b]
-            x = self.lefts[b][i] = self.intern(p[:i] + (p[i + 1], p[i]) + p[i + 2:])
-        return x
+        While S(b) - F(a) is not empty, its lowest i crosses the boundary:
+        a <- a.s_i swaps entries i and i+1 of a^-1, b <- s_i.b swaps
+        entries i and i+1 of b, and only bits i-1 .. i+1 of F(a) and S(b)
+        can change.
+        """
+        inv, q = list(_pinv(self.perm[a])), list(self.perm[b])
+        fin, start = self.finishes[a], self.starts[b]
+        top = self.m - 2
+        mask = start & ~fin
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            inv[i], inv[i + 1] = inv[i + 1], inv[i]
+            q[i], q[i + 1] = q[i + 1], q[i]
+            for k in range(max(i - 1, 0), min(i + 1, top) + 1):
+                bit = 1 << k
+                fin = fin | bit if inv[k] > inv[k + 1] else fin & ~bit
+                start = start | bit if q[k] > q[k + 1] else start & ~bit
+            mask = start & ~fin
+        size = self.size
+        v = self.pairs[a * size + b] = self.intern(_pinv(inv)) * size + self.intern(tuple(q))
+        return v
 
 
 @functools.cache
@@ -249,35 +259,32 @@ def _left_weighted(m: int, prefix: Iterable[tuple[int, ...]], factors: Iterable[
 
     Each factor is slid left pair by pair until a pair is already
     left-weighted; a factor slid down to the identity is dropped.  A pair
-    (a, b) is left-weighted iff S(b) is contained in F(a); otherwise the
-    lowest i in S(b) - F(a) crosses the boundary, a <- a.s_i and
-    b <- s_i.b, until it is.  Returns (Delta power stripped from the front,
-    left-weighted factor tuple).
+    (a, b) is left-weighted iff S(b) is contained in F(a); otherwise it is
+    replaced by its left-weighted pair from the table, one lookup per pair.
+    Returns (Delta power stripped from the front, left-weighted factor
+    tuple).
     """
     table = _simples(m)
-    intern, starts, finishes = table.intern, table.starts, table.finishes
-    rights, lefts = table.rights, table.lefts
-    ident = intern(_ident(m))
-    fs = [intern(p) for p in prefix]
+    intern, get, starts, finishes = table.intern, table.ids.get, table.starts, table.finishes
+    pairs, size, perm = table.pairs, table.size, table.perm
+    ident = table.ident
+    fs = [x if (x := get(p)) is not None else intern(p) for p in prefix]
     for f in factors:
-        b = intern(f)
+        b = get(f)
+        if b is None:
+            b = intern(f)
         if b == ident:
             continue
         j = len(fs)
         fs.append(b)
         while j:
             a = fs[j - 1]
-            mask = starts[b] & ~finishes[a]
-            if not mask:
+            if not starts[b] & ~finishes[a]:
                 break
-            while mask:
-                i = (mask & -mask).bit_length() - 1
-                # read the filled table inline; the methods fill a miss
-                x = rights[a][i]
-                a = x if x >= 0 else table.right(a, i)
-                x = lefts[b][i]
-                b = x if x >= 0 else table.left(b, i)
-                mask = starts[b] & ~finishes[a]
+            v = pairs.get(a * size + b)
+            if v is None:
+                v = table.slide(a, b)
+            a, b = divmod(v, size)
             fs[j - 1] = a
             if b == ident:
                 del fs[j]
@@ -285,11 +292,11 @@ def _left_weighted(m: int, prefix: Iterable[tuple[int, ...]], factors: Iterable[
                 fs[j] = b
             j -= 1
             b = a
-    delta = intern(_delta(m))
+    delta = table.delta
     k = 0
     while k < len(fs) and fs[k] == delta:
         k += 1
-    return k, tuple(table.perm[x] for x in fs[k:])
+    return k, tuple(map(perm.__getitem__, fs[k:]))
 
 
 def _simple_letters(p: Sequence[int]) -> list[int]:

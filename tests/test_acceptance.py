@@ -286,7 +286,7 @@ def test_c8_n7_audit():
     definitive = four_triples.status == "exhausted"
     empty = four_triples.orderings_found == 0
 
-    ok = seven_ok and definitive and rep.all_match()
+    ok = seven_ok and definitive and empty and rep.all_match()
     verdict = (
         "no relation exists (exhaustive)"
         if definitive and empty

@@ -1,3 +1,8 @@
+import functools
+import itertools
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -155,7 +160,7 @@ def test_normal_form_is_left_weighted(pair):
 @settings(deadline=None)
 def test_interned_simple_factors_match_definitions(p):
     # the kernel's table, checked from the definitions: S(p) = descents of p,
-    # F(p) = descents of p^-1, and right/left compose with s_i after/before p
+    # F(p) = descents of p^-1
     from planar_monoid.braid import _simples
 
     p = tuple(p)
@@ -172,14 +177,146 @@ def test_interned_simple_factors_match_definitions(p):
     a = table.intern(p)
     assert table.perm[a] == p
     check(a)
+
+
+def _inversions(p):
+    return sum(1 for x in range(len(p)) for y in range(x + 1, len(p)) if p[x] > p[y])
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda m: st.tuples(st.permutations(list(range(m))), st.permutations(list(range(m))))
+    )
+)
+@settings(deadline=None)
+def test_pair_table_entries_are_left_weighted_products(pair):
+    # each entry (a, b) -> (a', b') of the kernel's pair table, checked from
+    # the definitions and against the LK oracle
+    a, b = (tuple(p) for p in pair)
+    m = len(a)
+    table = braid._simples(m)
+    braid._left_weighted(m, (a,), (b,))
+    ia, ib = table.intern(a), table.intern(b)
+    packed = table.pairs.get(ia * table.size + ib)
+    if table.starts[ib] & ~table.finishes[ia] == 0:
+        assert packed is None  # only pairs that slide are stored
+        return
+    assert packed is not None
+    a2, b2 = (table.perm[x] for x in divmod(packed, table.size))
+    a2_inv = tuple(sorted(range(m), key=a2.__getitem__))
     for i in range(m - 1):
-        s = list(range(m))
-        s[i], s[i + 1] = i + 1, i
-        right, left = table.right(a, i), table.left(a, i)
-        assert table.perm[right] == tuple(s[p[x]] for x in range(m))  # p, then s_i
-        assert table.perm[left] == tuple(p[s[x]] for x in range(m))  # s_i, then p
-        check(right)
-        check(left)
+        if b2[i] > b2[i + 1]:  # S(b') is contained in F(a')
+            assert a2_inv[i] > a2_inv[i + 1], (a2, b2, i)
+    assert _inversions(a2) + _inversions(b2) == _inversions(a) + _inversions(b)
+    letters = braid._simple_letters
+    assert lk_equal(BraidWord(m, (*letters(a2), *letters(b2))), BraidWord(m, (*letters(a), *letters(b))))
+
+
+# Reference Garside kernel: the s_i-by-s_i slide on image tuples, with no
+# interning and no tables.
+
+
+def _ref_starts(p):
+    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
+def _ref_finishes(p):
+    return _ref_starts(tuple(sorted(range(len(p)), key=p.__getitem__)))
+
+
+def _ref_left_weighted(m, prefix, factors):
+    ident, delta = tuple(range(m)), tuple(range(m - 1, -1, -1))
+    fs = list(prefix)
+    for b in factors:
+        if b == ident:
+            continue
+        j = len(fs)
+        fs.append(b)
+        while j:
+            a = fs[j - 1]
+            if _ref_starts(b) <= _ref_finishes(a):
+                break
+            while not _ref_starts(b) <= _ref_finishes(a):
+                i = min(_ref_starts(b) - _ref_finishes(a))
+                a = tuple(i + 1 if v == i else i if v == i + 1 else v for v in a)  # a.s_i
+                b = b[:i] + (b[i + 1], b[i]) + b[i + 2:]  # s_i.b
+            fs[j - 1] = a
+            if b == ident:
+                del fs[j]
+            else:
+                fs[j] = b
+            j -= 1
+            b = a
+    k = 0
+    while k < len(fs) and fs[k] == delta:
+        k += 1
+    return k, tuple(fs[k:])
+
+
+def _ref_letter_factor(m, letter):
+    # sigma_k, or for letter -k the u with sigma_k^-1 = Delta^-1 . u
+    i = abs(letter) - 1
+    p = list(range(m)) if letter > 0 else list(range(m - 1, -1, -1))
+    pa, pb = p.index(i), p.index(i + 1)
+    p[pa], p[pb] = i + 1, i
+    return tuple(p)
+
+
+def _ref_tau(p):
+    m = len(p)
+    return tuple(m - 1 - p[m - 1 - x] for x in range(m))
+
+
+def _ref_normal_form(w):
+    # each Delta^-1 marker moved to the front swaps sigma_k and sigma_{m-k}
+    m = w.strands
+    negatives = sum(1 for k in w.letters if k < 0)
+    odd = negatives % 2
+    factors = []
+    for k in w.letters:
+        if k < 0:
+            odd ^= 1
+        factors.append(_ref_letter_factor(m, (m if k > 0 else -m) - k if odd else k))
+    extra, fs = _ref_left_weighted(m, (), factors)
+    return NormalForm(m, extra - negatives, fs)
+
+
+def _ref_nf_mul(a, b):
+    prefix = [_ref_tau(f) for f in a.factors] if b.infimum % 2 else a.factors
+    extra, fs = _ref_left_weighted(a.strands, prefix, b.factors)
+    return NormalForm(a.strands, a.infimum + b.infimum + extra, fs)
+
+
+def test_pair_table_keys_are_exact_for_every_id(monkeypatch):
+    # a fresh 7-strand table with every permutation interned, in reverse
+    # order, so that ids run up to 7! - 1: pairs of any ids slide to the
+    # reference kernel's pairs.  Past 7 strands ids that high are out of
+    # reach, so there the packing's bound on the ids is checked directly.
+    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
+    m = 7
+    table = braid._simples(m)
+    perms = list(itertools.permutations(range(m)))[::-1]
+    for p in perms:
+        table.intern(p)
+    assert len(table.perm) == math.factorial(m)
+    rng = random.Random(7)
+    for _ in range(400):
+        a, b = rng.choice(perms), rng.choice(perms)
+        assert braid._left_weighted(m, (a,), (b,)) == _ref_left_weighted(m, (a,), (b,))
+    for m in range(2, 25):
+        assert braid._simples(m).size >= math.factorial(m)
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_garside_kernel_matches_reference_slide(pair):
+    a, b = pair
+    na, nb = normal_form(a), normal_form(b)
+    ra, rb = _ref_normal_form(a), _ref_normal_form(b)
+    assert na == ra
+    assert nb == rb
+    assert nf_mul(na, nb) == _ref_nf_mul(ra, rb)
+    assert nf_mul(nb, na) == _ref_nf_mul(rb, ra)
 
 
 def test_full_twist_normal_form():

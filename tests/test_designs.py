@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -231,6 +232,35 @@ def test_search_exhausted_ordering_counts(m, blocks, count):
     assert len(res.orderings) == count
 
 
+# exhaustive ordering counts of the 7-, 8- and 9-block classes of
+# enumerate_designs(6, "dihedral"), in enumeration order
+GATHER_SIGN_COUNTS = {
+    7: [0] * 5,
+    8: [40, 8, 16, 8, 16, 8],
+    9: [18, 18, 18, 36, 63, 27, 18, 18, 45, 9, 54, 9, 72],
+}
+
+
+def test_gather_sign_keeps_ordering_counts(monkeypatch):
+    # the gathering side of a swing is a convention: mirroring it must not
+    # change how many orderings of a class realize the full twist
+    from planar_monoid import surface
+
+    classes = [d for d in enumerate_designs(6, "dihedral") if len(d.blocks) in GATHER_SIGN_COUNTS]
+
+    def counts():
+        found = {k: [] for k in GATHER_SIGN_COUNTS}
+        for d in classes:
+            res = search_orderings(d, SearchBudget(exhaustive_cap=len(d.blocks)))
+            assert res.status == "exhausted"
+            found[len(d.blocks)].append(len(res.orderings))
+        return found
+
+    assert counts() == GATHER_SIGN_COUNTS
+    monkeypatch.setattr(surface, "_GATHER_SIGN", -surface._GATHER_SIGN)
+    assert counts() == GATHER_SIGN_COUNTS
+
+
 @pytest.mark.parametrize(
     "m, blocks, seed, tries, finds",
     [
@@ -340,6 +370,20 @@ def test_search_shuffle_path_takes_designs_past_256_blocks():
     res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=1))
     assert len(d.blocks) == 276
     assert res.status == "budget"
+
+
+def test_search_shuffle_path_interns_few_simples(monkeypatch):
+    # memory guard: the kernel interns only the factors of the pairs it
+    # slides, not every permutation met on the way (which was 535,661 ids
+    # for this search); a fresh table per strand count keeps the count cold
+    from planar_monoid import braid
+
+    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
+    d = Design(24, tuple(itertools.combinations(range(1, 25), 2)))
+    before = len(braid._simples(24).perm)
+    res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=1))
+    assert res.status == "budget"
+    assert len(braid._simples(24).perm) - before < 10_000
 
 
 def test_search_budget_path_is_deterministic():
