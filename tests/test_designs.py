@@ -373,9 +373,9 @@ def test_search_shuffle_path_takes_designs_past_256_blocks():
 
 
 def test_search_shuffle_path_interns_few_simples(monkeypatch):
-    # memory guard: the kernel interns only the factors of the pairs it
-    # slides, not every permutation met on the way (which was 535,661 ids
-    # for this search); a fresh table per strand count keeps the count cold
+    # memory guard: the kernel interns only the two results of each pair it
+    # slides, not every permutation met on the way; a fresh table per
+    # strand count keeps the count cold
     from planar_monoid import braid
 
     monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
