@@ -8,16 +8,19 @@ Words are sequences of signed Artin generator indices in *application order*:
   `normal_form` and `nf_mul` share one kernel, `_left_weighted`, that
   appends simple factors one at a time to a left-weighted prefix.  Simple
   factors are interned as small ints with starting- and finishing-set
-  bitmasks, and each pair that is not left-weighted is replaced by its
-  left-weighted pair from one lazily filled table per strand count; and
+  bitmasks, and the kernel works on those ids only: a `NormalForm` holds
+  the ids of its factors, and each pair that is not left-weighted is
+  replaced by its left-weighted pair of ids from one lazily filled table
+  per strand count; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
   "the freely and cyclically reduced word a.b^-1 is the identity" by
   comparing the matrices of its two halves, kept as one sparse dict per
   column.
 
-Permutations are stored internally as 0-indexed image tuples; the public
-`Permutation` type is 1-indexed to match boundary-component labels.
+Permutations are stored internally as 0-indexed image tuples, interned
+per strand count; the public `Permutation` type is 1-indexed to match
+boundary-component labels.
 """
 
 from __future__ import annotations
@@ -112,24 +115,69 @@ class LinkingMatrix:
         return Fraction(self.doubled[x - 1][y - 1], 2)
 
 
-@dataclass(frozen=True)
 class NormalForm:
     """Garside left normal form Delta^infimum . F_1 ... F_r.
 
-    Factors are permutation braids as 0-indexed image tuples, applied left
-    to right, none equal to the identity or to Delta, and every adjacent
-    pair left-weighted.
+    Factors are permutation braids, applied left to right, none equal to
+    the identity or to Delta, and every adjacent pair left-weighted.  A
+    normal form holds its factors as ids interned in the strand count's
+    table (`_simples`); equality and hashing compare (strands, infimum,
+    ids), so equal braids are equal normal forms.  `factors` gives the
+    0-indexed image tuples.
+
+    The constructor takes image tuples, checks that they are canonical and
+    interns them.  The kernel builds its results from ids with
+    `_from_ids`.  Ids mean something only inside one process, so a normal
+    form pickles through its image tuples.
     """
 
-    strands: int
-    infimum: int
-    factors: tuple[tuple[int, ...], ...]
+    __slots__ = ("strands", "infimum", "_ids")
+
+    def __init__(self, strands: int, infimum: int, factors: Iterable[Sequence[int]]):
+        if strands < 1:
+            raise ValueError(f"strand count must be positive, got {strands}")
+        factors = tuple(tuple(f) for f in factors)
+        ident, delta = _ident(strands), _delta(strands)
+        for f in factors:
+            if sorted(f) != list(ident):
+                raise ValueError(f"factor {f} is not a permutation of 0..{strands - 1}")
+            if f == ident or f == delta:
+                raise ValueError(f"factor {f} is the identity or Delta")
+        for a, b in zip(factors, factors[1:]):
+            if _descents(b) & ~_descents(_pinv(a)):
+                raise ValueError(f"factors {a}, {b} are not left-weighted")
+        intern = _simples(strands).intern
+        _set_strands(self, strands)
+        _set_infimum(self, infimum)
+        _set_ids(self, tuple(map(intern, factors)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NormalForm is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not NormalForm:
+            return NotImplemented
+        return self._ids == other._ids and self.infimum == other.infimum and self.strands == other.strands
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.infimum, self._ids))
+
+    def __repr__(self) -> str:
+        return f"NormalForm(strands={self.strands}, infimum={self.infimum}, factors={self.factors})"
+
+    def __reduce__(self):
+        return NormalForm, (self.strands, self.infimum, self.factors)
+
+    @property
+    def factors(self) -> tuple[tuple[int, ...], ...]:
+        """The factors as 0-indexed image tuples."""
+        return tuple(map(_simples(self.strands).perm.__getitem__, self._ids))
 
     def canonical_length(self) -> int:
-        return len(self.factors)
+        return len(self._ids)
 
     def is_identity(self) -> bool:
-        return self.infimum == 0 and not self.factors
+        return self.infimum == 0 and not self._ids
 
     def to_word(self) -> BraidWord:
         """Re-expand to a braid word (Delta power first, then the factors)."""
@@ -144,6 +192,21 @@ class NormalForm:
         for f in self.factors:
             letters.extend(_simple_letters(f))
         return BraidWord(m, tuple(letters))
+
+
+# The slot setters write past NormalForm.__setattr__; only the constructors use them.
+_set_strands = NormalForm.strands.__set__
+_set_infimum = NormalForm.infimum.__set__
+_set_ids = NormalForm._ids.__set__
+
+
+def _from_ids(strands: int, infimum: int, ids: tuple[int, ...]) -> NormalForm:
+    """The normal form with these interned factor ids, taken as canonical."""
+    nf = object.__new__(NormalForm)
+    _set_strands(nf, strands)
+    _set_infimum(nf, infimum)
+    _set_ids(nf, ids)
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +235,6 @@ def _tau(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(m - 1 - p[m - 1 - x] for x in range(m))
 
 
-@functools.cache
 def _letter_factor(m: int, letter: int) -> tuple[int, ...]:
     """The permutation braid of sigma_k for letter k > 0, and for letter -k
     the u with sigma_k^-1 = Delta^-1 . u (Delta with the final crossing of
@@ -192,16 +254,21 @@ def _descents(p: Sequence[int]) -> int:
 class _Simples:
     """The permutation braids on m strands met so far, interned as ints.
 
+    Ids are the kernel's only currency.  Image tuples come in through the
+    `NormalForm` constructor and the letter factors and go out through
+    `NormalForm.factors`; inside, only a table miss makes a new one.
     For each id: `perm` is its image tuple, `starts` its starting set S
     (the descents of p) and `finishes` its finishing set F (the descents of
-    p^-1), both as bitmasks.  `pairs` maps a pair (a, b) that is not
-    left-weighted to the left-weighted pair (a', b') with a'.b' = a.b, both
-    packed as a * size + b, where size = m! bounds every id; `slide` fills
-    a miss.  Only the factors of the pairs met are interned, so large m
-    costs only what is used.
+    p^-1), both as bitmasks.  `letters` maps each letter k to the id of its
+    factor (`_letter_factor`).  `pairs` maps a pair (a, b) that is not
+    left-weighted, keyed a * size + b with size = m! bounding every id, to
+    the ids (a', b') of the left-weighted pair with a'.b' = a.b; `slide`
+    fills a miss.  `taus` maps an id to the id of its conjugate by Delta,
+    both ways; `tau` fills a miss.  Only the factors of the pairs met are
+    interned, so large m costs only what is used.
     """
 
-    __slots__ = ("m", "size", "ids", "perm", "starts", "finishes", "pairs", "ident", "delta")
+    __slots__ = ("m", "size", "ids", "perm", "starts", "finishes", "pairs", "taus", "ident", "delta", "letters")
 
     def __init__(self, m: int):
         self.m = m
@@ -210,9 +277,11 @@ class _Simples:
         self.perm: list[tuple[int, ...]] = []
         self.starts: list[int] = []
         self.finishes: list[int] = []
-        self.pairs: dict[int, int] = {}
+        self.pairs: dict[int, tuple[int, int]] = {}
+        self.taus: dict[int, int] = {}
         self.ident = self.intern(_ident(m))
         self.delta = self.intern(_delta(m))
+        self.letters = {k: self.intern(_letter_factor(m, k)) for i in range(1, m) for k in (i, -i)}
 
     def intern(self, p: tuple[int, ...]) -> int:
         x = self.ids.get(p)
@@ -223,8 +292,16 @@ class _Simples:
             self.finishes.append(_descents(_pinv(p)))
         return x
 
-    def slide(self, a: int, b: int) -> int:
-        """The packed left-weighted pair for (a, b), computed and stored.
+    def tau(self, x: int) -> int:
+        """The id of Delta.x.Delta, computed and stored both ways on a miss."""
+        y = self.taus.get(x)
+        if y is None:
+            y = self.taus[x] = self.intern(_tau(self.perm[x]))
+            self.taus[y] = x
+        return y
+
+    def slide(self, a: int, b: int) -> tuple[int, int]:
+        """The left-weighted pair (a', b') for (a, b), computed and stored.
 
         While S(b) - F(a) is not empty, its lowest i crosses the boundary:
         a <- a.s_i swaps entries i and i+1 of a^-1, b <- s_i.b swaps
@@ -244,8 +321,7 @@ class _Simples:
                 fin = fin | bit if inv[k] > inv[k + 1] else fin & ~bit
                 start = start | bit if q[k] > q[k + 1] else start & ~bit
             mask = start & ~fin
-        size = self.size
-        v = self.pairs[a * size + b] = self.intern(_pinv(inv)) * size + self.intern(tuple(q))
+        v = self.pairs[a * self.size + b] = (self.intern(_pinv(inv)), self.intern(tuple(q)))
         return v
 
 
@@ -254,25 +330,21 @@ def _simples(m: int) -> _Simples:
     return _Simples(m)
 
 
-def _left_weighted(m: int, prefix: Iterable[tuple[int, ...]], factors: Iterable[tuple[int, ...]]):
-    """Append simple factors to a left-weighted, Delta-free prefix.
+def _left_weighted(m: int, prefix: Iterable[int], factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Append simple factors to a left-weighted, Delta-free prefix, all as
+    ids of the strand count's table.
 
     Each factor is slid left pair by pair until a pair is already
     left-weighted; a factor slid down to the identity is dropped.  A pair
     (a, b) is left-weighted iff S(b) is contained in F(a); otherwise it is
     replaced by its left-weighted pair from the table, one lookup per pair.
-    Returns (Delta power stripped from the front, left-weighted factor
-    tuple).
+    Returns (Delta power stripped from the front, left-weighted id tuple).
     """
     table = _simples(m)
-    intern, get, starts, finishes = table.intern, table.ids.get, table.starts, table.finishes
-    pairs, size, perm = table.pairs, table.size, table.perm
+    starts, finishes, pairs, size = table.starts, table.finishes, table.pairs, table.size
     ident = table.ident
-    fs = [x if (x := get(p)) is not None else intern(p) for p in prefix]
-    for f in factors:
-        b = get(f)
-        if b is None:
-            b = intern(f)
+    fs = list(prefix)
+    for b in factors:
         if b == ident:
             continue
         j = len(fs)
@@ -284,7 +356,7 @@ def _left_weighted(m: int, prefix: Iterable[tuple[int, ...]], factors: Iterable[
             v = pairs.get(a * size + b)
             if v is None:
                 v = table.slide(a, b)
-            a, b = divmod(v, size)
+            a, b = v
             fs[j - 1] = a
             if b == ident:
                 del fs[j]
@@ -296,7 +368,7 @@ def _left_weighted(m: int, prefix: Iterable[tuple[int, ...]], factors: Iterable[
     k = 0
     while k < len(fs) and fs[k] == delta:
         k += 1
-    return k, tuple(map(perm.__getitem__, fs[k:]))
+    return k, tuple(fs[k:])
 
 
 def _simple_letters(p: Sequence[int]) -> list[int]:
@@ -359,24 +431,26 @@ def normal_form(w: BraidWord) -> NormalForm:
     # Each sigma_k^-1 is Delta^-1 . u; a Delta^-1 moved to the front
     # conjugates every factor it passes, which swaps sigma_k and sigma_{m-k}.
     m = w.strands
+    letter = _simples(m).letters
     negatives = sum(1 for k in w.letters if k < 0)
     odd = negatives % 2  # parity of the Delta^-1 markers right of the letter
     factors = []
     for k in w.letters:
         if k < 0:
             odd ^= 1
-        factors.append(_letter_factor(m, (m if k > 0 else -m) - k if odd else k))
-    extra, normalized = _left_weighted(m, (), factors)
-    return NormalForm(m, extra - negatives, normalized)
+        factors.append(letter[(m if k > 0 else -m) - k if odd else k])
+    extra, ids = _left_weighted(m, (), factors)
+    return _from_ids(m, extra - negatives, ids)
 
 
 def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     """Normal form of the concatenation 'a then b'."""
-    if a.strands != b.strands:
-        raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
-    prefix = map(_tau, a.factors) if b.infimum % 2 else a.factors
-    extra, factors = _left_weighted(a.strands, prefix, b.factors)
-    return NormalForm(a.strands, a.infimum + b.infimum + extra, factors)
+    m = a.strands
+    if m != b.strands:
+        raise ValueError(f"strand counts differ: {m} != {b.strands}")
+    prefix = map(_simples(m).tau, a._ids) if b.infimum % 2 else a._ids
+    extra, ids = _left_weighted(m, prefix, b._ids)
+    return _from_ids(m, a.infimum + b.infimum + extra, ids)
 
 
 def equals(a: BraidWord, b: BraidWord) -> bool:

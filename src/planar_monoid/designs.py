@@ -360,16 +360,16 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     """
     m = d.points
     target = normal_form(full_twist(m))
-    low, high = target.infimum, target.infimum + len(target.factors)
+    low, high = target.infimum, target.infimum + target.canonical_length()
     nf_of = {b: _block_nf(m, b) for b in d.blocks}
     inf_of = {b: nf.infimum for b, nf in nf_of.items()}
-    sup_of = {b: nf.infimum + len(nf.factors) for b, nf in nf_of.items()}
+    sup_of = {b: nf.infimum + nf.canonical_length() for b, nf in nf_of.items()}
     total_inf, total_sup = sum(inf_of.values()), sum(sup_of.values())
 
     def viable(acc: NormalForm, rest_inf: int, rest_sup: int) -> bool:
         """Can acc times the unused blocks (their infima summing to rest_inf,
         their suprema to rest_sup), in some order, still be the target?"""
-        return acc.infimum + rest_sup >= low and acc.infimum + len(acc.factors) + rest_inf <= high
+        return acc.infimum + rest_sup >= low and acc.infimum + acc.canonical_length() + rest_inf <= high
 
     head = d.blocks[0]
     start = (nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])

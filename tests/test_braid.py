@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -195,14 +196,14 @@ def test_pair_table_entries_are_left_weighted_products(pair):
     a, b = (tuple(p) for p in pair)
     m = len(a)
     table = braid._simples(m)
-    braid._left_weighted(m, (a,), (b,))
     ia, ib = table.intern(a), table.intern(b)
+    braid._left_weighted(m, (ia,), (ib,))
     packed = table.pairs.get(ia * table.size + ib)
     if table.starts[ib] & ~table.finishes[ia] == 0:
         assert packed is None  # only pairs that slide are stored
         return
     assert packed is not None
-    a2, b2 = (table.perm[x] for x in divmod(packed, table.size))
+    a2, b2 = (table.perm[x] for x in packed)
     a2_inv = tuple(sorted(range(m), key=a2.__getitem__))
     for i in range(m - 1):
         if b2[i] > b2[i + 1]:  # S(b') is contained in F(a')
@@ -302,7 +303,8 @@ def test_pair_table_keys_are_exact_for_every_id(monkeypatch):
     rng = random.Random(7)
     for _ in range(400):
         a, b = rng.choice(perms), rng.choice(perms)
-        assert braid._left_weighted(m, (a,), (b,)) == _ref_left_weighted(m, (a,), (b,))
+        k, ids = braid._left_weighted(m, (table.intern(a),), (table.intern(b),))
+        assert (k, tuple(map(table.perm.__getitem__, ids))) == _ref_left_weighted(m, (a,), (b,))
     for m in range(2, 25):
         assert braid._simples(m).size >= math.factorial(m)
 
@@ -326,6 +328,91 @@ def test_full_twist_normal_form():
         nf = normal_form(full_twist(m))
         assert nf.factors == ()
         assert nf.infimum == -2
+
+
+def test_normal_form_constructor_rejects_non_canonical_factors(monkeypatch):
+    # equality is equality of interned ids, so only canonical input may be
+    # interned: bad factors and pairs are rejected before the table grows
+    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
+    bad = [
+        (3, ((0, 0, 0),)),  # not a permutation
+        (3, ((0, 1, 2, 3),)),  # a permutation of the wrong size
+        (3, ((0, 1, 2),)),  # the identity
+        (3, ((2, 1, 0),)),  # Delta
+        (4, ((1, 0, 3, 2), (0, 2, 1, 3))),  # s1.s3 then s2: S(b) = {1} is not in F(a) = {0, 2}
+    ]
+    for m, factors in bad:
+        table = braid._simples(m)
+        before = len(table.perm)
+        with pytest.raises(ValueError):
+            NormalForm(m, 0, factors)
+        assert len(table.perm) == before
+    with pytest.raises(ValueError):
+        nf_mul(NormalForm(3, 0, ((0, 0, 0),)), normal_form(BraidWord(3, (1, 2))))
+    assert NormalForm(3, 0, ()) == normal_form(BraidWord(3))
+    assert NormalForm(4, 0, ((1, 0, 3, 2), (1, 0, 3, 2))) == normal_form(BraidWord(4, (1, 3, 1, 3)))
+
+
+def test_normal_form_pickles_through_image_tuples(monkeypatch):
+    # ids mean something only inside one table, so a normal form loaded in
+    # another process (here: after a fresh table that interns in another
+    # order) must be rebuilt from its image tuples
+    w = BraidWord(5, (1, -2, 3, 3, -4, 1, 2, -3, 4, 4))
+    nf = normal_form(w)
+    ids, factors = nf._ids, nf.factors
+    data = pickle.dumps(nf)
+    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
+    for p in list(itertools.permutations(range(5)))[::-1]:
+        braid._simples(5).intern(p)
+    back = pickle.loads(data)
+    assert back._ids != ids  # the ids moved, so a pickle of ids would be wrong
+    assert back.factors == factors
+    assert back.infimum == nf.infimum
+    assert back == normal_form(w)
+
+
+class _CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_warm_nf_mul_never_looks_up_image_tuples(monkeypatch):
+    # work guard: once a product's pairs and Delta-conjugates are in the
+    # table, multiplying again runs on ids alone
+    m = 6
+    rng = random.Random(6)
+    forms = [
+        normal_form(BraidWord(m, tuple(rng.choice((1, -1)) * rng.randrange(1, m) for _ in range(14))))
+        for _ in range(8)
+    ]
+    pairs = [(a, b) for a in forms for b in forms]
+    assert any(b.infimum % 2 for _, b in pairs)  # the Delta-conjugation path runs too
+    expected = [nf_mul(a, b) for a, b in pairs]  # warm-up
+    table = braid._simples(m)
+    counting = _CountingDict(table.ids)
+    monkeypatch.setattr(table, "ids", counting)
+    assert [nf_mul(a, b) for a, b in pairs] == expected
+    assert counting.lookups == 0
+
+
+def test_delta_conjugation_map_is_tau(monkeypatch):
+    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
+    for m in range(1, 6):
+        table = braid._simples(m)
+        for p in itertools.permutations(range(m)):
+            x = table.intern(p)
+            y = table.tau(x)
+            assert table.perm[y] == braid._tau(p)
+            assert table.tau(y) == x
 
 
 def test_full_twist_is_pure_and_links_minus_one():
