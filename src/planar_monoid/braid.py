@@ -11,7 +11,11 @@ Words are sequences of signed Artin generator indices in *application order*:
   bitmasks, and the kernel works on those ids only: a `NormalForm` holds
   the ids of its factors, and each pair that is not left-weighted is
   replaced by its left-weighted pair of ids from one lazily filled table
-  per strand count; and
+  per strand count.  The same kernel runs on a second table, the dual
+  (Birman-Ko-Lee) structure, whose simples are the non-crossing
+  partitions and whose Garside element delta has delta^m = Delta^2;
+  `_dual_normal_form` and `_dual_mul` give its normal forms as private
+  (infimum, ids) tuples, which the ordering search multiplies; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
   "the freely and cyclically reduced word a.b^-1 is the identity" by
@@ -330,17 +334,166 @@ def _simples(m: int) -> _Simples:
     return _Simples(m)
 
 
-def _left_weighted(m: int, prefix: Iterable[int], factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+# ---------------------------------------------------------------------------
+# the dual (Birman-Ko-Lee) Garside structure
+#
+# Generators a_ts = (s_{t-1}..s_{s+1}) s_s (s_{t-1}..s_{s+1})^-1 for s < t,
+# Garside element delta = s_{m-1}..s_1 with delta^m = Delta^2.  The simple
+# elements are the non-crossing partitions of the m points on a circle: a
+# block s_1 < .. < s_k is a_{s_k s_{k-1}}..a_{s_2 s_1}, and left (or right)
+# divisibility is refinement.  A simple is named by its permutation, which
+# sends each point to the next larger point of its block and the largest
+# back to the smallest; delta is i -> i+1 mod m.  Permutations here follow
+# `permutation`: the word u.v has the permutation "u's, then v's".
+
+
+def _block_perm(labels: Sequence) -> tuple[int, ...]:
+    """The simple of the partition into points of equal label."""
+    first: dict = {}
+    last: dict = {}
+    out = list(range(len(labels)))
+    for i, label in enumerate(labels):
+        if label in last:
+            out[last[label]] = i
+        else:
+            first[label] = i
+        last[label] = i
+    for label, i in last.items():
+        out[i] = first[label]
+    return tuple(out)
+
+
+def _block_labels(p: Sequence[int]) -> list[int]:
+    """Each point labeled by the least point of its cycle of p."""
+    labels = [-1] * len(p)
+    for i in range(len(p)):
+        if labels[i] < 0:
+            j = i
+            while labels[j] < 0:
+                labels[j] = i
+                j = p[j]
+    return labels
+
+
+def _shared_pairs(p: Sequence[int]) -> int:
+    """Bitmask of the pairs i < j in one cycle of p, pair (i, j) at bit i*m + j."""
+    m = len(p)
+    labels = _block_labels(p)
+    return sum(
+        1 << (i * m + j) for i in range(m) for j in range(i + 1, m) if labels[i] == labels[j]
+    )
+
+
+def _left_complement(p: Sequence[int]) -> tuple[int, ...]:
+    """The permutation of p^-1 . delta."""
+    m = len(p)
+    inv = _pinv(p)
+    return tuple((inv[i] + 1) % m for i in range(m))
+
+
+def _rotate(p: Sequence[int], c: int) -> tuple[int, ...]:
+    """The permutation of tau^c(p), tau(x) = delta.x.delta^-1: the
+    partition turned c points back round the circle."""
+    m = len(p)
+    return tuple((p[(i + c) % m] - c) % m for i in range(m))
+
+
+class _NonCrossing:
+    """The dual simple elements on m strands met so far, interned as ints.
+
+    The same kernel runs on this table as on `_Simples`: `starts[x]` is the
+    mask of the pairs that share a block of x, `finishes[x]` the complement
+    of that mask for the left complement dx = x^-1.delta, so a pair (a, b)
+    is left-weighted iff no pair shares a block of both da and b, that is,
+    iff the meet da ^ b is the identity.  `pairs` maps a pair that is not
+    left-weighted, keyed a * size + b with size = Catalan(m) bounding every
+    id, to the left-weighted pair (a.c, c^-1.b), c = da ^ b; `slide` fills
+    a miss.  `taus` maps (x, c) to the id of tau^c(x) and `letters` (k, c)
+    to the id of tau^c of letter k's factor, both filled on a miss.  Only
+    the simples met are interned, so large m costs only what is used.
+    """
+
+    __slots__ = ("m", "size", "full", "ids", "perm", "starts", "finishes", "pairs", "taus", "ident", "delta", "letters")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.size = math.comb(2 * m, m) // (m + 1)
+        self.full = _shared_pairs(tuple((i + 1) % m for i in range(m)))
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.perm: list[tuple[int, ...]] = []
+        self.starts: list[int] = []
+        self.finishes: list[int] = []
+        self.pairs: dict[int, tuple[int, int]] = {}
+        self.taus: dict[int, int] = {}
+        self.letters: dict[int, int] = {}
+        self.ident = self.intern(_ident(m))
+        self.delta = self.intern(tuple((i + 1) % m for i in range(m)))
+
+    def intern(self, p: tuple[int, ...]) -> int:
+        x = self.ids.get(p)
+        if x is None:
+            x = self.ids[p] = len(self.perm)
+            self.perm.append(p)
+            self.starts.append(_shared_pairs(p))
+            self.finishes.append(self.full & ~_shared_pairs(_left_complement(p)))
+        return x
+
+    def tau(self, x: int, c: int) -> int:
+        """The id of tau^c(x), tau(x) = delta.x.delta^-1."""
+        c %= self.m
+        if not c:
+            return x
+        key = x * self.m + c
+        y = self.taus.get(key)
+        if y is None:
+            y = self.taus[key] = self.intern(_rotate(self.perm[x], c))
+        return y
+
+    def letter(self, k: int, c: int) -> int:
+        """The id of tau^c(sigma_k) for k > 0, and for k < 0 of
+        tau^c(u), sigma_|k|^-1 = delta^-1.u with u = tau(d sigma_|k|)."""
+        key = k * self.m + c % self.m
+        x = self.letters.get(key)
+        if x is None:
+            i = abs(k) - 1
+            p = list(_ident(self.m))
+            p[i], p[i + 1] = i + 1, i
+            if k < 0:
+                p, c = _left_complement(p), c + 1
+            x = self.letters[key] = self.tau(self.intern(tuple(p)), c)
+        return x
+
+    def slide(self, a: int, b: int) -> tuple[int, int]:
+        """The left-weighted pair (a.c, c^-1.b) for (a, b), computed and
+        stored.  c = da ^ b is the partition meet: its blocks are the
+        non-empty intersections of a block of da and a block of b."""
+        pa, pb = self.perm[a], self.perm[b]
+        c = _block_perm(list(zip(_block_labels(_left_complement(pa)), _block_labels(pb))))
+        c_inv = _pinv(c)
+        v = self.pairs[a * self.size + b] = (
+            self.intern(tuple(c[j] for j in pa)),
+            self.intern(tuple(pb[j] for j in c_inv)),
+        )
+        return v
+
+
+@functools.cache
+def _dual_simples(m: int) -> _NonCrossing:
+    return _NonCrossing(m)
+
+
+def _left_weighted(table, prefix: Iterable[int], factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Append simple factors to a left-weighted, Delta-free prefix, all as
-    ids of the strand count's table.
+    ids of one table of simple elements: `_Simples` (the classical
+    structure) or `_NonCrossing` (the dual one).
 
     Each factor is slid left pair by pair until a pair is already
     left-weighted; a factor slid down to the identity is dropped.  A pair
     (a, b) is left-weighted iff S(b) is contained in F(a); otherwise it is
     replaced by its left-weighted pair from the table, one lookup per pair.
-    Returns (Delta power stripped from the front, left-weighted id tuple).
+    Returns (power of the Garside element stripped from the front,
+    left-weighted id tuple).
     """
-    table = _simples(m)
     starts, finishes, pairs, size = table.starts, table.finishes, table.pairs, table.size
     ident = table.ident
     fs = list(prefix)
@@ -439,7 +592,7 @@ def normal_form(w: BraidWord) -> NormalForm:
         if k < 0:
             odd ^= 1
         factors.append(letter[(m if k > 0 else -m) - k if odd else k])
-    extra, ids = _left_weighted(m, (), factors)
+    extra, ids = _left_weighted(_simples(m), (), factors)
     return _from_ids(m, extra - negatives, ids)
 
 
@@ -448,9 +601,41 @@ def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     m = a.strands
     if m != b.strands:
         raise ValueError(f"strand counts differ: {m} != {b.strands}")
-    prefix = map(_simples(m).tau, a._ids) if b.infimum % 2 else a._ids
-    extra, ids = _left_weighted(m, prefix, b._ids)
+    table = _simples(m)
+    prefix = map(table.tau, a._ids) if b.infimum % 2 else a._ids
+    extra, ids = _left_weighted(table, prefix, b._ids)
     return _from_ids(m, a.infimum + b.infimum + extra, ids)
+
+
+def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """The dual left normal form delta^infimum . F_1 ... F_r of w, as
+    (infimum, ids of `_dual_simples(w.strands)`).
+
+    Each sigma_k^-1 is delta^-1 . tau(d sigma_k); moving the delta^-1
+    markers to the front conjugates each factor by tau once per marker
+    right of it.
+    """
+    m = w.strands
+    table = _dual_simples(m)
+    negatives = sum(1 for k in w.letters if k < 0)
+    c = negatives  # delta^-1 markers right of the letter
+    factors = []
+    for k in w.letters:
+        if k < 0:
+            c -= 1
+        factors.append(table.letter(k, c))
+    extra, ids = _left_weighted(table, (), factors)
+    return extra - negatives, ids
+
+
+def _dual_mul(m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """Dual normal form of 'a then b' on m strands: delta^p A . delta^q B
+    = delta^(p+q) tau^-q(A) B."""
+    table = _dual_simples(m)
+    (inf_a, ids_a), (inf_b, ids_b) = a, b
+    prefix = [table.tau(x, -inf_b) for x in ids_a] if inf_b % m else ids_a
+    extra, ids = _left_weighted(table, prefix, ids_b)
+    return inf_a + inf_b + extra, ids
 
 
 def equals(a: BraidWord, b: BraidWord) -> bool:

@@ -21,7 +21,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .braid import NormalForm, full_twist, nf_mul, normal_form
+from .braid import BraidWord, _dual_mul, _dual_normal_form, full_twist
+from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
 from .surface import (
     BoundaryWord,
     ConvexCurve,
@@ -274,9 +275,11 @@ class SearchBudget:
     search degrades to random shuffles and the result's status says so.
     tries: random shuffles past the cap, drawn from random.Random(seed).
     Neither may be negative.
-    Both paths drop a partial product as soon as the Garside inf/sup bound
-    (see search_orderings) shows no order of the unused blocks can complete
-    it.  The shuffle path also rotates every draw to start at the same
+    Both paths drop a partial product as soon as the inf/sup bound of the
+    dual Garside structure (see search_orderings) shows no order of the
+    unused blocks can complete it; since every block is dual-positive, that
+    is as soon as the product does not left-divide delta^m, the full twist.
+    The shuffle path also rotates every draw to start at the same
     block, sorts the draws and recurses over them grouped by their next
     block, multiplying each shared prefix once.  Neither changes what is
     found, only its cost.
@@ -317,9 +320,36 @@ class SearchResult:
         }
 
 
-def _block_nf(m: int, block: tuple[int, ...]) -> NormalForm:
+def _mirror_nf(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+    """Dual normal form of the mirror of w (every letter's sign flipped)."""
+    return _dual_normal_form(BraidWord(w.strands, tuple(-k for k in w.letters)))
+
+
+def _block_nf(m: int, block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     surface = SurfaceSpec(m + 1)
-    return normal_form(swing_word(ConvexCurve.over(block), surface))
+    return _mirror_nf(swing_word(ConvexCurve.over(block), surface))
+
+
+def _draws(k: int, tries: int, seed: int) -> list[tuple[int, ...]]:
+    """`tries` successive shuffles of range(k) by random.Random(seed), each
+    rotated to start at 0 and followed by the rotation.
+
+    The shuffle is random.shuffle's own: for i from k-1 down to 1, draw
+    j = getrandbits(bits of i+1) until j <= i and swap positions i and j.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
+    shuffled = list(range(k))  # shuffle permutes positions the same whatever the items
+    draws = []
+    for _ in range(tries):
+        for i, bits in steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        rot = shuffled.index(0)
+        draws.append((*shuffled[rot:], *shuffled[:rot], rot))
+    return draws
 
 
 def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> SearchResult:
@@ -346,39 +376,45 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     draws as drawn, unrotated, so it finds exactly what multiplying each
     draw out on its own would find.
 
-    Both paths prune by the Garside infimum and supremum (sup = inf +
-    canonical length), which are super- and sub-additive: inf(xy) >=
-    inf x + inf y, sup(xy) <= sup x + sup y, and inf(x^-1) = -sup x
-    (Elrifai-Morton 1994).  If a partial product acc times the product P of
-    the unused blocks R, in any order, is the target T, then acc = T P^-1,
-    so inf(acc) >= inf T - sum_R sup(b) and sup(acc) <= sup T - sum_R inf(b).
-    A partial product that breaks either bound has no completion and is
-    dropped: in the DFS before its memo lookup (the memo keeps only viable
-    states), in the shuffle path together with every draw that shares the
-    failed prefix.
+    Both paths multiply mirrors (every letter's sign flipped) in normal
+    forms of the dual Garside structure of Birman-Ko-Lee (1998), where the
+    mirror of a block's swing is delta_S^|S| for its support S and the
+    mirror of the full twist is delta^m.  Mirroring is an automorphism, so
+    a product of mirrors is the mirror of the product.  Both paths prune by
+    the dual infimum and supremum (sup = inf + canonical length), which,
+    as in any Garside structure, are super- and sub-additive: inf(xy) >=
+    inf x + inf y, sup(xy) <= sup x + sup y, and inf(x^-1) = -sup x.  If a
+    partial product acc times the product P of the unused blocks R, in any
+    order, is the target T, then acc = T P^-1, so inf(acc) >= inf T -
+    sum_R sup(b) and sup(acc) <= sup T - sum_R inf(b).  Every block has
+    infimum 0 here, so the second bound reads sup(acc) <= m: acc
+    left-divides delta^m.  A partial product that breaks either bound has
+    no completion and is dropped: in the DFS before its memo lookup (the
+    memo keeps only viable states), in the shuffle path together with
+    every draw that shares the failed prefix.
     The two sums over R are carried along as ints.
     """
     m = d.points
-    target = normal_form(full_twist(m))
-    low, high = target.infimum, target.infimum + target.canonical_length()
+    target = _mirror_nf(full_twist(m))
+    low, high = target[0], target[0] + len(target[1])
     nf_of = {b: _block_nf(m, b) for b in d.blocks}
-    inf_of = {b: nf.infimum for b, nf in nf_of.items()}
-    sup_of = {b: nf.infimum + nf.canonical_length() for b, nf in nf_of.items()}
+    inf_of = {b: inf for b, (inf, _) in nf_of.items()}
+    sup_of = {b: inf + len(ids) for b, (inf, ids) in nf_of.items()}
     total_inf, total_sup = sum(inf_of.values()), sum(sup_of.values())
 
-    def viable(acc: NormalForm, rest_inf: int, rest_sup: int) -> bool:
+    def viable(acc: tuple[int, tuple[int, ...]], rest_inf: int, rest_sup: int) -> bool:
         """Can acc times the unused blocks (their infima summing to rest_inf,
         their suprema to rest_sup), in some order, still be the target?"""
-        return acc.infimum + rest_sup >= low and acc.infimum + acc.canonical_length() + rest_inf <= high
+        return acc[0] + rest_sup >= low and acc[0] + len(acc[1]) + rest_inf <= high
 
     head = d.blocks[0]
     start = (nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])
 
     if len(d.blocks) <= budget.exhaustive_cap:
         # memo: (remaining blocks, viable partial-product NF) -> all completing suffixes
-        memo: dict[tuple[frozenset, NormalForm], tuple] = {}
+        memo: dict[tuple[frozenset, tuple], tuple] = {}
 
-        def complete(remaining: frozenset, acc: NormalForm, rest_inf: int, rest_sup: int):
+        def complete(remaining: frozenset, acc: tuple, rest_inf: int, rest_sup: int):
             if not viable(acc, rest_inf, rest_sup):
                 return ()
             if not remaining:
@@ -389,7 +425,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                 found = []
                 for b in sorted(remaining):
                     suffixes = complete(
-                        remaining - {b}, nf_mul(acc, nf_of[b]),
+                        remaining - {b}, _dual_mul(m, acc, nf_of[b]),
                         rest_inf - inf_of[b], rest_sup - sup_of[b],
                     )
                     for suffix in suffixes:
@@ -404,19 +440,11 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         ))
         return SearchResult(d, orderings, "exhausted")
 
-    # each draw: its block indices rotated to start at index 0, then the rotation
     k = len(d.blocks)
-    rng = random.Random(budget.seed)
-    shuffled = list(range(k))  # shuffle permutes positions the same whatever the items
-    draws = []
-    for _ in range(budget.tries):
-        rng.shuffle(shuffled)
-        rot = shuffled.index(0)
-        draws.append((*shuffled[rot:], *shuffled[:rot], rot))
-    draws.sort()
+    draws = sorted(_draws(k, budget.tries, budget.seed))
     found: set[tuple[tuple[int, ...], ...]] = set()
 
-    def walk(group: list, depth: int, acc: NormalForm, rest_inf: int, rest_sup: int) -> None:
+    def walk(group: list, depth: int, acc: tuple, rest_inf: int, rest_sup: int) -> None:
         """Extend acc, the product of the first depth blocks shared by the
         draws in group, by each distinct next block among them."""
         if not viable(acc, rest_inf, rest_sup):
@@ -431,7 +459,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         for i, sub in itertools.groupby(group, key=operator.itemgetter(depth)):
             b = d.blocks[i]
             walk(
-                list(sub), depth + 1, nf_mul(acc, nf_of[b]),
+                list(sub), depth + 1, _dual_mul(m, acc, nf_of[b]),
                 rest_inf - inf_of[b], rest_sup - sup_of[b],
             )
 

@@ -23,7 +23,7 @@ from planar_monoid.braid import (
     permutation,
 )
 from planar_monoid.catalog import builtin
-from planar_monoid.surface import TwistWord, to_braid
+from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word, to_braid
 
 
 @st.composite
@@ -197,7 +197,7 @@ def test_pair_table_entries_are_left_weighted_products(pair):
     m = len(a)
     table = braid._simples(m)
     ia, ib = table.intern(a), table.intern(b)
-    braid._left_weighted(m, (ia,), (ib,))
+    braid._left_weighted(table, (ia,), (ib,))
     packed = table.pairs.get(ia * table.size + ib)
     if table.starts[ib] & ~table.finishes[ia] == 0:
         assert packed is None  # only pairs that slide are stored
@@ -303,7 +303,7 @@ def test_pair_table_keys_are_exact_for_every_id(monkeypatch):
     rng = random.Random(7)
     for _ in range(400):
         a, b = rng.choice(perms), rng.choice(perms)
-        k, ids = braid._left_weighted(m, (table.intern(a),), (table.intern(b),))
+        k, ids = braid._left_weighted(table, (table.intern(a),), (table.intern(b),))
         assert (k, tuple(map(table.perm.__getitem__, ids))) == _ref_left_weighted(m, (a,), (b,))
     for m in range(2, 25):
         assert braid._simples(m).size >= math.factorial(m)
@@ -413,6 +413,212 @@ def test_delta_conjugation_map_is_tau(monkeypatch):
             y = table.tau(x)
             assert table.perm[y] == braid._tau(p)
             assert table.tau(y) == x
+
+
+# Reference dual (Birman-Ko-Lee) structure.  A simple element is named by
+# its permutation in `permutation`'s convention, which sends each point to
+# the next larger point of its block and the largest back to the smallest.
+# Everything here is computed from the definitions: blocks as sets, the
+# meet by search over all non-crossing partitions, and words through the
+# band generators a_ts.
+
+
+def _ref_blocks(p):
+    seen, blocks = set(), []
+    for i in range(len(p)):
+        if i not in seen:
+            block, j = set(), i
+            while j not in block:
+                block.add(j)
+                j = p[j]
+            seen |= block
+            blocks.append(frozenset(block))
+    return blocks
+
+
+def _ref_shared(p):
+    return {(i, j) for b in _ref_blocks(p) for i in b for j in b if i < j}
+
+
+def _ref_block_perm(m, blocks):
+    p = list(range(m))
+    for b in blocks:
+        b = sorted(b)
+        for x, y in zip(b, b[1:] + b[:1]):
+            p[x] = y
+    return tuple(p)
+
+
+def _ref_set_partitions(points):
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for part in _ref_set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _ref_non_crossing(m):
+    """Every non-crossing partition of 0..m-1, as its permutation."""
+    out = []
+    for part in _ref_set_partitions(list(range(m))):
+        label = {x: i for i, b in enumerate(part) for x in b}
+        if not any(
+            label[a] == label[c] != label[b] == label[d]
+            for a, b, c, d in itertools.combinations(range(m), 4)
+        ):
+            out.append(_ref_block_perm(m, part))
+    return out
+
+
+def _ref_then(p, q):
+    # the permutation of "p's braid, then q's"
+    return tuple(q[x] for x in p)
+
+
+def _ref_inv(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _ref_delta(m):
+    return tuple((i + 1) % m for i in range(m))
+
+
+def _ref_left_complement(p):
+    return _ref_then(_ref_inv(p), _ref_delta(len(p)))
+
+
+def _band(t, s):
+    # a_ts = (s_{t-1} .. s_{s+1}) s_s (s_{t-1} .. s_{s+1})^-1
+    mid = list(range(t - 1, s, -1))
+    return [*mid, s, *(-k for k in reversed(mid))]
+
+
+def _dual_simple_letters(block):
+    # delta_S = a_{s_k s_{k-1}} .. a_{s_2 s_1} for the block s_1 < .. < s_k (1-indexed)
+    block = sorted(block)
+    return [k for j in range(len(block) - 1, 0, -1) for k in _band(block[j], block[j - 1])]
+
+
+def _ref_dual_word(m, form):
+    """Re-expand a dual form (infimum, ids) to a braid word."""
+    infimum, ids = form
+    table = braid._dual_simples(m)
+    delta = _dual_simple_letters(range(1, m + 1))
+    letters = delta * infimum if infimum >= 0 else [-k for k in reversed(delta)] * -infimum
+    for x in ids:
+        for b in _ref_blocks(table.perm[x]):
+            letters += _dual_simple_letters([i + 1 for i in b])
+    return BraidWord(m, tuple(letters))
+
+
+def _mirror(w):
+    return BraidWord(w.strands, tuple(-k for k in w.letters))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_every_swing_is_the_mirror_of_a_dual_simple_power(m):
+    # the fact the ordering search stands on: mirrored, every swing is
+    # dual-positive, delta_S^|S| for its support S, and the full twist is
+    # delta^m, so every prefix of a realizing order left-divides delta^m
+    table = braid._dual_simples(m)
+    surface = SurfaceSpec(m + 1)
+    for k in range(2, m):
+        for support in itertools.combinations(range(1, m + 1), k):
+            mirrored = _mirror(swing_word(ConvexCurve.over(support), surface))
+            power = BraidWord(m, tuple(_dual_simple_letters(support) * k))
+            assert equals(mirrored, power), support
+            assert lk_equal(mirrored, power), support
+            simple = table.intern(_ref_block_perm(m, [[x - 1 for x in support]]))
+            assert braid._dual_normal_form(mirrored) == (0, (simple,) * k)
+    assert braid._dual_normal_form(_mirror(full_twist(m))) == (m, ())
+    assert braid._dual_normal_form(full_twist(m)) == (-m, ())
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_dual_mul_matches_concatenation(pair):
+    a, b = pair
+    m = a.strands
+    fa, fb = braid._dual_normal_form(a), braid._dual_normal_form(b)
+    assert braid._dual_mul(m, fa, fb) == braid._dual_normal_form(BraidWord(m, a.letters + b.letters))
+    assert braid._dual_mul(m, fb, fa) == braid._dual_normal_form(BraidWord(m, b.letters + a.letters))
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_dual_forms_decide_equality(pair):
+    a, b = pair
+    m = a.strands
+    dual = braid._dual_normal_form
+    assert (dual(a) == dual(b)) == equals(a, b)
+    # equal braids written differently: a.b.b^-1, and a past the central full twist
+    assert dual(a) == dual(BraidWord(m, a.letters + b.letters + invert(b).letters))
+    ft = full_twist(m)
+    assert dual(compose(ft, a)) == dual(compose(a, ft))
+
+
+@given(braid_words(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_dual_form_reexpands_to_equal_word(w):
+    assert equals(_ref_dual_word(w.strands, braid._dual_normal_form(w)), w)
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_dual_form_is_left_weighted(pair):
+    # no factor is the identity or delta, and each adjacent pair (a, b) is
+    # left-weighted: no pair of points shares a block of both da and b
+    a, b = pair
+    m = a.strands
+    table = braid._dual_simples(m)
+    fa, fb = braid._dual_normal_form(a), braid._dual_normal_form(b)
+    for _, ids in (fa, fb, braid._dual_mul(m, fa, fb)):
+        perms = [table.perm[x] for x in ids]
+        for p in perms:
+            assert p not in (tuple(range(m)), _ref_delta(m))
+        for p, q in zip(perms, perms[1:]):
+            assert not _ref_shared(_ref_left_complement(p)) & _ref_shared(q)
+
+
+def _ref_dual_pair(m, a, b, simples):
+    """Left-weighted, delta-stripped form of the pair (a, b) of permutations:
+    (a.c, c^-1.b) with c the meet of da and b, the non-crossing partition
+    with the most pairs among those that refine both."""
+    fs = [a]
+    if b != tuple(range(m)):
+        common = _ref_shared(_ref_left_complement(a)) & _ref_shared(b)
+        c = max((p for p in simples if _ref_shared(p) <= common), key=lambda p: len(_ref_shared(p)))
+        fs = [_ref_then(a, c), _ref_then(_ref_inv(c), b)]
+        if fs[1] == tuple(range(m)):
+            fs.pop()
+    k = 0
+    while k < len(fs) and fs[k] == _ref_delta(m):
+        k += 1
+    return k, tuple(fs[k:])
+
+
+def test_dual_pair_table_keys_are_exact_for_every_id(monkeypatch):
+    # a fresh 7-strand table with all Catalan(7) = 429 simples interned, in
+    # reverse order, so that ids run up to 428: pairs of any ids slide to
+    # the reference pairs, and the results are simples already interned
+    monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
+    m = 7
+    table = braid._dual_simples(m)
+    simples = _ref_non_crossing(m)[::-1]
+    for p in simples:
+        table.intern(p)
+    assert len(table.perm) == table.size == 429
+    rng = random.Random(7)
+    for _ in range(400):
+        a, b = rng.choice(simples), rng.choice(simples)
+        k, ids = braid._left_weighted(table, (table.intern(a),), (table.intern(b),))
+        assert (k, tuple(map(table.perm.__getitem__, ids))) == _ref_dual_pair(m, a, b, simples)
+    assert len(table.perm) == 429
+    for m in range(1, 9):
+        assert braid._NonCrossing(m).size == len(_ref_non_crossing(m))
 
 
 def test_full_twist_is_pure_and_links_minus_one():

@@ -209,8 +209,9 @@ def test_search_all_pairs_m4():
         (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4, 5)), 176),
         (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4, 5), (3, 4), (3, 5)), 160),
         (6, ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3, 4, 5), (2, 6), (3, 6), (4, 6)), 40),
-        # past the default cap: exhausted in seconds because the DFS prunes
-        # by the inf/sup bound
+        # past the default cap: exhausted in seconds because the DFS drops
+        # every prefix that does not left-divide delta^m (the inf/sup bound
+        # read in the dual structure)
         (5, K5, 5150),
         (
             6,
@@ -223,6 +224,13 @@ def test_search_all_pairs_m4():
             ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5, 6), (3, 4, 5), (3, 6),
              (4, 6)),
             1947,
+        ),
+        # the first (4,4,4,5,5,5) dihedral class, 13 blocks
+        (
+            6,
+            ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5),
+             (3, 6), (4, 5, 6)),
+            75088,
         ),
     ],
 )
@@ -305,18 +313,19 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, f
 
 def test_search_shuffle_walk_shares_prefix_products(monkeypatch):
     calls = 0
+    dual_mul = designs._dual_mul
 
-    def counted(a, b):
+    def counted(m, a, b):
         nonlocal calls
         calls += 1
-        return nf_mul(a, b)
+        return dual_mul(m, a, b)
 
-    monkeypatch.setattr(designs, "nf_mul", counted)
+    monkeypatch.setattr(designs, "_dual_mul", counted)
     res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000, seed=0))
     assert len(res.orderings) == 2
-    # multiplying each of the 2,000 shuffles out on its own, with the same
-    # prune, takes 11,137 calls
-    assert calls == 4004
+    # multiplying each of the 2,000 shuffles out on its own from the
+    # identity, with the same prune, takes 8,922 calls
+    assert calls == 1601
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -374,16 +383,34 @@ def test_search_shuffle_path_takes_designs_past_256_blocks():
 
 def test_search_shuffle_path_interns_few_simples(monkeypatch):
     # memory guard: the kernel interns only the two results of each pair it
-    # slides, not every permutation met on the way; a fresh table per
-    # strand count keeps the count cold
+    # slides, not every simple met on the way; a fresh table per strand
+    # count keeps the count cold.  The search runs in the dual structure,
+    # whose table holds some of the Catalan(24) ~ 1.3e12 simples.
     from planar_monoid import braid
 
     monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
+    monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
     d = Design(24, tuple(itertools.combinations(range(1, 25), 2)))
     before = len(braid._simples(24).perm)
     res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=1))
     assert res.status == "budget"
     assert len(braid._simples(24).perm) - before < 10_000
+    assert len(braid._dual_simples(24).perm) < 10_000
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2024])
+def test_draws_reproduce_random_shuffle(seed):
+    # the shuffle path draws with random.shuffle's own rejection sequence,
+    # inlined, so its draws are those of random.Random(seed).shuffle
+    for k in range(1, 301):
+        rng = random.Random(seed)
+        shuffled = list(range(k))
+        expected = []
+        for _ in range(3):
+            rng.shuffle(shuffled)
+            rot = shuffled.index(0)
+            expected.append((*shuffled[rot:], *shuffled[:rot], rot))
+        assert designs._draws(k, 3, seed) == expected
 
 
 def test_search_budget_path_is_deterministic():
