@@ -416,9 +416,10 @@ class _NonCrossing:
     __slots__ = ("m", "size", "full", "ids", "perm", "starts", "finishes", "pairs", "taus", "ident", "delta", "letters")
 
     def __init__(self, m: int):
+        delta = tuple((i + 1) % m for i in range(m))
         self.m = m
         self.size = math.comb(2 * m, m) // (m + 1)
-        self.full = _shared_pairs(tuple((i + 1) % m for i in range(m)))
+        self.full = _shared_pairs(delta)
         self.ids: dict[tuple[int, ...], int] = {}
         self.perm: list[tuple[int, ...]] = []
         self.starts: list[int] = []
@@ -427,7 +428,7 @@ class _NonCrossing:
         self.taus: dict[int, int] = {}
         self.letters: dict[int, int] = {}
         self.ident = self.intern(_ident(m))
-        self.delta = self.intern(tuple((i + 1) % m for i in range(m)))
+        self.delta = self.intern(delta)
 
     def intern(self, p: tuple[int, ...]) -> int:
         x = self.ids.get(p)
@@ -482,7 +483,9 @@ def _dual_simples(m: int) -> _NonCrossing:
     return _NonCrossing(m)
 
 
-def _left_weighted(table, prefix: Iterable[int], factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+def _left_weighted(
+    table: _Simples | _NonCrossing, prefix: Iterable[int], factors: Iterable[int]
+) -> tuple[int, tuple[int, ...]]:
     """Append simple factors to a left-weighted, Delta-free prefix, all as
     ids of one table of simple elements: `_Simples` (the classical
     structure) or `_NonCrossing` (the dual one).
