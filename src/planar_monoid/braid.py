@@ -18,9 +18,10 @@ Words are sequences of signed Artin generator indices in *application order*:
   (infimum, ids) tuples, which the ordering search multiplies; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
-  "the freely and cyclically reduced word a.b^-1 is the identity" by
-  comparing the matrices of its two halves, kept as one sparse dict per
-  column.
+  "the freely and cyclically reduced word a.b^-1 = u.v^-1 is the
+  identity": u and v grow from the identity, each step on whichever side
+  holds fewer terms, until they meet and are compared.  A matrix is one
+  sparse dict per column, its keys packed with strides sized to the word.
 
 Permutations are stored internally as 0-indexed image tuples, interned
 per strand count; the public `Permutation` type is 1-indexed to match
@@ -665,26 +666,22 @@ def full_twist(m: int) -> BraidWord:
 # equally faithful.
 #
 # Column layout: a column is one dict holding only its non-zero terms.  The
-# term c q^a t^b of row r sits under the key r * _ROWSTRIDE + _pack(a, b).
-# The key is one-to-one while |b| < _TDEG_LIMIT and |a| < _QDEG_LIMIT, so
-# adding a generator term's _pack key to it never changes its row.  Each
+# generator tables keep unpacked (q, t) degrees (`_lk_active`) and are
+# packed per layout (`_lk_letter`), with strides sized to the word: each
 # letter moves a q-degree by -2 .. +m and a t-degree by -1 .. +1 (see
-# _lk_column), so a matrix of l letters stays inside once l * m < _QDEG_LIMIT
-# and l < _TDEG_LIMIT; lk_equal raises ValueError before it would leave.
-
-_TDEG_LIMIT = 1 << 20
-_QDEG_LIMIT = 1 << 20
-_TSTRIDE = 2 * _TDEG_LIMIT
-_ROWSTRIDE = 2 * _QDEG_LIMIT * _TSTRIDE
-
-
-def _pack(qd: int, td: int) -> int:
-    return qd * _TSTRIDE + td
+# _lk_column), so a matrix of at most l letters has q in [-2l, m*l] and t in
+# [-l, l].  The term c q^a t^b of row r sits under the key
+# r * rowstride + a * tstride + b, with tstride = 2l + 1 and rowstride
+# covering the whole q range (`_lk_layout`): the key is one-to-one, and
+# adding a generator term's packed degrees to it never changes its row.
+# lk_equal takes l as the least power of two above its reduced length, so
+# there is no length limit, few layouts are ever packed, and catalog words
+# keep every key below 2^30, a single CPython digit.
 
 
-def _poly(td: int, lo: int, *coeffs: int) -> tuple[tuple[int, int], ...]:
-    """t^td (c0 q^lo + c1 q^(lo+1) + ...) as packed (key, coeff) terms."""
-    return tuple((_pack(lo + e, td), c) for e, c in enumerate(coeffs) if c)
+def _poly(td: int, lo: int, *coeffs: int) -> tuple[tuple[int, int, int], ...]:
+    """t^td (c0 q^lo + c1 q^(lo+1) + ...) as (q-degree, t-degree, coeff) terms."""
+    return tuple((lo + e, td, c) for e, c in enumerate(coeffs) if c)
 
 
 @functools.cache
@@ -738,13 +735,16 @@ def _lk_inverse_column(s: int, t: int, i: int):
 # sigma_i^-1 is written in closed form like sigma_i; _lk_check verifies
 # G.G^-1 = G^-1.G = I for every generator before a word on m strands is used.
 @functools.cache
-def _lk_active(m: int, letter: int) -> tuple[tuple[int, int, int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]:
+def _lk_active(m: int, letter: int) -> tuple[tuple[int, int, tuple[int, int], tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], bool], ...]:
     """Non-identity columns of the (possibly inverse) generator matrix,
-    flattened for the hot loop: (col_j, row_k0, key_shift, ((row_k, terms), ...)).
+    flattened for the hot loop:
+    (col_j, row_k0, (dq, dt), ((row_k, terms), ...), in_place).
 
     Every such column has exactly one entry that is a monomial with
-    coefficient 1; it is pulled out as (row_k0, key_shift), and the rest
-    keep their ((packed_key, coeff), ...) terms."""
+    coefficient 1; it is pulled out as (row_k0, its degrees), and the rest
+    keep their (dq, dt, coeff) terms.  A column whose monic entry is 1 on
+    its own row is updated in place (`in_place`) when no other active
+    column reads it."""
     i = abs(letter)
     column = _lk_column if letter > 0 else _lk_inverse_column
     pairs, index = _lk_basis(m)
@@ -755,16 +755,47 @@ def _lk_active(m: int, letter: int) -> tuple[tuple[int, int, int, tuple[tuple[in
             continue
         entries = sorted((index[p], terms) for p, terms in col.items())
         # the unpacking raises unless exactly one entry is a monic monomial
-        [(k0, shift)] = [(k, terms[0][0]) for k, terms in entries if len(terms) == 1 and terms[0][1] == 1]
-        active.append((j, k0, shift, tuple((k, terms) for k, terms in entries if k != k0)))
-    return tuple(active)
+        [(k0, dq, dt)] = [(k, *terms[0][:2]) for k, terms in entries if len(terms) == 1 and terms[0][2] == 1]
+        active.append((j, k0, (dq, dt), tuple((k, terms) for k, terms in entries if k != k0)))
+    read: dict[int, int] = {}  # row -> how many active columns read it
+    for _, k0, _, rest in active:
+        for k in (k0, *(k for k, _ in rest)):
+            read[k] = read.get(k, 0) + 1
+    return tuple(
+        (j, k0, shift, rest, k0 == j and shift == (0, 0) and read[j] == 1)
+        for j, k0, shift, rest in active
+    )
 
 
-def _lk_apply(cols: list[dict], m: int, letter: int) -> None:
-    """In-place right multiplication by the letter's generator matrix."""
+def _lk_layout(m: int, length: int) -> tuple[int, int]:
+    """(tstride, rowstride) keeping keys one-to-one for matrices of at most
+    `length` letters on m strands: t in [-length, length] and q in
+    [-2 length, m length]."""
+    tstride = 2 * length + 1
+    return tstride, ((m + 2) * length + 1) * tstride
+
+
+@functools.cache
+def _lk_letter(m: int, letter: int, tstride: int):
+    """`_lk_active(m, letter)` with its degrees packed for this t-stride:
+    (col_j, row_k0, key_shift, ((row_k, ((key_shift, coeff), ...)), ...), in_place).
+    lk_equal asks only for power-of-two lengths, so few are kept."""
+    return tuple(
+        (j, k0, dq * tstride + dt, tuple((k, tuple((q * tstride + t, c) for q, t, c in terms)) for k, terms in rest), in_place)
+        for j, k0, (dq, dt), rest, in_place in _lk_active(m, letter)
+    )
+
+
+def _lk_apply(cols: list[dict], gen) -> None:
+    """In-place right multiplication by a generator matrix packed by `_lk_letter`."""
     updates = []
-    for j, k0, shift, rest in _lk_active(m, letter):
-        acc = {key + shift: v for key, v in cols[k0].items()}
+    for j, k0, shift, rest, in_place in gen:
+        if in_place:
+            acc = cols[j]
+        elif shift:
+            acc = {key + shift: v for key, v in cols[k0].items()}
+        else:
+            acc = cols[k0].copy()
         get = acc.get
         for k, terms in rest:
             col = cols[k].items()
@@ -776,36 +807,29 @@ def _lk_apply(cols: list[dict], m: int, letter: int) -> None:
                         acc[kk] = nv
                     else:
                         del acc[kk]
-        updates.append((j, acc))
+        if not in_place:
+            updates.append((j, acc))
     for j, acc in updates:
         cols[j] = acc
 
 
-def _lk_identity(m: int) -> list[dict]:
-    return [{j * _ROWSTRIDE + _pack(0, 0): 1} for j in range(m * (m - 1) // 2)]
+def _lk_identity(m: int, rowstride: int) -> list[dict]:
+    return [{j * rowstride: 1} for j in range(m * (m - 1) // 2)]
 
 
 @functools.cache
 def _lk_check(m: int) -> None:
     """Safety check of the closed forms: sigma_i sigma_i^-1 and sigma_i^-1
     sigma_i are the identity under _lk_apply for every i."""
-    ident = _lk_identity(m)
+    tstride, rowstride = _lk_layout(m, 2)
+    ident = _lk_identity(m, rowstride)
     for i in range(1, m):
         for pair in ((i, -i), (-i, i)):
-            cols = _lk_identity(m)
+            cols = _lk_identity(m, rowstride)
             for letter in pair:
-                _lk_apply(cols, m, letter)
+                _lk_apply(cols, _lk_letter(m, letter, tstride))
             if cols != ident:
                 raise AssertionError(f"LK inverse verification failed for m={m}, i={i}")
-
-
-def _lk_matrix(m: int, letters: Iterable[int]) -> list[dict]:
-    """The word's matrix: one dict of packed terms per column."""
-    _lk_check(m)
-    cols = _lk_identity(m)
-    for letter in letters:
-        _lk_apply(cols, m, letter)
-    return cols
 
 
 def lk_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -814,13 +838,15 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
 
     a = b exactly when w = a.b^-1 is the identity.  w is freely reduced in
     one stack pass and then cyclically reduced, since x.w'.x^-1 = 1 iff
-    w' = 1.  The result u.v^-1 is the identity iff u = v, so only the
-    matrices of its two halves u and v are computed and compared.  Raises
-    ValueError when a half is too long for the packed-key layout.
+    w' = 1.  The result is u.v^-1 = 1 iff u = v: both matrices start at the
+    identity, and each step gives the next letter from the front of w to u,
+    or the inverse of the next from its back to v, whichever side holds
+    fewer terms, until the two meet; then u and v are compared.
     """
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
     m = a.strands
+    _lk_check(m)
     w: list[int] = []
     for k in a.letters + tuple(-k for k in reversed(b.letters)):
         if w and w[-1] == -k:
@@ -831,10 +857,17 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
     while hi - lo > 1 and w[lo] == -w[hi - 1]:
         lo += 1
         hi -= 1
-    mid = (lo + hi) // 2
-    if (hi - mid) * m >= _QDEG_LIMIT or hi - mid >= _TDEG_LIMIT:
-        raise ValueError(
-            f"a reduced word of {hi - lo} letters on {m} strands exceeds the "
-            f"LK degree limits (q: {_QDEG_LIMIT}, t: {_TDEG_LIMIT})"
-        )
-    return _lk_matrix(m, w[lo:mid]) == _lk_matrix(m, [-k for k in reversed(w[mid:hi])])
+    # the layout of the least power of two above the reduced length
+    tstride, rowstride = _lk_layout(m, 1 << (hi - lo).bit_length())
+    u, v = _lk_identity(m, rowstride), _lk_identity(m, rowstride)
+    u_terms = v_terms = len(u)
+    while lo < hi:
+        if u_terms <= v_terms:
+            _lk_apply(u, _lk_letter(m, w[lo], tstride))
+            lo += 1
+            u_terms = sum(map(len, u))
+        else:
+            hi -= 1
+            _lk_apply(v, _lk_letter(m, -w[hi], tstride))
+            v_terms = sum(map(len, v))
+    return u == v

@@ -33,7 +33,7 @@ _ORDERS = ("rightmost-first", "leftmost-first")
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _load_json(path: str):

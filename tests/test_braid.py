@@ -621,6 +621,41 @@ def test_dual_pair_table_keys_are_exact_for_every_id(monkeypatch):
         assert braid._NonCrossing(m).size == len(_ref_non_crossing(m))
 
 
+def _dual_divisors_of_delta_power(m, k):
+    """The left divisors of delta^k in the dual monoid on m strands: every
+    product of atoms a_ts whose dual supremum stays at most k, found
+    breadth first from the identity with _dual_mul."""
+    table = braid._dual_simples(m)
+    atoms = []
+    for s in range(m):
+        for t in range(s + 1, m):
+            p = list(range(m))
+            p[s], p[t] = t, s  # the partition with the one block {s, t}
+            atoms.append((0, (table.intern(tuple(p)),)))
+    seen = {(0, ())}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for atom in atoms:
+                y = braid._dual_mul(m, x, atom)
+                if y[0] >= 0 and y[0] + len(y[1]) <= k and y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def test_dual_divisor_counts_of_delta_powers():
+    # the full twist is delta^m; these are its left divisors at m = 3 and
+    # 4, more than the Fuss-Catalan numbers 22 and 285, which count the
+    # factorizations of delta into m + 1 simples, not divisors of delta^m
+    assert len(_dual_divisors_of_delta_power(3, 1)) == 5  # Catalan(3)
+    assert len(_dual_divisors_of_delta_power(3, 2)) == 15
+    assert len(_dual_divisors_of_delta_power(3, 3)) == 37
+    assert len(_dual_divisors_of_delta_power(4, 4)) == 2853
+
+
 def test_full_twist_is_pure_and_links_minus_one():
     for m in range(2, 7):
         ft = full_twist(m)
@@ -697,13 +732,9 @@ def _lk_reference(w):
         column = braid._lk_column if letter > 0 else braid._lk_inverse_column
         gen_row = {}  # row k of the generator -> [(col j, [(dq, dt, coeff)])]
         for j, (s, t) in enumerate(pairs):
-            col = column(s, t, abs(letter)) or {(s, t): ((0, 1),)}
+            col = column(s, t, abs(letter)) or {(s, t): ((0, 0, 1),)}
             for p, terms in col.items():
-                degs = []
-                for key, c in terms:
-                    dq, dt = divmod(key + braid._TDEG_LIMIT, braid._TSTRIDE)
-                    degs.append((dq, dt - braid._TDEG_LIMIT, c))
-                gen_row.setdefault(index[p], []).append((j, degs))
+                gen_row.setdefault(index[p], []).append((j, terms))
         new = {}
         for (r, k), poly in mat.items():
             for j, degs in gen_row.get(k, ()):
@@ -723,15 +754,28 @@ def _lk_reference_equal(a, b):
     return _lk_reference(a) == _lk_reference(b)
 
 
-def _lk_unpacked(cols):
-    """braid._lk_matrix's column dicts in _lk_reference's shape."""
-    half = braid._ROWSTRIDE // 2
+def _lk_matrix(w):
+    """w's matrix as lk_equal builds a side: the identity in the layout
+    sized to w's length, times each letter's packed generator."""
+    m, length = w.strands, len(w.letters)
+    tstride, rowstride = braid._lk_layout(m, length)
+    cols = braid._lk_identity(m, rowstride)
+    for letter in w.letters:
+        braid._lk_apply(cols, braid._lk_letter(m, letter, tstride))
+    return cols
+
+
+def _lk_unpacked(cols, m, length):
+    """Column dicts packed for words of at most `length` letters on m
+    strands, in _lk_reference's shape."""
+    tstride, rowstride = braid._lk_layout(m, length)
+    low = 2 * length * tstride + length  # minus the least q * tstride + t
     mat = {}
     for j, col in enumerate(cols):
         for key, v in col.items():
-            r, rest = divmod(key + half, braid._ROWSTRIDE)
-            q, t = divmod(rest - half + braid._TDEG_LIMIT, braid._TSTRIDE)
-            mat.setdefault((r, j), {})[q, t - braid._TDEG_LIMIT] = v
+            r, rest = divmod(key + low, rowstride)
+            q, t = divmod(rest - low + length, tstride)
+            mat.setdefault((r, j), {})[q, t - length] = v
     return mat
 
 
@@ -741,7 +785,7 @@ def test_lk_equal_matches_unreduced_reference(pair):
     a, b = pair
     assert lk_equal(a, b) == _lk_reference_equal(a, b)
     # entry by entry, so a row stride too small to keep rows apart shows
-    assert _lk_unpacked(braid._lk_matrix(a.strands, a.letters)) == _lk_reference(a)
+    assert _lk_unpacked(_lk_matrix(a), a.strands, len(a.letters)) == _lk_reference(a)
 
 
 def _catalog_cases():
@@ -762,6 +806,13 @@ def test_lk_equal_matches_reference_on_catalog(lhs, rhs, holds):
     # central); the lexicographic K4 order is the README's falsified one
     bl, br = to_braid(lhs), to_braid(rhs)
     assert lk_equal(bl, br) == _lk_reference_equal(bl, br) == equals(bl, br) == holds
+
+
+@pytest.mark.parametrize(("lhs", "rhs", "holds"), list(_catalog_cases()))
+def test_dual_forms_decide_the_catalog(lhs, rhs, holds):
+    bl, br = to_braid(lhs), to_braid(rhs)
+    dual = braid._dual_normal_form
+    assert (dual(bl) == dual(br)) == equals(bl, br) == lk_equal(bl, br) == holds
 
 
 @st.composite
@@ -794,9 +845,9 @@ def test_lk_proves_inserted_relators(case):
     applied = []
     apply = braid._lk_apply
 
-    def counting(cols, m, letter):
-        applied.append(letter)
-        apply(cols, m, letter)
+    def counting(cols, gen):
+        applied.append(gen)
+        apply(cols, gen)
 
     braid._lk_apply = counting
     try:
@@ -808,33 +859,75 @@ def test_lk_proves_inserted_relators(case):
 
 
 def test_lk_generator_degrees_fit_key_layout():
-    # the per-letter reach lk_equal's length limit rests on: every generator
+    # the per-letter reach the per-call strides rest on: every generator
     # term has q-degree -2..m and t-degree -1..1
     for m in range(2, 10):
         for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
-            for _, _, shift, rest in braid._lk_active(m, letter):
-                for key in [shift] + [key for _, terms in rest for key, _ in terms]:
-                    dq, dt = divmod(key + braid._TDEG_LIMIT, braid._TSTRIDE)
-                    assert -2 <= dq <= m and -1 <= dt - braid._TDEG_LIMIT <= 1
+            for _, _, shift, rest, _ in braid._lk_active(m, letter):
+                for dq, dt in [shift] + [(q, t) for _, terms in rest for q, t, _ in terms]:
+                    assert -2 <= dq <= m and -1 <= dt <= 1
 
 
-def test_lk_equal_rejects_words_past_the_key_layout(monkeypatch):
-    def no_matrix_work(*args):
-        raise AssertionError("matrix work started")
+def test_lk_in_place_columns_are_read_by_no_other_column():
+    for m in range(2, 10):
+        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
+            active = braid._lk_active(m, letter)
+            for j, k0, shift, rest, in_place in active:
+                readers = [c for c in active if c[0] != j and j in (c[1], *(k for k, _ in c[3]))]
+                assert in_place == (k0 == j and shift == (0, 0) and not readers)
 
-    monkeypatch.setattr(braid, "_lk_matrix", no_matrix_work)
-    m = 8
-    half = braid._QDEG_LIMIT // m  # a half of this many letters reaches the q limit
-    long = BraidWord(m, (1, 3) * half)
-    with pytest.raises(ValueError, match="degree limits"):
-        lk_equal(long, BraidWord(m))
-    with pytest.raises(ValueError, match="degree limits"):
-        lk_equal(BraidWord(m), long)
-    # the limit applies to the reduced word: long.long^-1 reduces to nothing
-    monkeypatch.setattr(braid, "_lk_matrix", lambda m, letters: list(letters))
-    assert lk_equal(long, long)
-    # one letter fewer per half is inside the layout
-    assert not lk_equal(BraidWord(m, (1, 3) * (half - 1)), BraidWord(m))
+
+def test_lk_layout_holds_words_at_the_degree_extremes():
+    # powers of one letter reach the degrees at the layout's edges:
+    # sigma_1^-l has q^-2l t^-l, sigma_i^l has t^l, and sigma_{m-1}^l has
+    # q^(m + 2l - 2), the highest of all words of up to 4 letters on 3 to 5
+    # strands; each matrix, packed in the layout sized to its own length,
+    # matches the reference entry by entry
+    for m in (3, 5, 8):
+        for length in (1, 2, 5, 12):
+            reached = set()
+            for i in range(1, m):
+                for sign in (1, -1):
+                    w = BraidWord(m, (sign * i,) * length)
+                    ref = _lk_reference(w)
+                    assert _lk_unpacked(_lk_matrix(w), m, length) == ref
+                    reached |= {e for poly in ref.values() for e in poly}
+            qs, ts = {q for q, _ in reached}, {t for _, t in reached}
+            assert min(qs) == -2 * length and max(qs) == m + 2 * (length - 1)
+            assert min(ts) == -length and max(ts) == length
+    # no length limit: a reduced word of 200 letters on 8 strands
+    m, power = 8, 50
+    w = (1,) * power + (-7,) * power
+    assert lk_equal(BraidWord(m, w), BraidWord(m, w[::-1]))
+    assert not lk_equal(BraidWord(m, w), BraidWord(m, w[::-1][:-1] + (2,)))
+
+
+def test_lk_equal_sizes_its_layout_to_the_reduced_word(monkeypatch):
+    # either side of the meet may take every letter of the reduced word,
+    # so the layout must hold the whole reduced length
+    asked = []
+    layout = braid._lk_layout
+    monkeypatch.setattr(braid, "_lk_layout", lambda m, length: asked.append(length) or layout(m, length))
+    m = 5
+    for length in (0, 1, 2, 5, 12, 16):
+        w = (4,) * length
+        for a, b in ((w, ()), ((), w), (w + (1,), (1,)), ((-2,) + w + (2,), ())):
+            asked.clear()
+            assert lk_equal(BraidWord(m, a), BraidWord(m, b)) == (length == 0)
+            assert asked[-1] >= length
+
+
+@given(braid_word_pairs(max_strands=8, max_len=14), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lk_greedy_meet_matches_reference(pair, same):
+    # true pairs too: b spelled as a's normal form, then padded by b's
+    # letters and their inverses, so the meet joins two different spellings
+    a, b = pair
+    if same:
+        b = BraidWord(a.strands, normal_form(a).to_word().letters + b.letters + invert(b).letters)
+    assert lk_equal(a, b) == lk_equal(b, a) == _lk_reference_equal(a, b) == equals(a, b)
+    if same:
+        assert lk_equal(a, b)
 
 
 def test_nf_equality_is_exact_on_rewritings():
