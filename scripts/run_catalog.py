@@ -29,7 +29,7 @@ def main() -> int:
                 f"  {mark} {rep.label:<7} chi=({rep.lhs_chi},{rep.rhs_chi})"
                 f" blocks={len(r.rhs.factors):>2}  oracle={oracle}"
             )
-            failures += not rep.verified
+            failures += not rep.verified or rep.oracle_agreement is False
     print(f"total {time.time() - t0:.1f}s, {failures} failure(s)")
     return 1 if failures else 0
 

@@ -3,19 +3,19 @@
 Words are sequences of signed Artin generator indices in *application order*:
 ``letters[0]`` acts first.  Equality is decided two independent ways:
 
-* Garside left-greedy normal form over permutation braids (the canonical
-  engine; normal forms are hashable and double as memoization keys).
-  `normal_form` and `nf_mul` share one kernel, `_left_weighted`, that
-  appends simple factors one at a time to a left-weighted prefix.  Simple
-  factors are interned as small ints with starting- and finishing-set
-  bitmasks, and the kernel works on those ids only: a `NormalForm` holds
-  the ids of its factors, and each pair that is not left-weighted is
-  replaced by its left-weighted pair of ids from one lazily filled table
-  per strand count.  The same kernel runs on a second table, the dual
-  (Birman-Ko-Lee) structure, whose simples are the non-crossing
-  partitions and whose Garside element delta has delta^m = Delta^2;
-  `_dual_normal_form` and `_dual_mul` give its normal forms as private
-  (infimum, ids) tuples, which the ordering search multiplies; and
+* the left-greedy normal form of the dual (Birman-Ko-Lee) Garside
+  structure (the canonical engine; normal forms are hashable and double as
+  memoization keys).  Its simple elements are the non-crossing partitions,
+  and its Garside element delta has delta^m = Delta^2, so the infimum of a
+  normal form is a power of delta and the full twist is delta^-m.  One
+  kernel, `_left_weighted`, appends simple factors one at a time to a
+  left-weighted prefix.  Simple factors are interned as small ints with
+  starting- and finishing-set bitmasks, and the kernel works on those ids
+  only: each pair that is not left-weighted is replaced by its
+  left-weighted pair of ids from one lazily filled table per strand count.
+  `_dual_normal_form` and `_dual_mul` give normal forms as private
+  (infimum, ids) tuples, which the ordering search multiplies;
+  `normal_form` and `nf_mul` wrap them as `NormalForm`s; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
   "the freely and cyclically reduced word a.b^-1 = u.v^-1 is the
@@ -23,7 +23,7 @@ Words are sequences of signed Artin generator indices in *application order*:
   holds fewer terms, until they meet and are compared.  A matrix is one
   sparse dict per column, its keys packed with strides sized to the word.
 
-Permutations are stored internally as 0-indexed image tuples, interned
+Simple elements are stored internally as 0-indexed permutations, interned
 per strand count; the public `Permutation` type is 1-indexed to match
 boundary-component labels.
 """
@@ -121,19 +121,21 @@ class LinkingMatrix:
 
 
 class NormalForm:
-    """Garside left normal form Delta^infimum . F_1 ... F_r.
+    """Dual (Birman-Ko-Lee) left normal form delta^infimum . F_1 ... F_r.
 
-    Factors are permutation braids, applied left to right, none equal to
-    the identity or to Delta, and every adjacent pair left-weighted.  A
-    normal form holds its factors as ids interned in the strand count's
-    table (`_simples`); equality and hashing compare (strands, infimum,
-    ids), so equal braids are equal normal forms.  `factors` gives the
-    0-indexed image tuples.
+    The infimum is a power of delta, the Garside element with delta^m =
+    Delta^2, so `full_twist(m)` is delta^-m.  Factors are dual simple
+    elements (non-crossing partitions, see `_NonCrossing`), applied left to
+    right, none equal to the identity or to delta, and every adjacent pair
+    left-weighted.  A normal form holds its factors as ids interned in the
+    strand count's table (`_dual_simples`); equality and hashing compare
+    (strands, infimum, ids), so equal braids are equal normal forms.
+    `factors` gives the simples as 0-indexed permutations.
 
-    The constructor takes image tuples, checks that they are canonical and
-    interns them.  The kernel builds its results from ids with
-    `_from_ids`.  Ids mean something only inside one process, so a normal
-    form pickles through its image tuples.
+    The constructor takes permutations, checks that they are canonical
+    before interning any, and interns them.  The kernel builds its results
+    from ids with `_from_ids`.  Ids mean something only inside one process,
+    so a normal form pickles through its permutations.
     """
 
     __slots__ = ("strands", "infimum", "_ids")
@@ -142,19 +144,23 @@ class NormalForm:
         if strands < 1:
             raise ValueError(f"strand count must be positive, got {strands}")
         factors = tuple(tuple(f) for f in factors)
-        ident, delta = _ident(strands), _delta(strands)
+        table = _dual_simples(strands)
+        ident, delta = table.perm[table.ident], table.perm[table.delta]
         for f in factors:
             if sorted(f) != list(ident):
                 raise ValueError(f"factor {f} is not a permutation of 0..{strands - 1}")
+            # p is a non-crossing simple iff it lies below delta in the
+            # absolute order: cycles(p) + cycles(p^-1.delta) = m + 1
+            if len({*_block_labels(f)}) + len({*_block_labels(_left_complement(f))}) != strands + 1:
+                raise ValueError(f"factor {f} is not a non-crossing partition")
             if f == ident or f == delta:
-                raise ValueError(f"factor {f} is the identity or Delta")
+                raise ValueError(f"factor {f} is the identity or delta")
         for a, b in zip(factors, factors[1:]):
-            if _descents(b) & ~_descents(_pinv(a)):
+            if _shared_pairs(_left_complement(a)) & _shared_pairs(b):
                 raise ValueError(f"factors {a}, {b} are not left-weighted")
-        intern = _simples(strands).intern
         _set_strands(self, strands)
         _set_infimum(self, infimum)
-        _set_ids(self, tuple(map(intern, factors)))
+        _set_ids(self, tuple(map(table.intern, factors)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"NormalForm is immutable; cannot set {name!r}")
@@ -175,8 +181,8 @@ class NormalForm:
 
     @property
     def factors(self) -> tuple[tuple[int, ...], ...]:
-        """The factors as 0-indexed image tuples."""
-        return tuple(map(_simples(self.strands).perm.__getitem__, self._ids))
+        """The factors as 0-indexed permutations."""
+        return tuple(map(_dual_simples(self.strands).perm.__getitem__, self._ids))
 
     def canonical_length(self) -> int:
         return len(self._ids)
@@ -185,17 +191,16 @@ class NormalForm:
         return self.infimum == 0 and not self._ids
 
     def to_word(self) -> BraidWord:
-        """Re-expand to a braid word (Delta power first, then the factors)."""
+        """Re-expand to a braid word (delta power first, then the factors)."""
         m = self.strands
-        delta_letters = _simple_letters(_delta(m))
-        letters: list[int] = []
+        table = _dual_simples(m)
+        delta_letters = _dual_simple_letters(table.perm[table.delta])
         if self.infimum >= 0:
-            letters.extend(delta_letters * self.infimum)
+            letters = delta_letters * self.infimum
         else:
-            inv = [-k for k in reversed(delta_letters)]
-            letters.extend(inv * (-self.infimum))
+            letters = [-k for k in reversed(delta_letters)] * -self.infimum
         for f in self.factors:
-            letters.extend(_simple_letters(f))
+            letters += _dual_simple_letters(f)
         return BraidWord(m, tuple(letters))
 
 
@@ -222,117 +227,11 @@ def _ident(m: int) -> tuple[int, ...]:
     return tuple(range(m))
 
 
-@functools.cache
-def _delta(m: int) -> tuple[int, ...]:
-    return tuple(range(m - 1, -1, -1))
-
-
 def _pinv(p: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(p)
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def _tau(p: Sequence[int]) -> tuple[int, ...]:
-    """Conjugation by Delta: tau(p) = Delta p Delta."""
-    m = len(p)
-    return tuple(m - 1 - p[m - 1 - x] for x in range(m))
-
-
-def _letter_factor(m: int, letter: int) -> tuple[int, ...]:
-    """The permutation braid of sigma_k for letter k > 0, and for letter -k
-    the u with sigma_k^-1 = Delta^-1 . u (Delta with the final crossing of
-    values k-1, k undone)."""
-    i = abs(letter) - 1
-    p = list(_ident(m) if letter > 0 else _delta(m))
-    pa, pb = p.index(i), p.index(i + 1)
-    p[pa], p[pb] = i + 1, i
-    return tuple(p)
-
-
-def _descents(p: Sequence[int]) -> int:
-    """Bitmask of {i : p[i] > p[i+1]}."""
-    return sum(1 << i for i in range(len(p) - 1) if p[i] > p[i + 1])
-
-
-class _Simples:
-    """The permutation braids on m strands met so far, interned as ints.
-
-    Ids are the kernel's only currency.  Image tuples come in through the
-    `NormalForm` constructor and the letter factors and go out through
-    `NormalForm.factors`; inside, only a table miss makes a new one.
-    For each id: `perm` is its image tuple, `starts` its starting set S
-    (the descents of p) and `finishes` its finishing set F (the descents of
-    p^-1), both as bitmasks.  `letters` maps each letter k to the id of its
-    factor (`_letter_factor`).  `pairs` maps a pair (a, b) that is not
-    left-weighted, keyed a * size + b with size = m! bounding every id, to
-    the ids (a', b') of the left-weighted pair with a'.b' = a.b; `slide`
-    fills a miss.  `taus` maps an id to the id of its conjugate by Delta,
-    both ways; `tau` fills a miss.  Only the factors of the pairs met are
-    interned, so large m costs only what is used.
-    """
-
-    __slots__ = ("m", "size", "ids", "perm", "starts", "finishes", "pairs", "taus", "ident", "delta", "letters")
-
-    def __init__(self, m: int):
-        self.m = m
-        self.size = math.factorial(m)
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.perm: list[tuple[int, ...]] = []
-        self.starts: list[int] = []
-        self.finishes: list[int] = []
-        self.pairs: dict[int, tuple[int, int]] = {}
-        self.taus: dict[int, int] = {}
-        self.ident = self.intern(_ident(m))
-        self.delta = self.intern(_delta(m))
-        self.letters = {k: self.intern(_letter_factor(m, k)) for i in range(1, m) for k in (i, -i)}
-
-    def intern(self, p: tuple[int, ...]) -> int:
-        x = self.ids.get(p)
-        if x is None:
-            x = self.ids[p] = len(self.perm)
-            self.perm.append(p)
-            self.starts.append(_descents(p))
-            self.finishes.append(_descents(_pinv(p)))
-        return x
-
-    def tau(self, x: int) -> int:
-        """The id of Delta.x.Delta, computed and stored both ways on a miss."""
-        y = self.taus.get(x)
-        if y is None:
-            y = self.taus[x] = self.intern(_tau(self.perm[x]))
-            self.taus[y] = x
-        return y
-
-    def slide(self, a: int, b: int) -> tuple[int, int]:
-        """The left-weighted pair (a', b') for (a, b), computed and stored.
-
-        While S(b) - F(a) is not empty, its lowest i crosses the boundary:
-        a <- a.s_i swaps entries i and i+1 of a^-1, b <- s_i.b swaps
-        entries i and i+1 of b, and only bits i-1 .. i+1 of F(a) and S(b)
-        can change.
-        """
-        inv, q = list(_pinv(self.perm[a])), list(self.perm[b])
-        fin, start = self.finishes[a], self.starts[b]
-        top = self.m - 2
-        mask = start & ~fin
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            inv[i], inv[i + 1] = inv[i + 1], inv[i]
-            q[i], q[i + 1] = q[i + 1], q[i]
-            for k in range(max(i - 1, 0), min(i + 1, top) + 1):
-                bit = 1 << k
-                fin = fin | bit if inv[k] > inv[k + 1] else fin & ~bit
-                start = start | bit if q[k] > q[k + 1] else start & ~bit
-            mask = start & ~fin
-        v = self.pairs[a * self.size + b] = (self.intern(_pinv(inv)), self.intern(tuple(q)))
-        return v
-
-
-@functools.cache
-def _simples(m: int) -> _Simples:
-    return _Simples(m)
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +298,34 @@ def _rotate(p: Sequence[int], c: int) -> tuple[int, ...]:
     return tuple((p[(i + c) % m] - c) % m for i in range(m))
 
 
+def _dual_simple_letters(p: Sequence[int]) -> list[int]:
+    """A positive word (applied left to right) for the dual simple p: each
+    block s_1 < .. < s_k, 1-indexed, as a_{s_k s_{k-1}}..a_{s_2 s_1}."""
+    blocks: dict[int, list[int]] = {}
+    for i, label in enumerate(_block_labels(p)):
+        blocks.setdefault(label, []).append(i + 1)
+    out: list[int] = []
+    for block in blocks.values():
+        for t, s in zip(block[:0:-1], block[-2::-1]):
+            mid = range(t - 1, s, -1)
+            out += [*mid, s, *(-k for k in reversed(mid))]
+    return out
+
+
 class _NonCrossing:
     """The dual simple elements on m strands met so far, interned as ints.
 
-    The same kernel runs on this table as on `_Simples`: `starts[x]` is the
-    mask of the pairs that share a block of x, `finishes[x]` the complement
-    of that mask for the left complement dx = x^-1.delta, so a pair (a, b)
-    is left-weighted iff no pair shares a block of both da and b, that is,
-    iff the meet da ^ b is the identity.  `pairs` maps a pair that is not
-    left-weighted, keyed a * size + b with size = Catalan(m) bounding every
-    id, to the left-weighted pair (a.c, c^-1.b), c = da ^ b; `slide` fills
-    a miss.  `taus` maps (x, c) to the id of tau^c(x) and `letters` (k, c)
-    to the id of tau^c of letter k's factor, both filled on a miss.  Only
-    the simples met are interned, so large m costs only what is used.
+    Ids are the kernel's only currency.  For each id x: `perm[x]` is its
+    permutation, `starts[x]` the mask of the pairs that share a block of x,
+    `finishes[x]` the complement of that mask for the left complement
+    dx = x^-1.delta, so a pair (a, b) is left-weighted iff no pair shares a
+    block of both da and b, that is, iff the meet da ^ b is the identity.
+    `pairs` maps a pair that is not left-weighted, keyed a * size + b with
+    size = Catalan(m) bounding every id, to the left-weighted pair
+    (a.c, c^-1.b), c = da ^ b; `slide` fills a miss.  `taus` maps (x, c)
+    to the id of tau^c(x) and `letters` (k, c) to the id of tau^c of
+    letter k's factor, both filled on a miss.  Only the simples met are
+    interned, so large m costs only what is used.
     """
 
     __slots__ = ("m", "size", "full", "ids", "perm", "starts", "finishes", "pairs", "taus", "ident", "delta", "letters")
@@ -485,17 +399,16 @@ def _dual_simples(m: int) -> _NonCrossing:
 
 
 def _left_weighted(
-    table: _Simples | _NonCrossing, prefix: Iterable[int], factors: Iterable[int]
+    table: _NonCrossing, prefix: Iterable[int], factors: Iterable[int]
 ) -> tuple[int, tuple[int, ...]]:
-    """Append simple factors to a left-weighted, Delta-free prefix, all as
-    ids of one table of simple elements: `_Simples` (the classical
-    structure) or `_NonCrossing` (the dual one).
+    """Append simple factors to a left-weighted, delta-free prefix, all as
+    ids of one strand count's table.
 
     Each factor is slid left pair by pair until a pair is already
     left-weighted; a factor slid down to the identity is dropped.  A pair
-    (a, b) is left-weighted iff S(b) is contained in F(a); otherwise it is
-    replaced by its left-weighted pair from the table, one lookup per pair.
-    Returns (power of the Garside element stripped from the front,
+    (a, b) is left-weighted iff starts[b] is contained in finishes[a];
+    otherwise it is replaced by its left-weighted pair from the table, one
+    lookup per pair.  Returns (power of delta stripped from the front,
     left-weighted id tuple).
     """
     starts, finishes, pairs, size = table.starts, table.finishes, table.pairs, table.size
@@ -526,22 +439,6 @@ def _left_weighted(
     while k < len(fs) and fs[k] == delta:
         k += 1
     return k, tuple(fs[k:])
-
-
-def _simple_letters(p: Sequence[int]) -> list[int]:
-    """A positive word (applied left to right) for the permutation braid p."""
-    cur = list(p)
-    out: list[int] = []
-    i = 0
-    while i < len(cur) - 1:
-        if cur[i] > cur[i + 1]:
-            out.append(i + 1)
-            cur[i], cur[i + 1] = cur[i + 1], cur[i]
-            if i:
-                i -= 1
-        else:
-            i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,33 +481,6 @@ def linking_matrix(w: BraidWord) -> LinkingMatrix:
     return LinkingMatrix(m, tuple(tuple(row) for row in doubled))
 
 
-def normal_form(w: BraidWord) -> NormalForm:
-    # Each sigma_k^-1 is Delta^-1 . u; a Delta^-1 moved to the front
-    # conjugates every factor it passes, which swaps sigma_k and sigma_{m-k}.
-    m = w.strands
-    letter = _simples(m).letters
-    negatives = sum(1 for k in w.letters if k < 0)
-    odd = negatives % 2  # parity of the Delta^-1 markers right of the letter
-    factors = []
-    for k in w.letters:
-        if k < 0:
-            odd ^= 1
-        factors.append(letter[(m if k > 0 else -m) - k if odd else k])
-    extra, ids = _left_weighted(_simples(m), (), factors)
-    return _from_ids(m, extra - negatives, ids)
-
-
-def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Normal form of the concatenation 'a then b'."""
-    m = a.strands
-    if m != b.strands:
-        raise ValueError(f"strand counts differ: {m} != {b.strands}")
-    table = _simples(m)
-    prefix = map(table.tau, a._ids) if b.infimum % 2 else a._ids
-    extra, ids = _left_weighted(table, prefix, b._ids)
-    return _from_ids(m, a.infimum + b.infimum + extra, ids)
-
-
 def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     """The dual left normal form delta^infimum . F_1 ... F_r of w, as
     (infimum, ids of `_dual_simples(w.strands)`).
@@ -640,6 +510,19 @@ def _dual_mul(m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, .
     prefix = [table.tau(x, -inf_b) for x in ids_a] if inf_b % m else ids_a
     extra, ids = _left_weighted(table, prefix, ids_b)
     return inf_a + inf_b + extra, ids
+
+
+def normal_form(w: BraidWord) -> NormalForm:
+    """The dual left normal form of w."""
+    return _from_ids(w.strands, *_dual_normal_form(w))
+
+
+def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
+    """Normal form of the concatenation 'a then b'."""
+    m = a.strands
+    if m != b.strands:
+        raise ValueError(f"strand counts differ: {m} != {b.strands}")
+    return _from_ids(m, *_dual_mul(m, (a.infimum, a._ids), (b.infimum, b._ids)))
 
 
 def equals(a: BraidWord, b: BraidWord) -> bool:

@@ -1,8 +1,10 @@
 """Command-line front end: parse files, dispatch, print JSON, exit honestly.
 
-Exit codes: 0 success (for `verify`/`catalog`: everything verified),
-1 falsified, 2 bad arguments or unreadable input.  Reports go to stdout
-as JSON with sorted keys; anything human-facing goes to stderr.
+Exit codes: 0 success (for `verify`/`catalog`: everything verified and,
+unless --fast, the Lawrence-Krammer engine agreeing on every verdict),
+1 falsified or the engines disagree, 2 bad arguments or unreadable input.
+Reports go to stdout as JSON with sorted keys; anything human-facing goes
+to stderr.
 
 Relation files are JSON objects:
 
@@ -59,13 +61,22 @@ def _parse_relation_file(obj: dict, fallback_label: str):
     return str(obj.get("label", fallback_label)), lhs, rhs
 
 
+def _disagreements(reports) -> list[str]:
+    """Labels whose two engines disagree, each also named on stderr."""
+    labels = [r.label for r in reports if r.oracle_agreement is False]
+    if labels:
+        print(f"engines disagree: {', '.join(labels)}", file=sys.stderr)
+    return labels
+
+
 def _cmd_verify(args) -> int:
     label, lhs, rhs = _parse_relation_file(_load_json(args.path), Path(args.path).stem)
     if rhs is None:
         raise ValueError("relation file has no rhs")
     report = verify_words(label, lhs, rhs, lk=not args.fast)
     _emit_json(report.to_json_obj())
-    return 0 if report.verified else 1
+    disagree = _disagreements([report])
+    return 0 if report.verified and not disagree else 1
 
 
 def _cmd_catalog(args) -> int:
@@ -80,7 +91,8 @@ def _cmd_catalog(args) -> int:
         }
     )
     print(f"{ok}/{len(reports)} verified", file=sys.stderr)
-    return 0 if ok == len(reports) else 1
+    disagree = _disagreements(reports)
+    return 0 if ok == len(reports) and not disagree else 1
 
 
 def _cmd_enumerate(args) -> int:

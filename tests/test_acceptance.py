@@ -16,7 +16,6 @@ from planar_monoid.braid import (
     linking_matrix,
     lk_equal,
     normal_form,
-    _dual_normal_form,
 )
 from planar_monoid.catalog import (
     builtin,
@@ -206,7 +205,7 @@ def test_c6_bounds_realized():
 def test_c7_oracle_and_algebra():
     rng = random.Random(0)
 
-    agree = dual_agree = 0
+    agree = 0
     for k in range(1000):
         s = rng.randint(2, 6)
         a = BraidWord(s, _rand_letters(rng, s))
@@ -222,8 +221,6 @@ def test_c7_oracle_and_algebra():
         same = equals(a, b)
         if lk_equal(a, b) == same:
             agree += 1
-        if (_dual_normal_form(a) == _dual_normal_form(b)) == same:
-            dual_agree += 1
 
     identities = 0
     for _ in range(1000):
@@ -257,11 +254,11 @@ def test_c7_oracle_and_algebra():
         ):
             linking_ok += 1
 
-    ok = agree == 1000 and dual_agree == 1000 and identities == 1000 and linking_ok == 500
+    ok = agree == 1000 and identities == 1000 and linking_ok == 500
     _report(
         "C7",
         ok,
-        f"Garside/LK agreement {agree}/1000; Garside/dual agreement {dual_agree}/1000; "
+        f"Garside/LK agreement {agree}/1000; "
         f"w.w^-1 identity {identities}/1000; "
         f"linking = -(co-membership) on {linking_ok}/500 twist words",
     )

@@ -121,8 +121,8 @@ def _sup(nf):
 @given(braid_word_pairs(max_strands=8, max_len=24))
 @settings(deadline=None)
 def test_inf_sup_bounds(pair):
-    # the lemma search_orderings prunes by: inf is superadditive, sup is
-    # subadditive, and inverting swaps them with a sign
+    # the lemma search_orderings prunes by, on the public dual forms: inf is
+    # superadditive, sup is subadditive, and inverting swaps them with a sign
     a, b = pair
     na, nb = normal_form(a), normal_form(b)
     prod = nf_mul(na, nb)
@@ -133,286 +133,11 @@ def test_inf_sup_bounds(pair):
     assert _sup(inv) == -na.infimum
 
 
-def _assert_left_weighted(nf):
-    # Checked from the definition, independent of the library's slide code.
-    m = nf.strands
-    for f in nf.factors:
-        assert f != tuple(range(m)) and f != tuple(range(m - 1, -1, -1))
-    for a, b in zip(nf.factors, nf.factors[1:]):
-        a_inv = [0] * m
-        for x, y in enumerate(a):
-            a_inv[y] = x
-        for i in range(m - 1):
-            if b[i] > b[i + 1]:
-                assert a_inv[i] > a_inv[i + 1], (a, b, i)
-
-
-@given(braid_word_pairs(max_strands=8, max_len=24))
-@settings(deadline=None)
-def test_normal_form_is_left_weighted(pair):
-    a, b = pair
-    na, nb = normal_form(a), normal_form(b)
-    _assert_left_weighted(na)
-    _assert_left_weighted(nb)
-    _assert_left_weighted(nf_mul(na, nb))
-
-
-@given(st.integers(2, 8).flatmap(lambda m: st.permutations(list(range(m)))))
-@settings(deadline=None)
-def test_interned_simple_factors_match_definitions(p):
-    # the kernel's table, checked from the definitions: S(p) = descents of p,
-    # F(p) = descents of p^-1
-    from planar_monoid.braid import _simples
-
-    p = tuple(p)
-    m = len(p)
-    table = _simples(m)
-
-    def check(x):
-        q = table.perm[x]
-        q_inv = tuple(sorted(range(m), key=q.__getitem__))
-        assert table.intern(q) == x
-        assert table.starts[x] == sum(1 << i for i in range(m - 1) if q[i] > q[i + 1])
-        assert table.finishes[x] == sum(1 << i for i in range(m - 1) if q_inv[i] > q_inv[i + 1])
-
-    a = table.intern(p)
-    assert table.perm[a] == p
-    check(a)
-
-
-def _inversions(p):
-    return sum(1 for x in range(len(p)) for y in range(x + 1, len(p)) if p[x] > p[y])
-
-
-@given(
-    st.integers(2, 8).flatmap(
-        lambda m: st.tuples(st.permutations(list(range(m))), st.permutations(list(range(m))))
-    )
-)
-@settings(deadline=None)
-def test_pair_table_entries_are_left_weighted_products(pair):
-    # each entry (a, b) -> (a', b') of the kernel's pair table, checked from
-    # the definitions and against the LK oracle
-    a, b = (tuple(p) for p in pair)
-    m = len(a)
-    table = braid._simples(m)
-    ia, ib = table.intern(a), table.intern(b)
-    braid._left_weighted(table, (ia,), (ib,))
-    packed = table.pairs.get(ia * table.size + ib)
-    if table.starts[ib] & ~table.finishes[ia] == 0:
-        assert packed is None  # only pairs that slide are stored
-        return
-    assert packed is not None
-    a2, b2 = (table.perm[x] for x in packed)
-    a2_inv = tuple(sorted(range(m), key=a2.__getitem__))
-    for i in range(m - 1):
-        if b2[i] > b2[i + 1]:  # S(b') is contained in F(a')
-            assert a2_inv[i] > a2_inv[i + 1], (a2, b2, i)
-    assert _inversions(a2) + _inversions(b2) == _inversions(a) + _inversions(b)
-    letters = braid._simple_letters
-    assert lk_equal(BraidWord(m, (*letters(a2), *letters(b2))), BraidWord(m, (*letters(a), *letters(b))))
-
-
-# Reference Garside kernel: the s_i-by-s_i slide on image tuples, with no
-# interning and no tables.
-
-
-def _ref_starts(p):
-    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
-
-
-def _ref_finishes(p):
-    return _ref_starts(tuple(sorted(range(len(p)), key=p.__getitem__)))
-
-
-def _ref_left_weighted(m, prefix, factors):
-    ident, delta = tuple(range(m)), tuple(range(m - 1, -1, -1))
-    fs = list(prefix)
-    for b in factors:
-        if b == ident:
-            continue
-        j = len(fs)
-        fs.append(b)
-        while j:
-            a = fs[j - 1]
-            if _ref_starts(b) <= _ref_finishes(a):
-                break
-            while not _ref_starts(b) <= _ref_finishes(a):
-                i = min(_ref_starts(b) - _ref_finishes(a))
-                a = tuple(i + 1 if v == i else i if v == i + 1 else v for v in a)  # a.s_i
-                b = b[:i] + (b[i + 1], b[i]) + b[i + 2:]  # s_i.b
-            fs[j - 1] = a
-            if b == ident:
-                del fs[j]
-            else:
-                fs[j] = b
-            j -= 1
-            b = a
-    k = 0
-    while k < len(fs) and fs[k] == delta:
-        k += 1
-    return k, tuple(fs[k:])
-
-
-def _ref_letter_factor(m, letter):
-    # sigma_k, or for letter -k the u with sigma_k^-1 = Delta^-1 . u
-    i = abs(letter) - 1
-    p = list(range(m)) if letter > 0 else list(range(m - 1, -1, -1))
-    pa, pb = p.index(i), p.index(i + 1)
-    p[pa], p[pb] = i + 1, i
-    return tuple(p)
-
-
-def _ref_tau(p):
-    m = len(p)
-    return tuple(m - 1 - p[m - 1 - x] for x in range(m))
-
-
-def _ref_normal_form(w):
-    # each Delta^-1 marker moved to the front swaps sigma_k and sigma_{m-k}
-    m = w.strands
-    negatives = sum(1 for k in w.letters if k < 0)
-    odd = negatives % 2
-    factors = []
-    for k in w.letters:
-        if k < 0:
-            odd ^= 1
-        factors.append(_ref_letter_factor(m, (m if k > 0 else -m) - k if odd else k))
-    extra, fs = _ref_left_weighted(m, (), factors)
-    return NormalForm(m, extra - negatives, fs)
-
-
-def _ref_nf_mul(a, b):
-    prefix = [_ref_tau(f) for f in a.factors] if b.infimum % 2 else a.factors
-    extra, fs = _ref_left_weighted(a.strands, prefix, b.factors)
-    return NormalForm(a.strands, a.infimum + b.infimum + extra, fs)
-
-
-def test_pair_table_keys_are_exact_for_every_id(monkeypatch):
-    # a fresh 7-strand table with every permutation interned, in reverse
-    # order, so that ids run up to 7! - 1: pairs of any ids slide to the
-    # reference kernel's pairs.  Past 7 strands ids that high are out of
-    # reach, so there the packing's bound on the ids is checked directly.
-    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
-    m = 7
-    table = braid._simples(m)
-    perms = list(itertools.permutations(range(m)))[::-1]
-    for p in perms:
-        table.intern(p)
-    assert len(table.perm) == math.factorial(m)
-    rng = random.Random(7)
-    for _ in range(400):
-        a, b = rng.choice(perms), rng.choice(perms)
-        k, ids = braid._left_weighted(table, (table.intern(a),), (table.intern(b),))
-        assert (k, tuple(map(table.perm.__getitem__, ids))) == _ref_left_weighted(m, (a,), (b,))
-    for m in range(2, 25):
-        assert braid._simples(m).size >= math.factorial(m)
-
-
-@given(braid_word_pairs(max_strands=8, max_len=24))
-@settings(deadline=None)
-def test_garside_kernel_matches_reference_slide(pair):
-    a, b = pair
-    na, nb = normal_form(a), normal_form(b)
-    ra, rb = _ref_normal_form(a), _ref_normal_form(b)
-    assert na == ra
-    assert nb == rb
-    assert nf_mul(na, nb) == _ref_nf_mul(ra, rb)
-    assert nf_mul(nb, na) == _ref_nf_mul(rb, ra)
-
-
 def test_full_twist_normal_form():
-    # the full twist is Delta^2; with the negative-letter convention the
-    # normal form is the bare Delta power, no factors
+    # the full twist is Delta^2 = delta^m; with the negative-letter
+    # convention the normal form is the bare delta power, no factors
     for m in range(2, 7):
-        nf = normal_form(full_twist(m))
-        assert nf.factors == ()
-        assert nf.infimum == -2
-
-
-def test_normal_form_constructor_rejects_non_canonical_factors(monkeypatch):
-    # equality is equality of interned ids, so only canonical input may be
-    # interned: bad factors and pairs are rejected before the table grows
-    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
-    bad = [
-        (3, ((0, 0, 0),)),  # not a permutation
-        (3, ((0, 1, 2, 3),)),  # a permutation of the wrong size
-        (3, ((0, 1, 2),)),  # the identity
-        (3, ((2, 1, 0),)),  # Delta
-        (4, ((1, 0, 3, 2), (0, 2, 1, 3))),  # s1.s3 then s2: S(b) = {1} is not in F(a) = {0, 2}
-    ]
-    for m, factors in bad:
-        table = braid._simples(m)
-        before = len(table.perm)
-        with pytest.raises(ValueError):
-            NormalForm(m, 0, factors)
-        assert len(table.perm) == before
-    with pytest.raises(ValueError):
-        nf_mul(NormalForm(3, 0, ((0, 0, 0),)), normal_form(BraidWord(3, (1, 2))))
-    assert NormalForm(3, 0, ()) == normal_form(BraidWord(3))
-    assert NormalForm(4, 0, ((1, 0, 3, 2), (1, 0, 3, 2))) == normal_form(BraidWord(4, (1, 3, 1, 3)))
-
-
-def test_normal_form_pickles_through_image_tuples(monkeypatch):
-    # ids mean something only inside one table, so a normal form loaded in
-    # another process (here: after a fresh table that interns in another
-    # order) must be rebuilt from its image tuples
-    w = BraidWord(5, (1, -2, 3, 3, -4, 1, 2, -3, 4, 4))
-    nf = normal_form(w)
-    ids, factors = nf._ids, nf.factors
-    data = pickle.dumps(nf)
-    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
-    for p in list(itertools.permutations(range(5)))[::-1]:
-        braid._simples(5).intern(p)
-    back = pickle.loads(data)
-    assert back._ids != ids  # the ids moved, so a pickle of ids would be wrong
-    assert back.factors == factors
-    assert back.infimum == nf.infimum
-    assert back == normal_form(w)
-
-
-class _CountingDict(dict):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.lookups = 0
-
-    def get(self, *args):
-        self.lookups += 1
-        return super().get(*args)
-
-    def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
-
-
-def test_warm_nf_mul_never_looks_up_image_tuples(monkeypatch):
-    # work guard: once a product's pairs and Delta-conjugates are in the
-    # table, multiplying again runs on ids alone
-    m = 6
-    rng = random.Random(6)
-    forms = [
-        normal_form(BraidWord(m, tuple(rng.choice((1, -1)) * rng.randrange(1, m) for _ in range(14))))
-        for _ in range(8)
-    ]
-    pairs = [(a, b) for a in forms for b in forms]
-    assert any(b.infimum % 2 for _, b in pairs)  # the Delta-conjugation path runs too
-    expected = [nf_mul(a, b) for a, b in pairs]  # warm-up
-    table = braid._simples(m)
-    counting = _CountingDict(table.ids)
-    monkeypatch.setattr(table, "ids", counting)
-    assert [nf_mul(a, b) for a, b in pairs] == expected
-    assert counting.lookups == 0
-
-
-def test_delta_conjugation_map_is_tau(monkeypatch):
-    monkeypatch.setattr(braid, "_simples", functools.cache(braid._Simples))
-    for m in range(1, 6):
-        table = braid._simples(m)
-        for p in itertools.permutations(range(m)):
-            x = table.intern(p)
-            y = table.tau(x)
-            assert table.perm[y] == braid._tau(p)
-            assert table.tau(y) == x
+        assert normal_form(full_twist(m)) == NormalForm(m, -m, ())
 
 
 # Reference dual (Birman-Ko-Lee) structure.  A simple element is named by
@@ -460,6 +185,7 @@ def _ref_set_partitions(points):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
+@functools.cache
 def _ref_non_crossing(m):
     """Every non-crossing partition of 0..m-1, as its permutation."""
     out = []
@@ -470,7 +196,7 @@ def _ref_non_crossing(m):
             for a, b, c, d in itertools.combinations(range(m), 4)
         ):
             out.append(_ref_block_perm(m, part))
-    return out
+    return tuple(out)
 
 
 def _ref_then(p, q):
@@ -502,6 +228,11 @@ def _dual_simple_letters(block):
     return [k for j in range(len(block) - 1, 0, -1) for k in _band(block[j], block[j - 1])]
 
 
+def _ref_simple_word(p):
+    # the dual simple p through the band generators of its blocks
+    return [k for b in _ref_blocks(p) for k in _dual_simple_letters([i + 1 for i in b])]
+
+
 def _ref_dual_word(m, form):
     """Re-expand a dual form (infimum, ids) to a braid word."""
     infimum, ids = form
@@ -509,9 +240,211 @@ def _ref_dual_word(m, form):
     delta = _dual_simple_letters(range(1, m + 1))
     letters = delta * infimum if infimum >= 0 else [-k for k in reversed(delta)] * -infimum
     for x in ids:
-        for b in _ref_blocks(table.perm[x]):
-            letters += _dual_simple_letters([i + 1 for i in b])
+        letters += _ref_simple_word(table.perm[x])
     return BraidWord(m, tuple(letters))
+
+
+def _ref_atoms(p):
+    # the number of atoms a_ts in any positive word for p: m - blocks
+    return len(p) - len(_ref_blocks(p))
+
+
+def _assert_left_weighted(m, perms):
+    # from the definitions: no factor is the identity or delta, and each
+    # adjacent pair (a, b) is left-weighted: no pair of points shares a
+    # block of both da and b
+    for p in perms:
+        assert p not in (tuple(range(m)), _ref_delta(m))
+    for p, q in zip(perms, perms[1:]):
+        assert not _ref_shared(_ref_left_complement(p)) & _ref_shared(q), (p, q)
+
+
+def _non_crossing(m):
+    return st.sampled_from(_ref_non_crossing(m))
+
+
+@given(st.integers(2, 8).flatmap(_non_crossing))
+@settings(deadline=None)
+def test_interned_simple_factors_match_definitions(p):
+    # the kernel's table, checked from the definitions: starts = the pairs
+    # that share a block of p, finishes = the pairs that share no block of dp
+    m = len(p)
+    table = braid._dual_simples(m)
+
+    def bits(pairs):
+        return sum(1 << (i * m + j) for i, j in pairs)
+
+    every = {(i, j) for i in range(m) for j in range(i + 1, m)}
+    x = table.intern(p)
+    assert table.perm[x] == p
+    assert table.intern(p) == x
+    assert table.starts[x] == bits(_ref_shared(p))
+    assert table.finishes[x] == bits(every - _ref_shared(_ref_left_complement(p)))
+
+
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(_non_crossing(m), _non_crossing(m))))
+@settings(deadline=None)
+def test_pair_table_entries_are_left_weighted_products(pair):
+    # each entry (a, b) -> (a', b') of the kernel's pair table, checked from
+    # the definitions and against the LK oracle
+    a, b = pair
+    m = len(a)
+    table = braid._dual_simples(m)
+    ia, ib = table.intern(a), table.intern(b)
+    braid._left_weighted(table, (ia,), (ib,))
+    packed = table.pairs.get(ia * table.size + ib)
+    if not _ref_shared(_ref_left_complement(a)) & _ref_shared(b):
+        assert packed is None  # only pairs that slide are stored
+        return
+    assert packed is not None
+    a2, b2 = (table.perm[x] for x in packed)
+    assert not _ref_shared(_ref_left_complement(a2)) & _ref_shared(b2)
+    assert _ref_atoms(a2) + _ref_atoms(b2) == _ref_atoms(a) + _ref_atoms(b)
+    assert lk_equal(
+        BraidWord(m, (*_ref_simple_word(a2), *_ref_simple_word(b2))),
+        BraidWord(m, (*_ref_simple_word(a), *_ref_simple_word(b))),
+    )
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_normal_form_is_left_weighted(pair):
+    # the public forms, and the constructor takes each of them back
+    a, b = pair
+    m = a.strands
+    na, nb = normal_form(a), normal_form(b)
+    for nf in (na, nb, nf_mul(na, nb)):
+        _assert_left_weighted(m, nf.factors)
+        assert NormalForm(m, nf.infimum, nf.factors) == nf
+
+
+def test_normal_form_constructor_rejects_non_canonical_factors(monkeypatch):
+    # equality is equality of interned ids, so only canonical input may be
+    # interned: bad factors and pairs are rejected before the table grows
+    monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
+    bad = [
+        (3, ((0, 0, 0),)),  # not a permutation
+        (3, ((0, 1, 2, 3),)),  # a permutation of the wrong size
+        (3, ((0, 1, 2),)),  # the identity
+        (3, ((1, 2, 0),)),  # delta
+        (3, ((2, 0, 1),)),  # a block whose cycle runs downwards
+        (4, ((2, 3, 0, 1),)),  # the crossing partition {0, 2}, {1, 3}
+        (3, ((0, 2, 1), (1, 0, 2))),  # a_32 then a_21 is delta: not left-weighted
+    ]
+    for m, factors in bad:
+        table = braid._dual_simples(m)
+        before = len(table.perm)
+        with pytest.raises(ValueError):
+            NormalForm(m, 0, factors)
+        assert len(table.perm) == before
+    with pytest.raises(ValueError):
+        nf_mul(NormalForm(3, 0, ((0, 0, 0),)), normal_form(BraidWord(3, (1, 2))))
+    assert NormalForm(3, 0, ()) == normal_form(BraidWord(3))
+    assert NormalForm(4, 0, ((1, 0, 3, 2), (1, 0, 3, 2))) == normal_form(BraidWord(4, (1, 3, 1, 3)))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_normal_form_constructor_accepts_exactly_the_dual_simples(m, monkeypatch):
+    # over all m! permutations, one factor is accepted iff it is one of the
+    # Catalan(m) - 2 non-crossing simples other than the identity and delta,
+    # and a rejected one interns nothing; a pair of those is accepted iff
+    # it is left-weighted by the definition
+    monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
+    table = braid._dual_simples(m)
+    simples = sorted(set(_ref_non_crossing(m)) - {tuple(range(m)), _ref_delta(m)})
+    accepted = []
+    for p in itertools.permutations(range(m)):
+        before = len(table.perm)
+        try:
+            NormalForm(m, 0, (p,))
+        except ValueError:
+            assert len(table.perm) == before, p
+        else:
+            accepted.append(p)
+    assert accepted == simples
+    assert len(accepted) == math.comb(2 * m, m) // (m + 1) - 2
+    if m > 6:
+        return
+    for a, b in itertools.product(simples, repeat=2):
+        try:
+            NormalForm(m, 0, (a, b))
+        except ValueError:
+            assert _ref_shared(_ref_left_complement(a)) & _ref_shared(b), (a, b)
+        else:
+            assert not _ref_shared(_ref_left_complement(a)) & _ref_shared(b), (a, b)
+
+
+def test_normal_form_pickles_through_image_tuples(monkeypatch):
+    # ids mean something only inside one table, so a normal form loaded in
+    # another process (here: after a fresh table that interns in another
+    # order) must be rebuilt from its permutations
+    w = BraidWord(5, (1, -2, 3, 3, -4, 1, 2, -3, 4, 4))
+    nf = normal_form(w)
+    ids, factors = nf._ids, nf.factors
+    data = pickle.dumps(nf)
+    monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
+    for p in _ref_non_crossing(5)[::-1]:
+        braid._dual_simples(5).intern(p)
+    back = pickle.loads(data)
+    assert back._ids != ids  # the ids moved, so a pickle of ids would be wrong
+    assert back.factors == factors
+    assert back.infimum == nf.infimum
+    assert back == normal_form(w)
+
+
+class _CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_warm_nf_mul_never_looks_up_image_tuples(monkeypatch):
+    # work guard: once a product's pairs and tau-conjugates are in the
+    # table, multiplying again runs on ids alone
+    m = 6
+    rng = random.Random(6)
+    forms = [
+        normal_form(BraidWord(m, tuple(rng.choice((1, -1)) * rng.randrange(1, m) for _ in range(14))))
+        for _ in range(8)
+    ]
+    pairs = [(a, b) for a in forms for b in forms]
+    assert any(b.infimum % m for _, b in pairs)  # the tau-conjugation path runs too
+    expected = [nf_mul(a, b) for a, b in pairs]  # warm-up
+    table = braid._dual_simples(m)
+    counting = _CountingDict(table.ids)
+    monkeypatch.setattr(table, "ids", counting)
+    assert [nf_mul(a, b) for a, b in pairs] == expected
+    assert counting.lookups == 0
+
+
+def test_delta_conjugation_map_is_tau(monkeypatch):
+    # tau(x) = delta.x.delta^-1, on permutations from the definition for
+    # every simple and every power, and as braids by the LK oracle
+    monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
+    for m in range(1, 7):
+        table = braid._dual_simples(m)
+        delta = _ref_delta(m)
+        delta_word = _dual_simple_letters(range(1, m + 1))
+        for p in _ref_non_crossing(m):
+            x = table.intern(p)
+            q = p
+            for c in range(1, m + 1):
+                q = _ref_then(_ref_then(delta, q), _ref_inv(delta))
+                assert table.perm[table.tau(x, c)] == q
+                assert table.tau(table.tau(x, c), -c) == x
+            assert q == p  # tau^m is the identity
+            if 2 <= m <= 5:
+                conjugate = (*delta_word, *_ref_simple_word(p), *(-k for k in reversed(delta_word)))
+                tau_x = _ref_simple_word(table.perm[table.tau(x, 1)])
+                assert lk_equal(BraidWord(m, conjugate), BraidWord(m, tuple(tau_x)))
 
 
 def _mirror(w):
@@ -553,7 +486,7 @@ def test_dual_forms_decide_equality(pair):
     a, b = pair
     m = a.strands
     dual = braid._dual_normal_form
-    assert (dual(a) == dual(b)) == equals(a, b)
+    assert (dual(a) == dual(b)) == lk_equal(a, b)
     # equal braids written differently: a.b.b^-1, and a past the central full twist
     assert dual(a) == dual(BraidWord(m, a.letters + b.letters + invert(b).letters))
     ft = full_twist(m)
@@ -563,7 +496,9 @@ def test_dual_forms_decide_equality(pair):
 @given(braid_words(max_strands=8, max_len=24))
 @settings(deadline=None)
 def test_dual_form_reexpands_to_equal_word(w):
-    assert equals(_ref_dual_word(w.strands, braid._dual_normal_form(w)), w)
+    word = _ref_dual_word(w.strands, braid._dual_normal_form(w))
+    assert normal_form(w).to_word() == word
+    assert lk_equal(word, w)
 
 
 @given(braid_word_pairs(max_strands=8, max_len=24))
@@ -576,11 +511,7 @@ def test_dual_form_is_left_weighted(pair):
     table = braid._dual_simples(m)
     fa, fb = braid._dual_normal_form(a), braid._dual_normal_form(b)
     for _, ids in (fa, fb, braid._dual_mul(m, fa, fb)):
-        perms = [table.perm[x] for x in ids]
-        for p in perms:
-            assert p not in (tuple(range(m)), _ref_delta(m))
-        for p, q in zip(perms, perms[1:]):
-            assert not _ref_shared(_ref_left_complement(p)) & _ref_shared(q)
+        _assert_left_weighted(m, [table.perm[x] for x in ids])
 
 
 def _ref_dual_pair(m, a, b, simples):
@@ -812,7 +743,7 @@ def test_lk_equal_matches_reference_on_catalog(lhs, rhs, holds):
 def test_dual_forms_decide_the_catalog(lhs, rhs, holds):
     bl, br = to_braid(lhs), to_braid(rhs)
     dual = braid._dual_normal_form
-    assert (dual(bl) == dual(br)) == equals(bl, br) == lk_equal(bl, br) == holds
+    assert (dual(bl) == dual(br)) == lk_equal(bl, br) == holds
 
 
 @st.composite

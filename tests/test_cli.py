@@ -142,6 +142,29 @@ def test_catalog_command(capsys):
     assert "2/2" in err
 
 
+def test_engine_disagreement_exits_one(tmp_path, capsys, monkeypatch):
+    # the Lawrence-Krammer engine is the only cross-check, so a disagreement
+    # fails the run even when every relation verifies; the JSON is unchanged
+    from planar_monoid import catalog
+
+    real = catalog.lk_equal
+    monkeypatch.setattr(catalog, "lk_equal", lambda a, b: not real(a, b))
+    monkeypatch.setattr(catalog.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, out, err = run(capsys, "catalog", "--n", "5")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["verified"] == obj["total"] == 2
+    assert all(r["oracle_agreement"] is False for r in obj["relations"])
+    assert "engines disagree: " + ", ".join(r.label for r in builtin(5)) in err
+    path = write(tmp_path, "rel.json", LANTERN_N5)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 1
+    assert json.loads(out)["verified"] is True
+    assert "engines disagree: rel" in err
+    code, _, err = run(capsys, "verify", path, "--fast")
+    assert code == 0 and "disagree" not in err
+
+
 def test_catalog_rejects_bad_n(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "--n", "9"])
