@@ -4,17 +4,17 @@ The relations live as JSON data files so a transcription question is a
 diff, not a code read.  Verification always runs the combinatorial check
 (multiplicities) and the Garside engine; the Lawrence-Krammer pass is a
 second, independent engine whose only job is to catch a bug in the first.
+Batch verification (`planar-monoid catalog`) runs in one process: one
+`verify` call per relation, in catalog order.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Optional
 
 from .braid import equals, lk_equal
 from .designs import (
@@ -48,7 +48,6 @@ __all__ = [
     "builtin",
     "verify",
     "verify_words",
-    "verify_all",
     "AUDIT_MODES",
     "completeness_check",
     "chi_discrepancies",
@@ -162,29 +161,6 @@ def verify_words(
 def verify(r: Relation, lk: bool = True) -> VerificationReport:
     """Check one catalogued relation; see verify_words."""
     return verify_words(r.label, r.lhs, r.rhs, lk=lk)
-
-
-def _verify_task(args: tuple[Relation, bool]) -> VerificationReport:
-    return verify(args[0], lk=args[1])
-
-
-def verify_all(relations: Sequence[Relation], lk: bool = True) -> list[VerificationReport]:
-    """Verify a batch, one worker process per usable core up to one per
-    relation.
-
-    Reports come back in input order.
-    """
-    work = [(r, lk) for r in relations]
-    # the cores this process may run on, where the platform reports them
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    workers = min(cores, len(work))
-    if workers <= 1:
-        return [_verify_task(w) for w in work]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_verify_task, work))
 
 
 # ---------------------------------------------------------------------------

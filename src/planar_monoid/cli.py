@@ -16,7 +16,8 @@ Relation files are JSON objects:
 `order` describes the rhs factor list: "rightmost-first" (default) is
 function notation, the last factor acts first; "leftmost-first" files
 are reversed at parse time.  A factor may be the string "outer" for the
-outer-parallel twist.
+outer-parallel twist.  `lhs` must be an object; an optional string
+`label` names the report (default: the file's stem).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import builtin, verify_all, verify_words
+from .catalog import builtin, verify, verify_words
 from .designs import SYMMETRY_MODES, Design, SearchBudget, enumerate_designs, search_orderings
 from .plumbing import bounds, emit, plumbing_of
 from .surface import BoundaryWord, TwistWord, _json_int, _json_list
@@ -46,9 +47,10 @@ def _load_json(path: str):
 def _parse_relation_file(obj: dict, fallback_label: str):
     """RelationFile -> (label, BoundaryWord, TwistWord or None)."""
     n = _json_int(obj["n"], "n")
-    lhs_obj = dict(obj["lhs"])
-    lhs_obj.setdefault("n", n)
-    lhs = BoundaryWord.from_json_obj(lhs_obj)
+    lhs_obj = obj["lhs"]
+    if type(lhs_obj) is not dict:
+        raise ValueError(f"lhs must be an object, got {lhs_obj!r}")
+    lhs = BoundaryWord.from_json_obj({"n": n, **lhs_obj})
     rhs = None
     if "rhs" in obj:
         order = obj.get("order", "rightmost-first")
@@ -58,7 +60,10 @@ def _parse_relation_file(obj: dict, fallback_label: str):
         if order == "leftmost-first":
             factors.reverse()
         rhs = TwistWord.from_json_obj({"n": n, "factors": factors})
-    return str(obj.get("label", fallback_label)), lhs, rhs
+    label = obj.get("label", fallback_label)
+    if type(label) is not str:
+        raise ValueError(f"label must be a string, got {label!r}")
+    return label, lhs, rhs
 
 
 def _disagreements(reports) -> list[str]:
@@ -80,7 +85,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    reports = verify_all(builtin(args.n), lk=not args.fast)
+    reports = [verify(r, lk=not args.fast) for r in builtin(args.n)]
     ok = sum(r.verified for r in reports)
     _emit_json(
         {

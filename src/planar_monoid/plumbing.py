@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .surface import BoundaryWord, TwistWord
+from .surface import BoundaryWord, TwistWord, _json_int, _json_list
 
 __all__ = [
     "PlumbingGraph",
@@ -159,8 +159,17 @@ def emit(g: PlumbingGraph, fmt: str = "json") -> str:
 
 
 def parse(text: str) -> PlumbingGraph:
-    """Inverse of emit(g, "json")."""
+    """Inverse of emit(g, "json"); ids, weights and edge ends must be JSON integers."""
     obj = json.loads(text)
-    verts = tuple((v["id"], v["weight"]) for v in obj["vertices"])
-    edges = frozenset((a, b) for a, b in obj["edges"])
-    return PlumbingGraph(verts, edges)
+    verts = []
+    for v in _json_list(obj["vertices"], "vertices"):
+        if type(v) is not dict:
+            raise ValueError(f"vertex must be an object, got {v!r}")
+        verts.append((_json_int(v["id"], "vertex id"), _json_int(v["weight"], "vertex weight")))
+    edges = []
+    for e in _json_list(obj["edges"], "edges"):
+        ends = _json_list(e, "edge")
+        if len(ends) != 2:
+            raise ValueError(f"edge must have two ends, got {e!r}")
+        edges.append(tuple(_json_int(x, "edge end") for x in ends))
+    return PlumbingGraph(tuple(verts), frozenset(edges))

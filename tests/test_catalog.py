@@ -2,14 +2,12 @@ import json
 
 import pytest
 
-from planar_monoid import catalog
 from planar_monoid.catalog import (
     Relation,
     builtin,
     chi_discrepancies,
     completeness_check,
     verify,
-    verify_all,
     verify_words,
 )
 from planar_monoid.designs import SearchBudget, _group_perms, _relabel, from_rhs, replication
@@ -104,32 +102,6 @@ def test_report_json_keys():
         "rhs_outer",
     }
     json.dumps(obj)  # serializable
-
-
-def test_verify_all_preserves_order_and_passes():
-    rels = builtin(6)
-    reports = verify_all(rels, lk=False)
-    assert [r.label for r in reports] == [r.label for r in rels]
-    assert all(r.verified for r in reports)
-
-
-def test_verify_all_parallel_matches_sequential():
-    rels = builtin(5)
-    seq = [verify(r, lk=False) for r in rels]
-    par = verify_all(rels, lk=False)
-    assert seq == par
-
-
-def test_verify_all_stays_serial_on_one_usable_core(monkeypatch):
-    # pinned to one core: the affinity, not the machine's core count, sizes the pool
-    monkeypatch.setattr(catalog.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("verify_all built a process pool")
-
-    monkeypatch.setattr(catalog, "ProcessPoolExecutor", no_pool)
-    rels = builtin(5)
-    assert verify_all(rels, lk=False) == [verify(r, lk=False) for r in rels]
 
 
 def test_completeness_check_n5():

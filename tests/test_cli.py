@@ -113,6 +113,8 @@ def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):
         ("verify", dict(LANTERN_N5, n=5.0)),
         ("search", {"m": 3, "blocks": ["12", [2, 3], [1, 3]]}),
         ("search", {"m": 3, "blocks": [[1, 2.0], [2, 3], [1, 3]]}),
+        ("verify", dict(LANTERN_N5, lhs=[["exponents", [2, 2, 2, 2]], ["outer", 1]])),
+        ("verify", dict(LANTERN_N5, label=[1, 2])),
     ],
     ids=[
         "float-exponent",
@@ -122,6 +124,8 @@ def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):
         "float-n",
         "string-block",
         "float-label",
+        "lhs-pairs",
+        "list-label",
     ],
 )
 def test_rejects_malformed_numbers(tmp_path, capsys, cmd, obj):
@@ -134,12 +138,14 @@ def test_rejects_malformed_numbers(tmp_path, capsys, cmd, obj):
 
 
 def test_catalog_command(capsys):
-    code, out, err = run(capsys, "catalog", "--n", "5", "--fast")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["total"] == 2 and obj["verified"] == 2
-    assert [r["label"] for r in obj["relations"]] == [r.label for r in builtin(5)]
-    assert "2/2" in err
+    for n, count in ((5, 2), (6, 7)):
+        code, out, err = run(capsys, "catalog", "--n", str(n), "--fast")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["total"] == obj["verified"] == count
+        assert [r["label"] for r in obj["relations"]] == [r.label for r in builtin(n)]
+        assert all(r["verified"] for r in obj["relations"])
+        assert f"{count}/{count} verified" in err
 
 
 def test_engine_disagreement_exits_one(tmp_path, capsys, monkeypatch):
@@ -149,7 +155,6 @@ def test_engine_disagreement_exits_one(tmp_path, capsys, monkeypatch):
 
     real = catalog.lk_equal
     monkeypatch.setattr(catalog, "lk_equal", lambda a, b: not real(a, b))
-    monkeypatch.setattr(catalog.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     code, out, err = run(capsys, "catalog", "--n", "5")
     assert code == 1
     obj = json.loads(out)

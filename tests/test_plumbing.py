@@ -139,6 +139,39 @@ def test_emit_json_roundtrip():
     assert parse(emit(g)) == g
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [{"id": 0, "weight": -5.7}, {"id": 1, "weight": -2}], "edges": [[0, 1]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": "1", "weight": -2}], "edges": [[0, 1]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": "-2"}], "edges": [[0, 1]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1.0]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, true]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": ["01"]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1, 1]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": {"0": 1}}',
+        '{"vertices": [[0, -5], [1, -2]], "edges": [[0, 1]]}',
+        '{"vertices": "01", "edges": [[0, 1]]}',
+    ],
+    ids=[
+        "float-weight",
+        "string-id",
+        "string-weight",
+        "float-edge-end",
+        "bool-edge-end",
+        "string-edge",
+        "three-ends",
+        "edges-object",
+        "vertex-pairs",
+        "string-vertices",
+    ],
+)
+def test_parse_reads_json_integers_only(text):
+    "Ids, weights and edge ends are JSON integers; nothing is truncated or converted."
+    with pytest.raises(ValueError):
+        parse(text)
+
+
 def test_emit_json_is_deterministic():
     g = star(5, (2, 2, 2, 2))
     assert emit(g) == emit(star(5, (2, 2, 2, 2)))
