@@ -87,6 +87,14 @@ def test_verify_chi_fields():
     assert (rep.lhs_chi, rep.rhs_chi) == (6, 3)
 
 
+def test_verify_all_preserves_order_and_passes():
+    # batch verification is one verify call per relation, in catalog order
+    rels = builtin(6)
+    reports = [verify(r, lk=False) for r in rels]
+    assert [r.label for r in reports] == [r.label for r in rels]
+    assert all(r.verified for r in reports)
+
+
 def test_report_json_keys():
     obj = verify(builtin(5)[1], lk=False).to_json_obj()
     assert obj["verified"] is True
