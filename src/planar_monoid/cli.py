@@ -1,8 +1,10 @@
 """Command-line front end: parse files, dispatch, print JSON, exit honestly.
 
 Exit codes: 0 success (for `verify`/`catalog`: everything verified and,
-unless --fast, the Lawrence-Krammer engine agreeing on every verdict),
-1 falsified or the engines disagree, 2 bad arguments or unreadable input.
+unless --fast, the Lawrence-Krammer engine agreeing on every verdict;
+for `audit`: every design class matching the catalog), 1 falsified, the
+engines disagree or an audit mismatch, 2 bad arguments or unreadable
+input.
 Reports go to stdout as JSON with sorted keys; anything human-facing goes
 to stderr.
 
@@ -23,11 +25,13 @@ outer-parallel twist.  `lhs` must be an object; an optional string
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
 
-from .catalog import builtin, verify, verify_words
+from .catalog import AUDIT_MODES, builtin, completeness_check, verify, verify_words
 from .designs import SYMMETRY_MODES, Design, SearchBudget, enumerate_designs, search_orderings
 from .plumbing import bounds, emit, plumbing_of
 from .surface import BoundaryWord, TwistWord, _json_int, _json_list
@@ -100,6 +104,24 @@ def _cmd_catalog(args) -> int:
     return 0 if ok == len(reports) and not disagree else 1
 
 
+def _cmd_audit(args) -> int:
+    rep = completeness_check(args.n, mode=args.mode, budget=_budget(args))
+    _emit_json(rep.to_json_obj())
+    mismatched = [e for e in rep.entries if not e.matches_catalog]
+    print(
+        f"{len(rep.entries) - len(mismatched)}/{len(rep.entries)} design classes "
+        f"match the catalog (n={rep.n}, {rep.mode})",
+        file=sys.stderr,
+    )
+    for e in mismatched:
+        print(
+            f"mismatch: replications {','.join(map(str, e.replications))} "
+            f"blocks {len(e.design.blocks)} catalog {','.join(e.catalog_labels) or '-'}",
+            file=sys.stderr,
+        )
+    return 0 if rep.all_match() else 1
+
+
 def _cmd_enumerate(args) -> int:
     designs = enumerate_designs(args.m, args.sym)
     _emit_json(
@@ -115,8 +137,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_search(args) -> int:
     d = Design.from_json_obj(_load_json(args.design))
-    budget = SearchBudget(exhaustive_cap=args.cap, tries=args.tries, seed=args.seed)
-    res = search_orderings(d, budget)
+    res = search_orderings(d, _budget(args))
     obj = res.to_json_obj()
     obj["orderings"] = [[list(b) for b in o] for o in res.orderings]
     _emit_json(obj)
@@ -130,17 +151,22 @@ def _cmd_plumb(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rep = bounds(args.n)
-    _emit_json(
-        {
-            "n": rep.n,
-            "min_twists": rep.min_twists,
-            "max_twists": rep.max_twists,
-            "min_chi": rep.min_chi,
-            "max_chi": rep.max_chi,
-        }
-    )
+    _emit_json(dataclasses.asdict(bounds(args.n)))
     return 0
+
+
+def _add_budget_args(p: argparse.ArgumentParser) -> None:
+    """--cap/--tries/--seed, with the defaults of SearchBudget()."""
+    default = SearchBudget()
+    p.add_argument(
+        "--cap", type=int, default=default.exhaustive_cap, help="max blocks for exhaustive search"
+    )
+    p.add_argument("--tries", type=int, default=default.tries, help="random shuffles past the cap")
+    p.add_argument("--seed", type=int, default=default.seed)
+
+
+def _budget(args) -> SearchBudget:
+    return SearchBudget(exhaustive_cap=args.cap, tries=args.tries, seed=args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,13 +198,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="search block orderings realizing the full twist")
     s.add_argument("--design", required=True, help="JSON design file {m, blocks}")
-    default = SearchBudget()
-    s.add_argument(
-        "--cap", type=int, default=default.exhaustive_cap, help="max blocks for exhaustive search"
-    )
-    s.add_argument("--tries", type=int, default=default.tries, help="random shuffles past the cap")
-    s.add_argument("--seed", type=int, default=default.seed)
+    _add_budget_args(s)
     s.set_defaults(fn=_cmd_search)
+
+    a = sub.add_parser("audit", help="search every design class for one n, compare to the catalog")
+    a.add_argument("--n", type=int, required=True, choices=(5, 6, 7))
+    a.add_argument(
+        "--mode",
+        choices=AUDIT_MODES,
+        default=inspect.signature(completeness_check).parameters["mode"].default,
+        help="relabeling group for class reduction",
+    )
+    _add_budget_args(a)
+    a.set_defaults(fn=_cmd_audit)
 
     g = sub.add_parser("plumb", help="plumbing graph of a relation file's lhs")
     g.add_argument("--file", required=True, help="JSON relation file")

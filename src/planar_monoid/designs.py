@@ -411,16 +411,19 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     start = (nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])
 
     if len(d.blocks) <= budget.exhaustive_cap:
-        # memo: (remaining blocks, viable partial-product NF) -> all completing suffixes
-        memo: dict[tuple[frozenset, tuple], tuple] = {}
+        # memo: viable partial-product NF -> all completing suffixes.  The
+        # product alone fixes the blocks it used: every swing is pure and
+        # moves the linking number of exactly its own pairs by the same unit,
+        # and each pair lies in exactly one block, so the linking numbers of
+        # acc (invariants of the braid) name the used blocks, hence remaining.
+        memo: dict[tuple, tuple] = {}
 
         def complete(remaining: frozenset, acc: tuple, rest_inf: int, rest_sup: int):
             if not viable(acc, rest_inf, rest_sup):
                 return ()
             if not remaining:
                 return ((),) if acc == target else ()
-            key = (remaining, acc)
-            hit = memo.get(key)
+            hit = memo.get(acc)
             if hit is None:
                 found = []
                 for b in sorted(remaining):
@@ -431,7 +434,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                     for suffix in suffixes:
                         found.append((b,) + suffix)
                 hit = tuple(found)
-                memo[key] = hit
+                memo[acc] = hit
             return hit
 
         sequences = [(head,) + s for s in complete(frozenset(d.blocks[1:]), *start)]

@@ -28,13 +28,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlumbingGraph:
-    """Weighted tree; vertices are (id, weight) pairs, weights negative."""
+    """Weighted tree; vertices are (id, weight) pairs, weights negative.
+
+    Ids, weights and edge ends must be ints (not bools); nothing is
+    truncated or converted.
+    """
 
     vertices: tuple[tuple[int, int], ...]
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted((int(i), int(w)) for i, w in self.vertices))
+        verts = tuple(sorted(
+            (_json_int(i, "vertex id"), _json_int(w, "vertex weight")) for i, w in self.vertices
+        ))
         ids = [i for i, _ in verts]
         if not ids:
             raise ValueError("graph needs at least one vertex")
@@ -45,7 +51,7 @@ class PlumbingGraph:
         known = set(ids)
         norm = set()
         for e in self.edges:
-            a, b = e
+            a, b = (_json_int(x, "edge end") for x in e)
             if a == b or a not in known or b not in known:
                 raise ValueError(f"edge {tuple(e)!r} does not join two distinct vertices")
             norm.add((a, b) if a < b else (b, a))

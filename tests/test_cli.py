@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from planar_monoid.cli import main
-from planar_monoid.catalog import builtin
+from planar_monoid.catalog import builtin, completeness_check
+from planar_monoid.designs import SearchBudget
 
 LANTERN_N5 = {
     "n": 5,
@@ -233,6 +234,32 @@ def test_search_budget_flags(tmp_path, capsys):
 def test_search_rejects_negative_budget(tmp_path, capsys, flag):
     path = write(tmp_path, "design.json", {"m": 3, "blocks": [[1, 2], [2, 3], [1, 3]]})
     code, out, err = run(capsys, "search", "--design", path, flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
+
+
+def test_audit_command(capsys):
+    code, out, err = run(capsys, "audit", "--n", "5")
+    assert code == 0
+    assert json.loads(out) == completeness_check(5).to_json_obj()
+    assert "2/2 design classes match the catalog" in err
+
+
+def test_audit_mismatch_exits_one(capsys):
+    # the uncatalogued three-triples class (3,3,3,4,4,4) has 9 blocks, so at
+    # cap 9 it is exhausted with 18 orderings and reads as a mismatch
+    code, out, err = run(capsys, "audit", "--n", "7", "--mode", "symmetric", "--cap", "9")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj == completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=9)).to_json_obj()
+    assert [e["orderings_found"] for e in obj["entries"] if not e["matches_catalog"]] == [18]
+    assert "8/9 design classes match the catalog" in err
+    assert "mismatch: replications 3,3,3,4,4,4 blocks 9 catalog -" in err
+
+
+def test_audit_rejects_negative_cap(capsys):
+    code, out, err = run(capsys, "audit", "--n", "5", "--cap", "-1")
     assert code == 2
     assert out == ""
     assert "must be >= 0" in err

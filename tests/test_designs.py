@@ -451,7 +451,7 @@ def test_search_result_json():
     assert obj["status"] == "budget"
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", range(4, 11))
 def test_daisy_small_instances_verify(n):
     for i in range(2, n - 1):
         assert verify(daisy(n, i), lk=False).verified
