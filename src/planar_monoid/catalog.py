@@ -20,7 +20,6 @@ from .braid import equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
-    _class_map,
     _multiset_designs,
     enumerate_designs,
     exponents_from_design,
@@ -172,24 +171,15 @@ class AuditEntry:
 
     orderings_found counts what search_orderings found for the canonical
     representative under the audit's budget; with status "budget" that is
-    random shuffles only.  class_realizable is True when that count is
-    positive or when a catalogued member of the class verifies: the member
-    is the proof, and it exhibits the class through its own labelling even
-    when no ordering of this representative was found (relabelings outside
-    the dihedral group do not preserve relations).  matches_catalog
-    compares class_realizable with "the catalog contains a relation of
-    this class"; when status is "budget" a False can mean the search was
-    simply too small.
+    random shuffles only.  The catalog verdict is per replication multiset:
+    see the ReplicationClassSummary keyed by replications.
     """
 
     design: Design
     exponents: tuple[int, ...]
     orderings_found: int
     status: str
-    matches_catalog: bool
     replications: tuple[int, ...]
-    catalog_labels: tuple[str, ...]
-    class_realizable: bool
 
     def to_json_obj(self) -> dict:
         return {
@@ -197,21 +187,30 @@ class AuditEntry:
             "exponents": list(self.exponents),
             "orderings_found": self.orderings_found,
             "status": self.status,
-            "matches_catalog": self.matches_catalog,
         }
 
 
 @dataclass(frozen=True)
 class ReplicationClassSummary:
-    """One replication multiset: its chi pair and the audit outcome."""
+    """One replication multiset: its chi pair and the catalog verdict.
+
+    realizable: a search found an ordering of one of its design classes
+    or, only if none did, one of its catalogued relations verifies (the
+    relation is the proof, through its own labelling).  With a "budget"
+    status, matches_catalog False can mean the search was too small.
+    """
 
     replications: tuple[int, ...]
     lhs_chi: int
     rhs_chi: int
     realizable: bool
     statuses: tuple[str, ...]
-    in_catalog: bool
+    catalog_labels: tuple[str, ...]
     listed: bool  # appears in the bundled printed-chi table
+
+    @property
+    def matches_catalog(self) -> bool:
+        return self.realizable == bool(self.catalog_labels)
 
     def to_json_obj(self) -> dict:
         return {
@@ -220,7 +219,8 @@ class ReplicationClassSummary:
             "rhs_chi": self.rhs_chi,
             "realizable": self.realizable,
             "statuses": list(self.statuses),
-            "in_catalog": self.in_catalog,
+            "catalog_labels": list(self.catalog_labels),
+            "matches_catalog": self.matches_catalog,
             "listed": self.listed,
         }
 
@@ -233,7 +233,7 @@ class AuditReport:
     replication_classes: tuple[ReplicationClassSummary, ...]
 
     def all_match(self) -> bool:
-        return all(e.matches_catalog for e in self.entries)
+        return all(c.matches_catalog for c in self.replication_classes)
 
     def to_json_obj(self) -> dict:
         return {
@@ -249,68 +249,59 @@ def _printed_chi() -> dict:
     return json.loads(_data_text("printed_chi.json"))
 
 
-# The catalog is written up to relabeling, so an audit needs a symmetry group;
-# "labeled" mode would read every unwritten relabeling as a mismatch.
+# Verdicts are per replication multiset, which relabeling preserves;
+# "labeled" mode would search every labeling (352 at n=7) for the same verdicts.
 AUDIT_MODES = ("dihedral", "symmetric")
 
 
 def completeness_check(
     n: int, mode: str = "dihedral", budget: SearchBudget = SearchBudget()
 ) -> AuditReport:
-    """Enumerate design classes at m = n-1 and search each for realizability.
+    """Search every design class at m = n-1; compare per replication multiset.
 
-    Every class is searched with the caller's budget.  A class is
-    realizable when the search finds an ordering or when a catalogued
-    relation of the class verifies; either is a proof.  An empty search
+    Every class is searched with the caller's budget.  An empty search
     proves non-realizability only with status "exhausted"; with "budget"
-    it proves nothing.  Replication-class summaries compare against the
-    bundled printed-chi table for this n.
+    it proves nothing.  The catalog and the bundled printed-chi table are
+    compared per multiset (ReplicationClassSummary).
     """
     if n not in (5, 6, 7):
         raise ValueError(f"no catalog to audit against for n={n}")
     if mode not in AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}, want one of {AUDIT_MODES}")
     m = n - 1
-    least = _class_map(m, mode)
-
-    by_rep: dict[tuple[tuple[int, ...], ...], list[Relation]] = {}
-    for r in builtin(n):
-        by_rep.setdefault(least[from_rhs(r.rhs).blocks], []).append(r)
 
     entries = []
+    by_reps: dict[tuple[int, ...], list[AuditEntry]] = {}
     for d in enumerate_designs(m, mode):
-        members = by_rep.get(d.blocks, [])
         res = search_orderings(d, budget)
-        # A member's own written word realizes its own (orbit-mate) design,
-        # so the class is realizable even when this representative's search
-        # comes up empty.
-        witness = res.realizable() or any(verify(r, lk=False).verified for r in members)
-        entries.append(
-            AuditEntry(
-                design=d,
-                exponents=exponents_from_design(d).exponents,
-                orderings_found=len(res.orderings),
-                status=res.status,
-                matches_catalog=witness == bool(members),
-                replications=tuple(sorted(replication(d))),
-                catalog_labels=tuple(r.label for r in members),
-                class_realizable=witness,
-            )
+        e = AuditEntry(
+            design=d,
+            exponents=exponents_from_design(d).exponents,
+            orderings_found=len(res.orderings),
+            status=res.status,
+            replications=tuple(sorted(replication(d))),
         )
+        entries.append(e)
+        by_reps.setdefault(e.replications, []).append(e)
+
+    catalogued: dict[tuple[int, ...], list[Relation]] = {}
+    for r in builtin(n):
+        catalogued.setdefault(tuple(sorted(replication(from_rhs(r.rhs)))), []).append(r)
 
     printed = {tuple(rec["replications"]) for rec in _printed_chi()[str(n)]}
     classes = []
-    for reps in sorted({e.replications for e in entries}):
-        cls = [e for e in entries if e.replications == reps]
+    for reps, cls in sorted(by_reps.items()):
+        members = catalogued.get(reps, [])
         lhs_chi, rhs_chi = _chi_pair(cls[0].design)
         classes.append(
             ReplicationClassSummary(
                 replications=reps,
                 lhs_chi=lhs_chi,
                 rhs_chi=rhs_chi,
-                realizable=any(e.class_realizable for e in cls),
+                realizable=any(e.orderings_found for e in cls)
+                or any(verify(r, lk=False).verified for r in members),
                 statuses=tuple(sorted({e.status for e in cls})),
-                in_catalog=any(e.catalog_labels for e in cls),
+                catalog_labels=tuple(r.label for r in members),
                 listed=reps in printed,
             )
         )

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (for `verify`/`catalog`: everything verified and,
 unless --fast, the Lawrence-Krammer engine agreeing on every verdict;
-for `audit`: every design class matching the catalog), 1 falsified, the
+for `audit`: every replication class matching the catalog), 1 falsified, the
 engines disagree or an audit mismatch, 2 bad arguments or unreadable
 input.
 Reports go to stdout as JSON with sorted keys; anything human-facing goes
@@ -107,16 +107,17 @@ def _cmd_catalog(args) -> int:
 def _cmd_audit(args) -> int:
     rep = completeness_check(args.n, mode=args.mode, budget=_budget(args))
     _emit_json(rep.to_json_obj())
-    mismatched = [e for e in rep.entries if not e.matches_catalog]
+    classes = rep.replication_classes
+    mismatched = [c for c in classes if not c.matches_catalog]
     print(
-        f"{len(rep.entries) - len(mismatched)}/{len(rep.entries)} design classes "
+        f"{len(classes) - len(mismatched)}/{len(classes)} replication classes "
         f"match the catalog (n={rep.n}, {rep.mode})",
         file=sys.stderr,
     )
-    for e in mismatched:
+    for c in mismatched:
         print(
-            f"mismatch: replications {','.join(map(str, e.replications))} "
-            f"blocks {len(e.design.blocks)} catalog {','.join(e.catalog_labels) or '-'}",
+            f"mismatch: replications {','.join(map(str, c.replications))} "
+            f"realizable {c.realizable} catalog {','.join(c.catalog_labels) or '-'}",
             file=sys.stderr,
         )
     return 0 if rep.all_match() else 1

@@ -72,10 +72,10 @@ class Design:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m = self.points
+        m = _json_int(self.points, "m")
         if m < 3:
             raise ValueError(f"a design needs at least 3 points, got {m}")
-        blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        blocks = tuple(sorted(tuple(sorted(_json_int(x, "label") for x in b)) for b in self.blocks))
         object.__setattr__(self, "blocks", blocks)
         cover: dict[tuple[int, int], int] = {}
         for b in blocks:
@@ -97,10 +97,7 @@ class Design:
     @staticmethod
     def from_json_obj(obj: dict) -> "Design":
         blocks = _json_list(obj["blocks"], "blocks")
-        return Design(
-            _json_int(obj["m"], "m"),
-            tuple(tuple(_json_int(x, "label") for x in _json_list(b, "block")) for b in blocks),
-        )
+        return Design(obj["m"], tuple(tuple(_json_list(b, "block")) for b in blocks))
 
 
 def from_rhs(word: TwistWord) -> Design:

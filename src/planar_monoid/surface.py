@@ -38,7 +38,7 @@ _GATHER_SIGN = -1
 
 
 def _json_int(value, what: str) -> int:
-    """A JSON integer from an input file; floats, strings and booleans raise."""
+    """An integer from a file or a constructor; floats, strings and booleans raise."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -58,7 +58,7 @@ class SurfaceSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
+        if _json_int(self.n, "n") < 2:
             raise ValueError(f"need at least 2 boundary components, got {self.n}")
 
     @property
@@ -84,7 +84,8 @@ class ConvexCurve:
     outer: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(sorted(self.support)))
+        support = tuple(sorted(_json_int(x, "label") for x in self.support))
+        object.__setattr__(self, "support", support)
         if self.outer:
             if self.support:
                 raise ValueError("outer-parallel curve carries no support set")
@@ -114,7 +115,7 @@ class ConvexCurve:
     def from_json_factor(obj) -> "ConvexCurve":
         if obj == "outer":
             return ConvexCurve.outer_parallel()
-        return ConvexCurve.over(_json_int(x, "label") for x in _json_list(obj, "factor"))
+        return ConvexCurve.over(_json_list(obj, "factor"))
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class TwistWord:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TwistWord":
-        surface = SurfaceSpec(_json_int(obj["n"], "n"))
+        surface = SurfaceSpec(obj["n"])
         factors = tuple(
             ConvexCurve.from_json_factor(f) for f in _json_list(obj["factors"], "factors")
         )
@@ -161,12 +162,13 @@ class BoundaryWord:
     outer: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+        exponents = tuple(_json_int(a, "exponent") for a in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
         if len(self.exponents) != self.surface.n - 1:
             raise ValueError(
                 f"need {self.surface.n - 1} exponents, got {len(self.exponents)}"
             )
-        if any(a < 0 for a in self.exponents) or self.outer < 0:
+        if any(a < 0 for a in self.exponents) or _json_int(self.outer, "outer") < 0:
             raise ValueError("exponents must be non-negative")
 
     def expand(self) -> TwistWord:
@@ -189,9 +191,9 @@ class BoundaryWord:
     @staticmethod
     def from_json_obj(obj: dict) -> "BoundaryWord":
         return BoundaryWord(
-            SurfaceSpec(_json_int(obj["n"], "n")),
-            tuple(_json_int(a, "exponent") for a in _json_list(obj["exponents"], "exponents")),
-            _json_int(obj.get("outer", 1), "outer"),
+            SurfaceSpec(obj["n"]),
+            tuple(_json_list(obj["exponents"], "exponents")),
+            obj.get("outer", 1),
         )
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from planar_monoid.catalog import (
+    AUDIT_MODES,
     Relation,
     builtin,
     chi_discrepancies,
@@ -10,7 +11,7 @@ from planar_monoid.catalog import (
     verify,
     verify_words,
 )
-from planar_monoid.designs import SearchBudget, _group_perms, _relabel, from_rhs, replication
+from planar_monoid.designs import SearchBudget, from_rhs, replication
 from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
 
 
@@ -119,38 +120,62 @@ def test_completeness_check_n5():
     assert rep.all_match()
     assert all(e.status == "exhausted" for e in rep.entries)
     assert all(e.orderings_found > 0 for e in rep.entries)
-    # both classes carry exactly one catalog relation
-    assert sorted(len(e.catalog_labels) for e in rep.entries) == [1, 1]
+    # both multisets carry exactly one catalog relation
+    assert [c.catalog_labels for c in rep.replication_classes] == [("n5/2",), ("n5/1",)]
 
 
 def test_completeness_member_witness_decides_catalogued_classes():
-    # no shuffles: every class past the cap is decided by its catalogued
+    # no shuffles: every multiset past the cap is decided by its catalogued
     # members' own words, never by a search find
     rep = completeness_check(6, "dihedral", SearchBudget(exhaustive_cap=8, tries=0))
     assert rep.all_match()
-    k5 = next(e for e in rep.entries if e.replications == (4, 4, 4, 4, 4))
-    assert k5.status == "budget" and k5.orderings_found == 0
-    assert k5.class_realizable
+    k5 = [e for e in rep.entries if e.replications == (4, 4, 4, 4, 4)]
+    assert [(e.status, e.orderings_found) for e in k5] == [("budget", 0)]
+    by_reps = {c.replications: c for c in rep.replication_classes}
+    assert by_reps[(4, 4, 4, 4, 4)].realizable
 
     rep = completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=0))
-    assert all(c.realizable for c in rep.replication_classes if c.in_catalog)
+    assert all(c.realizable for c in rep.replication_classes if c.catalog_labels)
     four_triples = next(e for e in rep.entries if e.replications == (3, 3, 3, 3, 3, 3))
     assert four_triples.status == "exhausted" and four_triples.orderings_found == 0
-    assert not four_triples.class_realizable
     by_reps = {c.replications: c for c in rep.replication_classes}
     assert not by_reps[(3, 3, 3, 3, 3, 3)].realizable
 
 
-def test_completeness_groups_catalog_by_orbit_min():
-    group = _group_perms(6, "symmetric")
-    expected: dict[tuple, list[str]] = {}
-    for r in builtin(7):
-        blocks = from_rhs(r.rhs).blocks
-        expected.setdefault(min(_relabel(g, blocks) for g in group), []).append(r.label)
-    rep = completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=0))
-    assert {e.design.blocks for e in rep.entries} >= set(expected)
-    for e in rep.entries:
-        assert e.catalog_labels == tuple(expected.get(e.design.blocks, ()))
+def test_completeness_groups_catalog_by_multiset():
+    # a relation's multiset read off its lhs: replication = exponent + 1
+    for n, mode in [(5, "dihedral"), (6, "dihedral"), (7, "symmetric"), (7, "dihedral")]:
+        expected: dict[tuple, tuple[str, ...]] = {}
+        for r in builtin(n):
+            reps = tuple(sorted(a + 1 for a in r.lhs.exponents))
+            expected[reps] = expected.get(reps, ()) + (r.label,)
+        rep = completeness_check(n, mode, SearchBudget(exhaustive_cap=8, tries=0))
+        assert {c.replications for c in rep.replication_classes} >= set(expected)
+        for c in rep.replication_classes:
+            assert c.catalog_labels == expected.get(c.replications, ())
+
+
+@pytest.mark.parametrize("mode", AUDIT_MODES)
+def test_n7_audit_at_cap_11_is_seed_free(mode):
+    # At cap 11 every class of up to 11 blocks is searched to exhaustion, so
+    # no random draw decides a verdict, and the one realizable multiset the
+    # catalog lacks, (3,3,3,4,4,4), is reported at every seed.  C8 runs the
+    # default budget (cap 8), where that 9-block class gets random shuffles
+    # only: its all_match() still depends on seed 0 missing the class.
+    verdicts = []
+    for seed in (0, 3):
+        rep = completeness_check(7, mode, SearchBudget(11, 2000, seed))
+        assert all(e.status == "exhausted" for e in rep.entries if len(e.design.blocks) <= 11)
+        assert {len(e.design.blocks) for e in rep.entries if e.status == "budget"} == {13, 15}
+        four_triples = [e for e in rep.entries if e.replications == (3, 3, 3, 3, 3, 3)]
+        assert len(four_triples) == (5 if mode == "dihedral" else 1)
+        assert all(e.status == "exhausted" and e.orderings_found == 0 for e in four_triples)
+        mismatched = [c for c in rep.replication_classes if not c.matches_catalog]
+        assert [(c.replications, c.realizable, c.catalog_labels) for c in mismatched] == [
+            ((3, 3, 3, 4, 4, 4), True, ())
+        ]
+        verdicts.append([c.to_json_obj() for c in rep.replication_classes])
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("n, mode", [(9, "dihedral"), (5, "labeled")])
@@ -162,7 +187,17 @@ def test_completeness_rejects_unknown_n(n, mode):
 def test_audit_entry_json_schema():
     rep = completeness_check(5)
     obj = rep.entries[0].to_json_obj()
-    assert set(obj) == {"design", "exponents", "orderings_found", "status", "matches_catalog"}
+    assert set(obj) == {"design", "exponents", "orderings_found", "status"}
+    assert set(rep.replication_classes[0].to_json_obj()) == {
+        "replications",
+        "lhs_chi",
+        "rhs_chi",
+        "realizable",
+        "statuses",
+        "catalog_labels",
+        "matches_catalog",
+        "listed",
+    }
     json.dumps(rep.to_json_obj())
 
 

@@ -243,19 +243,27 @@ def test_audit_command(capsys):
     code, out, err = run(capsys, "audit", "--n", "5")
     assert code == 0
     assert json.loads(out) == completeness_check(5).to_json_obj()
-    assert "2/2 design classes match the catalog" in err
+    assert "2/2 replication classes match the catalog" in err
 
 
 def test_audit_mismatch_exits_one(capsys):
-    # the uncatalogued three-triples class (3,3,3,4,4,4) has 9 blocks, so at
-    # cap 9 it is exhausted with 18 orderings and reads as a mismatch
+    # the uncatalogued three-triples multiset (3,3,3,4,4,4) has one 9-block
+    # class, so at cap 9 it is exhausted with 18 orderings and reads as the
+    # one mismatch
     code, out, err = run(capsys, "audit", "--n", "7", "--mode", "symmetric", "--cap", "9")
     assert code == 1
     obj = json.loads(out)
     assert obj == completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=9)).to_json_obj()
-    assert [e["orderings_found"] for e in obj["entries"] if not e["matches_catalog"]] == [18]
-    assert "8/9 design classes match the catalog" in err
-    assert "mismatch: replications 3,3,3,4,4,4 blocks 9 catalog -" in err
+    mismatched = [c for c in obj["replication_classes"] if not c["matches_catalog"]]
+    assert [(c["replications"], c["realizable"], c["catalog_labels"]) for c in mismatched] == [
+        ([3, 3, 3, 4, 4, 4], True, [])
+    ]
+    three_triples = [
+        e for e in obj["entries"] if sorted(a + 1 for a in e["exponents"]) == [3, 3, 3, 4, 4, 4]
+    ]
+    assert [(e["status"], e["orderings_found"]) for e in three_triples] == [("exhausted", 18)]
+    assert "8/9 replication classes match the catalog" in err
+    assert "mismatch: replications 3,3,3,4,4,4 realizable True catalog -" in err
 
 
 def test_audit_rejects_negative_cap(capsys):

@@ -53,6 +53,21 @@ def test_design_rejects_full_block():
         Design(4, ((1, 2, 3, 4),))
 
 
+@pytest.mark.parametrize(
+    "m, blocks",
+    [
+        (3, ((1, 2.0), (1, 3), (2.0, 3))),
+        (3, ((True, 2), (1, 3), (2, 3))),
+        (3.0, ((1, 2), (1, 3), (2, 3))),
+        (True, ((1, 2), (1, 3), (2, 3))),
+    ],
+)
+def test_design_takes_ints_only(m, blocks):
+    "Points and labels are ints; nothing is left to fail in the search."
+    with pytest.raises(ValueError, match="must be an integer"):
+        Design(m, blocks)
+
+
 @pytest.mark.parametrize("m", [1, 0, -3])
 def test_design_rejects_fewer_than_three_points(m):
     # no boundary product has these supports: m = 1 would need a negative

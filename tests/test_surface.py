@@ -39,6 +39,12 @@ def test_surface_spec_labels():
         SurfaceSpec(1)
 
 
+@pytest.mark.parametrize("n", [4.0, True, "4"])
+def test_surface_spec_takes_ints_only(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        SurfaceSpec(n)
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         ConvexCurve(support=(1, 1))
@@ -48,6 +54,13 @@ def test_curve_validation():
         ConvexCurve(support=(1,), outer=True)
     with pytest.raises(ValueError):
         ConvexCurve()
+
+
+@pytest.mark.parametrize("labels", [[1, 2.5], [1.0, 2], [True, 2], [1, "2"]])
+def test_curve_takes_ints_only(labels):
+    "Labels are ints; nothing is truncated, converted or left to fail in swing_word."
+    with pytest.raises(ValueError, match="label must be an integer"):
+        ConvexCurve.over(labels)
 
 
 def test_curve_support_sorted():
@@ -110,6 +123,16 @@ def test_boundary_word_validation():
         BoundaryWord(SurfaceSpec(5), (1, 1, 1))
     with pytest.raises(ValueError):
         BoundaryWord(SurfaceSpec(5), (1, 1, 1, -1))
+
+
+@pytest.mark.parametrize(
+    "exponents, outer",
+    [((1.0, 1, 1), 1), ((True, 1, 1), 1), ((1, "1", 1), 1), ((1, 1, 1), 1.0), ((1, 1, 1), True)],
+)
+def test_boundary_word_takes_ints_only(exponents, outer):
+    "Exponents and outer are ints; nothing is left to fail in expand."
+    with pytest.raises(ValueError, match="must be an integer"):
+        BoundaryWord(SurfaceSpec(4), exponents, outer)
 
 
 def test_boundary_word_expand_counts():
