@@ -53,6 +53,13 @@ __all__ = [
 ]
 
 
+def _json_int(value, what: str) -> int:
+    """An integer from a file or a constructor; floats, strings and booleans raise."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators sigma_1 .. sigma_{m-1}.
@@ -65,11 +72,12 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.strands < 1:
+        if _json_int(self.strands, "strand count") < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for letter in self.letters:
-            if letter == 0 or abs(letter) >= self.strands:
+            if type(letter) is not int or letter == 0 or abs(letter) >= self.strands:
+                _json_int(letter, "letter")  # a non-int raises here
                 raise ValueError(
                     f"letter {letter} out of range for {self.strands} strands"
                 )

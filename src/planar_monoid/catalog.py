@@ -20,7 +20,6 @@ from .braid import equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
-    _multiset_designs,
     enumerate_designs,
     exponents_from_design,
     from_rhs,
@@ -31,8 +30,10 @@ from .plumbing import euler_characteristic
 from .surface import (
     BoundaryWord,
     ConvexCurve,
+    Relation,
     SurfaceSpec,
     TwistWord,
+    _check_same_surface,
     multiplicities,
     to_braid,
 )
@@ -51,26 +52,6 @@ __all__ = [
     "completeness_check",
     "chi_discrepancies",
 ]
-
-
-def _check_same_surface(lhs: BoundaryWord, rhs: TwistWord) -> None:
-    if lhs.surface != rhs.surface:
-        raise ValueError("lhs and rhs must live on the same surface")
-
-
-@dataclass(frozen=True)
-class Relation:
-    """One catalogued equality: boundary product = twist product."""
-
-    label: str
-    lhs: BoundaryWord
-    rhs: TwistWord
-
-    def __post_init__(self):
-        _check_same_surface(self.lhs, self.rhs)
-        for c in self.rhs.factors:
-            if c.is_boundary_parallel(self.rhs.surface):
-                raise ValueError(f"rhs factor {c.support} is boundary-parallel")
 
 
 @dataclass(frozen=True)
@@ -352,7 +333,7 @@ def chi_discrepancies() -> list[ChiRecord]:
     records = []
     for n_str, recs in sorted(_printed_chi().items()):
         n = int(n_str)
-        designs = _multiset_designs(n - 1)
+        designs = {tuple(sorted(replication(d))): d for d in enumerate_designs(n - 1, "symmetric")}
         for rec in recs:
             reps = tuple(rec["replications"])
             records.append(

@@ -17,15 +17,14 @@ import functools
 import itertools
 import operator
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .braid import BraidWord, _dual_mul, _dual_normal_form, full_twist
 from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
 from .surface import (
     BoundaryWord,
     ConvexCurve,
+    Relation,
     SurfaceSpec,
     TwistWord,
     _json_int,
@@ -131,14 +130,17 @@ def exponents_from_design(d: Design) -> BoundaryWord:
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (exact cover over the pair columns)
 
-def _cover_all(m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All labeled designs on m points, as sorted block tuples.
+@functools.cache
+def _cover_all(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All labeled designs on m points, 3 <= m <= 7, as sorted block tuples.
 
     Pairs are numbered as bits and each candidate block carries the mask of
     the pairs it covers.  The search always branches on the lowest uncovered
     pair, over the blocks through it that are disjoint from the covered mask,
     so each design is reached exactly once.
     """
+    if not 3 <= m <= 7:
+        raise ValueError(f"enumeration supported for 3 <= m <= 7, got {m}")
     bit = {p: 1 << i for i, p in enumerate(itertools.combinations(range(1, m + 1), 2))}
     full = (1 << len(bit)) - 1
     # Every pair below the lowest uncovered one is covered, so a block
@@ -165,14 +167,7 @@ def _cover_all(m: int) -> list[tuple[tuple[int, ...], ...]]:
                 partial.pop()
 
     _walk(0)
-    return out
-
-
-@functools.cache
-def _labeled_block_sets(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    if not 3 <= m <= 7:
-        raise ValueError(f"enumeration supported for 3 <= m <= 7, got {m}")
-    return tuple(_cover_all(m))
+    return tuple(out)
 
 
 def _group_perms(m: int, mode: SymmetryMode) -> list[tuple[int, ...]]:
@@ -194,16 +189,16 @@ def _relabel(perm: tuple[int, ...], blocks) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _class_map(m: int, mode: SymmetryMode) -> Mapping[tuple, tuple]:
-    """Every labeled design on m points, as sorted block tuples, mapped to
-    the least member of its orbit under the mode's group (read-only)."""
+def _classes(m: int, mode: SymmetryMode) -> tuple[Design, ...]:
+    """The least member of each orbit of the labeled designs on m points
+    under the mode's group, in sorted order."""
     group = _group_perms(m, mode)
     least: dict[tuple, tuple] = {}
-    for sol in _labeled_block_sets(m):
+    for sol in _cover_all(m):
         if sol not in least:
             orbit = {_relabel(g, sol) for g in group}
             least.update(dict.fromkeys(orbit, min(orbit)))
-    return MappingProxyType(least)
+    return tuple(Design(m, blocks) for blocks in sorted(set(least.values())))
 
 
 def enumerate_designs(m: int, mode: SymmetryMode = "dihedral") -> list[Design]:
@@ -213,18 +208,14 @@ def enumerate_designs(m: int, mode: SymmetryMode = "dihedral") -> list[Design]:
     convex arrangement), "symmetric" (all m! relabelings).  The
     representative is the least member of its orbit.
     """
-    return [Design(m, blocks) for blocks in sorted(set(_class_map(m, mode).values()))]
+    return list(_classes(m, mode))
 
 
 @functools.cache
-def _multiset_designs(m: int) -> Mapping[tuple[int, ...], Design]:
-    """One design on m points per replication multiset, keyed by the sorted
-    replication vector (read-only)."""
-    table: dict[tuple[int, ...], Design] = {}
-    for blocks in _labeled_block_sets(m):
-        d = Design(m, blocks)
-        table.setdefault(tuple(sorted(replication(d))), d)
-    return MappingProxyType(table)
+def _multisets(m: int) -> frozenset[tuple[int, ...]]:
+    """The sorted replication vectors of the designs on m points; relabeling
+    keeps them, so the dihedral classes carry every one."""
+    return frozenset(tuple(sorted(replication(d))) for d in _classes(m, "dihedral"))
 
 
 def feasible_replication(m: int, r: ReplicationVector) -> bool:
@@ -233,13 +224,13 @@ def feasible_replication(m: int, r: ReplicationVector) -> bool:
         raise ValueError(f"replication vector length {len(r)} != {m} points")
     if m < 3:
         return False
-    return tuple(sorted(r)) in _multiset_designs(m)
+    return tuple(sorted(r)) in _multisets(m)
 
 
 # ---------------------------------------------------------------------------
 # the generalized daisy relation
 
-def daisy(n: int, i: int):
+def daisy(n: int, i: int) -> Relation:
     """The generalized daisy relation on the n-holed sphere, split at i.
 
     LHS: a_1..a_i = n-i-1, a_{i+1}..a_{n-1} = n-3, one outer twist.
@@ -247,8 +238,6 @@ def daisy(n: int, i: int):
     pair twists {j,j-1}, {j,j-2}, ..., {j,1}.  The n=4, i=2 instance is
     the lantern relation.
     """
-    from .catalog import Relation  # deferred: catalog builds on designs
-
     if n < 4 or not 2 <= i < n - 1:
         raise ValueError(f"need n >= 4 and 2 <= i < n-1, got n={n}, i={i}")
     surface = SurfaceSpec(n)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .braid import BraidWord, equals, full_twist
+from .braid import BraidWord, _json_int, equals, full_twist
 
 __all__ = [
     "SurfaceSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "TwistWord",
     "BoundaryWord",
     "MultiplicityVector",
+    "Relation",
     "swing_word",
     "to_braid",
     "multiplicities",
@@ -35,13 +36,6 @@ __all__ = [
 # minimal label.  Only one choice makes the catalog of known relations
 # verify; the mirrored convention (+1) describes the reflected swing.
 _GATHER_SIGN = -1
-
-
-def _json_int(value, what: str) -> int:
-    """An integer from a file or a constructor; floats, strings and booleans raise."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _json_list(value, what: str) -> list:
@@ -86,6 +80,8 @@ class ConvexCurve:
     def __post_init__(self):
         support = tuple(sorted(_json_int(x, "label") for x in self.support))
         object.__setattr__(self, "support", support)
+        if type(self.outer) is not bool:
+            raise ValueError(f"outer must be a bool, got {self.outer!r}")
         if self.outer:
             if self.support:
                 raise ValueError("outer-parallel curve carries no support set")
@@ -130,9 +126,13 @@ class TwistWord:
     factors: tuple[ConvexCurve, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.surface, SurfaceSpec):
+            raise ValueError(f"surface must be a SurfaceSpec, got {self.surface!r}")
         object.__setattr__(self, "factors", tuple(self.factors))
         top = self.surface.n - 1
         for c in self.factors:
+            if not isinstance(c, ConvexCurve):
+                raise ValueError(f"factor must be a ConvexCurve, got {c!r}")
             if not c.outer and (c.support[0] < 1 or c.support[-1] > top):
                 raise ValueError(
                     f"support {c.support} exceeds interior labels 1..{top}"
@@ -162,6 +162,8 @@ class BoundaryWord:
     outer: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.surface, SurfaceSpec):
+            raise ValueError(f"surface must be a SurfaceSpec, got {self.surface!r}")
         exponents = tuple(_json_int(a, "exponent") for a in self.exponents)
         object.__setattr__(self, "exponents", exponents)
         if len(self.exponents) != self.surface.n - 1:
@@ -195,6 +197,26 @@ class BoundaryWord:
             tuple(_json_list(obj["exponents"], "exponents")),
             obj.get("outer", 1),
         )
+
+
+def _check_same_surface(lhs: BoundaryWord | TwistWord, rhs: BoundaryWord | TwistWord) -> None:
+    if lhs.surface != rhs.surface:
+        raise ValueError("lhs and rhs must live on the same surface")
+
+
+@dataclass(frozen=True)
+class Relation:
+    """One catalogued or daisy equality: boundary product = twist product."""
+
+    label: str
+    lhs: BoundaryWord
+    rhs: TwistWord
+
+    def __post_init__(self):
+        _check_same_surface(self.lhs, self.rhs)
+        for c in self.rhs.factors:
+            if c.is_boundary_parallel(self.rhs.surface):
+                raise ValueError(f"rhs factor {c.support} is boundary-parallel")
 
 
 @dataclass(frozen=True)
@@ -269,10 +291,7 @@ def equivalent(w1: Union[TwistWord, BoundaryWord], w2: Union[TwistWord, Boundary
     Outer-parallel counts are deliberately not compared; see
     MultiplicityVector.
     """
-    s1 = w1.surface
-    s2 = w2.surface
-    if s1.n != s2.n:
-        raise ValueError(f"surfaces differ: n={s1.n} vs n={s2.n}")
+    _check_same_surface(w1, w2)
     if multiplicities(w1).interior != multiplicities(w2).interior:
         return False
     return equals(to_braid(w1), to_braid(w2))

@@ -60,6 +60,16 @@ def test_letter_range_checked():
         BraidWord(0, ())
 
 
+@pytest.mark.parametrize(
+    "strands, letters, what",
+    [(2.5, (), "strand count"), (True, (), "strand count"), (3, (1.0,), "letter"), (3, (True,), "letter")],
+)
+def test_braid_word_takes_ints_only(strands, letters, what):
+    "Strands and letters are ints; nothing is left to fail in normal_form."
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        BraidWord(strands, letters)
+
+
 def test_identity_normal_form():
     nf = normal_form(BraidWord(4))
     assert nf.is_identity()

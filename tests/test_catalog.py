@@ -11,7 +11,7 @@ from planar_monoid.catalog import (
     verify,
     verify_words,
 )
-from planar_monoid.designs import SearchBudget, from_rhs, replication
+from planar_monoid.designs import SearchBudget, feasible_replication, from_rhs, replication
 from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
 
 
@@ -208,6 +208,11 @@ def test_builtin_replications_are_feasible():
             assert sorted(replication(d)) == sorted(
                 a + 1 for a in r.lhs.exponents
             )
+            assert feasible_replication(n - 1, replication(d))
+    # feasible is not realizable: the four-triples class on 6 points
+    # exists but no ordering of its blocks gives the full twist
+    assert feasible_replication(6, (3,) * 6)
+    assert not feasible_replication(6, (2,) * 6)
 
 
 def test_chi_discrepancy_report():

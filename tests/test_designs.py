@@ -21,7 +21,7 @@ from planar_monoid.designs import (
     from_rhs,
     replication,
     search_orderings,
-    _class_map,
+    _classes,
     _group_perms,
     _relabel,
 )
@@ -148,26 +148,17 @@ def test_enumeration_orbits_partition_labeled_designs():
 @pytest.mark.parametrize("mode", ["dihedral", "symmetric"])
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_class_map_sends_each_design_to_its_orbit_min(m, mode):
-    least = _class_map(m, mode)
-    assert set(least) == {d.blocks for d in enumerate_designs(m, "labeled")}
-    by_image: dict[tuple, set] = {}
-    for sol, image in least.items():
-        by_image.setdefault(image, set()).add(sol)
-    # Each image's orbit is exactly the designs sent to it, and the image is
-    # its least member, so every labeled design sol goes to
-    # min(_relabel(g, sol) for g in group).
     group = _group_perms(m, mode)
-    for image, sols in by_image.items():
-        orbit = {_relabel(g, image) for g in group}
-        assert sols == orbit
-        assert image == min(orbit)
-    assert sorted(by_image) == [d.blocks for d in enumerate_designs(m, mode)]
+    reps = [d.blocks for d in _classes(m, mode)]
+    orbits = [{_relabel(g, blocks) for g in group} for blocks in reps]
+    assert all(blocks == min(orbit) for blocks, orbit in zip(reps, orbits))
+    # the orbits are disjoint and cover every labeled design
+    assert sum(len(o) for o in orbits) == len(designs._cover_all(m))
+    assert set().union(*orbits) == set(designs._cover_all(m))
+    assert reps == sorted(reps)
 
 
-def test_class_map_is_read_only():
-    least = _class_map(5, "dihedral")
-    with pytest.raises(TypeError):
-        least[K5] = ()
+def test_enumerate_designs_returns_a_fresh_list():
     reps = enumerate_designs(5, "dihedral")
     reps.clear()
     assert len(enumerate_designs(5, "dihedral")) == 7
@@ -192,11 +183,11 @@ def test_multiset_designs_fix_the_block_count(m):
     # the chi pair of a replication multiset is read off one design per
     # multiset, which is sound because every design sharing the multiset
     # has the same number of blocks
-    table = designs._multiset_designs(m)
-    for blocks in designs._labeled_block_sets(m):
-        d = Design(m, blocks)
-        assert len(table[tuple(sorted(replication(d)))].blocks) == len(blocks)
-    assert all(tuple(sorted(replication(d))) == reps for reps, d in table.items())
+    block_count: dict[tuple[int, ...], int] = {}
+    for blocks in designs._cover_all(m):
+        reps = tuple(sorted(replication(Design(m, blocks))))
+        assert block_count.setdefault(reps, len(blocks)) == len(blocks)
+    assert designs._multisets(m) == set(block_count)
 
 
 def test_search_lantern_class_exhaustive():

@@ -63,6 +63,12 @@ def test_curve_takes_ints_only(labels):
         ConvexCurve.over(labels)
 
 
+@pytest.mark.parametrize("kwargs", [{"outer": 1}, {"support": (1, 2), "outer": "no"}])
+def test_curve_outer_is_a_bool(kwargs):
+    with pytest.raises(ValueError, match="outer must be a bool"):
+        ConvexCurve(**kwargs)
+
+
 def test_curve_support_sorted():
     assert ConvexCurve.over([3, 1, 2]).support == (1, 2, 3)
 
@@ -135,6 +141,11 @@ def test_boundary_word_takes_ints_only(exponents, outer):
         BoundaryWord(SurfaceSpec(4), exponents, outer)
 
 
+def test_boundary_word_takes_a_surface():
+    with pytest.raises(ValueError, match="surface must be a SurfaceSpec"):
+        BoundaryWord(4, (1, 1, 1))
+
+
 def test_boundary_word_expand_counts():
     w = BoundaryWord(SurfaceSpec(4), (2, 0, 1), outer=2)
     assert w.twist_count() == 5
@@ -156,6 +167,18 @@ def test_multiplicities_interior_and_outer():
     mv = multiplicities(tw)
     assert mv.interior == (3, 3, 2, 2)
     assert mv.outer == 2
+
+
+@pytest.mark.parametrize(
+    "surface, factors, match",
+    [
+        (SurfaceSpec(4), ((1, 2),), "factor must be a ConvexCurve"),
+        (4, (), "surface must be a SurfaceSpec"),
+    ],
+)
+def test_twist_word_takes_a_surface_and_curves(surface, factors, match):
+    with pytest.raises(ValueError, match=match):
+        TwistWord(surface, factors)
 
 
 def test_support_beyond_labels_rejected():
