@@ -1,8 +1,10 @@
 """Built-in relation catalog, verification reports, and completeness audits.
 
 The relations live as JSON data files so a transcription question is a
-diff, not a code read.  Verification always runs the combinatorial check
-(multiplicities) and the Garside engine; the Lawrence-Krammer pass is a
+diff, not a code read.  Each line of one is a relation file that
+`planar-monoid verify` accepts as it stands, read by the same
+`surface.read_relation`.  Verification always runs the combinatorial
+check (multiplicities) and the Garside engine; the Lawrence-Krammer pass is a
 second, independent engine whose only job is to catch a bug in the first.
 Batch verification (`planar-monoid catalog`) runs in one process: one
 `verify` call per relation, in catalog order.
@@ -35,6 +37,7 @@ from .surface import (
     TwistWord,
     _check_same_surface,
     multiplicities,
+    read_relation,
     to_braid,
 )
 
@@ -89,17 +92,11 @@ def _data_text(name: str) -> str:
 
 @functools.cache
 def _builtin(n: int) -> tuple[Relation, ...]:
-    obj = json.loads(_data_text(f"relations_n{n}.json"))
-    rels = []
-    for entry in obj["relations"]:
-        rels.append(
-            Relation(
-                label=entry["label"],
-                lhs=BoundaryWord.from_json_obj(entry["lhs"]),
-                rhs=TwistWord.from_json_obj(entry["rhs"]),
-            )
-        )
-    return tuple(rels)
+    entries = json.loads(_data_text(f"relations_n{n}.json"))["relations"]
+    rels = tuple(Relation(*read_relation(e)) for e in entries)
+    if any(r.lhs.surface != SurfaceSpec(n) for r in rels):
+        raise ValueError(f"relations_n{n}.json holds a relation with another n")
+    return rels
 
 
 def builtin(n: int) -> list[Relation]:
@@ -230,8 +227,12 @@ def _printed_chi() -> dict:
     return json.loads(_data_text("printed_chi.json"))
 
 
-# Verdicts are per replication multiset, which relabeling preserves;
-# "labeled" mode would search every labeling (352 at n=7) for the same verdicts.
+# Verdicts are per replication multiset, which relabeling preserves.  A
+# labeling's realizability is known to be preserved only by rotations and
+# reflections, so a "dihedral" audit covers every labeling and a "labeled"
+# one (352 labelings at n=7) would repeat it; a "symmetric" audit searches
+# one labeling per class, so an empty multiset there is proved empty only
+# for the labelings it searched.
 AUDIT_MODES = ("dihedral", "symmetric")
 
 

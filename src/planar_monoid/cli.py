@@ -8,18 +8,9 @@ input.
 Reports go to stdout as JSON with sorted keys; anything human-facing goes
 to stderr.
 
-Relation files are JSON objects:
-
-    {"n": 5,
-     "lhs": {"exponents": [2, 2, 2, 2], "outer": 1},
-     "rhs": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
-     "order": "rightmost-first"}
-
-`order` describes the rhs factor list: "rightmost-first" (default) is
-function notation, the last factor acts first; "leftmost-first" files
-are reversed at parse time.  A factor may be the string "outer" for the
-outer-parallel twist.  `lhs` must be an object; an optional string
-`label` names the report (default: the file's stem).
+Relation files are read by `surface.read_relation`, which documents
+the format; the bundled catalog uses the same one.  A relation file's
+label defaults to the file's stem.
 """
 
 from __future__ import annotations
@@ -34,9 +25,7 @@ from pathlib import Path
 from .catalog import AUDIT_MODES, builtin, completeness_check, verify, verify_words
 from .designs import SYMMETRY_MODES, Design, SearchBudget, enumerate_designs, search_orderings
 from .plumbing import bounds, emit, plumbing_of
-from .surface import BoundaryWord, TwistWord, _json_int, _json_list
-
-_ORDERS = ("rightmost-first", "leftmost-first")
+from .surface import read_relation
 
 
 def _emit_json(obj) -> None:
@@ -48,28 +37,6 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _parse_relation_file(obj: dict, fallback_label: str):
-    """RelationFile -> (label, BoundaryWord, TwistWord or None)."""
-    n = _json_int(obj["n"], "n")
-    lhs_obj = obj["lhs"]
-    if type(lhs_obj) is not dict:
-        raise ValueError(f"lhs must be an object, got {lhs_obj!r}")
-    lhs = BoundaryWord.from_json_obj({"n": n, **lhs_obj})
-    rhs = None
-    if "rhs" in obj:
-        order = obj.get("order", "rightmost-first")
-        if order not in _ORDERS:
-            raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
-        factors = list(_json_list(obj["rhs"], "rhs"))
-        if order == "leftmost-first":
-            factors.reverse()
-        rhs = TwistWord.from_json_obj({"n": n, "factors": factors})
-    label = obj.get("label", fallback_label)
-    if type(label) is not str:
-        raise ValueError(f"label must be a string, got {label!r}")
-    return label, lhs, rhs
-
-
 def _disagreements(reports) -> list[str]:
     """Labels whose two engines disagree, each also named on stderr."""
     labels = [r.label for r in reports if r.oracle_agreement is False]
@@ -79,7 +46,7 @@ def _disagreements(reports) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    label, lhs, rhs = _parse_relation_file(_load_json(args.path), Path(args.path).stem)
+    label, lhs, rhs = read_relation(_load_json(args.path), Path(args.path).stem)
     if rhs is None:
         raise ValueError("relation file has no rhs")
     report = verify_words(label, lhs, rhs, lk=not args.fast)
@@ -146,7 +113,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_plumb(args) -> int:
-    _, lhs, _ = _parse_relation_file(_load_json(args.file), Path(args.file).stem)
+    _, lhs, _ = read_relation(_load_json(args.file), Path(args.file).stem)
     sys.stdout.write(emit(plumbing_of(lhs), fmt=args.format))
     return 0
 

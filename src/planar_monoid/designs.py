@@ -29,6 +29,7 @@ from .surface import (
     TwistWord,
     _json_int,
     _json_list,
+    _reject_boundary_parallel,
     swing_word,
 )
 
@@ -106,9 +107,7 @@ def from_rhs(word: TwistWord) -> Design:
     relation with a single outer twist, ValueError on boundary-parallel
     factors.
     """
-    for c in word.factors:
-        if c.is_boundary_parallel(word.surface):
-            raise ValueError(f"factor {c} is boundary-parallel")
+    _reject_boundary_parallel(word)
     return Design(word.surface.n - 1, tuple(c.support for c in word.factors))
 
 

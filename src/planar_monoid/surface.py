@@ -26,6 +26,7 @@ __all__ = [
     "BoundaryWord",
     "MultiplicityVector",
     "Relation",
+    "read_relation",
     "swing_word",
     "to_braid",
     "multiplicities",
@@ -42,6 +43,13 @@ def _json_list(value, what: str) -> list:
     """A JSON array from an input file; strings and objects raise."""
     if type(value) is not list:
         raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    """A JSON string from an input file; anything else raises."""
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -104,15 +112,6 @@ class ConvexCurve:
     def is_boundary_parallel(self, surface: SurfaceSpec) -> bool:
         return self.outer or len(self.support) == 1 or len(self.support) == surface.n - 1
 
-    def json_factor(self):
-        return "outer" if self.outer else list(self.support)
-
-    @staticmethod
-    def from_json_factor(obj) -> "ConvexCurve":
-        if obj == "outer":
-            return ConvexCurve.outer_parallel()
-        return ConvexCurve.over(_json_list(obj, "factor"))
-
 
 @dataclass(frozen=True)
 class TwistWord:
@@ -140,17 +139,6 @@ class TwistWord:
 
     def __len__(self) -> int:
         return len(self.factors)
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.surface.n, "factors": [c.json_factor() for c in self.factors]}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TwistWord":
-        surface = SurfaceSpec(obj["n"])
-        factors = tuple(
-            ConvexCurve.from_json_factor(f) for f in _json_list(obj["factors"], "factors")
-        )
-        return TwistWord(surface, factors)
 
 
 @dataclass(frozen=True)
@@ -183,21 +171,6 @@ class BoundaryWord:
     def twist_count(self) -> int:
         return sum(self.exponents) + self.outer
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.surface.n,
-            "exponents": list(self.exponents),
-            "outer": self.outer,
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "BoundaryWord":
-        return BoundaryWord(
-            SurfaceSpec(obj["n"]),
-            tuple(_json_list(obj["exponents"], "exponents")),
-            obj.get("outer", 1),
-        )
-
 
 def _check_same_surface(lhs: BoundaryWord | TwistWord, rhs: BoundaryWord | TwistWord) -> None:
     if lhs.surface != rhs.surface:
@@ -213,10 +186,63 @@ class Relation:
     rhs: TwistWord
 
     def __post_init__(self):
+        _json_str(self.label, "label")
+        if not isinstance(self.lhs, BoundaryWord):
+            raise ValueError(f"lhs must be a BoundaryWord, got {self.lhs!r}")
+        if not isinstance(self.rhs, TwistWord):
+            raise ValueError(f"rhs must be a TwistWord, got {self.rhs!r}")
         _check_same_surface(self.lhs, self.rhs)
-        for c in self.rhs.factors:
-            if c.is_boundary_parallel(self.rhs.surface):
-                raise ValueError(f"rhs factor {c.support} is boundary-parallel")
+        _reject_boundary_parallel(self.rhs)
+
+
+def _reject_boundary_parallel(rhs: TwistWord) -> None:
+    """The rule of every relation and design: no rhs factor is boundary-parallel."""
+    for c in rhs.factors:
+        if c.is_boundary_parallel(rhs.surface):
+            raise ValueError(f"rhs factor {c} is boundary-parallel")
+
+
+def read_relation(
+    obj: dict, default_label: str | None = None
+) -> tuple[str, BoundaryWord, TwistWord | None]:
+    """A relation file's JSON object -> (label, BoundaryWord, TwistWord or None).
+
+    The one relation format, read alike from the bundled catalog and the CLI:
+
+        {"label": "n5/1", "n": 5,
+         "lhs": {"exponents": [2, 2, 2, 2], "outer": 1},
+         "rhs": [[1, 2], [2, 3], [1, 3], [3, 4], [2, 4], [1, 4]],
+         "order": "rightmost-first"}
+
+    `outer` defaults to 1, `label` to default_label; `rhs` may be absent.
+    A factor is a list of labels or "outer".  "rightmost-first" (default)
+    is function notation, the last factor acts first; "leftmost-first"
+    lists are reversed.  Relation's factor rules are not applied.
+    """
+    surface = SurfaceSpec(obj["n"])
+    lhs_obj = obj["lhs"]
+    if type(lhs_obj) is not dict:
+        raise ValueError(f"lhs must be an object, got {lhs_obj!r}")
+    extra = sorted(set(lhs_obj) - {"exponents", "outer"})
+    if extra:
+        raise ValueError(f"unknown lhs key {extra[0]!r}, want 'exponents' or 'outer'")
+    lhs = BoundaryWord(
+        surface, tuple(_json_list(lhs_obj["exponents"], "exponents")), lhs_obj.get("outer", 1)
+    )
+    rhs = None
+    if "rhs" in obj:
+        outer = ConvexCurve.outer_parallel()
+        factors = [
+            outer if f == "outer" else ConvexCurve.over(_json_list(f, "factor"))
+            for f in _json_list(obj["rhs"], "rhs")
+        ]
+        order = obj.get("order", "rightmost-first")
+        if order == "leftmost-first":
+            factors.reverse()
+        elif order != "rightmost-first":
+            raise ValueError(f"order must be rightmost-first or leftmost-first, got {order!r}")
+        rhs = TwistWord(surface, tuple(factors))
+    return _json_str(obj.get("label", default_label), "label"), lhs, rhs
 
 
 @dataclass(frozen=True)

@@ -287,15 +287,27 @@ def test_c8_n7_audit():
     definitive = four_triples.status == "exhausted"
     empty = four_triples.orderings_found == 0
 
-    ok = seven_ok and definitive and empty and rep.all_match()
+    # Realizability is known to be invariant only under rotations and
+    # reflections, so the nonexistence verdict rests on every dihedral
+    # class of the multiset, not on the one symmetric representative.
+    dihedral = [
+        e
+        for e in completeness_check(7, mode="dihedral").entries
+        if e.replications == (3, 3, 3, 3, 3, 3)
+    ]
+    none_exists = len(dihedral) == 5 and all(
+        e.status == "exhausted" and e.orderings_found == 0 for e in dihedral
+    )
+
+    ok = seven_ok and definitive and empty and none_exists and rep.all_match()
     verdict = (
         "no relation exists (exhaustive)"
-        if definitive and empty
-        else f"status={four_triples.status}, found={four_triples.orderings_found}"
+        if none_exists
+        else str([(e.status, e.orderings_found) for e in dihedral])
     )
     _report(
         "C8",
         ok,
         f"all seven listed replication classes realized; "
-        f"four-triples class searched exhaustively: {verdict}",
+        f"four-triples classes ({len(dihedral)} dihedral) searched exhaustively: {verdict}",
     )

