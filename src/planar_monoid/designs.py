@@ -28,7 +28,9 @@ from .surface import (
     SurfaceSpec,
     TwistWord,
     _json_int,
+    _json_key,
     _json_list,
+    _json_object,
     _reject_boundary_parallel,
     swing_word,
 )
@@ -96,8 +98,11 @@ class Design:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Design":
-        blocks = _json_list(obj["blocks"], "blocks")
-        return Design(obj["m"], tuple(tuple(_json_list(b, "block")) for b in blocks))
+        """A design file's JSON object {"m": ..., "blocks": [...]}; a missing
+        key or a non-object raises ValueError."""
+        m = _json_key(_json_object(obj, "design"), "m", "design")
+        blocks = _json_list(_json_key(obj, "blocks", "design"), "blocks")
+        return Design(m, tuple(tuple(_json_list(b, "block")) for b in blocks))
 
 
 def from_rhs(word: TwistWord) -> Design:
@@ -169,35 +174,56 @@ def _cover_all(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _group_perms(m: int, mode: SymmetryMode) -> list[tuple[int, ...]]:
+def _generators(m: int, mode: SymmetryMode) -> list[tuple[int, ...]]:
+    """Relabelings that generate the mode's group, each as the images of
+    1..m: none for "labeled"; the turn i -> i+1 with the reflection
+    i -> m+1-i for "dihedral"; the turn with the swap (1 2) for
+    "symmetric"."""
+    if mode not in SYMMETRY_MODES:
+        raise ValueError(f"unknown symmetry mode {mode!r}, want one of {SYMMETRY_MODES}")
     if mode == "labeled":
-        return [tuple(range(1, m + 1))]
+        return []
+    turn = (*range(2, m + 1), 1)
     if mode == "dihedral":
-        perms = []
-        for k in range(m):
-            perms.append(tuple((x + k) % m + 1 for x in range(m)))
-            perms.append(tuple((k - x) % m + 1 for x in range(m)))
-        return perms
-    if mode == "symmetric":
-        return [tuple(p) for p in itertools.permutations(range(1, m + 1))]
-    raise ValueError(f"unknown symmetry mode {mode!r}, want one of {SYMMETRY_MODES}")
-
-
-def _relabel(perm: tuple[int, ...], blocks) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(perm[x - 1] for x in b)) for b in blocks))
+        return [turn, tuple(range(m, 0, -1))]
+    return [turn, (2, 1, *range(3, m + 1))]
 
 
 @functools.cache
 def _classes(m: int, mode: SymmetryMode) -> tuple[Design, ...]:
     """The least member of each orbit of the labeled designs on m points
-    under the mode's group, in sorted order."""
-    group = _group_perms(m, mode)
-    least: dict[tuple, tuple] = {}
-    for sol in _cover_all(m):
-        if sol not in least:
-            orbit = {_relabel(g, sol) for g in group}
-            least.update(dict.fromkeys(orbit, min(orbit)))
-    return tuple(Design(m, blocks) for blocks in sorted(set(least.values())))
+    under the mode's group, in sorted order.
+
+    Each candidate block is named by its rank in the sorted list of all
+    blocks, so a design is a sorted tuple of ranks that compares exactly
+    like its block tuple.  Each orbit is closed under the generators, one
+    relabeling being a lookup per block in the generator's rank table.
+    """
+    gens = _generators(m, mode)
+    labeled = _cover_all(m)
+    blocks = sorted(
+        b for size in range(2, m) for b in itertools.combinations(range(1, m + 1), size)
+    )
+    rank = {b: r for r, b in enumerate(blocks)}
+    tables = [[rank[tuple(sorted(g[x - 1] for x in b))] for b in blocks] for g in gens]
+    seen: set[tuple[int, ...]] = set()
+    least = []
+    for sol in labeled:
+        start = tuple(rank[b] for b in sol)  # sol is sorted, so its ranks are too
+        if start in seen:
+            continue
+        orbit = {start}
+        todo = [start]
+        while todo:
+            d = todo.pop()
+            for table in tables:
+                image = tuple(sorted([table[r] for r in d]))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        least.append(min(orbit))
+    return tuple(Design(m, tuple(blocks[r] for r in d)) for d in sorted(least))
 
 
 def enumerate_designs(m: int, mode: SymmetryMode = "dihedral") -> list[Design]:

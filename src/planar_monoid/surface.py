@@ -46,6 +46,20 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_object(value, what: str) -> dict:
+    """A JSON object from an input file; arrays and scalars raise."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _json_key(obj: dict, key: str, what: str):
+    """A required key of a JSON object from an input file."""
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r}")
+    return obj[key]
+
+
 def _json_str(value, what: str) -> str:
     """A JSON string from an input file; anything else raises."""
     if type(value) is not str:
@@ -214,21 +228,20 @@ def read_relation(
          "rhs": [[1, 2], [2, 3], [1, 3], [3, 4], [2, 4], [1, 4]],
          "order": "rightmost-first"}
 
-    `outer` defaults to 1, `label` to default_label; `rhs` may be absent.
+    `n`, `lhs` and `lhs.exponents` are required, a missing one or a
+    non-object raising ValueError; `outer` defaults to 1, `label` to
+    default_label; `rhs` may be absent.
     A factor is a list of labels or "outer".  "rightmost-first" (default)
     is function notation, the last factor acts first; "leftmost-first"
     lists are reversed.  Relation's factor rules are not applied.
     """
-    surface = SurfaceSpec(obj["n"])
-    lhs_obj = obj["lhs"]
-    if type(lhs_obj) is not dict:
-        raise ValueError(f"lhs must be an object, got {lhs_obj!r}")
+    surface = SurfaceSpec(_json_key(_json_object(obj, "relation"), "n", "relation"))
+    lhs_obj = _json_object(_json_key(obj, "lhs", "relation"), "lhs")
     extra = sorted(set(lhs_obj) - {"exponents", "outer"})
     if extra:
         raise ValueError(f"unknown lhs key {extra[0]!r}, want 'exponents' or 'outer'")
-    lhs = BoundaryWord(
-        surface, tuple(_json_list(lhs_obj["exponents"], "exponents")), lhs_obj.get("outer", 1)
-    )
+    exponents = _json_list(_json_key(lhs_obj, "exponents", "lhs"), "exponents")
+    lhs = BoundaryWord(surface, tuple(exponents), lhs_obj.get("outer", 1))
     rhs = None
     if "rhs" in obj:
         outer = ConvexCurve.outer_parallel()

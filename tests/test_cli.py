@@ -154,6 +154,41 @@ def test_rejects_malformed_numbers(tmp_path, capsys, cmd, obj):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({k: v for k, v in LANTERN_N5.items() if k != "n"}, "relation has no 'n'"),
+        ({k: v for k, v in LANTERN_N5.items() if k != "lhs"}, "relation has no 'lhs'"),
+        (dict(LANTERN_N5, lhs={"outer": 1}), "lhs has no 'exponents'"),
+        ([LANTERN_N5], "relation must be an object, got list"),
+    ],
+    ids=["no-n", "no-lhs", "no-exponents", "array"],
+)
+def test_verify_names_a_malformed_relation_object(tmp_path, capsys, obj, message):
+    path = write(tmp_path, "rel.json", obj)
+    code, out, err = run(capsys, "verify", path, "--fast")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"m": 3}, "design has no 'blocks'"),
+        ({"blocks": [[1, 2], [2, 3], [1, 3]]}, "design has no 'm'"),
+        ([[1, 2], [2, 3], [1, 3]], "design must be an object, got list"),
+    ],
+    ids=["no-blocks", "no-m", "array"],
+)
+def test_search_names_a_malformed_design_object(tmp_path, capsys, obj, message):
+    path = write(tmp_path, "design.json", obj)
+    code, out, err = run(capsys, "search", "--design", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_catalog_command(capsys):
     for n, count in ((5, 2), (6, 7)):
         code, out, err = run(capsys, "catalog", "--n", str(n), "--fast")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -22,14 +23,30 @@ from planar_monoid.designs import (
     replication,
     search_orderings,
     _classes,
-    _group_perms,
-    _relabel,
+    _generators,
 )
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word
 
 ALL_PAIRS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K5 = tuple(itertools.combinations(range(1, 6), 2))
 THREE_TRIPLES = ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3), (2, 4, 5), (2, 6), (3, 4, 6), (3, 5))
+
+
+def _group_perms(m, mode):
+    """Every element of the mode's relabeling group, as the images of 1..m:
+    the reference that the orbit closure in `_classes` is checked against."""
+    if mode == "dihedral":
+        perms = []
+        for k in range(m):
+            perms.append(tuple((x + k) % m + 1 for x in range(m)))
+            perms.append(tuple((k - x) % m + 1 for x in range(m)))
+        return perms
+    assert mode == "symmetric"
+    return list(itertools.permutations(range(1, m + 1)))
+
+
+def _relabel(perm, blocks):
+    return tuple(sorted(tuple(sorted(perm[x - 1] for x in b)) for b in blocks))
 
 
 def test_design_normalizes_blocks():
@@ -115,12 +132,17 @@ def test_exponents_are_replication_minus_one():
     [
         (3, "dihedral", 1),
         (4, "dihedral", 2),
-        (4, "symmetric", 2),
         (5, "dihedral", 7),
-        (5, "symmetric", 4),
         (6, "dihedral", 44),
-        (6, "symmetric", 9),
         (7, "dihedral", 653),
+        # the symmetric counts 1, 2, 4, 9, 23 for m = 3..7 are OEIS
+        # A001200(m) - 1: the linear spaces on m points, minus the one
+        # with a single block
+        (3, "symmetric", 1),
+        (4, "symmetric", 2),
+        (5, "symmetric", 4),
+        (6, "symmetric", 9),
+        (7, "symmetric", 23),
         # every labeled design, one per exact cover of the pairs
         (3, "labeled", 1),
         (4, "labeled", 5),
@@ -145,8 +167,10 @@ def test_enumeration_orbits_partition_labeled_designs():
     assert sum(len(o) for o in orbits) == len(labeled)  # orbits are disjoint
 
 
-@pytest.mark.parametrize("mode", ["dihedral", "symmetric"])
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    ("m", "mode"),
+    [(m, mode) for mode in ("dihedral", "symmetric") for m in (3, 4, 5, 6)] + [(7, "dihedral")],
+)
 def test_class_map_sends_each_design_to_its_orbit_min(m, mode):
     group = _group_perms(m, mode)
     reps = [d.blocks for d in _classes(m, mode)]
@@ -156,6 +180,30 @@ def test_class_map_sends_each_design_to_its_orbit_min(m, mode):
     assert sum(len(o) for o in orbits) == len(designs._cover_all(m))
     assert set().union(*orbits) == set(designs._cover_all(m))
     assert reps == sorted(reps)
+
+
+def _closure(gens, m):
+    group = {tuple(range(1, m + 1))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[x - 1] for x in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_generators_close_to_the_mode_group(m):
+    assert _generators(m, "labeled") == []
+    dihedral = _closure(_generators(m, "dihedral"), m)
+    assert len(dihedral) == 2 * m
+    assert dihedral == set(_group_perms(m, "dihedral"))
+    assert len(_closure(_generators(m, "symmetric"), m)) == math.factorial(m)
+    with pytest.raises(ValueError, match="unknown symmetry mode"):
+        _generators(m, "cyclic")
 
 
 def test_enumerate_designs_returns_a_fresh_list():
