@@ -14,7 +14,8 @@ Words are sequences of signed Artin generator indices in *application order*:
   only: each pair that is not left-weighted is replaced by its
   left-weighted pair of ids from one lazily filled table per strand count.
   `_dual_normal_form` and `_dual_mul` give normal forms as private
-  (infimum, ids) tuples, which the ordering search multiplies;
+  (infimum, ids) tuples, which the ordering search multiplies, `_dual_mul`
+  stopping with None at an optional supremum bound;
   `normal_form` and `nf_mul` wrap them as `NormalForm`s; and
 * the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
   cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -407,8 +409,8 @@ def _dual_simples(m: int) -> _NonCrossing:
 
 
 def _left_weighted(
-    table: _NonCrossing, prefix: Iterable[int], factors: Iterable[int]
-) -> tuple[int, tuple[int, ...]]:
+    table: _NonCrossing, prefix: Iterable[int], factors: Iterable[int], limit: int = sys.maxsize
+) -> tuple[int, tuple[int, ...]] | None:
     """Append simple factors to a left-weighted, delta-free prefix, all as
     ids of one strand count's table.
 
@@ -417,11 +419,15 @@ def _left_weighted(
     (a, b) is left-weighted iff starts[b] is contained in finishes[a];
     otherwise it is replaced by its left-weighted pair from the table, one
     lookup per pair.  Returns (power of delta stripped from the front,
-    left-weighted id tuple).
+    left-weighted id tuple), or None as soon as the factors so far number
+    more than `limit`: their count is the supremum of a positive product,
+    and sup(xy) >= sup(x) for positive y, so the full product would too.
     """
     starts, finishes, pairs, size = table.starts, table.finishes, table.pairs, table.size
     ident = table.ident
     fs = list(prefix)
+    if len(fs) > limit:
+        return None
     for b in factors:
         if b == ident:
             continue
@@ -442,6 +448,8 @@ def _left_weighted(
                 fs[j] = b
             j -= 1
             b = a
+        if len(fs) > limit:
+            return None
     delta = table.delta
     k = 0
     while k < len(fs) and fs[k] == delta:
@@ -510,14 +518,20 @@ def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     return extra - negatives, ids
 
 
-def _dual_mul(m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+def _dual_mul(
+    m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]], sup: int | None = None
+) -> tuple[int, tuple[int, ...]] | None:
     """Dual normal form of 'a then b' on m strands: delta^p A . delta^q B
-    = delta^(p+q) tau^-q(A) B."""
+    = delta^(p+q) tau^-q(A) B.  With `sup`, None as soon as the supremum
+    passes it: the kernel stops once tau^-q(A) B has over sup - p - q factors."""
     table = _dual_simples(m)
     (inf_a, ids_a), (inf_b, ids_b) = a, b
+    inf = inf_a + inf_b
     prefix = [table.tau(x, -inf_b) for x in ids_a] if inf_b % m else ids_a
-    extra, ids = _left_weighted(table, prefix, ids_b)
-    return inf_a + inf_b + extra, ids
+    found = _left_weighted(table, prefix, ids_b, sys.maxsize if sup is None else sup - inf)
+    if found is None:
+        return None
+    return inf + found[0], found[1]
 
 
 def normal_form(w: BraidWord) -> NormalForm:

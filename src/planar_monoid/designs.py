@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 
@@ -290,10 +289,11 @@ class SearchBudget:
     dual Garside structure (see search_orderings) shows no order of the
     unused blocks can complete it; since every block is dual-positive, that
     is as soon as the product does not left-divide delta^m, the full twist.
-    The shuffle path also rotates every draw to start at the same
-    block, sorts the draws and recurses over them grouped by their next
-    block, multiplying each shared prefix once.  Neither changes what is
-    found, only its cost.
+    A multiply stops as soon as its product passes the sup bound.  The
+    shuffle path also rotates every draw to start at the same block and
+    recurses over the draws, put in buckets by their next block, so each
+    shared prefix is multiplied once.  Neither changes what is found, only
+    its cost.
     """
 
     exhaustive_cap: int = 8
@@ -380,12 +380,12 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
 
     The shuffle path uses the same fact.  It rotates each draw to start
     with the first block, which keeps whether the draw realizes the full
-    twist, and sorts the rotated draws.  Like the DFS it then recurses
-    from the first block: at each depth it groups the draws by their next
-    block and multiplies once per group, so each prefix that draws share
-    is multiplied once.  It reports the written orders of the realizing
-    draws as drawn, unrotated, so it finds exactly what multiplying each
-    draw out on its own would find.
+    twist.  Like the DFS it then recurses from the first block: at each
+    depth it puts the draws in buckets by their next block, in the order
+    first met, and multiplies once per bucket, so each prefix that draws
+    share is multiplied once.  It reports the written orders of the
+    realizing draws as drawn, unrotated, so it finds exactly what
+    multiplying each draw out on its own would find.
 
     Both paths multiply mirrors (every letter's sign flipped) in normal
     forms of the dual Garside structure of Birman-Ko-Lee (1998), where the
@@ -402,8 +402,11 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     left-divides delta^m.  A partial product that breaks either bound has
     no completion and is dropped: in the DFS before its memo lookup (the
     memo keeps only viable states), in the shuffle path together with
-    every draw that shares the failed prefix.
-    The two sums over R are carried along as ints.
+    every draw that shares the failed prefix.  The sup bound, with R the
+    blocks still unused after it, is given to each multiply, which returns
+    None unfinished as soon as its product passes it.  The first block is
+    not checked, but as sup(xy) >= sup x + inf y, every product through a
+    failing one fails its own step.  The two sums over R are ints.
     """
     m = d.points
     target = _mirror_nf(full_twist(m))
@@ -413,10 +416,10 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     sup_of = {b: inf + len(ids) for b, (inf, ids) in nf_of.items()}
     total_inf, total_sup = sum(inf_of.values()), sum(sup_of.values())
 
-    def viable(acc: tuple[int, tuple[int, ...]], rest_inf: int, rest_sup: int) -> bool:
-        """Can acc times the unused blocks (their infima summing to rest_inf,
-        their suprema to rest_sup), in some order, still be the target?"""
-        return acc[0] + rest_sup >= low and acc[0] + len(acc[1]) + rest_inf <= high
+    def viable(acc: tuple[int, tuple[int, ...]], rest_sup: int) -> bool:
+        """Can acc times the unused blocks (suprema summing to rest_sup) still
+        reach the target's infimum?  Each multiply is given the sup half."""
+        return acc[0] + rest_sup >= low
 
     head = d.blocks[0]
     start = (nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])
@@ -430,7 +433,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         memo: dict[tuple, tuple] = {}
 
         def complete(remaining: frozenset, acc: tuple, rest_inf: int, rest_sup: int):
-            if not viable(acc, rest_inf, rest_sup):
+            if not viable(acc, rest_sup):
                 return ()
             if not remaining:
                 return ((),) if acc == target else ()
@@ -438,11 +441,11 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
             if hit is None:
                 found = []
                 for b in sorted(remaining):
-                    suffixes = complete(
-                        remaining - {b}, _dual_mul(m, acc, nf_of[b]),
-                        rest_inf - inf_of[b], rest_sup - sup_of[b],
-                    )
-                    for suffix in suffixes:
+                    rest_b = rest_inf - inf_of[b]
+                    nxt = _dual_mul(m, acc, nf_of[b], high - rest_b)
+                    if nxt is None:
+                        continue
+                    for suffix in complete(remaining - {b}, nxt, rest_b, rest_sup - sup_of[b]):
                         found.append((b,) + suffix)
                 hit = tuple(found)
                 memo[acc] = hit
@@ -455,13 +458,12 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         return SearchResult(d, orderings, "exhausted")
 
     k = len(d.blocks)
-    draws = sorted(_draws(k, budget.tries, budget.seed))
     found: set[tuple[tuple[int, ...], ...]] = set()
 
     def walk(group: list, depth: int, acc: tuple, rest_inf: int, rest_sup: int) -> None:
         """Extend acc, the product of the first depth blocks shared by the
         draws in group, by each distinct next block among them."""
-        if not viable(acc, rest_inf, rest_sup):
+        if not viable(acc, rest_sup):
             return
         if depth == k:
             if acc == target:
@@ -470,12 +472,15 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                     applied = draw[k - rot:k] + draw[:k - rot]
                     found.add(tuple(d.blocks[i] for i in reversed(applied)))
             return
-        for i, sub in itertools.groupby(group, key=operator.itemgetter(depth)):
+        buckets: dict[int, list] = {}
+        for draw in group:
+            buckets.setdefault(draw[depth], []).append(draw)
+        for i, sub in buckets.items():
             b = d.blocks[i]
-            walk(
-                list(sub), depth + 1, _dual_mul(m, acc, nf_of[b]),
-                rest_inf - inf_of[b], rest_sup - sup_of[b],
-            )
+            rest_b = rest_inf - inf_of[b]
+            nxt = _dual_mul(m, acc, nf_of[b], high - rest_b)
+            if nxt is not None:
+                walk(sub, depth + 1, nxt, rest_b, rest_sup - sup_of[b])
 
-    walk(draws, 1, *start)
+    walk(_draws(k, budget.tries, budget.seed), 1, *start)
     return SearchResult(d, tuple(sorted(found)), "budget")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .surface import BoundaryWord, TwistWord, _json_int, _json_list
+from .surface import BoundaryWord, TwistWord, _json_int, _json_key, _json_list, _json_object
 
 __all__ = [
     "PlumbingGraph",
@@ -166,14 +166,16 @@ def emit(g: PlumbingGraph, fmt: str = "json") -> str:
 
 def parse(text: str) -> PlumbingGraph:
     """Inverse of emit(g, "json"); ids, weights and edge ends must be JSON integers."""
-    obj = json.loads(text)
+    obj = _json_object(json.loads(text), "plumbing graph")
     verts = []
-    for v in _json_list(obj["vertices"], "vertices"):
-        if type(v) is not dict:
-            raise ValueError(f"vertex must be an object, got {v!r}")
-        verts.append((_json_int(v["id"], "vertex id"), _json_int(v["weight"], "vertex weight")))
+    for v in _json_list(_json_key(obj, "vertices", "plumbing graph"), "vertices"):
+        v = _json_object(v, "vertex")
+        verts.append((
+            _json_int(_json_key(v, "id", "vertex"), "vertex id"),
+            _json_int(_json_key(v, "weight", "vertex"), "vertex weight"),
+        ))
     edges = []
-    for e in _json_list(obj["edges"], "edges"):
+    for e in _json_list(_json_key(obj, "edges", "plumbing graph"), "edges"):
         ends = _json_list(e, "edge")
         if len(ends) != 2:
             raise ValueError(f"edge must have two ends, got {e!r}")

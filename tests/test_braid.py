@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from planar_monoid import braid
+from planar_monoid import braid, surface
 from planar_monoid.braid import (
     BraidWord,
     NormalForm,
@@ -488,6 +488,45 @@ def test_dual_mul_matches_concatenation(pair):
     fa, fb = braid._dual_normal_form(a), braid._dual_normal_form(b)
     assert braid._dual_mul(m, fa, fb) == braid._dual_normal_form(BraidWord(m, a.letters + b.letters))
     assert braid._dual_mul(m, fb, fa) == braid._dual_normal_form(BraidWord(m, b.letters + a.letters))
+
+
+@st.composite
+def dual_factors(draw, m):
+    """A dual normal form on m strands: a random word's, or a mirrored
+    swing over a random support under either gathering side (one side gives
+    swings of negative infimum)."""
+    if draw(st.booleans()):
+        letters = draw(st.lists(st.integers(1, m - 1).flatmap(lambda g: st.sampled_from((g, -g))), max_size=24))
+        return braid._dual_normal_form(BraidWord(m, tuple(letters)))
+    support = draw(st.lists(st.integers(1, m), min_size=2, max_size=m - 1, unique=True))
+    sign = draw(st.sampled_from((-1, 1)))
+    saved = surface._GATHER_SIGN
+    surface._GATHER_SIGN = sign
+    try:
+        word = swing_word(ConvexCurve.over(support), SurfaceSpec(m + 1))
+    finally:
+        surface._GATHER_SIGN = saved
+    return braid._dual_normal_form(_mirror(word))
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_capped_dual_mul_stops_exactly_past_the_bound(data):
+    # the capped multiply is None exactly when the product's supremum passes
+    # the bound, and otherwise the uncapped product
+    m = data.draw(st.integers(3, 8))
+    a, b = data.draw(dual_factors(m)), data.draw(dual_factors(m))
+    product = braid._dual_mul(m, a, b)
+    sup = product[0] + len(product[1])
+    bound = sup + data.draw(st.integers(-4, 2))
+    assert braid._dual_mul(m, a, b, bound) == (None if sup > bound else product)
+
+
+def test_mirrored_swings_take_negative_infima_on_one_gathering_side(monkeypatch):
+    # the capped multiply's tests see negative infima through dual_factors
+    monkeypatch.setattr(surface, "_GATHER_SIGN", 1)
+    word = swing_word(ConvexCurve.over((1, 3, 5)), SurfaceSpec(6))
+    assert braid._dual_normal_form(_mirror(word))[0] < 0
 
 
 @given(braid_word_pairs(max_strands=8, max_len=24))

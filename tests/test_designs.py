@@ -369,10 +369,10 @@ def test_search_shuffle_walk_shares_prefix_products(monkeypatch):
     calls = 0
     dual_mul = designs._dual_mul
 
-    def counted(m, a, b):
+    def counted(m, a, b, *rest):
         nonlocal calls
         calls += 1
-        return dual_mul(m, a, b)
+        return dual_mul(m, a, b, *rest)
 
     monkeypatch.setattr(designs, "_dual_mul", counted)
     res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000, seed=0))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from planar_monoid.catalog import verify
@@ -181,6 +183,22 @@ def test_emit_json_roundtrip():
 def test_parse_reads_json_integers_only(text):
     "Ids, weights and edge ends are JSON integers; nothing is truncated or converted."
     with pytest.raises(ValueError):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"edges": []}', "plumbing graph has no 'vertices'"),
+        ('{"vertices": [{"id": 0, "weight": -5}]}', "plumbing graph has no 'edges'"),
+        ("[1]", "plumbing graph must be an object, got list"),
+        ('{"vertices": [{"id": 0}], "edges": []}', "vertex has no 'weight'"),
+        ('{"vertices": [{"weight": -5}], "edges": []}', "vertex has no 'id'"),
+    ],
+    ids=["no-vertices", "no-edges", "array", "no-weight", "no-id"],
+)
+def test_parse_names_what_is_missing(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse(text)
 
 
