@@ -84,10 +84,6 @@ class BraidWord:
                     f"letter {letter} out of range for {self.strands} strands"
                 )
 
-    @staticmethod
-    def identity(strands: int) -> "BraidWord":
-        return BraidWord(strands)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -102,10 +98,6 @@ class Permutation:
         object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a bijection on 1..{len(self.images)}: {self.images}")
-
-    @staticmethod
-    def identity(m: int) -> "Permutation":
-        return Permutation(tuple(range(1, m + 1)))
 
     def __call__(self, x: int) -> int:
         return self.images[x - 1]

@@ -28,6 +28,7 @@ from .surface import (
     TwistWord,
     _json_int,
     _json_key,
+    _json_keys,
     _json_list,
     _json_object,
     _reject_boundary_parallel,
@@ -98,8 +99,9 @@ class Design:
     @staticmethod
     def from_json_obj(obj: dict) -> "Design":
         """A design file's JSON object {"m": ..., "blocks": [...]}; a missing
-        key or a non-object raises ValueError."""
-        m = _json_key(_json_object(obj, "design"), "m", "design")
+        or other key or a non-object raises ValueError."""
+        _json_keys(_json_object(obj, "design"), ("m", "blocks"), "design")
+        m = _json_key(obj, "m", "design")
         blocks = _json_list(_json_key(obj, "blocks", "design"), "blocks")
         return Design(m, tuple(tuple(_json_list(b, "block")) for b in blocks))
 
@@ -285,14 +287,14 @@ class SearchBudget:
     search degrades to random shuffles and the result's status says so.
     tries: random shuffles past the cap, drawn from random.Random(seed).
     Neither may be negative.
-    Both paths drop a partial product as soon as the inf/sup bound of the
-    dual Garside structure (see search_orderings) shows no order of the
-    unused blocks can complete it; since every block is dual-positive, that
-    is as soon as the product does not left-divide delta^m, the full twist.
-    A multiply stops as soon as its product passes the sup bound.  The
-    shuffle path also rotates every draw to start at the same block and
-    recurses over the draws, put in buckets by their next block, so each
-    shared prefix is multiplied once.  Neither changes what is found, only
+    Both paths have one prune: each multiply stops as soon as its product
+    passes the sup bound of the dual Garside structure (see
+    search_orderings), past which no order of the unused blocks can
+    complete it; since every block is dual-positive, that is as soon as the
+    product does not left-divide delta^m, the full twist.  The shuffle
+    path also rotates every draw to start at the same block and recurses
+    over the draws, put in buckets by their next block, so each shared
+    prefix is multiplied once.  Neither changes what is found, only
     its cost.
     """
 
@@ -392,49 +394,38 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     mirror of a block's swing is delta_S^|S| for its support S and the
     mirror of the full twist is delta^m.  Mirroring is an automorphism, so
     a product of mirrors is the mirror of the product.  Both paths prune by
-    the dual infimum and supremum (sup = inf + canonical length), which,
-    as in any Garside structure, are super- and sub-additive: inf(xy) >=
-    inf x + inf y, sup(xy) <= sup x + sup y, and inf(x^-1) = -sup x.  If a
+    one bound on the dual supremum (sup = inf + canonical length).  As in
+    any Garside structure, sup(xy) <= sup x + sup y, inf(xy) >= inf x +
+    inf y and sup(x^-1) = -inf x, with inf the dual infimum.  If a
     partial product acc times the product P of the unused blocks R, in any
-    order, is the target T, then acc = T P^-1, so inf(acc) >= inf T -
-    sum_R sup(b) and sup(acc) <= sup T - sum_R inf(b).  Every block has
-    infimum 0 here, so the second bound reads sup(acc) <= m: acc
-    left-divides delta^m.  A partial product that breaks either bound has
-    no completion and is dropped: in the DFS before its memo lookup (the
-    memo keeps only viable states), in the shuffle path together with
-    every draw that shares the failed prefix.  The sup bound, with R the
-    blocks still unused after it, is given to each multiply, which returns
-    None unfinished as soon as its product passes it.  The first block is
-    not checked, but as sup(xy) >= sup x + inf y, every product through a
-    failing one fails its own step.  The two sums over R are ints.
+    order, is the target T, then acc = T P^-1, so sup(acc) <= sup T -
+    sum_R inf(b).  Every block has infimum 0 here, so the bound reads
+    sup(acc) <= m: acc left-divides delta^m.  The bound, with R the blocks
+    still unused after the step, is given to each multiply, which returns
+    None unfinished as soon as its product passes it; such a product has
+    no completion and is dropped, in the DFS before it reaches the memo,
+    in the shuffle path together with every draw that shares the failed
+    prefix.  The first block is not checked, but as sup(xy) >= sup x +
+    inf y, every product through a failing one fails its own step.  The
+    sum over R is an int.
     """
     m = d.points
     target = _mirror_nf(full_twist(m))
-    low, high = target[0], target[0] + len(target[1])
+    high = target[0] + len(target[1])
     nf_of = {b: _block_nf(m, b) for b in d.blocks}
     inf_of = {b: inf for b, (inf, _) in nf_of.items()}
-    sup_of = {b: inf + len(ids) for b, (inf, ids) in nf_of.items()}
-    total_inf, total_sup = sum(inf_of.values()), sum(sup_of.values())
-
-    def viable(acc: tuple[int, tuple[int, ...]], rest_sup: int) -> bool:
-        """Can acc times the unused blocks (suprema summing to rest_sup) still
-        reach the target's infimum?  Each multiply is given the sup half."""
-        return acc[0] + rest_sup >= low
-
     head = d.blocks[0]
-    start = (nf_of[head], total_inf - inf_of[head], total_sup - sup_of[head])
+    start = (nf_of[head], sum(inf_of.values()) - inf_of[head])
 
     if len(d.blocks) <= budget.exhaustive_cap:
-        # memo: viable partial-product NF -> all completing suffixes.  The
-        # product alone fixes the blocks it used: every swing is pure and
-        # moves the linking number of exactly its own pairs by the same unit,
-        # and each pair lies in exactly one block, so the linking numbers of
-        # acc (invariants of the braid) name the used blocks, hence remaining.
+        # memo: partial-product NF -> all completing suffixes.  The product
+        # alone fixes the blocks it used: every swing is pure and moves the
+        # linking number of exactly its own pairs by the same unit, and each
+        # pair lies in exactly one block, so the linking numbers of acc
+        # (invariants of the braid) name the used blocks, hence remaining.
         memo: dict[tuple, tuple] = {}
 
-        def complete(remaining: frozenset, acc: tuple, rest_inf: int, rest_sup: int):
-            if not viable(acc, rest_sup):
-                return ()
+        def complete(remaining: frozenset, acc: tuple, rest_inf: int):
             if not remaining:
                 return ((),) if acc == target else ()
             hit = memo.get(acc)
@@ -445,7 +436,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                     nxt = _dual_mul(m, acc, nf_of[b], high - rest_b)
                     if nxt is None:
                         continue
-                    for suffix in complete(remaining - {b}, nxt, rest_b, rest_sup - sup_of[b]):
+                    for suffix in complete(remaining - {b}, nxt, rest_b):
                         found.append((b,) + suffix)
                 hit = tuple(found)
                 memo[acc] = hit
@@ -460,11 +451,9 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     k = len(d.blocks)
     found: set[tuple[tuple[int, ...], ...]] = set()
 
-    def walk(group: list, depth: int, acc: tuple, rest_inf: int, rest_sup: int) -> None:
+    def walk(group: list, depth: int, acc: tuple, rest_inf: int) -> None:
         """Extend acc, the product of the first depth blocks shared by the
         draws in group, by each distinct next block among them."""
-        if not viable(acc, rest_sup):
-            return
         if depth == k:
             if acc == target:
                 for draw in group:
@@ -480,7 +469,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
             rest_b = rest_inf - inf_of[b]
             nxt = _dual_mul(m, acc, nf_of[b], high - rest_b)
             if nxt is not None:
-                walk(sub, depth + 1, nxt, rest_b, rest_sup - sup_of[b])
+                walk(sub, depth + 1, nxt, rest_b)
 
     walk(_draws(k, budget.tries, budget.seed), 1, *start)
     return SearchResult(d, tuple(sorted(found)), "budget")

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .surface import BoundaryWord, TwistWord, _json_int, _json_key, _json_list, _json_object
+from .surface import (
+    BoundaryWord, TwistWord, _json_int, _json_key, _json_keys, _json_list, _json_object
+)
 
 __all__ = [
     "PlumbingGraph",
@@ -165,11 +167,13 @@ def emit(g: PlumbingGraph, fmt: str = "json") -> str:
 
 
 def parse(text: str) -> PlumbingGraph:
-    """Inverse of emit(g, "json"); ids, weights and edge ends must be JSON integers."""
+    """Inverse of emit(g, "json"); ids, weights and edge ends must be JSON
+    integers, and no other key than emit writes is accepted."""
     obj = _json_object(json.loads(text), "plumbing graph")
+    _json_keys(obj, ("vertices", "edges"), "plumbing graph")
     verts = []
     for v in _json_list(_json_key(obj, "vertices", "plumbing graph"), "vertices"):
-        v = _json_object(v, "vertex")
+        v = _json_keys(_json_object(v, "vertex"), ("id", "weight"), "vertex")
         verts.append((
             _json_int(_json_key(v, "id", "vertex"), "vertex id"),
             _json_int(_json_key(v, "weight", "vertex"), "vertex weight"),

@@ -60,6 +60,16 @@ def _json_key(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _json_keys(obj: dict, allowed: tuple[str, ...], what: str) -> dict:
+    """A JSON object from an input file with no key outside allowed, so a
+    misspelled key raises instead of reading as absent."""
+    extra = sorted(set(obj) - set(allowed))
+    if extra:
+        want = ", ".join(map(repr, allowed[:-1]))
+        raise ValueError(f"unknown {what} key {extra[0]!r}, want {want} or {allowed[-1]!r}")
+    return obj
+
+
 def _json_str(value, what: str) -> str:
     """A JSON string from an input file; anything else raises."""
     if type(value) is not str:
@@ -228,18 +238,17 @@ def read_relation(
          "rhs": [[1, 2], [2, 3], [1, 3], [3, 4], [2, 4], [1, 4]],
          "order": "rightmost-first"}
 
-    `n`, `lhs` and `lhs.exponents` are required, a missing one or a
-    non-object raising ValueError; `outer` defaults to 1, `label` to
-    default_label; `rhs` may be absent.
+    `n`, `lhs` and `lhs.exponents` are required, a missing one, a key not
+    shown here or a non-object raising ValueError; `outer` defaults to 1,
+    `label` to default_label; `rhs` may be absent.
     A factor is a list of labels or "outer".  "rightmost-first" (default)
     is function notation, the last factor acts first; "leftmost-first"
     lists are reversed.  Relation's factor rules are not applied.
     """
-    surface = SurfaceSpec(_json_key(_json_object(obj, "relation"), "n", "relation"))
+    _json_keys(_json_object(obj, "relation"), ("label", "n", "lhs", "rhs", "order"), "relation")
+    surface = SurfaceSpec(_json_key(obj, "n", "relation"))
     lhs_obj = _json_object(_json_key(obj, "lhs", "relation"), "lhs")
-    extra = sorted(set(lhs_obj) - {"exponents", "outer"})
-    if extra:
-        raise ValueError(f"unknown lhs key {extra[0]!r}, want 'exponents' or 'outer'")
+    _json_keys(lhs_obj, ("exponents", "outer"), "lhs")
     exponents = _json_list(_json_key(lhs_obj, "exponents", "lhs"), "exponents")
     lhs = BoundaryWord(surface, tuple(exponents), lhs_obj.get("outer", 1))
     rhs = None

@@ -83,6 +83,27 @@ def test_verify_rejects_unknown_order(tmp_path, capsys):
     assert "order" in err
 
 
+def test_verify_rejects_misspelled_order_key(tmp_path, capsys):
+    # read as absent, "Order" would leave the list rightmost-first, where it
+    # verifies; spelled "order", the same list is falsified
+    spelled = dict(LANTERN_N5, order="leftmost-first")
+    code, _, _ = run(capsys, "verify", write(tmp_path, "rel.json", spelled), "--fast")
+    assert code == 1
+    misspelled = dict(LANTERN_N5, Order="leftmost-first")
+    code, out, err = run(capsys, "verify", write(tmp_path, "rel.json", misspelled), "--fast")
+    assert code == 2
+    assert out == ""
+    assert "unknown relation key 'Order'" in err
+
+
+def test_search_rejects_unknown_design_key(tmp_path, capsys):
+    obj = {"m": 4, "blocks": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]], "bloks": []}
+    code, out, err = run(capsys, "search", "--design", write(tmp_path, "d.json", obj))
+    assert code == 2
+    assert out == ""
+    assert "unknown design key 'bloks'" in err
+
+
 def test_verify_malformed_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -382,6 +382,24 @@ def test_search_shuffle_walk_shares_prefix_products(monkeypatch):
     assert calls == 1601
 
 
+def test_search_exhaustive_dfs_cost(monkeypatch):
+    calls = 0
+    dual_mul = designs._dual_mul
+
+    def counted(m, a, b, *rest):
+        nonlocal calls
+        calls += 1
+        return dual_mul(m, a, b, *rest)
+
+    monkeypatch.setattr(designs, "_dual_mul", counted)
+    blocks = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4, 5))
+    res = search_orderings(Design(5, blocks), SearchBudget(exhaustive_cap=8))
+    assert res.status == "exhausted"
+    assert len(res.orderings) == 176
+    # one multiply per memoized state and unused block, cut at the sup bound
+    assert calls == 443
+
+
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_search_matches_brute_force(m):
     # reference path: every application order, multiplied left to right

@@ -194,8 +194,16 @@ def test_parse_reads_json_integers_only(text):
         ("[1]", "plumbing graph must be an object, got list"),
         ('{"vertices": [{"id": 0}], "edges": []}', "vertex has no 'weight'"),
         ('{"vertices": [{"weight": -5}], "edges": []}', "vertex has no 'id'"),
+        (
+            '{"vertices": [{"id": 0, "weight": -5}], "edges": [], "edge": [[0, 1]]}',
+            "unknown plumbing graph key 'edge', want 'vertices' or 'edges'",
+        ),
+        (
+            '{"vertices": [{"id": 0, "weight": -5, "wieght": -2}], "edges": []}',
+            "unknown vertex key 'wieght', want 'id' or 'weight'",
+        ),
     ],
-    ids=["no-vertices", "no-edges", "array", "no-weight", "no-id"],
+    ids=["no-vertices", "no-edges", "array", "no-weight", "no-id", "extra-key", "extra-vertex-key"],
 )
 def test_parse_names_what_is_missing(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -229,5 +229,7 @@ def test_json_roundtrip():
     assert read_relation(no_rhs) == ("r", BoundaryWord(s, (2, 0, 1, 3), outer=1), None)
     with pytest.raises(ValueError, match="label must be a string"):
         read_relation(obj)
-    with pytest.raises(ValueError, match="unknown lhs key 'n'"):
+    with pytest.raises(ValueError, match="unknown lhs key 'n', want 'exponents' or 'outer'"):
         read_relation(dict(obj, lhs={"n": 5, "exponents": [2, 0, 1, 3]}), "x")
+    with pytest.raises(ValueError, match="unknown relation key 'Order'"):
+        read_relation(dict(obj, Order="leftmost-first"), "x")
