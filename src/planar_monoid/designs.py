@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .braid import BraidWord, _dual_mul, _dual_normal_form, full_twist
@@ -83,8 +84,10 @@ class Design:
         for b in blocks:
             if not 2 <= len(b) <= m - 1:
                 raise ValueError(f"block {b} has size outside 2..{m - 1}")
-            if b[0] < 1 or b[-1] > m or len(set(b)) != len(b):
+            if b[0] < 1 or b[-1] > m:
                 raise ValueError(f"block {b} is not a subset of 1..{m}")
+            if len(set(b)) != len(b):
+                raise ValueError(f"block {b} repeats a point")
             for x, y in itertools.combinations(b, 2):
                 cover[(x, y)] = cover.get((x, y), 0) + 1
         for x in range(1, m + 1):
@@ -286,7 +289,10 @@ class SearchBudget:
     exhaustive_cap: max block count for the complete DFS; above it the
     search degrades to random shuffles and the result's status says so.
     tries: random shuffles past the cap, drawn from random.Random(seed).
-    Neither may be negative.
+    All three are plain ints (not bools); neither of the first two may be
+    negative.  The shuffles depend only on the block count, tries and seed,
+    so they are drawn once per such triple and shared by every budget
+    class that has it (see _draws).
     Both paths have one prune: each multiply stops as soon as its product
     passes the sup bound of the dual Garside structure (see
     search_orderings), past which no order of the unused blocks can
@@ -303,6 +309,8 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("exhaustive_cap", "tries", "seed"):
+            _json_int(getattr(self, name), name)
         if self.exhaustive_cap < 0:
             raise ValueError(f"exhaustive_cap must be >= 0, got {self.exhaustive_cap}")
         if self.tries < 0:
@@ -343,12 +351,16 @@ def _block_nf(m: int, block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return _mirror_nf(swing_word(ConvexCurve.over(block), surface))
 
 
-def _draws(k: int, tries: int, seed: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=8)  # an m <= 6 audit's budget classes meet at most 7 block counts
+def _draws(k: int, tries: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """`tries` successive shuffles of range(k) by random.Random(seed), each
     rotated to start at 0 and followed by the rotation.
 
     The shuffle is random.shuffle's own: for i from k-1 down to 1, draw
     j = getrandbits(bits of i+1) until j <= i and swap positions i and j.
+    The draws depend only on (k, tries, seed), so they are drawn once per
+    key and every budget class with that block count and budget walks the
+    same immutable tuple; the last 8 keys are kept.
     """
     getrandbits = random.Random(seed).getrandbits
     steps = [(i, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
@@ -362,7 +374,7 @@ def _draws(k: int, tries: int, seed: int) -> list[tuple[int, ...]]:
             shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
         rot = shuffled.index(0)
         draws.append((*shuffled[rot:], *shuffled[:rot], rot))
-    return draws
+    return tuple(draws)
 
 
 def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> SearchResult:
@@ -380,14 +392,17 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     distinct each of them has exactly one rotation that starts with the
     fixed block.
 
-    The shuffle path uses the same fact.  It rotates each draw to start
-    with the first block, which keeps whether the draw realizes the full
-    twist.  Like the DFS it then recurses from the first block: at each
-    depth it puts the draws in buckets by their next block, in the order
-    first met, and multiplies once per bucket, so each prefix that draws
-    share is multiplied once.  It reports the written orders of the
-    realizing draws as drawn, unrotated, so it finds exactly what
-    multiplying each draw out on its own would find.
+    The shuffle path uses the same fact.  Its draws depend only on the
+    block count, budget.tries and budget.seed, so _draws makes them once
+    per such triple and budget classes that share it walk the same tuple.
+    It rotates each draw to start with the first block, which keeps
+    whether the draw realizes the full twist.  Like the DFS it then
+    recurses from the first block: at each depth it puts the draws in
+    buckets by their next block, in the order first met, and multiplies
+    once per bucket, so each prefix that draws share is multiplied once.
+    It reports the written orders of the realizing draws as drawn,
+    unrotated, so it finds exactly what multiplying each draw out on its
+    own would find.
 
     Both paths multiply mirrors (every letter's sign flipped) in normal
     forms of the dual Garside structure of Birman-Ko-Lee (1998), where the
@@ -451,7 +466,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     k = len(d.blocks)
     found: set[tuple[tuple[int, ...], ...]] = set()
 
-    def walk(group: list, depth: int, acc: tuple, rest_inf: int) -> None:
+    def walk(group: Sequence[tuple[int, ...]], depth: int, acc: tuple, rest_inf: int) -> None:
         """Extend acc, the product of the first depth blocks shared by the
         draws in group, by each distinct next block among them."""
         if depth == k:

@@ -291,6 +291,15 @@ def test_search_rejects_design_on_fewer_than_three_points(tmp_path, capsys):
     assert "at least 3 points" in err
 
 
+def test_search_rejects_block_repeating_a_point(tmp_path, capsys):
+    blocks = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4, 4]]
+    path = write(tmp_path, "design.json", {"m": 4, "blocks": blocks})
+    code, out, err = run(capsys, "search", "--design", path)
+    assert code == 2
+    assert out == ""
+    assert "repeats a point" in err
+
+
 def test_search_budget_flags(tmp_path, capsys):
     path = write(
         tmp_path,

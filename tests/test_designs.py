@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from planar_monoid import designs
 from planar_monoid.braid import BraidWord, NormalForm, full_twist, lk_equal, nf_mul, normal_form
-from planar_monoid.catalog import builtin, verify
+from planar_monoid.catalog import builtin, completeness_check, verify
 from planar_monoid.designs import (
     Design,
     PairCoverageError,
@@ -456,6 +456,16 @@ def test_search_budget_rejects_negative(kwargs):
         SearchBudget(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("exhaustive_cap", 8.5), ("tries", 2.5), ("tries", True), ("seed", 1.5), ("seed", "0")],
+)
+def test_search_budget_takes_ints_only(field, value):
+    # the three fields key the cache of draws, which must see plain ints
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SearchBudget(**{field: value})
+
+
 def test_search_reports_written_order():
     # every reported ordering must itself verify as a relation
     d = Design(3, ((1, 2), (2, 3), (1, 3)))
@@ -504,13 +514,41 @@ def test_draws_reproduce_random_shuffle(seed):
             rng.shuffle(shuffled)
             rot = shuffled.index(0)
             expected.append((*shuffled[rot:], *shuffled[:rot], rot))
-        assert designs._draws(k, 3, seed) == expected
+        assert designs._draws(k, 3, seed) == tuple(expected)
+
+
+def test_draws_are_one_shared_tuple_per_key():
+    draws = designs._draws(11, 2000, 0)
+    assert type(draws) is tuple and all(type(t) is tuple for t in draws)
+    assert designs._draws(11, 2000, 0) is draws
+    assert designs._draws(11, 5, 0) == draws[:5]
+
+
+@pytest.mark.parametrize("mode, misses, hits", [("dihedral", 5, 27), ("symmetric", 5, 1)])
+def test_audit_draws_once_per_block_count(mode, misses, hits):
+    # the n = 7 budget classes have 9-15 blocks: five block counts, so
+    # five draw lists, whatever the number of classes
+    designs._draws.cache_clear()
+    completeness_check(7, mode, SearchBudget(8, 2000, 0))
+    info = designs._draws.cache_info()
+    assert (info.misses, info.hits) == (misses, hits)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_shared_draws_keep_audit_report(monkeypatch, seed):
+    budget = SearchBudget(8, 2000, seed)
+    designs._draws.cache_clear()
+    cold = completeness_check(7, "symmetric", budget).to_json_obj()
+    warm = completeness_check(7, "symmetric", budget).to_json_obj()
+    monkeypatch.setattr(designs, "_draws", designs._draws.__wrapped__)
+    assert completeness_check(7, "symmetric", budget).to_json_obj() == cold == warm
 
 
 def test_search_budget_path_is_deterministic():
     d = Design(4, ALL_PAIRS_4)
     budget = SearchBudget(exhaustive_cap=2, tries=300, seed=7)
     r1 = search_orderings(d, budget)
+    designs._draws.cache_clear()  # the second search draws afresh
     r2 = search_orderings(d, budget)
     assert r1.status == "budget"
     assert r1.orderings == r2.orderings
