@@ -573,7 +573,11 @@ def full_twist(m: int) -> BraidWord:
 # adding a generator term's packed degrees to it never changes its row.
 # lk_equal takes l as the least power of two above its reduced length, so
 # there is no length limit, few layouts are ever packed, and catalog words
-# keep every key below 2^30, a single CPython digit.
+# keep every key below 2^30, a single CPython digit.  A generator entry
+# that several columns read (as (q-1)^2 on x_{i,i+1} under sigma_i) is
+# built once per letter as a product in a slot past the columns, and each
+# reader adds it at its own shift; by linearity the packed sums are those
+# of the entries added one by one.
 
 
 def _poly(td: int, lo: int, *coeffs: int) -> tuple[tuple[int, int, int], ...]:
@@ -674,17 +678,47 @@ def _lk_layout(m: int, length: int) -> tuple[int, int]:
 
 @functools.cache
 def _lk_letter(m: int, letter: int, tstride: int):
-    """`_lk_active(m, letter)` with its degrees packed for this t-stride:
+    """`_lk_active(m, letter)` with its degrees packed for this t-stride, as
+    (number of shared products, steps), each step
     (col_j, row_k0, key_shift, ((row_k, ((key_shift, coeff), ...)), ...), in_place).
-    lk_equal asks only for power-of-two lengths, so few are kept."""
-    return tuple(
-        (j, k0, dq * tstride + dt, tuple((k, tuple((q * tstride + t, c) for q, t, c in terms)) for k, terms in rest), in_place)
-        for j, k0, (dq, dt), rest, in_place in _lk_active(m, letter)
+
+    Each non-monic entry t^a q^b P col_k is a shift a * tstride + b times
+    a base polynomial P whose first term sits at degree 0.  An entry (k, P)
+    that two or more columns read is a shared product p: an in-place step
+    on the empty slot dim + p past the dim columns, listed before every
+    column, and each reading column adds that slot with its own shift and
+    coefficient 1.  An entry read once stays inline.  lk_equal asks only
+    for power-of-two lengths, so few are kept."""
+    active = []
+    reads: dict = {}  # (row, base) -> how many columns read it
+    for j, k0, (dq, dt), rest, in_place in _lk_active(m, letter):
+        entries = []
+        for k, terms in rest:
+            q0, t0, _ = terms[0]
+            base = tuple(((q - q0) * tstride + t - t0, c) for q, t, c in terms)
+            entries.append((k, q0 * tstride + t0, base))
+            reads[k, base] = reads.get((k, base), 0) + 1
+        active.append((j, k0, dq * tstride + dt, entries, in_place))
+    dim = m * (m - 1) // 2
+    slot = {entry: dim + p for p, entry in enumerate(e for e, n in reads.items() if n > 1)}
+    products = tuple((p, p, 0, (entry,), True) for entry, p in slot.items())
+    return len(slot), products + tuple(
+        (j, k0, shift, tuple(
+            (slot[k, base], ((dk, 1),)) if (k, base) in slot else (k, tuple((dk + d, c) for d, c in base))
+            for k, dk, base in entries
+        ), in_place)
+        for j, k0, shift, entries, in_place in active
     )
 
 
 def _lk_apply(cols: list[dict], gen) -> None:
-    """In-place right multiplication by a generator matrix packed by `_lk_letter`."""
+    """In-place right multiplication by a generator matrix packed by
+    `_lk_letter`.  The letter's shared products go in fresh slots past the
+    columns and are built first, before any column is touched; an in-place
+    column is read by no other column, so no product reads one."""
+    dim = len(cols)
+    shared, gen = gen
+    cols += [{} for _ in range(shared)]
     updates = []
     for j, k0, shift, rest, in_place in gen:
         if in_place:
@@ -706,6 +740,7 @@ def _lk_apply(cols: list[dict], gen) -> None:
                         del acc[kk]
         if not in_place:
             updates.append((j, acc))
+    del cols[dim:]
     for j, acc in updates:
         cols[j] = acc
 

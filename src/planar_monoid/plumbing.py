@@ -33,7 +33,8 @@ class PlumbingGraph:
     """Weighted tree; vertices are (id, weight) pairs, weights negative.
 
     Ids, weights and edge ends must be ints (not bools); nothing is
-    truncated or converted.
+    truncated or converted.  Edges may be given as any iterable of pairs,
+    in either direction; an edge given twice raises.
     """
 
     vertices: tuple[tuple[int, int], ...]
@@ -51,12 +52,17 @@ class PlumbingGraph:
         if any(w >= 0 for _, w in verts):
             raise ValueError("vertex weights must be negative")
         known = set(ids)
-        norm = set()
-        for e in self.edges:
+        norm: dict[tuple[int, int], tuple] = {}  # sorted ends -> the edge as given
+        for e in map(tuple, self.edges):
+            if len(e) != 2:
+                raise ValueError(f"edge {e!r} must have two ends")
             a, b = (_json_int(x, "edge end") for x in e)
             if a == b or a not in known or b not in known:
-                raise ValueError(f"edge {tuple(e)!r} does not join two distinct vertices")
-            norm.add((a, b) if a < b else (b, a))
+                raise ValueError(f"edge {e!r} does not join two distinct vertices")
+            key = (a, b) if a < b else (b, a)
+            if key in norm:
+                raise ValueError(f"edge {e!r} repeats {norm[key]!r}")
+            norm[key] = e
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", frozenset(norm))
         if len(norm) != len(ids) - 1 or not self._connected():
@@ -180,8 +186,5 @@ def parse(text: str) -> PlumbingGraph:
         ))
     edges = []
     for e in _json_list(_json_key(obj, "edges", "plumbing graph"), "edges"):
-        ends = _json_list(e, "edge")
-        if len(ends) != 2:
-            raise ValueError(f"edge must have two ends, got {e!r}")
-        edges.append(tuple(_json_int(x, "edge end") for x in ends))
-    return PlumbingGraph(tuple(verts), frozenset(edges))
+        edges.append(tuple(_json_int(x, "edge end") for x in _json_list(e, "edge")))
+    return PlumbingGraph(tuple(verts), tuple(edges))

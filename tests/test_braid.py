@@ -788,6 +788,22 @@ def test_lk_equal_matches_reference_on_catalog(lhs, rhs, holds):
     assert lk_equal(bl, br) == _lk_reference_equal(bl, br) == equals(bl, br) == holds
 
 
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        pytest.param(TwistWord(r.rhs.surface, r.rhs.factors[: len(r.rhs.factors) // 2]), id=r.label)
+        for n in (5, 6, 7)
+        for r in builtin(n)
+    ],
+)
+def test_lk_matrix_matches_reference_on_catalog_half_products(rhs):
+    # half an rhs is far from central: on 6 and 7 strands its matrix holds
+    # hundreds of terms, the whole (central) product 10 to 15, and random
+    # words stay smaller
+    w = to_braid(rhs)
+    assert _lk_unpacked(_lk_matrix(w), w.strands, len(w.letters)) == _lk_reference(w)
+
+
 @pytest.mark.parametrize(("lhs", "rhs", "holds"), list(_catalog_cases()))
 def test_dual_forms_decide_the_catalog(lhs, rhs, holds):
     bl, br = to_braid(lhs), to_braid(rhs)
@@ -855,6 +871,48 @@ def test_lk_in_place_columns_are_read_by_no_other_column():
             for j, k0, shift, rest, in_place in active:
                 readers = [c for c in active if c[0] != j and j in (c[1], *(k for k, _ in c[3]))]
                 assert in_place == (k0 == j and shift == (0, 0) and not readers)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_lk_packed_letter_expands_to_the_active_columns(m):
+    # products, shared reads and inline terms together give exactly the
+    # active entries packed at the stride; products come first, each is
+    # read by two or more columns and none reads an in-place column's row,
+    # and every (row, base polynomial) left inline is read by one column
+    dim = m * (m - 1) // 2
+    for tstride in (5, 33):
+        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
+            active = braid._lk_active(m, letter)
+            shared, steps = braid._lk_letter(m, letter, tstride)
+            products, columns = steps[:shared], steps[shared:]
+            base = {}
+            for j, k0, shift, rest, in_place in products:
+                assert j == k0 >= dim and shift == 0 and in_place and len(rest) == 1
+                base[j] = rest[0]
+            in_place_rows = {j for j, *_, in_place in columns if in_place}
+            assert all(k < dim and k not in in_place_rows for k, _ in base.values())
+            readers = {j: 0 for j in base}
+            inline = []
+            packed = []
+            for j, k0, shift, rest, in_place in columns:
+                entries = {k0: {shift: 1}}
+                for k, terms in rest:
+                    if k >= dim:
+                        readers[k] += 1
+                        [(dk, one)] = terms
+                        assert one == 1
+                        k, terms = base[k][0], [(dk + d, c) for d, c in base[k][1]]
+                    else:
+                        inline.append((k, tuple((d - terms[0][0], c) for d, c in terms)))
+                    assert k not in entries
+                    entries[k] = dict(terms)
+                packed.append((j, entries, in_place))
+            assert all(n >= 2 for n in readers.values())
+            assert len(set(inline)) == len(inline) and not set(inline) & set(base.values())
+            assert packed == [
+                (j, {k0: {dq * tstride + dt: 1}, **{k: {q * tstride + t: c for q, t, c in terms} for k, terms in rest}}, in_place)
+                for j, k0, (dq, dt), rest, in_place in active
+            ]
 
 
 def test_lk_layout_holds_words_at_the_degree_extremes():

@@ -64,6 +64,11 @@ def test_graph_validation():
         PlumbingGraph(((0, -2), (1, -2)), frozenset({(0, 2)}))  # unknown id
     with pytest.raises(ValueError):
         PlumbingGraph((), frozenset())
+    path = ((0, -2), (1, -2), (2, -2))
+    with pytest.raises(ValueError, match=re.escape("edge (1, 0) repeats (0, 1)")):
+        PlumbingGraph(path, ((0, 1), (1, 0), (1, 2)))  # a doubled edge is no tree
+    with pytest.raises(ValueError, match=re.escape("edge (0, 1, 2) must have two ends")):
+        PlumbingGraph(path, ((0, 1, 2),))
 
 
 @pytest.mark.parametrize(
@@ -202,8 +207,20 @@ def test_parse_reads_json_integers_only(text):
             '{"vertices": [{"id": 0, "weight": -5, "wieght": -2}], "edges": []}',
             "unknown vertex key 'wieght', want 'id' or 'weight'",
         ),
+        (
+            '{"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}, {"id": 2, "weight": -2}],'
+            ' "edges": [[0, 1], [1, 0], [1, 2]]}',
+            "edge (1, 0) repeats (0, 1)",
+        ),
+        (
+            '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1, 2]]}',
+            "edge (0, 1, 2) must have two ends",
+        ),
     ],
-    ids=["no-vertices", "no-edges", "array", "no-weight", "no-id", "extra-key", "extra-vertex-key"],
+    ids=[
+        "no-vertices", "no-edges", "array", "no-weight", "no-id", "extra-key", "extra-vertex-key",
+        "repeated-edge", "three-ends",
+    ],
 )
 def test_parse_names_what_is_missing(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
