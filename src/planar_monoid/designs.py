@@ -297,11 +297,12 @@ class SearchBudget:
     passes the sup bound of the dual Garside structure (see
     search_orderings), past which no order of the unused blocks can
     complete it; since every block is dual-positive, that is as soon as the
-    product does not left-divide delta^m, the full twist.  The shuffle
-    path also rotates every draw to start at the same block and recurses
-    over the draws, put in buckets by their next block, so each shared
-    prefix is multiplied once.  Neither changes what is found, only
-    its cost.
+    product does not left-divide delta^m, the full twist.  Both paths
+    start at a largest block, the head, which leaves the least room under
+    that bound.  The shuffle path turns every draw to start at the head
+    and recurses over the draws, put in buckets by their next block, so
+    each shared prefix is multiplied once.  Neither changes what is
+    found, only its cost.
     """
 
     exhaustive_cap: int = 8
@@ -385,19 +386,23 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     memoization is complete; beyond that, budget.tries random shuffles are
     tried and an empty result proves nothing.
 
-    The exhaustive DFS fixes the block applied first and rotates what it
-    finds.  This is sound because the full twist is central: if b.w is the
-    full twist, so is w.b = b^-1 (b.w) b.  The realizing application orders
-    are therefore closed under cyclic rotation, and since the blocks are
-    distinct each of them has exactly one rotation that starts with the
-    fixed block.
+    The exhaustive DFS fixes the block applied first, the head, and
+    rotates what it finds.  This is sound because the full twist is
+    central: if b.w is the full twist, so is w.b = b^-1 (b.w) b.  The
+    realizing application orders are therefore closed under cyclic
+    rotation, and since the blocks are distinct each of them has exactly
+    one rotation that starts with the head.  Any block would do; the head
+    is the first largest one.  Its mirror is delta_S^|S|, of supremum |S|,
+    the largest of any block, so it leaves the least room under the sup
+    bound below and products fail soonest.
 
     The shuffle path uses the same fact.  Its draws depend only on the
     block count, budget.tries and budget.seed, so _draws makes them once
     per such triple and budget classes that share it walk the same tuple.
-    It rotates each draw to start with the first block, which keeps
-    whether the draw realizes the full twist.  Like the DFS it then
-    recurses from the first block: at each depth it puts the draws in
+    Each search turns every draw to start with the head, which keeps
+    whether the draw realizes the full twist, into a copy of its own
+    (none when the head is block 0, where _draws already starts).  Like
+    the DFS it then recurses from the head: at each depth it puts the draws in
     buckets by their next block, in the order first met, and multiplies
     once per bucket, so each prefix that draws share is multiplied once.
     It reports the written orders of the realizing draws as drawn,
@@ -420,7 +425,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     None unfinished as soon as its product passes it; such a product has
     no completion and is dropped, in the DFS before it reaches the memo,
     in the shuffle path together with every draw that shares the failed
-    prefix.  The first block is not checked, but as sup(xy) >= sup x +
+    prefix.  The head is not checked, but as sup(xy) >= sup x +
     inf y, every product through a failing one fails its own step.  The
     sum over R is an int.
     """
@@ -429,7 +434,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     high = target[0] + len(target[1])
     nf_of = {b: _block_nf(m, b) for b in d.blocks}
     inf_of = {b: inf for b, (inf, _) in nf_of.items()}
-    head = d.blocks[0]
+    head = max(d.blocks, key=len)
     start = (nf_of[head], sum(inf_of.values()) - inf_of[head])
 
     if len(d.blocks) <= budget.exhaustive_cap:
@@ -457,7 +462,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                 memo[acc] = hit
             return hit
 
-        sequences = [(head,) + s for s in complete(frozenset(d.blocks[1:]), *start)]
+        sequences = [(head,) + s for s in complete(frozenset(d.blocks) - {head}, *start)]
         orderings = tuple(sorted(
             tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq))
         ))
@@ -486,5 +491,15 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
             if nxt is not None:
                 walk(sub, depth + 1, nxt, rest_b)
 
-    walk(_draws(k, budget.tries, budget.seed), 1, *start)
+    draws = _draws(k, budget.tries, budget.seed)
+    h = d.blocks.index(head)
+    if h:
+        # turn each draw to start at the head, its last slot still the
+        # rotation that gives back the draw as drawn
+        draws = [
+            (*draw[p:k], *draw[:p], (draw[k] + p) % k)
+            for draw in draws
+            for p in (draw.index(h),)
+        ]
+    walk(draws, 1, *start)
     return SearchResult(d, tuple(sorted(found)), "budget")

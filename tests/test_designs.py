@@ -30,6 +30,10 @@ from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_wor
 ALL_PAIRS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K5 = tuple(itertools.combinations(range(1, 6), 2))
 THREE_TRIPLES = ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3), (2, 4, 5), (2, 6), (3, 4, 6), (3, 5))
+# the first 11-block class of enumerate_designs(6, "dihedral")
+FIRST_ELEVEN_M6 = (
+    (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5, 6), (3, 4, 5), (3, 6), (4, 6),
+)
 
 
 def _group_perms(m, mode):
@@ -273,18 +277,20 @@ def test_search_all_pairs_m4():
             640,
         ),
         (6, ((1, 2), (1, 3), (1, 4), (1, 5, 6), (2, 3), (2, 4, 5), (2, 6), (3, 4, 6), (3, 5)), 18),
-        (
-            6,
-            ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5, 6), (3, 4, 5), (3, 6),
-             (4, 6)),
-            1947,
-        ),
+        (6, FIRST_ELEVEN_M6, 1947),
         # the first (4,4,4,5,5,5) dihedral class, 13 blocks
         (
             6,
             ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5),
              (3, 6), (4, 5, 6)),
             75088,
+        ),
+        # the first 14-block class of enumerate_designs(7, "dihedral") (n = 8)
+        (
+            7,
+            ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (2, 6, 7),
+             (3, 4, 5, 6), (3, 7), (4, 7), (5, 7)),
+            28238,
         ),
     ],
 )
@@ -365,39 +371,53 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, f
     assert res.orderings == tuple(sorted(expected))
 
 
-def test_search_shuffle_walk_shares_prefix_products(monkeypatch):
-    calls = 0
+@pytest.fixture
+def dual_mul_calls(monkeypatch):
+    """A one-item list counting the search's designs._dual_mul calls."""
+    calls = [0]
     dual_mul = designs._dual_mul
 
-    def counted(m, a, b, *rest):
-        nonlocal calls
-        calls += 1
-        return dual_mul(m, a, b, *rest)
+    def counted(*args):
+        calls[0] += 1
+        return dual_mul(*args)
 
     monkeypatch.setattr(designs, "_dual_mul", counted)
+    return calls
+
+
+def test_search_shuffle_walk_shares_prefix_products(dual_mul_calls):
     res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000, seed=0))
     assert len(res.orderings) == 2
     # multiplying each of the 2,000 shuffles out on its own from the
     # identity, with the same prune, takes 8,922 calls
-    assert calls == 1601
+    assert dual_mul_calls[0] == 1601
 
 
-def test_search_exhaustive_dfs_cost(monkeypatch):
-    calls = 0
-    dual_mul = designs._dual_mul
+def test_search_shuffle_walk_cost_from_largest_block(dual_mul_calls):
+    # the n = 7 symmetric audit at cap 8: five of its six budget classes
+    # (9 to 13 blocks) turn their draws to start at a triple or larger;
+    # starting every search at blocks[0] instead takes 15,279 calls
+    completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000, seed=1))
+    assert dual_mul_calls[0] == 9808
 
-    def counted(m, a, b, *rest):
-        nonlocal calls
-        calls += 1
-        return dual_mul(m, a, b, *rest)
 
-    monkeypatch.setattr(designs, "_dual_mul", counted)
+def test_search_exhaustive_dfs_cost(dual_mul_calls):
     blocks = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4, 5))
     res = search_orderings(Design(5, blocks), SearchBudget(exhaustive_cap=8))
     assert res.status == "exhausted"
     assert len(res.orderings) == 176
-    # one multiply per memoized state and unused block, cut at the sup bound
-    assert calls == 443
+    # one multiply per memoized state and unused block, cut at the sup
+    # bound, starting at the triple (443 starting at (1, 2))
+    assert dual_mul_calls[0] == 239
+
+
+def test_search_exhaustive_dfs_cost_from_largest_block(dual_mul_calls):
+    # the head (2, 5, 6) leaves the least room under the sup bound; the
+    # same search from blocks[0] = (1, 2) takes 9,436 calls
+    res = search_orderings(Design(6, FIRST_ELEVEN_M6), SearchBudget(exhaustive_cap=11))
+    assert res.status == "exhausted"
+    assert len(res.orderings) == 1947
+    assert dual_mul_calls[0] == 2796
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
