@@ -19,6 +19,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from . import braid
 from .braid import BraidWord, _dual_mul, _dual_normal_form, full_twist
 from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
 from .surface import (
@@ -299,10 +300,10 @@ class SearchBudget:
     complete it; since every block is dual-positive, that is as soon as the
     product does not left-divide delta^m, the full twist.  Both paths
     start at a largest block, the head, which leaves the least room under
-    that bound.  The shuffle path turns every draw to start at the head
-    and recurses over the draws, put in buckets by their next block, so
-    each shared prefix is multiplied once.  Neither changes what is
-    found, only its cost.
+    that bound.  The shuffle path reads every draw cyclically from the
+    head and recurses over the draws, put in buckets by the block that
+    follows, so each shared prefix is multiplied once.  Neither changes
+    what is found, only its cost.
     """
 
     exhaustive_cap: int = 8
@@ -342,20 +343,30 @@ class SearchResult:
         }
 
 
-def _mirror_nf(w: BraidWord) -> tuple[int, tuple[int, ...]]:
-    """Dual normal form of the mirror of w (every letter's sign flipped)."""
-    return _dual_normal_form(BraidWord(w.strands, tuple(-k for k in w.letters)))
+@functools.lru_cache(maxsize=512)  # every block on up to 7 points, with the targets, is 218 forms
+def _mirror_nf(table: braid._NonCrossing, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Dual normal form, in ids of `table`, of the mirror (every letter's
+    sign flipped) of the braid on table.m strands with these letters.
+
+    The form is kept per key, so each is built once per table.  The key
+    holds both things it depends on: the table whose ids it is written in,
+    which callers look up through the braid module at call time, and the
+    letters, which carry the gathering sign of the swing they come from.
+    A fresh table or a flipped sign therefore builds the forms anew.
+    """
+    return _dual_normal_form(BraidWord(table.m, tuple(-k for k in letters)))
 
 
-def _block_nf(m: int, block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    surface = SurfaceSpec(m + 1)
-    return _mirror_nf(swing_word(ConvexCurve.over(block), surface))
+def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    surface = SurfaceSpec(table.m + 1)
+    return _mirror_nf(table, swing_word(ConvexCurve.over(block), surface).letters)
 
 
 @functools.lru_cache(maxsize=8)  # an m <= 6 audit's budget classes meet at most 7 block counts
 def _draws(k: int, tries: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """`tries` successive shuffles of range(k) by random.Random(seed), each
-    rotated to start at 0 and followed by the rotation.
+    as a successor map: draw[i] is the index after i in the shuffle, read
+    cyclically, and draw[k] is the first index drawn.
 
     The shuffle is random.shuffle's own: for i from k-1 down to 1, draw
     j = getrandbits(bits of i+1) until j <= i and swap positions i and j.
@@ -366,6 +377,7 @@ def _draws(k: int, tries: int, seed: int) -> tuple[tuple[int, ...], ...]:
     getrandbits = random.Random(seed).getrandbits
     steps = [(i, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
     shuffled = list(range(k))  # shuffle permutes positions the same whatever the items
+    succ = [0] * (k + 1)
     draws = []
     for _ in range(tries):
         for i, bits in steps:
@@ -373,8 +385,12 @@ def _draws(k: int, tries: int, seed: int) -> tuple[tuple[int, ...], ...]:
             while j > i:
                 j = getrandbits(bits)
             shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-        rot = shuffled.index(0)
-        draws.append((*shuffled[rot:], *shuffled[:rot], rot))
+        prev = shuffled[-1]
+        for i in shuffled:
+            succ[prev] = i
+            prev = i
+        succ[k] = shuffled[0]
+        draws.append(tuple(succ))
     return tuple(draws)
 
 
@@ -399,15 +415,17 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     The shuffle path uses the same fact.  Its draws depend only on the
     block count, budget.tries and budget.seed, so _draws makes them once
     per such triple and budget classes that share it walk the same tuple.
-    Each search turns every draw to start with the head, which keeps
-    whether the draw realizes the full twist, into a copy of its own
-    (none when the head is block 0, where _draws already starts).  Like
-    the DFS it then recurses from the head: at each depth it puts the draws in
-    buckets by their next block, in the order first met, and multiplies
-    once per bucket, so each prefix that draws share is multiplied once.
-    It reports the written orders of the realizing draws as drawn,
-    unrotated, so it finds exactly what multiplying each draw out on its
-    own would find.
+    Each draw is a successor map, so it can be read cyclically from any
+    block; reading it from the head keeps whether the draw realizes the
+    full twist.  Like the DFS the walk recurses from the head: the draws
+    of a group share their prefix, so they share its last block, and at
+    each depth the walk puts them in buckets by the block after it, in the
+    order first met, and multiplies once per bucket, so each prefix that
+    draws share is multiplied once.  It reports the written orders of the
+    realizing draws as drawn, read from the first block drawn, so it
+    finds exactly what multiplying each draw out on its own would find.
+    Every block's mirrored form is built once per table of simples
+    (_mirror_nf) and shared by every search after.
 
     Both paths multiply mirrors (every letter's sign flipped) in normal
     forms of the dual Garside structure of Birman-Ko-Lee (1998), where the
@@ -430,9 +448,10 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     sum over R is an int.
     """
     m = d.points
-    target = _mirror_nf(full_twist(m))
+    table = braid._dual_simples(m)
+    target = _mirror_nf(table, full_twist(m).letters)
     high = target[0] + len(target[1])
-    nf_of = {b: _block_nf(m, b) for b in d.blocks}
+    nf_of = {b: _block_nf(table, b) for b in d.blocks}
     inf_of = {b: inf for b, (inf, _) in nf_of.items()}
     head = max(d.blocks, key=len)
     start = (nf_of[head], sum(inf_of.values()) - inf_of[head])
@@ -471,35 +490,29 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     k = len(d.blocks)
     found: set[tuple[tuple[int, ...], ...]] = set()
 
-    def walk(group: Sequence[tuple[int, ...]], depth: int, acc: tuple, rest_inf: int) -> None:
+    def walk(group: Sequence[tuple[int, ...]], depth: int, cur: int, acc: tuple, rest_inf: int) -> None:
         """Extend acc, the product of the first depth blocks shared by the
-        draws in group, by each distinct next block among them."""
+        draws in group, the last of them block cur, by each distinct block
+        that follows cur among them."""
         if depth == k:
             if acc == target:
                 for draw in group:
-                    rot = draw[k]
-                    applied = draw[k - rot:k] + draw[:k - rot]
+                    i = draw[k]
+                    applied = []
+                    for _ in range(k):
+                        applied.append(i)
+                        i = draw[i]
                     found.add(tuple(d.blocks[i] for i in reversed(applied)))
             return
         buckets: dict[int, list] = {}
         for draw in group:
-            buckets.setdefault(draw[depth], []).append(draw)
+            buckets.setdefault(draw[cur], []).append(draw)
         for i, sub in buckets.items():
             b = d.blocks[i]
             rest_b = rest_inf - inf_of[b]
             nxt = _dual_mul(m, acc, nf_of[b], high - rest_b)
             if nxt is not None:
-                walk(sub, depth + 1, nxt, rest_b)
+                walk(sub, depth + 1, i, nxt, rest_b)
 
-    draws = _draws(k, budget.tries, budget.seed)
-    h = d.blocks.index(head)
-    if h:
-        # turn each draw to start at the head, its last slot still the
-        # rotation that gives back the draw as drawn
-        draws = [
-            (*draw[p:k], *draw[:p], (draw[k] + p) % k)
-            for draw in draws
-            for p in (draw.index(h),)
-        ]
-    walk(draws, 1, *start)
+    walk(_draws(k, budget.tries, budget.seed), 1, d.blocks.index(head), *start)
     return SearchResult(d, tuple(sorted(found)), "budget")

@@ -341,6 +341,10 @@ def test_gather_sign_keeps_ordering_counts(monkeypatch):
         # the n=7 (3,3,3,4,4,4) symmetric representative: 9 blocks, so the
         # walk shares prefixes up to 8 deep
         pytest.param(6, THREE_TRIPLES, 3, 2000, 1, id="6-three-triples-3"),
+        # its head (1, 5, 6) is block 3, so the walk starts past the first
+        # index of every draw
+        pytest.param(6, THREE_TRIPLES, 24, 2000, 1, id="6-three-triples-24"),
+        pytest.param(6, THREE_TRIPLES, 36, 2000, 1, id="6-three-triples-36"),
         pytest.param(5, K5, 0, 0, 0, id="5-blocks0-no-tries"),
     ],
 )
@@ -395,7 +399,7 @@ def test_search_shuffle_walk_shares_prefix_products(dual_mul_calls):
 
 def test_search_shuffle_walk_cost_from_largest_block(dual_mul_calls):
     # the n = 7 symmetric audit at cap 8: five of its six budget classes
-    # (9 to 13 blocks) turn their draws to start at a triple or larger;
+    # (9 to 13 blocks) walk their draws from a triple or larger;
     # starting every search at blocks[0] instead takes 15,279 calls
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000, seed=1))
     assert dual_mul_calls[0] == 9808
@@ -522,19 +526,70 @@ def test_search_shuffle_path_interns_few_simples(monkeypatch):
     assert len(braid._dual_simples(24).perm) < 10_000
 
 
+def test_search_forms_built_once_per_table(monkeypatch):
+    # the n = 7 symmetric audit uses 90 blocks in its 9 classes, but only
+    # 28 distinct ones: with the target, 29 forms, built once per table
+    from planar_monoid import braid, surface
+
+    def built():
+        completeness_check(7, "symmetric", SearchBudget(8, 2000, 1))
+        return designs._mirror_nf.cache_info().misses
+
+    designs._mirror_nf.cache_clear()
+    assert built() == 29
+    assert built() == 29
+    # a flipped sign changes the swing of each of the 17 blocks that are
+    # not runs of consecutive labels (the other 11 gather nothing) and
+    # leaves the target as it was
+    monkeypatch.setattr(surface, "_GATHER_SIGN", -surface._GATHER_SIGN)
+    assert built() == 29 + 17
+    monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
+    assert built() == 29 + 17 + 29
+
+
+def test_audit_work_repeats(monkeypatch):
+    # the traced benchmark counts swings and multiplies per unit, so a warm
+    # audit must build every swing and make every multiply a cold one did
+    calls = {"swing_word": 0, "_dual_mul": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(designs, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(designs, name, counted)
+    designs._mirror_nf.cache_clear()
+    designs._draws.cache_clear()
+    seen = []
+    for _ in range(2):
+        completeness_check(6, "dihedral", SearchBudget(8, 2000, 5))
+        seen.append(dict(calls))
+        calls.update(dict.fromkeys(calls, 0))
+    assert seen[0] == seen[1]
+    assert seen[0]["swing_word"] > 0 and seen[0]["_dual_mul"] > 0
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5, 2024])
 def test_draws_reproduce_random_shuffle(seed):
     # the shuffle path draws with random.shuffle's own rejection sequence,
-    # inlined, so its draws are those of random.Random(seed).shuffle
+    # inlined, so each draw's successor map, read from its first index,
+    # gives back the sequence of random.Random(seed).shuffle
     for k in range(1, 301):
         rng = random.Random(seed)
         shuffled = list(range(k))
         expected = []
         for _ in range(3):
             rng.shuffle(shuffled)
-            rot = shuffled.index(0)
-            expected.append((*shuffled[rot:], *shuffled[:rot], rot))
-        assert designs._draws(k, 3, seed) == tuple(expected)
+            expected.append(tuple(shuffled))
+        decoded = []
+        for draw in designs._draws(k, 3, seed):
+            assert len(draw) == k + 1
+            i, seq = draw[k], []
+            for _ in range(k):
+                seq.append(i)
+                i = draw[i]
+            assert i == draw[k]  # the map closes into one cycle
+            decoded.append(tuple(seq))
+        assert decoded == expected
 
 
 def test_draws_are_one_shared_tuple_per_key():
