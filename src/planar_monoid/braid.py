@@ -23,6 +23,8 @@ Words are sequences of signed Artin generator indices in *application order*:
   identity": u and v grow from the identity, each step on whichever side
   holds fewer terms, until they meet and are compared.  A matrix is one
   sparse dict per column, its keys packed with strides sized to the word.
+  A generator entry is a monomial shift times a coefficient tuple, and
+  one cached builder, `_lk_letter`, packs each letter per t-stride.
 
 Simple elements are stored internally as 0-indexed permutations, interned
 per strand count; the public `Permutation` type is 1-indexed to match
@@ -56,7 +58,8 @@ __all__ = [
 
 
 def _json_int(value, what: str) -> int:
-    """An integer from a file or a constructor; floats, strings and booleans raise."""
+    """An integer from a file, a constructor or an argument; floats, strings
+    and booleans raise."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -143,8 +146,9 @@ class NormalForm:
     __slots__ = ("strands", "infimum", "_ids")
 
     def __init__(self, strands: int, infimum: int, factors: Iterable[Sequence[int]]):
-        if strands < 1:
+        if _json_int(strands, "strand count") < 1:
             raise ValueError(f"strand count must be positive, got {strands}")
+        _json_int(infimum, "infimum")
         factors = tuple(tuple(f) for f in factors)
         table = _dual_simples(strands)
         ident, delta = table.perm[table.ident], table.perm[table.delta]
@@ -562,27 +566,22 @@ def full_twist(m: int) -> BraidWord:
 # order, which is an (anti)isomorphic copy of the usual representation and
 # equally faithful.
 #
-# Column layout: a column is one dict holding only its non-zero terms.  The
-# generator tables keep unpacked (q, t) degrees (`_lk_active`) and are
-# packed per layout (`_lk_letter`), with strides sized to the word: each
-# letter moves a q-degree by -2 .. +m and a t-degree by -1 .. +1 (see
-# _lk_column), so a matrix of at most l letters has q in [-2l, m*l] and t in
-# [-l, l].  The term c q^a t^b of row r sits under the key
-# r * rowstride + a * tstride + b, with tstride = 2l + 1 and rowstride
-# covering the whole q range (`_lk_layout`): the key is one-to-one, and
-# adding a generator term's packed degrees to it never changes its row.
-# lk_equal takes l as the least power of two above its reduced length, so
-# there is no length limit, few layouts are ever packed, and catalog words
-# keep every key below 2^30, a single CPython digit.  A generator entry
-# that several columns read (as (q-1)^2 on x_{i,i+1} under sigma_i) is
-# built once per letter as a product in a slot past the columns, and each
-# reader adds it at its own shift; by linearity the packed sums are those
-# of the entries added one by one.
-
-
-def _poly(td: int, lo: int, *coeffs: int) -> tuple[tuple[int, int, int], ...]:
-    """t^td (c0 q^lo + c1 q^(lo+1) + ...) as (q-degree, t-degree, coeff) terms."""
-    return tuple((lo + e, td, c) for e, c in enumerate(coeffs) if c)
+# Column layout: a column is one dict holding only its non-zero terms.  A
+# generator entry is written in closed form (_lk_column) as a monomial shift
+# times a coefficient tuple, and one cached builder (`_lk_letter`) packs it
+# per layout, with strides sized to the word: each letter moves a q-degree
+# by -2 .. +m and a t-degree by -1 .. +1, so a matrix of at most l letters
+# has q in [-2l, m*l] and t in [-l, l].  The term c q^a t^b of row r sits
+# under the key r * rowstride + a * tstride + b, with tstride = 2l + 1 and
+# rowstride covering the whole q range (`_lk_layout`): the key is
+# one-to-one, and adding a generator term's packed degrees to it never
+# changes its row.  lk_equal takes l as the least power of two above its
+# reduced length, so there is no length limit, few layouts are ever packed,
+# and catalog words keep every key below 2^30, a single CPython digit.  A
+# generator entry that several columns read (as (q-1)^2 on x_{i,i+1} under
+# sigma_i) is built once per letter as a product in a slot past the
+# columns, and each reader adds it at its own shift; by linearity the packed
+# sums are those of the entries added one by one.
 
 
 @functools.cache
@@ -591,81 +590,50 @@ def _lk_basis(m: int) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int]
     return pairs, {p: idx for idx, p in enumerate(pairs)}
 
 
+# A closed-form entry (q_shift, t_shift, coeffs) is
+# t^t_shift q^q_shift (c0 + c1 q + ...), with c0 != 0.
 def _lk_column(s: int, t: int, i: int):
-    """Column x_{s,t} of sigma_i as {row pair: terms}; None for a unit column."""
+    """Column x_{s,t} of sigma_i as {row pair: entry}; None for a unit column."""
     if i < s - 1 or i > t:
         return None
     if i == s - 1:
-        return {(s - 1, t): _poly(0, 0, 1), (s, t): _poly(0, 0, 1, -1)}
+        return {(s - 1, t): (0, 0, (1,)), (s, t): (0, 0, (1, -1))}
     if i == s and s == t - 1:
-        return {(s, t): _poly(1, 2, 1)}  # t q^2
+        return {(s, t): (2, 1, (1,))}  # t q^2
     if i == s:
-        return {(s, s + 1): _poly(1, 1, -1, 1), (s + 1, t): _poly(0, 1, 1)}
+        return {(s, s + 1): (1, 1, (-1, 1)), (s + 1, t): (1, 0, (1,))}
     if i < t - 1:
-        return {(s, t): _poly(0, 0, 1), (i, i + 1): _poly(1, i - s, 1, -2, 1)}
+        return {(s, t): (0, 0, (1,)), (i, i + 1): (i - s, 1, (1, -2, 1))}
     if i == t - 1:
-        return {(s, t - 1): _poly(0, 0, 1), (t - 1, t): _poly(1, t - s, -1, 1)}
-    return {(s, t): _poly(0, 0, 1, -1), (s, t + 1): _poly(0, 1, 1)}  # i == t
-
-
-def _lk_inverse_column(s: int, t: int, i: int):
-    """Column x_{s,t} of sigma_i^-1 as {row pair: terms}; None for a unit column."""
-    if s > i + 1 or t < i:
-        return None
-    if (s, t) == (i, i + 1):
-        return {(i, i + 1): _poly(-1, -2, 1)}  # t^-1 q^-2
-    if s == i + 1:
-        return {(i, i + 1): _poly(0, -2, 1, -1), (i, t): _poly(0, -1, 1)}
-    if s == i:
-        return {
-            (i, i + 1): _poly(0, -2, -1, 2, -1),  # -q^-2 (q-1)^2
-            (i, t): _poly(0, -1, -1, 1),
-            (i + 1, t): _poly(0, 0, 1),
-        }
-    if t > i + 1:
-        return {(s, t): _poly(0, 0, 1), (i, i + 1): _poly(0, i - s - 2, -1, 2, -1)}
-    if t == i + 1:
-        return {
-            (s, i): _poly(0, -1, 1),
-            (s, i + 1): _poly(0, -1, -1, 1),
-            (i, i + 1): _poly(0, i - s - 2, -1, 2, -1),
-        }
-    return {(s, i + 1): _poly(0, 0, 1), (i, i + 1): _poly(0, i - s - 1, 1, -1)}  # t == i
+        return {(s, t - 1): (0, 0, (1,)), (t - 1, t): (t - s, 1, (-1, 1))}
+    return {(s, t): (0, 0, (1, -1)), (s, t + 1): (1, 0, (1,))}  # i == t
 
 
 # sigma_i^-1 is written in closed form like sigma_i; _lk_check verifies
 # G.G^-1 = G^-1.G = I for every generator before a word on m strands is used.
-@functools.cache
-def _lk_active(m: int, letter: int) -> tuple[tuple[int, int, tuple[int, int], tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], bool], ...]:
-    """Non-identity columns of the (possibly inverse) generator matrix,
-    flattened for the hot loop:
-    (col_j, row_k0, (dq, dt), ((row_k, terms), ...), in_place).
-
-    Every such column has exactly one entry that is a monomial with
-    coefficient 1; it is pulled out as (row_k0, its degrees), and the rest
-    keep their (dq, dt, coeff) terms.  A column whose monic entry is 1 on
-    its own row is updated in place (`in_place`) when no other active
-    column reads it."""
-    i = abs(letter)
-    column = _lk_column if letter > 0 else _lk_inverse_column
-    pairs, index = _lk_basis(m)
-    active = []
-    for j, (s, t) in enumerate(pairs):
-        col = column(s, t, i)
-        if col is None:
-            continue
-        entries = sorted((index[p], terms) for p, terms in col.items())
-        # the unpacking raises unless exactly one entry is a monic monomial
-        [(k0, dq, dt)] = [(k, *terms[0][:2]) for k, terms in entries if len(terms) == 1 and terms[0][2] == 1]
-        active.append((j, k0, (dq, dt), tuple((k, terms) for k, terms in entries if k != k0)))
-    read: dict[int, int] = {}  # row -> how many active columns read it
-    for _, k0, _, rest in active:
-        for k in (k0, *(k for k, _ in rest)):
-            read[k] = read.get(k, 0) + 1
-    return tuple(
-        (j, k0, shift, rest, k0 == j and shift == (0, 0) and read[j] == 1)
-        for j, k0, shift, rest in active
-    )
+def _lk_inverse_column(s: int, t: int, i: int):
+    """Column x_{s,t} of sigma_i^-1 as {row pair: entry}; None for a unit column."""
+    if s > i + 1 or t < i:
+        return None
+    if (s, t) == (i, i + 1):
+        return {(i, i + 1): (-2, -1, (1,))}  # t^-1 q^-2
+    if s == i + 1:
+        return {(i, i + 1): (-2, 0, (1, -1)), (i, t): (-1, 0, (1,))}
+    if s == i:
+        return {
+            (i, i + 1): (-2, 0, (-1, 2, -1)),  # -q^-2 (q-1)^2
+            (i, t): (-1, 0, (-1, 1)),
+            (i + 1, t): (0, 0, (1,)),
+        }
+    if t > i + 1:
+        return {(s, t): (0, 0, (1,)), (i, i + 1): (i - s - 2, 0, (-1, 2, -1))}
+    if t == i + 1:
+        return {
+            (s, i): (-1, 0, (1,)),
+            (s, i + 1): (-1, 0, (-1, 1)),
+            (i, i + 1): (i - s - 2, 0, (-1, 2, -1)),
+        }
+    return {(s, i + 1): (0, 0, (1,)), (i, i + 1): (i - s - 1, 0, (1, -1))}  # t == i
 
 
 def _lk_layout(m: int, length: int) -> tuple[int, int]:
@@ -678,36 +646,50 @@ def _lk_layout(m: int, length: int) -> tuple[int, int]:
 
 @functools.cache
 def _lk_letter(m: int, letter: int, tstride: int):
-    """`_lk_active(m, letter)` with its degrees packed for this t-stride, as
-    (number of shared products, steps), each step
-    (col_j, row_k0, key_shift, ((row_k, ((key_shift, coeff), ...)), ...), in_place).
+    """The non-identity columns of the (possibly inverse) generator matrix,
+    packed for this t-stride, as (number of shared products, steps), each
+    step (col_j, row_k0, key_shift, ((row_k, ((key_shift, coeff), ...)), ...), in_place).
 
-    Each non-monic entry t^a q^b P col_k is a shift a * tstride + b times
-    a base polynomial P whose first term sits at degree 0.  An entry (k, P)
-    that two or more columns read is a shared product p: an in-place step
-    on the empty slot dim + p past the dim columns, listed before every
-    column, and each reading column adds that slot with its own shift and
-    coefficient 1.  An entry read once stays inline.  lk_equal asks only
-    for power-of-two lengths, so few are kept."""
+    Every such column has exactly one entry that is a monomial with
+    coefficient 1; it is pulled out as row_k0 and its packed shift.  Each
+    other entry q^a t^b P col_k is a shift a * tstride + b times a base
+    polynomial P whose first term sits at degree 0.  A column whose monic
+    entry is 1 on its own row is updated in place (`in_place`) when no
+    other column reads that row.  An entry (k, P) that two or more columns
+    read is a shared product p: an in-place step on the empty slot dim + p
+    past the dim columns, listed before every column, and each reading
+    column adds that slot with its own shift and coefficient 1.  An entry
+    read once stays inline.  lk_equal asks only for power-of-two lengths,
+    so few are kept."""
+    column = _lk_column if letter > 0 else _lk_inverse_column
+    pairs, index = _lk_basis(m)
     active = []
+    rows: dict[int, int] = {}  # row -> how many columns read it
     reads: dict = {}  # (row, base) -> how many columns read it
-    for j, k0, (dq, dt), rest, in_place in _lk_active(m, letter):
-        entries = []
-        for k, terms in rest:
-            q0, t0, _ = terms[0]
-            base = tuple(((q - q0) * tstride + t - t0, c) for q, t, c in terms)
-            entries.append((k, q0 * tstride + t0, base))
-            reads[k, base] = reads.get((k, base), 0) + 1
-        active.append((j, k0, dq * tstride + dt, entries, in_place))
-    dim = m * (m - 1) // 2
+    for j, (s, t) in enumerate(pairs):
+        col = column(s, t, abs(letter))
+        if col is None:
+            continue
+        entries = sorted((index[p], dq * tstride + dt, coeffs) for p, (dq, dt, coeffs) in col.items())
+        # the unpacking raises unless exactly one entry is a monic monomial
+        [(k0, shift)] = [(k, dk) for k, dk, coeffs in entries if coeffs == (1,)]
+        rest = []
+        for k, dk, coeffs in entries:
+            rows[k] = rows.get(k, 0) + 1
+            if k != k0:
+                base = tuple((e * tstride, c) for e, c in enumerate(coeffs))
+                rest.append((k, dk, base))
+                reads[k, base] = reads.get((k, base), 0) + 1
+        active.append((j, k0, shift, rest))
+    dim = len(pairs)
     slot = {entry: dim + p for p, entry in enumerate(e for e, n in reads.items() if n > 1)}
     products = tuple((p, p, 0, (entry,), True) for entry, p in slot.items())
     return len(slot), products + tuple(
         (j, k0, shift, tuple(
             (slot[k, base], ((dk, 1),)) if (k, base) in slot else (k, tuple((dk + d, c) for d, c in base))
-            for k, dk, base in entries
-        ), in_place)
-        for j, k0, shift, entries, in_place in active
+            for k, dk, base in rest
+        ), k0 == j and shift == 0 and rows[j] == 1)
+        for j, k0, shift, rest in active
     )
 
 

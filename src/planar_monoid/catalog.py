@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .braid import equals, lk_equal
+from .braid import _json_int, equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
@@ -101,7 +101,7 @@ def _builtin(n: int) -> tuple[Relation, ...]:
 
 def builtin(n: int) -> list[Relation]:
     """The catalogued relations for n in {5, 6, 7}: 2, 7, and 16 of them."""
-    if n not in (5, 6, 7):
+    if _json_int(n, "n") not in (5, 6, 7):
         raise ValueError(f"no builtin catalog for n={n}")
     return list(_builtin(n))
 
@@ -246,7 +246,7 @@ def completeness_check(
     it proves nothing.  The catalog and the bundled printed-chi table are
     compared per multiset (ReplicationClassSummary).
     """
-    if n not in (5, 6, 7):
+    if _json_int(n, "n") not in (5, 6, 7):
         raise ValueError(f"no catalog to audit against for n={n}")
     if mode not in AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}, want one of {AUDIT_MODES}")

@@ -250,7 +250,8 @@ def _multisets(m: int) -> frozenset[tuple[int, ...]]:
 
 def feasible_replication(m: int, r: ReplicationVector) -> bool:
     """True iff some design on m points has exactly this replication vector."""
-    if len(r) != m:
+    r = tuple(_json_int(x, "replication") for x in r)
+    if len(r) != _json_int(m, "m"):
         raise ValueError(f"replication vector length {len(r)} != {m} points")
     if m < 3:
         return False

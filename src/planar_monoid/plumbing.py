@@ -134,7 +134,7 @@ def euler_characteristic(w: TwistWord | BoundaryWord) -> int:
 
 def chi_formulas(n: int, i: int) -> tuple[int, int]:
     """Closed-form (lhs_chi, rhs_chi) for the one-i-block family, 2 <= i < n-1."""
-    if not 2 <= i < n - 1:
+    if not 2 <= _json_int(i, "i") < _json_int(n, "n") - 1:
         raise ValueError(f"need 2 <= i < n-1, got i={i}, n={n}")
     lhs = n * n - 5 * n + 6 + 2 * i - i * i
     rhs = 3 - n + (n - i - 1) * (i - 1) + (n - i - 1) * (n - i) // 2
@@ -143,7 +143,7 @@ def chi_formulas(n: int, i: int) -> tuple[int, int]:
 
 def bounds(n: int) -> BoundsReport:
     """Twist-count and chi extremes over boundary-parallel words, n >= 5."""
-    if n < 5:
+    if _json_int(n, "n") < 5:
         raise ValueError(f"bounds need n >= 5, got {n}")
     return BoundsReport(
         n=n,

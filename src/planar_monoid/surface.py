@@ -251,6 +251,9 @@ def read_relation(
     _json_keys(lhs_obj, ("exponents", "outer"), "lhs")
     exponents = _json_list(_json_key(lhs_obj, "exponents", "lhs"), "exponents")
     lhs = BoundaryWord(surface, tuple(exponents), lhs_obj.get("outer", 1))
+    order = obj.get("order", "rightmost-first")
+    if order not in ("rightmost-first", "leftmost-first"):
+        raise ValueError(f"order must be rightmost-first or leftmost-first, got {order!r}")
     rhs = None
     if "rhs" in obj:
         outer = ConvexCurve.outer_parallel()
@@ -258,11 +261,8 @@ def read_relation(
             outer if f == "outer" else ConvexCurve.over(_json_list(f, "factor"))
             for f in _json_list(obj["rhs"], "rhs")
         ]
-        order = obj.get("order", "rightmost-first")
         if order == "leftmost-first":
             factors.reverse()
-        elif order != "rightmost-first":
-            raise ValueError(f"order must be rightmost-first or leftmost-first, got {order!r}")
         rhs = TwistWord(surface, tuple(factors))
     return _json_str(obj.get("label", default_label), "label"), lhs, rhs
 

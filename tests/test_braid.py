@@ -347,6 +347,9 @@ def test_normal_form_constructor_rejects_non_canonical_factors(monkeypatch):
         with pytest.raises(ValueError):
             NormalForm(m, 0, factors)
         assert len(table.perm) == before
+    for infimum in (True, 0.0):
+        with pytest.raises(ValueError, match="infimum must be an integer"):
+            NormalForm(3, infimum, ())
     with pytest.raises(ValueError):
         nf_mul(NormalForm(3, 0, ((0, 0, 0),)), normal_form(BraidWord(3, (1, 2))))
     assert NormalForm(3, 0, ()) == normal_form(BraidWord(3))
@@ -712,8 +715,9 @@ def _lk_reference(w):
         column = braid._lk_column if letter > 0 else braid._lk_inverse_column
         gen_row = {}  # row k of the generator -> [(col j, [(dq, dt, coeff)])]
         for j, (s, t) in enumerate(pairs):
-            col = column(s, t, abs(letter)) or {(s, t): ((0, 0, 1),)}
-            for p, terms in col.items():
+            col = column(s, t, abs(letter)) or {(s, t): (0, 0, (1,))}
+            for p, (q0, t0, coeffs) in col.items():
+                terms = [(q0 + e, t0, c) for e, c in enumerate(coeffs)]
                 gen_row.setdefault(index[p], []).append((j, terms))
         new = {}
         for (r, k), poly in mat.items():
@@ -854,35 +858,70 @@ def test_lk_proves_inserted_relators(case):
     assert lk_equal(w, padded) == _lk_reference_equal(w, padded)
 
 
+def _lk_closed_forms(m):
+    """(letter, {column: {row: (q_shift, t_shift, coeffs)}}) for every
+    sigma_i^+-1 on m strands, the non-unit columns of each."""
+    pairs, index = braid._lk_basis(m)
+    for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
+        column = braid._lk_column if letter > 0 else braid._lk_inverse_column
+        cols = {}
+        for j, (s, t) in enumerate(pairs):
+            col = column(s, t, abs(letter))
+            if col is not None:
+                cols[j] = {index[p]: entry for p, entry in col.items()}
+        yield letter, cols
+
+
 def test_lk_generator_degrees_fit_key_layout():
     # the per-letter reach the per-call strides rest on: every generator
     # term has q-degree -2..m and t-degree -1..1
     for m in range(2, 10):
-        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
-            for _, _, shift, rest, _ in braid._lk_active(m, letter):
-                for dq, dt in [shift] + [(q, t) for _, terms in rest for q, t, _ in terms]:
-                    assert -2 <= dq <= m and -1 <= dt <= 1
+        for _, cols in _lk_closed_forms(m):
+            for col in cols.values():
+                for dq, dt, coeffs in col.values():
+                    assert -2 <= dq and dq + len(coeffs) - 1 <= m and -1 <= dt <= 1
+
+
+def test_lk_closed_form_columns_have_one_monic_entry():
+    # _lk_letter pulls the monic entry out of each column and packs every
+    # other entry's shift at its first term
+    for m in range(2, 10):
+        for _, cols in _lk_closed_forms(m):
+            for col in cols.values():
+                assert [coeffs for *_, coeffs in col.values()].count((1,)) == 1
+                assert all(0 not in coeffs for *_, coeffs in col.values())
+
+
+def _lk_step_rows(m, letter, tstride):
+    """_lk_letter's column steps as (col_j, row_k0, shift, rows read,
+    in_place), a product slot counting as a read of its row."""
+    shared, steps = braid._lk_letter(m, letter, tstride)
+    product_row = {j: rest[0][0] for j, _, _, rest, _ in steps[:shared]}
+    return [
+        (j, k0, shift, [product_row.get(k, k) for k, _ in rest], in_place)
+        for j, k0, shift, rest, in_place in steps[shared:]
+    ]
 
 
 def test_lk_in_place_columns_are_read_by_no_other_column():
     for m in range(2, 10):
         for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
-            active = braid._lk_active(m, letter)
-            for j, k0, shift, rest, in_place in active:
-                readers = [c for c in active if c[0] != j and j in (c[1], *(k for k, _ in c[3]))]
-                assert in_place == (k0 == j and shift == (0, 0) and not readers)
+            for tstride in (5, 33):
+                columns = _lk_step_rows(m, letter, tstride)
+                for j, k0, shift, _, in_place in columns:
+                    readers = [c for c in columns if c[0] != j and j in (c[1], *c[3])]
+                    assert in_place == (k0 == j and shift == 0 and not readers)
 
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_lk_packed_letter_expands_to_the_active_columns(m):
     # products, shared reads and inline terms together give exactly the
-    # active entries packed at the stride; products come first, each is
-    # read by two or more columns and none reads an in-place column's row,
-    # and every (row, base polynomial) left inline is read by one column
+    # closed-form columns packed at the stride; products come first, each
+    # is read by two or more columns and none reads an in-place column's
+    # row, and every (row, base polynomial) left inline is read by one column
     dim = m * (m - 1) // 2
     for tstride in (5, 33):
-        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
-            active = braid._lk_active(m, letter)
+        for letter, cols in _lk_closed_forms(m):
             shared, steps = braid._lk_letter(m, letter, tstride)
             products, columns = steps[:shared], steps[shared:]
             base = {}
@@ -906,12 +945,15 @@ def test_lk_packed_letter_expands_to_the_active_columns(m):
                         inline.append((k, tuple((d - terms[0][0], c) for d, c in terms)))
                     assert k not in entries
                     entries[k] = dict(terms)
-                packed.append((j, entries, in_place))
+                packed.append((j, entries))
             assert all(n >= 2 for n in readers.values())
             assert len(set(inline)) == len(inline) and not set(inline) & set(base.values())
             assert packed == [
-                (j, {k0: {dq * tstride + dt: 1}, **{k: {q * tstride + t: c for q, t, c in terms} for k, terms in rest}}, in_place)
-                for j, k0, (dq, dt), rest, in_place in active
+                (j, {
+                    k: {(dq + e) * tstride + dt: c for e, c in enumerate(coeffs)}
+                    for k, (dq, dt, coeffs) in col.items()
+                })
+                for j, col in cols.items()
             ]
 
 

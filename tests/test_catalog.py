@@ -26,6 +26,8 @@ def test_builtin_counts(n, count):
 def test_builtin_rejects_other_n():
     with pytest.raises(ValueError):
         builtin(8)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        builtin(5.0)
 
 
 def test_builtin_returns_fresh_lists():
@@ -206,7 +208,7 @@ def test_n7_audit_at_cap_11_is_seed_free(mode):
     assert verdicts[0] == verdicts[1]
 
 
-@pytest.mark.parametrize("n, mode", [(9, "dihedral"), (5, "labeled")])
+@pytest.mark.parametrize("n, mode", [(9, "dihedral"), (5, "labeled"), (5.0, "dihedral")])
 def test_completeness_rejects_unknown_n(n, mode):
     with pytest.raises(ValueError):
         completeness_check(n, mode)

@@ -371,6 +371,14 @@ def test_plumb_dot_without_rhs(tmp_path, capsys):
     assert out.startswith("graph plumbing {")
 
 
+def test_plumb_rejects_unknown_order_without_rhs(tmp_path, capsys):
+    obj = {"n": 5, "lhs": {"exponents": [2, 2, 2, 2], "outer": 1}, "order": "bogus"}
+    code, out, err = run(capsys, "plumb", "--file", write(tmp_path, "rel.json", obj))
+    assert code == 2
+    assert out == ""
+    assert "order must be" in err
+
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "7")
     assert code == 0

@@ -228,6 +228,8 @@ def test_feasible_replication_screens():
     assert not feasible_replication(4, (2, 2, 2, 2))
     with pytest.raises(ValueError):
         feasible_replication(4, (3, 3, 3))
+    with pytest.raises(ValueError, match="replication must be an integer"):
+        feasible_replication(5, (4, 4, 4, 4, 4.0))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])

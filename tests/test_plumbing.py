@@ -119,6 +119,8 @@ def test_chi_formulas_validate_range():
         chi_formulas(6, 1)
     with pytest.raises(ValueError):
         chi_formulas(6, 5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        chi_formulas(6.0, 2.5)
 
 
 @pytest.mark.parametrize("n,i", [(n, i) for n in range(5, 11) for i in range(2, n - 1)])
@@ -137,6 +139,8 @@ def test_bounds_n7():
 def test_bounds_reject_small_n():
     with pytest.raises(ValueError):
         bounds(4)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        bounds(5.5)
 
 
 @pytest.mark.parametrize("n", range(5, 11))
