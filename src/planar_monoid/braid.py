@@ -552,7 +552,7 @@ def equals(a: BraidWord, b: BraidWord) -> bool:
 
 def full_twist(m: int) -> BraidWord:
     """The central full twist on m strands, signed so every pair links -1."""
-    if m < 1:
+    if _json_int(m, "strand count") < 1:
         raise ValueError("strand count must be positive")
     block = [-k for k in range(1, m)]
     return BraidWord(m, tuple(block * m))

@@ -48,6 +48,7 @@ __all__ = [
     "ReplicationClassSummary",
     "AuditReport",
     "ChiRecord",
+    "CATALOGUED_N",
     "builtin",
     "verify",
     "verify_words",
@@ -86,6 +87,9 @@ class VerificationReport:
         }
 
 
+CATALOGUED_N = (5, 6, 7)  # the n with a bundled data/relations_n{n}.json
+
+
 def _data_text(name: str) -> str:
     return resources.files("planar_monoid").joinpath("data", name).read_text()
 
@@ -101,7 +105,7 @@ def _builtin(n: int) -> tuple[Relation, ...]:
 
 def builtin(n: int) -> list[Relation]:
     """The catalogued relations for n in {5, 6, 7}: 2, 7, and 16 of them."""
-    if _json_int(n, "n") not in (5, 6, 7):
+    if _json_int(n, "n") not in CATALOGUED_N:
         raise ValueError(f"no builtin catalog for n={n}")
     return list(_builtin(n))
 
@@ -246,7 +250,7 @@ def completeness_check(
     it proves nothing.  The catalog and the bundled printed-chi table are
     compared per multiset (ReplicationClassSummary).
     """
-    if _json_int(n, "n") not in (5, 6, 7):
+    if _json_int(n, "n") not in CATALOGUED_N:
         raise ValueError(f"no catalog to audit against for n={n}")
     if mode not in AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}, want one of {AUDIT_MODES}")

@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import AUDIT_MODES, builtin, completeness_check, verify, verify_words
+from .catalog import AUDIT_MODES, CATALOGUED_N, builtin, completeness_check, verify, verify_words
 from .designs import SYMMETRY_MODES, Design, SearchBudget, enumerate_designs, search_orderings
 from .plumbing import bounds, emit, plumbing_of
 from .surface import read_relation
@@ -33,8 +33,12 @@ def _emit_json(obj) -> None:
 
 
 def _load_json(path: str):
+    """A JSON file's value; nesting past the parser's limit is bad input (exit 2)."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to read") from None
 
 
 def _disagreements(reports) -> list[str]:
@@ -150,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=_cmd_verify)
 
     c = sub.add_parser("catalog", help="verify the builtin relations for one n")
-    c.add_argument("--n", type=int, required=True, choices=(5, 6, 7))
+    c.add_argument("--n", type=int, required=True, choices=CATALOGUED_N)
     c.add_argument("--fast", action="store_true", help="skip the second engine")
     c.set_defaults(fn=_cmd_catalog)
 
@@ -170,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_search)
 
     a = sub.add_parser("audit", help="search every design class for one n, compare to the catalog")
-    a.add_argument("--n", type=int, required=True, choices=(5, 6, 7))
+    a.add_argument("--n", type=int, required=True, choices=CATALOGUED_N)
     a.add_argument(
         "--mode",
         choices=AUDIT_MODES,
@@ -196,7 +200,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -29,8 +29,6 @@ from .surface import (
     SurfaceSpec,
     TwistWord,
     _json_int,
-    _json_key,
-    _json_keys,
     _json_list,
     _json_object,
     _reject_boundary_parallel,
@@ -104,10 +102,9 @@ class Design:
     def from_json_obj(obj: dict) -> "Design":
         """A design file's JSON object {"m": ..., "blocks": [...]}; a missing
         or other key or a non-object raises ValueError."""
-        _json_keys(_json_object(obj, "design"), ("m", "blocks"), "design")
-        m = _json_key(obj, "m", "design")
-        blocks = _json_list(_json_key(obj, "blocks", "design"), "blocks")
-        return Design(m, tuple(tuple(_json_list(b, "block")) for b in blocks))
+        _json_object(obj, "design", ("m", "blocks"), ("m", "blocks"))
+        blocks = _json_list(obj["blocks"], "blocks")
+        return Design(obj["m"], tuple(tuple(_json_list(b, "block")) for b in blocks))
 
 
 def from_rhs(word: TwistWord) -> Design:
@@ -238,7 +235,7 @@ def enumerate_designs(m: int, mode: SymmetryMode = "dihedral") -> list[Design]:
     convex arrangement), "symmetric" (all m! relabelings).  The
     representative is the least member of its orbit.
     """
-    return list(_classes(m, mode))
+    return list(_classes(_json_int(m, "m"), mode))  # checked first: the cache takes 5.0 for 5
 
 
 @functools.cache
@@ -269,7 +266,7 @@ def daisy(n: int, i: int) -> Relation:
     pair twists {j,j-1}, {j,j-2}, ..., {j,1}.  The n=4, i=2 instance is
     the lantern relation.
     """
-    if n < 4 or not 2 <= i < n - 1:
+    if _json_int(n, "n") < 4 or not 2 <= _json_int(i, "i") < n - 1:
         raise ValueError(f"need n >= 4 and 2 <= i < n-1, got n={n}, i={i}")
     surface = SurfaceSpec(n)
     lhs = BoundaryWord(surface, tuple([n - i - 1] * i + [n - 3] * (n - 1 - i)), outer=1)

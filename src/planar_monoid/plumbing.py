@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .surface import (
-    BoundaryWord, TwistWord, _json_int, _json_key, _json_keys, _json_list, _json_object
-)
+from .surface import BoundaryWord, TwistWord, _json_int, _json_list, _json_object
 
 __all__ = [
     "PlumbingGraph",
@@ -173,18 +171,14 @@ def emit(g: PlumbingGraph, fmt: str = "json") -> str:
 
 
 def parse(text: str) -> PlumbingGraph:
-    """Inverse of emit(g, "json"); ids, weights and edge ends must be JSON
-    integers, and no other key than emit writes is accepted."""
-    obj = _json_object(json.loads(text), "plumbing graph")
-    _json_keys(obj, ("vertices", "edges"), "plumbing graph")
+    """Inverse of emit(g, "json"); no other key than emit writes is
+    accepted, and PlumbingGraph checks the ids, weights and edge ends."""
+    obj = _json_object(
+        json.loads(text), "plumbing graph", ("vertices", "edges"), ("vertices", "edges")
+    )
     verts = []
-    for v in _json_list(_json_key(obj, "vertices", "plumbing graph"), "vertices"):
-        v = _json_keys(_json_object(v, "vertex"), ("id", "weight"), "vertex")
-        verts.append((
-            _json_int(_json_key(v, "id", "vertex"), "vertex id"),
-            _json_int(_json_key(v, "weight", "vertex"), "vertex weight"),
-        ))
-    edges = []
-    for e in _json_list(_json_key(obj, "edges", "plumbing graph"), "edges"):
-        edges.append(tuple(_json_int(x, "edge end") for x in _json_list(e, "edge")))
+    for v in _json_list(obj["vertices"], "vertices"):
+        v = _json_object(v, "vertex", ("id", "weight"), ("id", "weight"))
+        verts.append((v["id"], v["weight"]))
+    edges = [tuple(_json_list(e, "edge")) for e in _json_list(obj["edges"], "edges")]
     return PlumbingGraph(tuple(verts), tuple(edges))

@@ -46,28 +46,20 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def _json_object(value, what: str) -> dict:
-    """A JSON object from an input file; arrays and scalars raise."""
+def _json_object(value, what: str, allowed: tuple[str, ...], required: tuple[str, ...]) -> dict:
+    """A JSON object from an input file with no key outside allowed and every
+    key in required, so a misspelled key raises instead of reading as absent;
+    arrays and scalars raise."""
     if type(value) is not dict:
         raise ValueError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _json_key(obj: dict, key: str, what: str):
-    """A required key of a JSON object from an input file."""
-    if key not in obj:
-        raise ValueError(f"{what} has no {key!r}")
-    return obj[key]
-
-
-def _json_keys(obj: dict, allowed: tuple[str, ...], what: str) -> dict:
-    """A JSON object from an input file with no key outside allowed, so a
-    misspelled key raises instead of reading as absent."""
-    extra = sorted(set(obj) - set(allowed))
+    extra = sorted(set(value) - set(allowed))
     if extra:
         want = ", ".join(map(repr, allowed[:-1]))
         raise ValueError(f"unknown {what} key {extra[0]!r}, want {want} or {allowed[-1]!r}")
-    return obj
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{what} has no {key!r}")
+    return value
 
 
 def _json_str(value, what: str) -> str:
@@ -245,11 +237,10 @@ def read_relation(
     is function notation, the last factor acts first; "leftmost-first"
     lists are reversed.  Relation's factor rules are not applied.
     """
-    _json_keys(_json_object(obj, "relation"), ("label", "n", "lhs", "rhs", "order"), "relation")
-    surface = SurfaceSpec(_json_key(obj, "n", "relation"))
-    lhs_obj = _json_object(_json_key(obj, "lhs", "relation"), "lhs")
-    _json_keys(lhs_obj, ("exponents", "outer"), "lhs")
-    exponents = _json_list(_json_key(lhs_obj, "exponents", "lhs"), "exponents")
+    _json_object(obj, "relation", ("label", "n", "lhs", "rhs", "order"), ("n", "lhs"))
+    surface = SurfaceSpec(obj["n"])
+    lhs_obj = _json_object(obj["lhs"], "lhs", ("exponents", "outer"), ("exponents",))
+    exponents = _json_list(lhs_obj["exponents"], "exponents")
     lhs = BoundaryWord(surface, tuple(exponents), lhs_obj.get("outer", 1))
     order = obj.get("order", "rightmost-first")
     if order not in ("rightmost-first", "leftmost-first"):

@@ -60,6 +60,11 @@ def test_letter_range_checked():
         BraidWord(0, ())
 
 
+def test_full_twist_takes_an_int_strand_count():
+    with pytest.raises(ValueError, match="strand count must be an integer"):
+        full_twist(3.0)
+
+
 @pytest.mark.parametrize(
     "strands, letters, what",
     [(2.5, (), "strand count"), (True, (), "strand count"), (3, (1.0,), "letter"), (3, (True,), "letter")],

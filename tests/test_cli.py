@@ -16,9 +16,15 @@ LANTERN_N5 = {
 }
 
 
+# 100,000 nested arrays: past the JSON parser's recursion limit, and past
+# what json.dumps could write, so it is handed to write() as text.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def write(tmp_path, name, obj):
+    """obj as JSON, or a str as it stands."""
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    p.write_text(obj if type(obj) is str else json.dumps(obj))
     return str(p)
 
 
@@ -153,6 +159,8 @@ def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):
         ("search", {"m": 3, "blocks": [[1, 2.0], [2, 3], [1, 3]]}),
         ("verify", dict(LANTERN_N5, lhs=[["exponents", [2, 2, 2, 2]], ["outer", 1]])),
         ("verify", dict(LANTERN_N5, label=[1, 2])),
+        ("verify", DEEP_JSON),
+        ("search", DEEP_JSON),
     ],
     ids=[
         "float-exponent",
@@ -164,6 +172,8 @@ def test_verify_accepts_outer_rhs_factor(tmp_path, capsys):
         "float-label",
         "lhs-pairs",
         "list-label",
+        "deep-relation",
+        "deep-design",
     ],
 )
 def test_rejects_malformed_numbers(tmp_path, capsys, cmd, obj):
@@ -182,8 +192,9 @@ def test_rejects_malformed_numbers(tmp_path, capsys, cmd, obj):
         ({k: v for k, v in LANTERN_N5.items() if k != "lhs"}, "relation has no 'lhs'"),
         (dict(LANTERN_N5, lhs={"outer": 1}), "lhs has no 'exponents'"),
         ([LANTERN_N5], "relation must be an object, got list"),
+        (dict(LANTERN_N5, lhs=[2, 2, 2, 2]), "lhs must be an object, got list"),
     ],
-    ids=["no-n", "no-lhs", "no-exponents", "array"],
+    ids=["no-n", "no-lhs", "no-exponents", "array", "lhs-array"],
 )
 def test_verify_names_a_malformed_relation_object(tmp_path, capsys, obj, message):
     path = write(tmp_path, "rel.json", obj)

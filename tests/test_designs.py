@@ -221,6 +221,9 @@ def test_enumeration_rejects_out_of_range():
         enumerate_designs(8)
     with pytest.raises(ValueError):
         enumerate_designs(5, "cyclic")
+    enumerate_designs(5)  # a warm cache must not take 5.0 for 5
+    with pytest.raises(ValueError, match="m must be an integer"):
+        enumerate_designs(5.0)
 
 
 def test_feasible_replication_screens():
@@ -656,6 +659,8 @@ def test_daisy_argument_validation():
         daisy(4, 1)
     with pytest.raises(ValueError):
         daisy(4, 3)
+    with pytest.raises(ValueError, match="i must be an integer"):
+        daisy(6, 2.0)
 
 
 @given(st.integers(5, 8), st.data())

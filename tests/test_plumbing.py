@@ -203,6 +203,7 @@ def test_parse_reads_json_integers_only(text):
         ("[1]", "plumbing graph must be an object, got list"),
         ('{"vertices": [{"id": 0}], "edges": []}', "vertex has no 'weight'"),
         ('{"vertices": [{"weight": -5}], "edges": []}', "vertex has no 'id'"),
+        ('{"vertices": [5], "edges": []}', "vertex must be an object, got int"),
         (
             '{"vertices": [{"id": 0, "weight": -5}], "edges": [], "edge": [[0, 1]]}',
             "unknown plumbing graph key 'edge', want 'vertices' or 'edges'",
@@ -222,8 +223,8 @@ def test_parse_reads_json_integers_only(text):
         ),
     ],
     ids=[
-        "no-vertices", "no-edges", "array", "no-weight", "no-id", "extra-key", "extra-vertex-key",
-        "repeated-edge", "three-ends",
+        "no-vertices", "no-edges", "array", "no-weight", "no-id", "int-vertex", "extra-key",
+        "extra-vertex-key", "repeated-edge", "three-ends",
     ],
 )
 def test_parse_names_what_is_missing(text, message):
