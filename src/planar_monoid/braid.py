@@ -36,9 +36,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BraidWord",
@@ -65,42 +66,88 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BraidWord:
+_setattr = object.__setattr__  # stores one field past _Value.__setattr__
+
+
+class _Value:
+    """Immutable slotted value: equal only to its own class with equal
+    fields, hashed by them, shown as Name(field=value, ...) and pickled
+    through the constructor.  A subclass names its fields in __slots__,
+    checks its arguments in __init__ and stores them with _set, or with
+    one _setattr each in types built hundreds of times a pass.  The methods
+    are written once here: methods generated per class compile at every start.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    @property
+    def __dict__(self) -> dict:
+        """The fields by name, in a new dict; vars() reads it too."""
+        return dict(zip(self.__slots__, self._fields()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class BraidWord(_Value):
     """A word in the Artin generators sigma_1 .. sigma_{m-1}.
 
     Letter k (1 <= k < strands) is sigma_k, letter -k its inverse.
     letters[0] is applied first.
     """
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if _json_int(self.strands, "strand count") < 1:
-            raise ValueError(f"strand count must be positive, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if type(letter) is not int or letter == 0 or abs(letter) >= self.strands:
+    def __init__(self, strands: int, letters: Iterable[int] = ()):
+        if _json_int(strands, "strand count") < 1:
+            raise ValueError(f"strand count must be positive, got {strands}")
+        letters = tuple(letters)
+        for letter in letters:
+            if type(letter) is not int or letter == 0 or abs(letter) >= strands:
                 _json_int(letter, "letter")  # a non-int raises here
-                raise ValueError(
-                    f"letter {letter} out of range for {self.strands} strands"
-                )
+                raise ValueError(f"letter {letter} out of range for {strands} strands")
+        _setattr(self, "strands", strands)
+        _setattr(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """Bijection on {1..m}; images[i] is the image of i+1."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a bijection on 1..{len(self.images)}: {self.images}")
+    def __init__(self, images: Iterable[int]):
+        images = tuple(_json_int(x, "image") for x in images)
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a bijection on 1..{len(images)}: {images}")
+        self._set(images)
 
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
@@ -109,23 +156,26 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(_Value):
     """Pairwise strand linking numbers, stored exactly as doubled integers.
 
     doubled[x][y] is twice the linking number of the strands that *start*
     at positions x+1 and y+1 (i.e. the signed crossing count itself).
     """
 
-    strands: int
-    doubled: tuple[tuple[int, ...], ...]
+    __slots__ = ("strands", "doubled")
+
+    def __init__(self, strands: int, doubled: tuple[tuple[int, ...], ...]):
+        self._set(strands, doubled)
 
     def entry(self, x: int, y: int) -> Fraction:
         """Linking number of strands x and y (1-indexed)."""
+        from fractions import Fraction  # here, not at the top: nothing else needs it
+
         return Fraction(self.doubled[x - 1][y - 1], 2)
 
 
-class NormalForm:
+class NormalForm(_Value):
     """Dual (Birman-Ko-Lee) left normal form delta^infimum . F_1 ... F_r.
 
     The infimum is a power of delta, the Garside element with delta^m =
@@ -167,9 +217,6 @@ class NormalForm:
         _set_strands(self, strands)
         _set_infimum(self, infimum)
         _set_ids(self, tuple(map(table.intern, factors)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"NormalForm is immutable; cannot set {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not NormalForm:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .braid import _json_int, equals, lk_equal
+from .braid import _json_int, _Value, equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
@@ -58,16 +57,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    label: str
-    braid_equal: bool
-    multiplicities_equal: bool
-    lhs_chi: int
-    rhs_chi: int
-    oracle_agreement: Optional[bool]  # None when the LK pass was skipped
-    lhs_outer: int
-    rhs_outer: int
+class VerificationReport(_Value):
+    __slots__ = (
+        "label", "braid_equal", "multiplicities_equal", "lhs_chi", "rhs_chi",
+        "oracle_agreement", "lhs_outer", "rhs_outer",
+    )
+
+    def __init__(
+        self, label: str, braid_equal: bool, multiplicities_equal: bool, lhs_chi: int, rhs_chi: int,
+        oracle_agreement: Optional[bool],  # None when the LK pass was skipped
+        lhs_outer: int, rhs_outer: int,
+    ):
+        self._set(label, braid_equal, multiplicities_equal, lhs_chi, rhs_chi, oracle_agreement,
+                  lhs_outer, rhs_outer)
 
     @property
     def verified(self) -> bool:
@@ -147,8 +149,7 @@ def verify(r: Relation, lk: bool = True) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # completeness audits
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(_Value):
     """Search outcome for one design class.
 
     orderings_found counts what search_orderings found for the canonical
@@ -157,11 +158,13 @@ class AuditEntry:
     see the ReplicationClassSummary keyed by replications.
     """
 
-    design: Design
-    exponents: tuple[int, ...]
-    orderings_found: int
-    status: str
-    replications: tuple[int, ...]
+    __slots__ = ("design", "exponents", "orderings_found", "status", "replications")
+
+    def __init__(
+        self, design: Design, exponents: tuple[int, ...], orderings_found: int, status: str,
+        replications: tuple[int, ...],
+    ):
+        self._set(design, exponents, orderings_found, status, replications)
 
     def to_json_obj(self) -> dict:
         return {
@@ -172,8 +175,7 @@ class AuditEntry:
         }
 
 
-@dataclass(frozen=True)
-class ReplicationClassSummary:
+class ReplicationClassSummary(_Value):
     """One replication multiset: its chi pair and the catalog verdict.
 
     realizable: a search found an ordering of one of its design classes
@@ -182,13 +184,16 @@ class ReplicationClassSummary:
     status, matches_catalog False can mean the search was too small.
     """
 
-    replications: tuple[int, ...]
-    lhs_chi: int
-    rhs_chi: int
-    realizable: bool
-    statuses: tuple[str, ...]
-    catalog_labels: tuple[str, ...]
-    listed: bool  # appears in the bundled printed-chi table
+    __slots__ = (
+        "replications", "lhs_chi", "rhs_chi", "realizable", "statuses", "catalog_labels", "listed",
+    )
+
+    def __init__(
+        self, replications: tuple[int, ...], lhs_chi: int, rhs_chi: int, realizable: bool,
+        statuses: tuple[str, ...], catalog_labels: tuple[str, ...],
+        listed: bool,  # appears in the bundled printed-chi table
+    ):
+        self._set(replications, lhs_chi, rhs_chi, realizable, statuses, catalog_labels, listed)
 
     @property
     def matches_catalog(self) -> bool:
@@ -207,12 +212,14 @@ class ReplicationClassSummary:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    n: int
-    mode: str
-    entries: tuple[AuditEntry, ...]
-    replication_classes: tuple[ReplicationClassSummary, ...]
+class AuditReport(_Value):
+    __slots__ = ("n", "mode", "entries", "replication_classes")
+
+    def __init__(
+        self, n: int, mode: str, entries: tuple[AuditEntry, ...],
+        replication_classes: tuple[ReplicationClassSummary, ...],
+    ):
+        self._set(n, mode, entries, replication_classes)
 
     def all_match(self) -> bool:
         return all(c.matches_catalog for c in self.replication_classes)
@@ -298,12 +305,14 @@ def completeness_check(
 # ---------------------------------------------------------------------------
 # printed-vs-formula chi bookkeeping
 
-@dataclass(frozen=True)
-class ChiRecord:
-    n: int
-    replications: tuple[int, ...]
-    printed: tuple[int, int]
-    computed: tuple[int, int]
+class ChiRecord(_Value):
+    __slots__ = ("n", "replications", "printed", "computed")
+
+    def __init__(
+        self, n: int, replications: tuple[int, ...], printed: tuple[int, int],
+        computed: tuple[int, int],
+    ):
+        self._set(n, replications, printed, computed)
 
     @property
     def agree(self) -> bool:

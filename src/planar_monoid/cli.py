@@ -16,8 +16,6 @@ label defaults to the file's stem.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -123,7 +121,7 @@ def _cmd_plumb(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _emit_json(dataclasses.asdict(bounds(args.n)))
+    _emit_json(bounds(args.n).to_json_obj())
     return 0
 
 
@@ -178,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument(
         "--mode",
         choices=AUDIT_MODES,
-        default=inspect.signature(completeness_check).parameters["mode"].default,
+        default=completeness_check.__defaults__[0],
         help="relabeling group for class reduction",
     )
     _add_budget_args(a)

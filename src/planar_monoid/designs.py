@@ -16,11 +16,10 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 
 from . import braid
-from .braid import BraidWord, _dual_mul, _dual_normal_form, full_twist
+from .braid import BraidWord, _dual_mul, _dual_normal_form, _Value, full_twist
 from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
 from .surface import (
     BoundaryWord,
@@ -66,19 +65,16 @@ class PairCoverageError(ValueError):
         super().__init__(f"pair ({x},{y}) covered {count} times, need exactly 1")
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(_Value):
     """Linear space on points 1..m, m >= 3: every pair in exactly one block."""
 
-    points: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("points", "blocks")
 
-    def __post_init__(self):
-        m = _json_int(self.points, "m")
+    def __init__(self, points: int, blocks: Iterable[Iterable[int]]):
+        m = _json_int(points, "m")
         if m < 3:
             raise ValueError(f"a design needs at least 3 points, got {m}")
-        blocks = tuple(sorted(tuple(sorted(_json_int(x, "label") for x in b)) for b in self.blocks))
-        object.__setattr__(self, "blocks", blocks)
+        blocks = tuple(sorted(tuple(sorted(_json_int(x, "label") for x in b)) for b in blocks))
         cover: dict[tuple[int, int], int] = {}
         for b in blocks:
             if not 2 <= len(b) <= m - 1:
@@ -94,6 +90,7 @@ class Design:
                 c = cover.get((x, y), 0)
                 if c != 1:
                     raise PairCoverageError(x, y, c)
+        self._set(m, blocks)
 
     def to_json_obj(self) -> dict:
         return {"m": self.points, "blocks": [list(b) for b in self.blocks]}
@@ -281,8 +278,7 @@ def daisy(n: int, i: int) -> Relation:
 # ---------------------------------------------------------------------------
 # ordering search
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Value):
     """Limits for search_orderings.
 
     exhaustive_cap: max block count for the complete DFS; above it the
@@ -304,21 +300,19 @@ class SearchBudget:
     what is found, only its cost.
     """
 
-    exhaustive_cap: int = 8
-    tries: int = 2000
-    seed: int = 0
+    __slots__ = ("exhaustive_cap", "tries", "seed")
 
-    def __post_init__(self):
-        for name in ("exhaustive_cap", "tries", "seed"):
-            _json_int(getattr(self, name), name)
-        if self.exhaustive_cap < 0:
-            raise ValueError(f"exhaustive_cap must be >= 0, got {self.exhaustive_cap}")
-        if self.tries < 0:
-            raise ValueError(f"tries must be >= 0, got {self.tries}")
+    def __init__(self, exhaustive_cap: int = 8, tries: int = 2000, seed: int = 0):
+        for name, value in zip(self.__slots__, (exhaustive_cap, tries, seed)):
+            _json_int(value, name)
+        if exhaustive_cap < 0:
+            raise ValueError(f"exhaustive_cap must be >= 0, got {exhaustive_cap}")
+        if tries < 0:
+            raise ValueError(f"tries must be >= 0, got {tries}")
+        self._set(exhaustive_cap, tries, seed)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Value):
     """Orderings of a design's blocks realizing the full twist.
 
     status "exhausted": orderings is the complete list; empty means a
@@ -326,9 +320,12 @@ class SearchResult:
     empty means only that nothing was found.
     """
 
-    design: Design
-    orderings: tuple[tuple[tuple[int, ...], ...], ...]
-    status: str
+    __slots__ = ("design", "orderings", "status")
+
+    def __init__(
+        self, design: Design, orderings: tuple[tuple[tuple[int, ...], ...], ...], status: str
+    ):
+        self._set(design, orderings, status)
 
     def realizable(self) -> bool:
         return bool(self.orderings)

@@ -10,8 +10,9 @@ intersect and admit no plumbing description.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
 
+from .braid import _Value
 from .surface import BoundaryWord, TwistWord, _json_int, _json_list, _json_object
 
 __all__ = [
@@ -26,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(_Value):
     """Weighted tree; vertices are (id, weight) pairs, weights negative.
 
     Ids, weights and edge ends must be ints (not bools); nothing is
@@ -35,12 +35,11 @@ class PlumbingGraph:
     in either direction; an edge given twice raises.
     """
 
-    vertices: tuple[tuple[int, int], ...]
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: Iterable[tuple[int, int]], edges: Iterable[tuple[int, int]]):
         verts = tuple(sorted(
-            (_json_int(i, "vertex id"), _json_int(w, "vertex weight")) for i, w in self.vertices
+            (_json_int(i, "vertex id"), _json_int(w, "vertex weight")) for i, w in vertices
         ))
         ids = [i for i, _ in verts]
         if not ids:
@@ -51,7 +50,7 @@ class PlumbingGraph:
             raise ValueError("vertex weights must be negative")
         known = set(ids)
         norm: dict[tuple[int, int], tuple] = {}  # sorted ends -> the edge as given
-        for e in map(tuple, self.edges):
+        for e in map(tuple, edges):
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} must have two ends")
             a, b = (_json_int(x, "edge end") for x in e)
@@ -61,8 +60,7 @@ class PlumbingGraph:
             if key in norm:
                 raise ValueError(f"edge {e!r} repeats {norm[key]!r}")
             norm[key] = e
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", frozenset(norm))
+        self._set(verts, frozenset(norm))
         if len(norm) != len(ids) - 1 or not self._connected():
             raise ValueError("plumbing graph must be a connected tree")
 
@@ -88,13 +86,14 @@ class PlumbingGraph:
         raise KeyError(vid)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    n: int
-    min_twists: int
-    max_twists: int
-    min_chi: int
-    max_chi: int
+class BoundsReport(_Value):
+    __slots__ = ("n", "min_twists", "max_twists", "min_chi", "max_chi")
+
+    def __init__(self, n: int, min_twists: int, max_twists: int, min_chi: int, max_chi: int):
+        self._set(n, min_twists, max_twists, min_chi, max_chi)
+
+    def to_json_obj(self) -> dict:
+        return self.__dict__
 
 
 def plumbing_of(w: BoundaryWord) -> PlumbingGraph:
@@ -173,9 +172,11 @@ def emit(g: PlumbingGraph, fmt: str = "json") -> str:
 def parse(text: str) -> PlumbingGraph:
     """Inverse of emit(g, "json"); no other key than emit writes is
     accepted, and PlumbingGraph checks the ids, weights and edge ends."""
-    obj = _json_object(
-        json.loads(text), "plumbing graph", ("vertices", "edges"), ("vertices", "edges")
-    )
+    try:
+        value = json.loads(text)
+    except RecursionError:
+        raise ValueError("plumbing graph nests too deeply to read") from None
+    obj = _json_object(value, "plumbing graph", ("vertices", "edges"), ("vertices", "edges"))
     verts = []
     for v in _json_list(obj["vertices"], "vertices"):
         v = _json_object(v, "vertex", ("id", "weight"), ("id", "weight"))

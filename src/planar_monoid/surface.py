@@ -14,10 +14,9 @@ of known relations pins the side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .braid import BraidWord, _json_int, equals, full_twist
+from .braid import BraidWord, _json_int, _setattr, _Value, equals, full_twist
 
 __all__ = [
     "SurfaceSpec",
@@ -69,15 +68,15 @@ def _json_str(value, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(_Value):
     """Sphere with n boundary components: interior labels 1..n-1, outer n."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if _json_int(self.n, "n") < 2:
-            raise ValueError(f"need at least 2 boundary components, got {self.n}")
+    def __init__(self, n: int):
+        if _json_int(n, "n") < 2:
+            raise ValueError(f"need at least 2 boundary components, got {n}")
+        _setattr(self, "n", n)
 
     @property
     def interior_labels(self) -> range:
@@ -88,8 +87,7 @@ class SurfaceSpec:
         return self.n - 1
 
 
-@dataclass(frozen=True)
-class ConvexCurve:
+class ConvexCurve(_Value):
     """A convex simple closed curve, named by the labels it encloses.
 
     Either a sorted tuple of interior labels, or the distinguished marker
@@ -98,24 +96,24 @@ class ConvexCurve:
     is isotopic to the outer-parallel curve).
     """
 
-    support: tuple[int, ...] = ()
-    outer: bool = False
+    __slots__ = ("support", "outer")
 
-    def __post_init__(self):
-        support = tuple(sorted(_json_int(x, "label") for x in self.support))
-        object.__setattr__(self, "support", support)
-        if type(self.outer) is not bool:
-            raise ValueError(f"outer must be a bool, got {self.outer!r}")
-        if self.outer:
-            if self.support:
+    def __init__(self, support: Iterable[int] = (), outer: bool = False):
+        support = tuple(sorted(_json_int(x, "label") for x in support))
+        if type(outer) is not bool:
+            raise ValueError(f"outer must be a bool, got {outer!r}")
+        if outer:
+            if support:
                 raise ValueError("outer-parallel curve carries no support set")
         else:
-            if not self.support:
+            if not support:
                 raise ValueError("curve needs a non-empty support")
-            if len(set(self.support)) != len(self.support):
-                raise ValueError(f"repeated labels in support {self.support}")
-            if self.support[0] < 1:
-                raise ValueError(f"labels must be positive, got {self.support}")
+            if len(set(support)) != len(support):
+                raise ValueError(f"repeated labels in support {support}")
+            if support[0] < 1:
+                raise ValueError(f"labels must be positive, got {support}")
+        _setattr(self, "support", support)
+        _setattr(self, "outer", outer)
 
     @staticmethod
     def over(labels: Iterable[int]) -> "ConvexCurve":
@@ -129,53 +127,48 @@ class ConvexCurve:
         return self.outer or len(self.support) == 1 or len(self.support) == surface.n - 1
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(_Value):
     """Product of positive twists, factors in written order.
 
     The last factor acts first, matching how composition of mapping
     classes is written.
     """
 
-    surface: SurfaceSpec
-    factors: tuple[ConvexCurve, ...] = ()
+    __slots__ = ("surface", "factors")
 
-    def __post_init__(self):
-        if not isinstance(self.surface, SurfaceSpec):
-            raise ValueError(f"surface must be a SurfaceSpec, got {self.surface!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
-        top = self.surface.n - 1
-        for c in self.factors:
+    def __init__(self, surface: SurfaceSpec, factors: Iterable[ConvexCurve] = ()):
+        if not isinstance(surface, SurfaceSpec):
+            raise ValueError(f"surface must be a SurfaceSpec, got {surface!r}")
+        factors = tuple(factors)
+        top = surface.n - 1
+        for c in factors:
             if not isinstance(c, ConvexCurve):
                 raise ValueError(f"factor must be a ConvexCurve, got {c!r}")
             if not c.outer and (c.support[0] < 1 or c.support[-1] > top):
                 raise ValueError(
                     f"support {c.support} exceeds interior labels 1..{top}"
                 )
+        _setattr(self, "surface", surface)
+        _setattr(self, "factors", factors)
 
     def __len__(self) -> int:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class BoundaryWord:
+class BoundaryWord(_Value):
     """Canonical boundary-parallel product T_1^{a_1} ... T_{n-1}^{a_{n-1}} T_n^outer."""
 
-    surface: SurfaceSpec
-    exponents: tuple[int, ...]
-    outer: int = 1
+    __slots__ = ("surface", "exponents", "outer")
 
-    def __post_init__(self):
-        if not isinstance(self.surface, SurfaceSpec):
-            raise ValueError(f"surface must be a SurfaceSpec, got {self.surface!r}")
-        exponents = tuple(_json_int(a, "exponent") for a in self.exponents)
-        object.__setattr__(self, "exponents", exponents)
-        if len(self.exponents) != self.surface.n - 1:
-            raise ValueError(
-                f"need {self.surface.n - 1} exponents, got {len(self.exponents)}"
-            )
-        if any(a < 0 for a in self.exponents) or _json_int(self.outer, "outer") < 0:
+    def __init__(self, surface: SurfaceSpec, exponents: Iterable[int], outer: int = 1):
+        if not isinstance(surface, SurfaceSpec):
+            raise ValueError(f"surface must be a SurfaceSpec, got {surface!r}")
+        exponents = tuple(_json_int(a, "exponent") for a in exponents)
+        if len(exponents) != surface.n - 1:
+            raise ValueError(f"need {surface.n - 1} exponents, got {len(exponents)}")
+        if any(a < 0 for a in exponents) or _json_int(outer, "outer") < 0:
             raise ValueError("exponents must be non-negative")
+        self._set(surface, exponents, outer)
 
     def expand(self) -> TwistWord:
         factors = []
@@ -193,22 +186,20 @@ def _check_same_surface(lhs: BoundaryWord | TwistWord, rhs: BoundaryWord | Twist
         raise ValueError("lhs and rhs must live on the same surface")
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Value):
     """One catalogued or daisy equality: boundary product = twist product."""
 
-    label: str
-    lhs: BoundaryWord
-    rhs: TwistWord
+    __slots__ = ("label", "lhs", "rhs")
 
-    def __post_init__(self):
-        _json_str(self.label, "label")
-        if not isinstance(self.lhs, BoundaryWord):
-            raise ValueError(f"lhs must be a BoundaryWord, got {self.lhs!r}")
-        if not isinstance(self.rhs, TwistWord):
-            raise ValueError(f"rhs must be a TwistWord, got {self.rhs!r}")
-        _check_same_surface(self.lhs, self.rhs)
-        _reject_boundary_parallel(self.rhs)
+    def __init__(self, label: str, lhs: BoundaryWord, rhs: TwistWord):
+        _json_str(label, "label")
+        if not isinstance(lhs, BoundaryWord):
+            raise ValueError(f"lhs must be a BoundaryWord, got {lhs!r}")
+        if not isinstance(rhs, TwistWord):
+            raise ValueError(f"rhs must be a TwistWord, got {rhs!r}")
+        _check_same_surface(lhs, rhs)
+        _reject_boundary_parallel(rhs)
+        self._set(label, lhs, rhs)
 
 
 def _reject_boundary_parallel(rhs: TwistWord) -> None:
@@ -258,16 +249,17 @@ def read_relation(
     return _json_str(obj.get("label", default_label), "label"), lhs, rhs
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(_Value):
     """Containment counts: interior[i-1] factors contain label i.
 
     The outer field counts factors isotopic to the outer boundary; it is
     reported alongside but never compared by the monoid equivalence test.
     """
 
-    interior: tuple[int, ...]
-    outer: int
+    __slots__ = ("interior", "outer")
+
+    def __init__(self, interior: tuple[int, ...], outer: int):
+        self._set(interior, outer)
 
 
 def swing_word(curve: ConvexCurve, surface: SurfaceSpec) -> BraidWord:

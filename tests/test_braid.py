@@ -12,6 +12,7 @@ from planar_monoid import braid, surface
 from planar_monoid.braid import (
     BraidWord,
     NormalForm,
+    Permutation,
     compose,
     equals,
     full_twist,
@@ -73,6 +74,13 @@ def test_braid_word_takes_ints_only(strands, letters, what):
     "Strands and letters are ints; nothing is left to fail in normal_form."
     with pytest.raises(ValueError, match=f"{what} must be an integer"):
         BraidWord(strands, letters)
+
+
+@pytest.mark.parametrize("images", [(1.0, 2), (True, 2)], ids=["float", "bool"])
+def test_permutation_takes_ints_only(images):
+    "Images are ints: a float or a bool equal to 1 is refused, not stored."
+    with pytest.raises(ValueError, match="image must be an integer"):
+        Permutation(images)
 
 
 def test_identity_normal_form():

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,3 +12,15 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"planar_monoid.{name}")
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_package_import_loads_neither_dataclasses_nor_fractions():
+    "The CLI's import stays small: both modules cost time at every start."
+    src = Path(importlib.import_module("planar_monoid").__file__).parent.parent
+    code = (
+        "import sys; before = set(sys.modules); import planar_monoid.cli; "
+        "print(sorted({'dataclasses', 'fractions'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

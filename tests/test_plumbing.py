@@ -221,10 +221,11 @@ def test_parse_reads_json_integers_only(text):
             '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1, 2]]}',
             "edge (0, 1, 2) must have two ends",
         ),
+        ("[" * 100000 + "]" * 100000, "plumbing graph nests too deeply to read"),
     ],
     ids=[
         "no-vertices", "no-edges", "array", "no-weight", "no-id", "int-vertex", "extra-key",
-        "extra-vertex-key", "repeated-edge", "three-ends",
+        "extra-vertex-key", "repeated-edge", "three-ends", "deep-nesting",
     ],
 )
 def test_parse_names_what_is_missing(text, message):

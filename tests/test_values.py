@@ -1,0 +1,163 @@
+"""The contract every public value type keeps: built by its parameter names
+or positions, equal and hashed by value, immutable, pickled to an equal
+object, and shown as Name(field=value, ...)."""
+
+import pickle
+
+import pytest
+
+from planar_monoid.braid import BraidWord, LinkingMatrix, NormalForm, Permutation, normal_form
+from planar_monoid.catalog import (
+    AuditEntry,
+    AuditReport,
+    ChiRecord,
+    ReplicationClassSummary,
+    VerificationReport,
+)
+from planar_monoid.designs import Design, SearchBudget, SearchResult
+from planar_monoid.plumbing import BoundsReport, PlumbingGraph
+from planar_monoid.surface import (
+    BoundaryWord,
+    ConvexCurve,
+    MultiplicityVector,
+    Relation,
+    SurfaceSpec,
+    TwistWord,
+)
+
+S4, S5 = SurfaceSpec(4), SurfaceSpec(5)
+K4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+TRIANGLE = Design(3, ((1, 2), (1, 3), (2, 3)))
+ENTRY = AuditEntry(TRIANGLE, (1, 1, 1), 0, "exhausted", (2, 2, 2))
+SUMMARY = ReplicationClassSummary((2, 2, 2), 2, 2, False, ("exhausted",), (), False)
+
+# type -> its fields in constructor order with one value each, and the same
+# fields with one value changed
+CASES = {
+    BraidWord: ({"strands": 3, "letters": (1, -2)}, {"strands": 3, "letters": (1,)}),
+    Permutation: ({"images": (2, 1, 3)}, {"images": (1, 2, 3)}),
+    LinkingMatrix: (
+        {"strands": 2, "doubled": ((0, 1), (1, 0))},
+        {"strands": 2, "doubled": ((0, -1), (-1, 0))},
+    ),
+    SurfaceSpec: ({"n": 5}, {"n": 6}),
+    ConvexCurve: ({"support": (1, 3), "outer": False}, {"support": (), "outer": True}),
+    TwistWord: (
+        {"surface": S4, "factors": (ConvexCurve((1, 2)),)},
+        {"surface": S4, "factors": (ConvexCurve((2, 3)),)},
+    ),
+    BoundaryWord: (
+        {"surface": S4, "exponents": (1, 1, 1), "outer": 1},
+        {"surface": S4, "exponents": (1, 1, 1), "outer": 2},
+    ),
+    MultiplicityVector: ({"interior": (1, 2), "outer": 0}, {"interior": (1, 2), "outer": 1}),
+    Relation: (
+        {
+            "label": "k4",
+            "lhs": BoundaryWord(S5, (2, 2, 2, 2)),
+            "rhs": TwistWord(S5, tuple(map(ConvexCurve, K4))),
+        },
+        {
+            "label": "k4'",
+            "lhs": BoundaryWord(S5, (2, 2, 2, 2)),
+            "rhs": TwistWord(S5, tuple(map(ConvexCurve, K4))),
+        },
+    ),
+    Design: ({"points": 3, "blocks": TRIANGLE.blocks}, {"points": 4, "blocks": K4}),
+    SearchBudget: (
+        {"exhaustive_cap": 8, "tries": 2000, "seed": 0},
+        {"exhaustive_cap": 8, "tries": 2000, "seed": 1},
+    ),
+    SearchResult: (
+        {"design": TRIANGLE, "orderings": (((1, 2), (2, 3), (1, 3)),), "status": "exhausted"},
+        {"design": TRIANGLE, "orderings": (((1, 2), (2, 3), (1, 3)),), "status": "budget"},
+    ),
+    PlumbingGraph: (
+        {"vertices": ((0, -3), (1, -2)), "edges": frozenset({(0, 1)})},
+        {"vertices": ((0, -4), (1, -2)), "edges": frozenset({(0, 1)})},
+    ),
+    BoundsReport: (
+        {"n": 5, "min_twists": 6, "max_twists": 9, "min_chi": 3, "max_chi": 6},
+        {"n": 6, "min_twists": 8, "max_twists": 16, "min_chi": 4, "max_chi": 12},
+    ),
+    VerificationReport: (
+        {
+            "label": "k4", "braid_equal": True, "multiplicities_equal": True, "lhs_chi": 6,
+            "rhs_chi": 3, "oracle_agreement": None, "lhs_outer": 1, "rhs_outer": 0,
+        },
+        {
+            "label": "k4", "braid_equal": True, "multiplicities_equal": True, "lhs_chi": 6,
+            "rhs_chi": 3, "oracle_agreement": True, "lhs_outer": 1, "rhs_outer": 0,
+        },
+    ),
+    AuditEntry: (
+        {
+            "design": TRIANGLE, "exponents": (1, 1, 1), "orderings_found": 0,
+            "status": "exhausted", "replications": (2, 2, 2),
+        },
+        {
+            "design": TRIANGLE, "exponents": (1, 1, 1), "orderings_found": 1,
+            "status": "exhausted", "replications": (2, 2, 2),
+        },
+    ),
+    ReplicationClassSummary: (
+        {
+            "replications": (2, 2, 2), "lhs_chi": 2, "rhs_chi": 2, "realizable": False,
+            "statuses": ("exhausted",), "catalog_labels": (), "listed": False,
+        },
+        {
+            "replications": (2, 2, 2), "lhs_chi": 2, "rhs_chi": 2, "realizable": False,
+            "statuses": ("exhausted",), "catalog_labels": (), "listed": True,
+        },
+    ),
+    AuditReport: (
+        {"n": 4, "mode": "dihedral", "entries": (ENTRY,), "replication_classes": (SUMMARY,)},
+        {"n": 4, "mode": "symmetric", "entries": (ENTRY,), "replication_classes": (SUMMARY,)},
+    ),
+    ChiRecord: (
+        {"n": 5, "replications": (3, 3, 3, 3), "printed": (6, 3), "computed": (6, 3)},
+        {"n": 5, "replications": (3, 3, 3, 3), "printed": (6, 4), "computed": (6, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    fields, changed = CASES[cls]
+    value = cls(**fields)
+    # by keyword and by position alike, equal and hashed alike by value
+    same = cls(*fields.values())
+    assert value == same and hash(value) == hash(same)
+    assert value != cls(**changed)
+    # never equal to another type holding the same values
+    other = type("Other", (cls,), {})(**fields)
+    assert value != other and other != value
+    assert value != tuple(fields.values())
+
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == same
+
+    # vars() gives the fields by name, so a copy is one keyword call
+    assert vars(value) == {k: getattr(value, k) for k in fields}
+    assert cls(**vars(value)) == value
+
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value and type(back) is cls
+
+    shown = ", ".join(f"{k}={getattr(value, k)!r}" for k in fields)
+    assert repr(value) == f"{cls.__name__}({shown})"
+
+
+def test_normal_form_is_immutable():
+    nf = normal_form(BraidWord(3, (1, 2)))
+    assert isinstance(nf, NormalForm)
+    for name in ("strands", "infimum", "_ids"):
+        with pytest.raises(AttributeError):
+            setattr(nf, name, getattr(nf, name))
+        with pytest.raises(AttributeError):
+            delattr(nf, name)
+    assert nf == normal_form(BraidWord(3, (1, 2)))
