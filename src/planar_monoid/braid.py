@@ -66,15 +66,14 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-_setattr = object.__setattr__  # stores one field past _Value.__setattr__
+_setattr = object.__setattr__  # _Value._set stores each field past _Value.__setattr__
 
 
 class _Value:
     """Immutable slotted value: equal only to its own class with equal
     fields, hashed by them, shown as Name(field=value, ...) and pickled
     through the constructor.  A subclass names its fields in __slots__,
-    checks its arguments in __init__ and stores them with _set, or with
-    one _setattr each in types built hundreds of times a pass.  The methods
+    checks its arguments in __init__ and stores them with _set.  The methods
     are written once here: methods generated per class compile at every start.
     """
 
@@ -131,8 +130,7 @@ class BraidWord(_Value):
             if type(letter) is not int or letter == 0 or abs(letter) >= strands:
                 _json_int(letter, "letter")  # a non-int raises here
                 raise ValueError(f"letter {letter} out of range for {strands} strands")
-        _setattr(self, "strands", strands)
-        _setattr(self, "letters", letters)
+        self._set(strands, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -214,17 +212,7 @@ class NormalForm(_Value):
         for a, b in zip(factors, factors[1:]):
             if _shared_pairs(_left_complement(a)) & _shared_pairs(b):
                 raise ValueError(f"factors {a}, {b} are not left-weighted")
-        _set_strands(self, strands)
-        _set_infimum(self, infimum)
-        _set_ids(self, tuple(map(table.intern, factors)))
-
-    def __eq__(self, other):
-        if other.__class__ is not NormalForm:
-            return NotImplemented
-        return self._ids == other._ids and self.infimum == other.infimum and self.strands == other.strands
-
-    def __hash__(self) -> int:
-        return hash((self.strands, self.infimum, self._ids))
+        self._set(strands, infimum, tuple(map(table.intern, factors)))
 
     def __repr__(self) -> str:
         return f"NormalForm(strands={self.strands}, infimum={self.infimum}, factors={self.factors})"
@@ -257,18 +245,10 @@ class NormalForm(_Value):
         return BraidWord(m, tuple(letters))
 
 
-# The slot setters write past NormalForm.__setattr__; only the constructors use them.
-_set_strands = NormalForm.strands.__set__
-_set_infimum = NormalForm.infimum.__set__
-_set_ids = NormalForm._ids.__set__
-
-
 def _from_ids(strands: int, infimum: int, ids: tuple[int, ...]) -> NormalForm:
     """The normal form with these interned factor ids, taken as canonical."""
     nf = object.__new__(NormalForm)
-    _set_strands(nf, strands)
-    _set_infimum(nf, infimum)
-    _set_ids(nf, ids)
+    nf._set(strands, infimum, ids)
     return nf
 
 

@@ -106,7 +106,7 @@ def _builtin(n: int) -> tuple[Relation, ...]:
 
 
 def builtin(n: int) -> list[Relation]:
-    """The catalogued relations for n in {5, 6, 7}: 2, 7, and 16 of them."""
+    """The catalogued relations for n in {5, 6, 7}: 2, 7, and 17 of them."""
     if _json_int(n, "n") not in CATALOGUED_N:
         raise ValueError(f"no builtin catalog for n={n}")
     return list(_builtin(n))
@@ -158,13 +158,20 @@ class AuditEntry(_Value):
     see the ReplicationClassSummary keyed by replications.
     """
 
-    __slots__ = ("design", "exponents", "orderings_found", "status", "replications")
+    __slots__ = ("design", "orderings_found", "status")
 
-    def __init__(
-        self, design: Design, exponents: tuple[int, ...], orderings_found: int, status: str,
-        replications: tuple[int, ...],
-    ):
-        self._set(design, exponents, orderings_found, status, replications)
+    def __init__(self, design: Design, orderings_found: int, status: str):
+        self._set(design, orderings_found, status)
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        """The lhs exponents of the relation the design's blocks would give."""
+        return exponents_from_design(self.design).exponents
+
+    @property
+    def replications(self) -> tuple[int, ...]:
+        """The design's replication multiset, sorted."""
+        return tuple(sorted(replication(self.design)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -267,13 +274,7 @@ def completeness_check(
     by_reps: dict[tuple[int, ...], list[AuditEntry]] = {}
     for d in enumerate_designs(m, mode):
         res = search_orderings(d, budget)
-        e = AuditEntry(
-            design=d,
-            exponents=exponents_from_design(d).exponents,
-            orderings_found=len(res.orderings),
-            status=res.status,
-            replications=tuple(sorted(replication(d))),
-        )
+        e = AuditEntry(design=d, orderings_found=len(res.orderings), status=res.status)
         entries.append(e)
         by_reps.setdefault(e.replications, []).append(e)
 

@@ -18,8 +18,8 @@ import itertools
 import random
 from collections.abc import Iterable, Sequence
 
-from . import braid
-from .braid import BraidWord, _dual_mul, _dual_normal_form, _Value, full_twist
+from . import braid, surface
+from .braid import BraidWord, _dual_mul, _dual_normal_form, _Value
 from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
 from .surface import (
     BoundaryWord,
@@ -338,23 +338,21 @@ class SearchResult(_Value):
         }
 
 
-@functools.lru_cache(maxsize=512)  # every block on up to 7 points, with the targets, is 218 forms
-def _mirror_nf(table: braid._NonCrossing, letters: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+@functools.lru_cache(maxsize=512)  # every block on up to 7 points is 213 forms per sign
+def _block_nf(
+    table: braid._NonCrossing, block: tuple[int, ...], sign: int
+) -> tuple[int, tuple[int, ...]]:
     """Dual normal form, in ids of `table`, of the mirror (every letter's
-    sign flipped) of the braid on table.m strands with these letters.
+    sign flipped) of the swing over block on table.m strands.
 
-    The form is kept per key, so each is built once per table.  The key
-    holds both things it depends on: the table whose ids it is written in,
-    which callers look up through the braid module at call time, and the
-    letters, which carry the gathering sign of the swing they come from.
-    A fresh table or a flipped sign therefore builds the forms anew.
+    The form is kept per key, so each is built once per table and sign.
+    The key holds all it depends on: the table whose ids it is written in,
+    the block, and sign, the gathering sign that swing_word reads; callers
+    pass the table and the sign as they stand at call time, so a fresh
+    table or a flipped sign builds the forms anew.
     """
-    return _dual_normal_form(BraidWord(table.m, tuple(-k for k in letters)))
-
-
-def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    surface = SurfaceSpec(table.m + 1)
-    return _mirror_nf(table, swing_word(ConvexCurve.over(block), surface).letters)
+    swing = swing_word(ConvexCurve.over(block), SurfaceSpec(table.m + 1))
+    return _dual_normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
 
 
 @functools.lru_cache(maxsize=8)  # an m <= 6 audit's budget classes meet at most 7 block counts
@@ -419,8 +417,8 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     draws share is multiplied once.  It reports the written orders of the
     realizing draws as drawn, read from the first block drawn, so it
     finds exactly what multiplying each draw out on its own would find.
-    Every block's mirrored form is built once per table of simples
-    (_mirror_nf) and shared by every search after.
+    Every block's mirrored form is built once per table of simples and
+    gathering sign (_block_nf) and shared by every search after.
 
     Both paths multiply mirrors (every letter's sign flipped) in normal
     forms of the dual Garside structure of Birman-Ko-Lee (1998), where the
@@ -444,9 +442,10 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     """
     m = d.points
     table = braid._dual_simples(m)
-    target = _mirror_nf(table, full_twist(m).letters)
-    high = target[0] + len(target[1])
-    nf_of = {b: _block_nf(table, b) for b in d.blocks}
+    target = (m, ())  # delta^m, the mirror of the full twist delta^-m
+    high = m  # sup of the target
+    sign = surface._GATHER_SIGN
+    nf_of = {b: _block_nf(table, b, sign) for b in d.blocks}
     inf_of = {b: inf for b, (inf, _) in nf_of.items()}
     head = max(d.blocks, key=len)
     start = (nf_of[head], sum(inf_of.values()) - inf_of[head])

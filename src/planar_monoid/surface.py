@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .braid import BraidWord, _json_int, _setattr, _Value, equals, full_twist
+from .braid import BraidWord, _json_int, _Value, equals, full_twist
 
 __all__ = [
     "SurfaceSpec",
@@ -76,7 +76,7 @@ class SurfaceSpec(_Value):
     def __init__(self, n: int):
         if _json_int(n, "n") < 2:
             raise ValueError(f"need at least 2 boundary components, got {n}")
-        _setattr(self, "n", n)
+        self._set(n)
 
     @property
     def interior_labels(self) -> range:
@@ -112,8 +112,7 @@ class ConvexCurve(_Value):
                 raise ValueError(f"repeated labels in support {support}")
             if support[0] < 1:
                 raise ValueError(f"labels must be positive, got {support}")
-        _setattr(self, "support", support)
-        _setattr(self, "outer", outer)
+        self._set(support, outer)
 
     @staticmethod
     def over(labels: Iterable[int]) -> "ConvexCurve":
@@ -148,8 +147,7 @@ class TwistWord(_Value):
                 raise ValueError(
                     f"support {c.support} exceeds interior labels 1..{top}"
                 )
-        _setattr(self, "surface", surface)
-        _setattr(self, "factors", factors)
+        self._set(surface, factors)
 
     def __len__(self) -> int:
         return len(self.factors)

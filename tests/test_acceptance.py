@@ -51,11 +51,11 @@ def test_c1_catalog_verifies():
     twins = [r for r in builtin(7) if r.lhs.exponents == (3, 2, 3, 3, 3, 4)]
     twins_ok = len(twins) == 2 and all(verify(t).verified for t in twins)
 
-    ok = all_ok and twins_ok and len(reports) == 25 and elapsed < 60
+    ok = all_ok and twins_ok and len(reports) == 26 and elapsed < 60
     _report(
         "C1",
         ok,
-        f"{sum(r.verified for r in reports)}/25 relations verified "
+        f"{sum(r.verified for r in reports)}/26 relations verified "
         f"(both engines) in {elapsed:.1f}s; shared-LHS pair "
         f"{[t.label for t in twins]} both verify",
     )

@@ -338,10 +338,16 @@ def test_audit_command(capsys):
     assert "2/2 replication classes match the catalog" in err
 
 
-def test_audit_mismatch_exits_one(capsys):
-    # the uncatalogued three-triples multiset (3,3,3,4,4,4) has one 9-block
-    # class, so at cap 9 it is exhausted with 18 orderings and reads as the
-    # one mismatch
+def test_audit_mismatch_exits_one(capsys, monkeypatch):
+    # with its catalogued witness taken out, the three-triples multiset
+    # (3,3,3,4,4,4) has one 9-block class, so at cap 9 it is exhausted with
+    # 18 orderings and reads as the one mismatch
+    from planar_monoid import catalog
+
+    catalogued = catalog._builtin
+    witness = [r for r in catalogued(7) if r.label.startswith("n7/17")]
+    assert len(witness) == 1
+    monkeypatch.setattr(catalog, "_builtin", lambda n: tuple(r for r in catalogued(n) if r not in witness))
     code, out, err = run(capsys, "audit", "--n", "7", "--mode", "symmetric", "--cap", "9")
     assert code == 1
     obj = json.loads(out)

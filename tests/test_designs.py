@@ -533,28 +533,26 @@ def test_search_shuffle_path_interns_few_simples(monkeypatch):
 
 def test_search_forms_built_once_per_table(monkeypatch):
     # the n = 7 symmetric audit uses 90 blocks in its 9 classes, but only
-    # 28 distinct ones: with the target, 29 forms, built once per table
+    # 28 distinct ones: 28 forms, built once per table and gathering sign
     from planar_monoid import braid, surface
 
     def built():
         completeness_check(7, "symmetric", SearchBudget(8, 2000, 1))
-        return designs._mirror_nf.cache_info().misses
+        return designs._block_nf.cache_info().misses
 
-    designs._mirror_nf.cache_clear()
-    assert built() == 29
-    assert built() == 29
-    # a flipped sign changes the swing of each of the 17 blocks that are
-    # not runs of consecutive labels (the other 11 gather nothing) and
-    # leaves the target as it was
+    designs._block_nf.cache_clear()
+    assert built() == 28
+    assert built() == 28
+    # the sign is part of the key, so a flipped sign builds every block anew
     monkeypatch.setattr(surface, "_GATHER_SIGN", -surface._GATHER_SIGN)
-    assert built() == 29 + 17
+    assert built() == 28 + 28
     monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
-    assert built() == 29 + 17 + 29
+    assert built() == 28 + 28 + 28
 
 
 def test_audit_work_repeats(monkeypatch):
-    # the traced benchmark counts swings and multiplies per unit, so a warm
-    # audit must build every swing and make every multiply a cold one did
+    # the traced benchmark counts multiplies per unit after an untraced one,
+    # so every warm audit must make the same multiplies, and builds no swing
     calls = {"swing_word": 0, "_dual_mul": 0}
     for name in calls:
         def counted(*args, _fn=getattr(designs, name), _name=name):
@@ -562,15 +560,25 @@ def test_audit_work_repeats(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(designs, name, counted)
-    designs._mirror_nf.cache_clear()
+    designs._block_nf.cache_clear()
     designs._draws.cache_clear()
     seen = []
-    for _ in range(2):
+    for _ in range(3):
         completeness_check(6, "dihedral", SearchBudget(8, 2000, 5))
         seen.append(dict(calls))
         calls.update(dict.fromkeys(calls, 0))
-    assert seen[0] == seen[1]
-    assert seen[0]["swing_word"] > 0 and seen[0]["_dual_mul"] > 0
+    assert seen[0]["swing_word"] > 0
+    assert seen[1] == seen[2] == {"swing_word": 0, "_dual_mul": seen[0]["_dual_mul"]}
+    assert seen[1]["_dual_mul"] > 0
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_mirrored_full_twist_is_delta_power(m):
+    # the search's target: the full twist is delta^-m, so its mirror is delta^m
+    from planar_monoid import braid
+
+    mirror = BraidWord(m, tuple(-k for k in full_twist(m).letters))
+    assert braid._dual_normal_form(mirror) == (m, ())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 2024])
