@@ -21,7 +21,11 @@ Words are sequences of signed Artin generator indices in *application order*:
   cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
   "the freely and cyclically reduced word a.b^-1 = u.v^-1 is the
   identity": u and v grow from the identity, each step on whichever side
-  holds fewer terms, until they meet and are compared.  A matrix is one
+  holds fewer terms, until they meet and are compared.  Each full twist
+  or inverse that the free reduction finds spelled out is taken out of
+  the word and u starts at its image instead, the central scalar
+  q^-2m t^-2 to the power found; `_lk_check` verifies that image once
+  per strand count, so the verdict stays exact.  A matrix is one
   sparse dict per column, its keys packed with strides sized to the word.
   A generator entry is a monomial shift times a coefficient tuple, and
   one cached builder, `_lk_letter`, packs each letter per t-stride.
@@ -603,8 +607,10 @@ def full_twist(m: int) -> BraidWord:
 # rowstride covering the whole q range (`_lk_layout`): the key is
 # one-to-one, and adding a generator term's packed degrees to it never
 # changes its row.  lk_equal takes l as the least power of two above its
-# reduced length, so there is no length limit, few layouts are ever packed,
-# and catalog words keep every key below 2^30, a single CPython digit.  A
+# reduced length plus the letters of the full twists it stripped (the
+# twist's scalar moves q and t no further than its letters would), so there
+# is no length limit, few layouts are ever packed, and catalog words keep
+# every key below 2^30, a single CPython digit.  A
 # generator entry that several columns read (as (q-1)^2 on x_{i,i+1} under
 # sigma_i) is built once per letter as a product in a slot past the
 # columns, and each reader adds it at its own shift; by linearity the packed
@@ -686,8 +692,8 @@ def _lk_letter(m: int, letter: int, tstride: int):
     read is a shared product p: an in-place step on the empty slot dim + p
     past the dim columns, listed before every column, and each reading
     column adds that slot with its own shift and coefficient 1.  An entry
-    read once stays inline.  lk_equal asks only for power-of-two lengths,
-    so few are kept."""
+    read once stays inline.  lk_equal and _lk_check ask only for
+    power-of-two lengths, so few are kept."""
     column = _lk_column if letter > 0 else _lk_inverse_column
     pairs, index = _lk_basis(m)
     active = []
@@ -754,23 +760,39 @@ def _lk_apply(cols: list[dict], gen) -> None:
         cols[j] = acc
 
 
-def _lk_identity(m: int, rowstride: int) -> list[dict]:
-    return [{j * rowstride: 1} for j in range(m * (m - 1) // 2)]
+def _lk_identity(m: int, tstride: int, rowstride: int, power: int = 0) -> list[dict]:
+    """The identity in this layout times the full twist's image, the scalar
+    q^-2m t^-2, to the power `power`: every key shifted by
+    power * (-2m tstride - 2)."""
+    shift = -power * (2 * m * tstride + 2)
+    return [{j * rowstride + shift: 1} for j in range(m * (m - 1) // 2)]
 
 
 @functools.cache
-def _lk_check(m: int) -> None:
+def _lk_check(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Safety check of the closed forms: sigma_i sigma_i^-1 and sigma_i^-1
-    sigma_i are the identity under _lk_apply for every i."""
+    sigma_i are the identity under _lk_apply for every i, and the full twist
+    is the scalar q^-2m t^-2.  Returns the letters of the full twist and of
+    its inverse, the spellings lk_equal strips as that scalar."""
     tstride, rowstride = _lk_layout(m, 2)
-    ident = _lk_identity(m, rowstride)
+    ident = _lk_identity(m, tstride, rowstride)
     for i in range(1, m):
         for pair in ((i, -i), (-i, i)):
-            cols = _lk_identity(m, rowstride)
+            cols = _lk_identity(m, tstride, rowstride)
             for letter in pair:
                 _lk_apply(cols, _lk_letter(m, letter, tstride))
             if cols != ident:
                 raise AssertionError(f"LK inverse verification failed for m={m}, i={i}")
+    # a scalar image under a faithful representation is central, so the
+    # twist may be taken out of a word wherever it is spelled
+    twist = full_twist(m).letters
+    tstride, rowstride = _lk_layout(m, 1 << len(twist).bit_length())
+    cols = _lk_identity(m, tstride, rowstride)
+    for letter in twist:
+        _lk_apply(cols, _lk_letter(m, letter, tstride))
+    if cols != _lk_identity(m, tstride, rowstride, 1):
+        raise AssertionError(f"LK full twist verification failed for m={m}: not q^-{2 * m} t^-2")
+    return twist, tuple(-k for k in reversed(twist))
 
 
 def lk_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -778,29 +800,42 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
     matrices; the representation is faithful, so this agrees with equals().
 
     a = b exactly when w = a.b^-1 is the identity.  w is freely reduced in
-    one stack pass and then cyclically reduced, since x.w'.x^-1 = 1 iff
-    w' = 1.  The result is u.v^-1 = 1 iff u = v: both matrices start at the
-    identity, and each step gives the next letter from the front of w to u,
-    or the inverse of the next from its back to v, whichever side holds
-    fewer terms, until the two meet; then u and v are compared.
+    one stack pass, which also pops each `full_twist(m)` or its inverse the
+    moment its letters top the stack and counts it in a power p: the full
+    twist is central and its matrix is the scalar q^-2m t^-2 (`_lk_check`
+    verifies it), so w = w'.twist^p.  w' is then
+    cyclically reduced, since x.w'.x^-1 = 1 iff w' = 1.  The result is
+    u.v^-1 = 1 iff u = v: u starts at the scalar to the power p and v at
+    the identity, and each step gives the next letter from the front of w'
+    to u, or the inverse of the next from its back to v, whichever side
+    holds fewer terms, until the two meet; then u and v are compared.
     """
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
     m = a.strands
-    _lk_check(m)
+    twist, untwist = _lk_check(m)
+    size = len(twist)
+    power = 0
     w: list[int] = []
     for k in a.letters + tuple(-k for k in reversed(b.letters)):
         if w and w[-1] == -k:
             w.pop()
-        else:
-            w.append(k)
+            continue
+        w.append(k)
+        if k == twist[-1] and tuple(w[-size:]) == twist:
+            del w[-size:]
+            power += 1
+        elif k == untwist[-1] and tuple(w[-size:]) == untwist:
+            del w[-size:]
+            power -= 1
     lo, hi = 0, len(w)
     while hi - lo > 1 and w[lo] == -w[hi - 1]:
         lo += 1
         hi -= 1
-    # the layout of the least power of two above the reduced length
-    tstride, rowstride = _lk_layout(m, 1 << (hi - lo).bit_length())
-    u, v = _lk_identity(m, rowstride), _lk_identity(m, rowstride)
+    # u and v are matrices of words of at most |p| twists and the reduced
+    # letters: the layout of the least power of two above that length
+    tstride, rowstride = _lk_layout(m, 1 << (hi - lo + abs(power) * size).bit_length())
+    u, v = _lk_identity(m, tstride, rowstride, power), _lk_identity(m, tstride, rowstride)
     u_terms = v_terms = len(u)
     while lo < hi:
         if u_terms <= v_terms:

@@ -23,7 +23,7 @@ from planar_monoid.braid import (
     normal_form,
     permutation,
 )
-from planar_monoid.catalog import builtin
+from planar_monoid.catalog import builtin, verify
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word, to_braid
 
 
@@ -756,7 +756,7 @@ def _lk_matrix(w):
     sized to w's length, times each letter's packed generator."""
     m, length = w.strands, len(w.letters)
     tstride, rowstride = braid._lk_layout(m, length)
-    cols = braid._lk_identity(m, rowstride)
+    cols = braid._lk_identity(m, tstride, rowstride)
     for letter in w.letters:
         braid._lk_apply(cols, braid._lk_letter(m, letter, tstride))
     return cols
@@ -997,17 +997,23 @@ def test_lk_layout_holds_words_at_the_degree_extremes():
 
 def test_lk_equal_sizes_its_layout_to_the_reduced_word(monkeypatch):
     # either side of the meet may take every letter of the reduced word,
-    # so the layout must hold the whole reduced length
+    # so the layout must hold the whole reduced length, and the letters of
+    # the full twists stripped from it, which u starts with as a scalar
     asked = []
     layout = braid._lk_layout
     monkeypatch.setattr(braid, "_lk_layout", lambda m, length: asked.append(length) or layout(m, length))
     m = 5
+    ft = full_twist(m).letters
     for length in (0, 1, 2, 5, 12, 16):
         w = (4,) * length
         for a, b in ((w, ()), ((), w), (w + (1,), (1,)), ((-2,) + w + (2,), ())):
             asked.clear()
             assert lk_equal(BraidWord(m, a), BraidWord(m, b)) == (length == 0)
             assert asked[-1] >= length
+        for power in (1, 2, 3):
+            asked.clear()
+            assert not lk_equal(BraidWord(m, ft * power + w), BraidWord(m))
+            assert asked[-1] >= length + power * len(ft)
 
 
 @given(braid_word_pairs(max_strands=8, max_len=14), st.booleans())
@@ -1021,6 +1027,119 @@ def test_lk_greedy_meet_matches_reference(pair, same):
     assert lk_equal(a, b) == lk_equal(b, a) == _lk_reference_equal(a, b) == equals(a, b)
     if same:
         assert lk_equal(a, b)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_full_twist_is_a_scalar_under_lk(m):
+    # the unreduced reference multiplies out every letter: this checks the
+    # scalar that lk_equal's strip rests on without going through the strip
+    dim = m * (m - 1) // 2
+    assert _lk_reference(full_twist(m)) == {(r, r): {(-2 * m, -2): 1} for r in range(dim)}
+
+
+def test_lk_check_rejects_a_non_central_full_twist(monkeypatch):
+    twist = full_twist(4).letters
+    braid._lk_check.cache_clear()
+    try:
+        monkeypatch.setattr(braid, "full_twist", lambda m: BraidWord(m, twist[:-1] + (-twist[-1],)))
+        with pytest.raises(AssertionError, match="LK full twist verification failed for m=4"):
+            braid._lk_check(4)
+    finally:
+        braid._lk_check.cache_clear()
+
+
+def _twist_spellings(m):
+    """The full twist and its inverse on m strands, each also spelled with
+    a cancelling pair inside, so it completes only once the pair cancels."""
+    for spelling in (full_twist(m).letters, invert(full_twist(m)).letters):
+        yield spelling
+        for i in range(1, len(spelling)):
+            yield spelling[:i] + (1, -1) + spelling[i:]
+
+
+def test_lk_equal_strips_every_spelling_of_the_full_twist(monkeypatch):
+    # a.b^-1 is twist^+-1, written in a, in b, or split across the two:
+    # lk_equal multiplies out no letter, and the scalar tells it from 1
+    for m in range(2, 7):
+        braid._lk_check(m)
+    applied = []
+    apply = braid._lk_apply
+    monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: applied.append(gen) or apply(cols, gen))
+    for m in range(2, 7):
+        for spelling in _twist_spellings(m):
+            for i in range(len(spelling) + 1):
+                a, b = BraidWord(m, spelling[:i]), invert(BraidWord(m, spelling[i:]))
+                assert not lk_equal(a, b) and not lk_equal(b, a)
+    assert applied == []
+
+
+@st.composite
+def twist_splices(draw):
+    """(a, b) on 1 to 6 strands with one to three full twists or inverses
+    spliced in: into a, into b, or split across a's end and b's end (a.b^-1
+    reads the two parts in order), each possibly spelled with a cancelling
+    pair inside.  When a and b start equal, every splice is matched by the
+    same spelling spliced into the other side, which keeps them equal."""
+    m = draw(st.integers(1, 6))
+    gens = [sign * i for i in range(1, m) for sign in (1, -1)]
+    word = st.lists(st.sampled_from(gens), max_size=10) if gens else st.just([])
+    a = draw(word)
+    same = draw(st.booleans())
+    b = list(a) if same else draw(word)
+    for _ in range(draw(st.integers(1, 3))):
+        spelling = list(full_twist(m).letters)
+        if draw(st.booleans()):
+            spelling = [-k for k in reversed(spelling)]
+        plain = list(spelling)
+        if gens and draw(st.booleans()):
+            x, i = draw(st.sampled_from(gens)), draw(st.integers(0, len(spelling)))
+            spelling[i:i] = [x, -x]
+        where = draw(st.sampled_from(("a", "b", "split")))
+        if where == "split":
+            i = draw(st.integers(0, len(spelling)))
+            a += spelling[:i]
+            b += [-k for k in reversed(spelling[i:])]
+        else:
+            target = a if where == "a" else b
+            i = draw(st.integers(0, len(target)))
+            target[i:i] = spelling
+        if same:
+            other = a if where == "b" else b
+            i = draw(st.integers(0, len(other)))
+            other[i:i] = plain
+    return BraidWord(m, a), BraidWord(m, b)
+
+
+@given(twist_splices())
+@settings(max_examples=80, deadline=None)
+def test_lk_equal_with_spliced_full_twists_matches_reference(pair):
+    a, b = pair
+    assert lk_equal(a, b) == lk_equal(b, a) == _lk_reference_equal(a, b) == equals(a, b)
+
+
+def test_lk_catalog_work_is_the_reduced_rhs(monkeypatch):
+    # the lhs of every relation is the full twist, which lk_equal strips
+    # as a scalar: each verdict multiplies out only the freely reduced rhs
+    for m in (4, 5, 6):
+        braid._lk_check(m)
+    applied = []
+    apply = braid._lk_apply
+    monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: applied.append(gen) or apply(cols, gen))
+    counts = []
+    for n in (5, 6, 7):
+        for r in builtin(n):
+            applied.clear()
+            assert verify(r, lk=True).oracle_agreement
+            reduced = []
+            for k in to_braid(r.rhs).letters:
+                if reduced and reduced[-1] == -k:
+                    reduced.pop()
+                else:
+                    reduced.append(k)
+            assert len(applied) == len(reduced), r.label
+            counts.append(len(applied))
+    assert len(counts) == 26 and sum(counts) == 812
+    assert (min(counts), max(counts)) == (12, 58)
 
 
 def test_nf_equality_is_exact_on_rewritings():
