@@ -17,18 +17,19 @@ Words are sequences of signed Artin generator indices in *application order*:
   (infimum, ids) tuples, which the ordering search multiplies, `_dual_mul`
   stopping with None at an optional supremum bound;
   `normal_form` and `nf_mul` wrap them as `NormalForm`s; and
-* the Lawrence-Krammer representation over Z[q^{+-1}, t^{+-1}] (a faithful
-  cross-check oracle with exact arithmetic).  `lk_equal` decides a = b as
+* the Lawrence-Krammer representation at q = 1/2, with t formal (a
+  cross-check oracle with exact arithmetic, faithful by Krammer's theorem
+  for every real 0 < q < 1).  `lk_equal` decides a = b as
   "the freely and cyclically reduced word a.b^-1 = u.v^-1 is the
   identity": u and v grow from the identity, each step on whichever side
   holds fewer terms, until they meet and are compared.  Each full twist
-  or inverse that the free reduction finds spelled out is taken out of
-  the word and u starts at its image instead, the central scalar
-  q^-2m t^-2 to the power found; `_lk_check` verifies that image once
-  per strand count, so the verdict stays exact.  A matrix is one
-  sparse dict per column, its keys packed with strides sized to the word.
-  A generator entry is a monomial shift times a coefficient tuple, and
-  one cached builder, `_lk_letter`, packs each letter per t-stride.
+  or inverse that the free reduction finds spelled out, in any cyclic
+  rotation, is taken out of the word and u starts at its image instead,
+  the central scalar 2^2m t^-2 to the power found; `_lk_check` verifies
+  that image once per strand count, so the verdict stays exact.  A matrix
+  is one sparse dict of ints per column, keyed by row and t-degree, with
+  one power-of-two scale per column, and one cached builder, `_lk_letter`,
+  packs each generator entry as a t-shift times n / 2^e.
 
 Simple elements are stored internally as 0-indexed permutations, interned
 per strand count; the public `Permutation` type is 1-indexed to match
@@ -597,24 +598,20 @@ def full_twist(m: int) -> BraidWord:
 # order, which is an (anti)isomorphic copy of the usual representation and
 # equally faithful.
 #
-# Column layout: a column is one dict holding only its non-zero terms.  A
-# generator entry is written in closed form (_lk_column) as a monomial shift
-# times a coefficient tuple, and one cached builder (`_lk_letter`) packs it
-# per layout, with strides sized to the word: each letter moves a q-degree
-# by -2 .. +m and a t-degree by -1 .. +1, so a matrix of at most l letters
-# has q in [-2l, m*l] and t in [-l, l].  The term c q^a t^b of row r sits
-# under the key r * rowstride + a * tstride + b, with tstride = 2l + 1 and
-# rowstride covering the whole q range (`_lk_layout`): the key is
-# one-to-one, and adding a generator term's packed degrees to it never
-# changes its row.  lk_equal takes l as the least power of two above its
-# reduced length plus the letters of the full twists it stripped (the
-# twist's scalar moves q and t no further than its letters would), so there
-# is no length limit, few layouts are ever packed, and catalog words keep
-# every key below 2^30, a single CPython digit.  A
-# generator entry that several columns read (as (q-1)^2 on x_{i,i+1} under
-# sigma_i) is built once per letter as a product in a slot past the
-# columns, and each reader adds it at its own shift; by linearity the packed
-# sums are those of the entries added one by one.
+# Arithmetic: Krammer (Braid groups are linear, Ann. of Math. 155 (2002)
+# 131-156) proves these matrices faithful over R[t^+-1] for every real
+# 0 < q < 1, so q is fixed at 1/2 and t stays formal: an entry is a Laurent
+# polynomial in t with dyadic coefficients, computed exactly.  A column is
+# (ints, scale), one dict holding only its non-zero terms and one power of
+# two: the term c t^b of row r is ints[r * (2l + 1) + b] / 2^scale.  Each
+# letter moves a t-degree by -1 .. +1, so a matrix of at most l letters has
+# t in [-l, l], the key is one-to-one, and adding a generator's t-shift to
+# it never changes its row.  A closed-form entry (_lk_column) is packed by
+# `_lk_letter` as t^b n / 2^e, so reading a column costs one int multiply
+# per key; the new column's scale is the largest of its readings', and a
+# column that the letter leaves alone is never rescaled.  The oracle shares
+# nothing with the Garside engine, and catalog.verify reports on every
+# relation whether the two agree (`oracle_agreement`).
 
 
 @functools.cache
@@ -669,141 +666,126 @@ def _lk_inverse_column(s: int, t: int, i: int):
     return {(s, i + 1): (0, 0, (1,)), (i, i + 1): (i - s - 1, 0, (1, -1))}  # t == i
 
 
-def _lk_layout(m: int, length: int) -> tuple[int, int]:
-    """(tstride, rowstride) keeping keys one-to-one for matrices of at most
-    `length` letters on m strands: t in [-length, length] and q in
-    [-2 length, m length]."""
-    tstride = 2 * length + 1
-    return tstride, ((m + 2) * length + 1) * tstride
-
-
 @functools.cache
-def _lk_letter(m: int, letter: int, tstride: int):
-    """The non-identity columns of the (possibly inverse) generator matrix,
-    packed for this t-stride, as (number of shared products, steps), each
-    step (col_j, row_k0, key_shift, ((row_k, ((key_shift, coeff), ...)), ...), in_place).
-
-    Every such column has exactly one entry that is a monomial with
-    coefficient 1; it is pulled out as row_k0 and its packed shift.  Each
-    other entry q^a t^b P col_k is a shift a * tstride + b times a base
-    polynomial P whose first term sits at degree 0.  A column whose monic
-    entry is 1 on its own row is updated in place (`in_place`) when no
-    other column reads that row.  An entry (k, P) that two or more columns
-    read is a shared product p: an in-place step on the empty slot dim + p
-    past the dim columns, listed before every column, and each reading
-    column adds that slot with its own shift and coefficient 1.  An entry
-    read once stays inline.  lk_equal and _lk_check ask only for
-    power-of-two lengths, so few are kept."""
+def _lk_letter(m: int, letter: int) -> tuple:
+    """The non-identity columns of the (possibly inverse) generator matrix
+    at q = 1/2, as (col_j, ((row_k, t_shift, n, e), ...)): entry k of column
+    j is t^t_shift n / 2^e, with n odd."""
     column = _lk_column if letter > 0 else _lk_inverse_column
     pairs, index = _lk_basis(m)
-    active = []
-    rows: dict[int, int] = {}  # row -> how many columns read it
-    reads: dict = {}  # (row, base) -> how many columns read it
+    steps = []
     for j, (s, t) in enumerate(pairs):
         col = column(s, t, abs(letter))
         if col is None:
             continue
-        entries = sorted((index[p], dq * tstride + dt, coeffs) for p, (dq, dt, coeffs) in col.items())
-        # the unpacking raises unless exactly one entry is a monic monomial
-        [(k0, shift)] = [(k, dk) for k, dk, coeffs in entries if coeffs == (1,)]
-        rest = []
-        for k, dk, coeffs in entries:
-            rows[k] = rows.get(k, 0) + 1
-            if k != k0:
-                base = tuple((e * tstride, c) for e, c in enumerate(coeffs))
-                rest.append((k, dk, base))
-                reads[k, base] = reads.get((k, base), 0) + 1
-        active.append((j, k0, shift, rest))
-    dim = len(pairs)
-    slot = {entry: dim + p for p, entry in enumerate(e for e, n in reads.items() if n > 1)}
-    products = tuple((p, p, 0, (entry,), True) for entry, p in slot.items())
-    return len(slot), products + tuple(
-        (j, k0, shift, tuple(
-            (slot[k, base], ((dk, 1),)) if (k, base) in slot else (k, tuple((dk + d, c) for d, c in base))
-            for k, dk, base in rest
-        ), k0 == j and shift == 0 and rows[j] == 1)
-        for j, k0, shift, rest in active
-    )
+        entries = []
+        for p, (dq, dt, coeffs) in col.items():
+            # q^dq (c0 + c1 q + ..) at q = 1/2 is n / 2^e
+            top = len(coeffs) - 1
+            n, e = sum(c << (top - d) for d, c in enumerate(coeffs)), dq + top
+            if n:
+                while not n & 1:
+                    n, e = n >> 1, e - 1
+                entries.append((index[p], dt, n, e))
+        steps.append((j, tuple(entries)))
+    return tuple(steps)
 
 
-def _lk_apply(cols: list[dict], gen) -> None:
-    """In-place right multiplication by a generator matrix packed by
-    `_lk_letter`.  The letter's shared products go in fresh slots past the
-    columns and are built first, before any column is touched; an in-place
-    column is read by no other column, so no product reads one."""
-    dim = len(cols)
-    shared, gen = gen
-    cols += [{} for _ in range(shared)]
+def _lk_apply(cols: list, gen) -> None:
+    """In-place right multiplication by a generator packed by `_lk_letter`.
+    A column it touches becomes the sum of its entries' readings of the old
+    columns, at the largest of their scales: the reading of the column with
+    the most terms is built as a new dict, and the others are added in."""
     updates = []
-    for j, k0, shift, rest, in_place in gen:
-        if in_place:
-            acc = cols[j]
-        elif shift:
-            acc = {key + shift: v for key, v in cols[k0].items()}
-        else:
-            acc = cols[k0].copy()
+    for j, entries in gen:
+        scale = most = None
+        for k, d, n, e in entries:
+            col, s = cols[k]
+            if scale is None or s + e > scale:
+                scale = s + e
+            if most is None or len(col) > most:
+                first, most = (k, col, s, d, n, e), len(col)
+        k, col, s, d, n, e = first
+        c = n << (scale - s - e)
+        acc = {key + d: v * c for key, v in col.items()}
         get = acc.get
-        for k, terms in rest:
-            col = cols[k].items()
-            for dk, c in terms:
-                for key, v in col:
-                    kk = key + dk
-                    nv = get(kk, 0) + v * c
-                    if nv:
-                        acc[kk] = nv
-                    else:
-                        del acc[kk]
-        if not in_place:
-            updates.append((j, acc))
-    del cols[dim:]
-    for j, acc in updates:
-        cols[j] = acc
+        for k, d, n, e in entries:
+            if k == first[0]:
+                continue
+            col, s = cols[k]
+            c = n << (scale - s - e)
+            for key, v in col.items():
+                key += d
+                nv = get(key, 0) + v * c
+                if nv:
+                    acc[key] = nv
+                else:
+                    del acc[key]
+        updates.append((j, (acc, scale)))
+    for j, col in updates:
+        cols[j] = col
 
 
-def _lk_identity(m: int, tstride: int, rowstride: int, power: int = 0) -> list[dict]:
-    """The identity in this layout times the full twist's image, the scalar
-    q^-2m t^-2, to the power `power`: every key shifted by
-    power * (-2m tstride - 2)."""
-    shift = -power * (2 * m * tstride + 2)
-    return [{j * rowstride + shift: 1} for j in range(m * (m - 1) // 2)]
+def _lk_identity(m: int, stride: int, power: int = 0) -> list:
+    """The identity with row stride `stride` times the full twist's image,
+    the scalar q^-2m t^-2 = 2^2m t^-2, to the power `power`."""
+    return [({j * stride - 2 * power: 1}, -2 * m * power) for j in range(m * (m - 1) // 2)]
+
+
+def _lk_same(u: list, v: list) -> bool:
+    """u = v, column by column at the larger of the two scales."""
+    for (a, s), (b, r) in zip(u, v):
+        top = max(s, r)
+        if {key: x << (top - s) for key, x in a.items()} != {key: x << (top - r) for key, x in b.items()}:
+            return False
+    return True
 
 
 @functools.cache
-def _lk_check(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Safety check of the closed forms: sigma_i sigma_i^-1 and sigma_i^-1
-    sigma_i are the identity under _lk_apply for every i, and the full twist
-    is the scalar q^-2m t^-2.  Returns the letters of the full twist and of
-    its inverse, the spellings lk_equal strips as that scalar."""
-    tstride, rowstride = _lk_layout(m, 2)
-    ident = _lk_identity(m, tstride, rowstride)
+def _lk_check(m: int) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Safety check of the closed forms at q = 1/2: sigma_i sigma_i^-1 and
+    sigma_i^-1 sigma_i are the identity under _lk_apply for every i, and the
+    full twist is the scalar 2^2m t^-2.  Returns every cyclic rotation of
+    the full twist's spelling and of its inverse's, the words lk_equal
+    strips as that scalar, by last letter, each with its sign +-1."""
     for i in range(1, m):
         for pair in ((i, -i), (-i, i)):
-            cols = _lk_identity(m, tstride, rowstride)
+            cols = _lk_identity(m, 5)
             for letter in pair:
-                _lk_apply(cols, _lk_letter(m, letter, tstride))
-            if cols != ident:
+                _lk_apply(cols, _lk_letter(m, letter))
+            if not _lk_same(cols, _lk_identity(m, 5)):
                 raise AssertionError(f"LK inverse verification failed for m={m}, i={i}")
     # a scalar image under a faithful representation is central, so the
-    # twist may be taken out of a word wherever it is spelled
+    # twist may be taken out of a word wherever it is spelled; a rotation
+    # of its spelling is a conjugate of it, so the twist too
     twist = full_twist(m).letters
-    tstride, rowstride = _lk_layout(m, 1 << len(twist).bit_length())
-    cols = _lk_identity(m, tstride, rowstride)
+    stride = 2 * len(twist) + 1
+    cols = _lk_identity(m, stride)
     for letter in twist:
-        _lk_apply(cols, _lk_letter(m, letter, tstride))
-    if cols != _lk_identity(m, tstride, rowstride, 1):
-        raise AssertionError(f"LK full twist verification failed for m={m}: not q^-{2 * m} t^-2")
-    return twist, tuple(-k for k in reversed(twist))
+        _lk_apply(cols, _lk_letter(m, letter))
+    if not _lk_same(cols, _lk_identity(m, stride, 1)):
+        raise AssertionError(f"LK full twist verification failed for m={m}: not 2^{2 * m} t^-2")
+    ends = {}
+    for spelling, sign in ((twist, 1), (tuple(-k for k in reversed(twist)), -1)):
+        for i in range(len(spelling)):
+            rotation = spelling[i:] + spelling[:i]
+            ends[rotation[-1]] = rotation, sign
+    return ends
 
 
 def lk_equal(a: BraidWord, b: BraidWord) -> bool:
     """True iff a and b are the same braid, decided by the Lawrence-Krammer
-    matrices; the representation is faithful, so this agrees with equals().
+    matrices at q = 1/2 with t formal.  Krammer (Ann. of Math. 155 (2002)
+    131-156) proves them faithful for every real 0 < q < 1, so this agrees
+    with equals(); catalog.verify reports on every relation whether it
+    does (oracle_agreement).  A matrix column is one dict of ints with its
+    own power-of-two scale, so the arithmetic is exact.
 
     a = b exactly when w = a.b^-1 is the identity.  w is freely reduced in
-    one stack pass, which also pops each `full_twist(m)` or its inverse the
-    moment its letters top the stack and counts it in a power p: the full
-    twist is central and its matrix is the scalar q^-2m t^-2 (`_lk_check`
-    verifies it), so w = w'.twist^p.  w' is then
+    one stack pass, which also pops each cyclic rotation of `full_twist(m)`
+    or of its inverse the moment its letters top the stack and counts it in
+    a power p: the full twist is central and its matrix is the scalar
+    2^2m t^-2 (`_lk_check` verifies it), so w = w'.twist^p.  w' is then
     cyclically reduced, since x.w'.x^-1 = 1 iff w' = 1.  The result is
     u.v^-1 = 1 iff u = v: u starts at the scalar to the power p and v at
     the identity, and each step gives the next letter from the front of w'
@@ -813,8 +795,8 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
     m = a.strands
-    twist, untwist = _lk_check(m)
-    size = len(twist)
+    ends = _lk_check(m)
+    size = m * (m - 1)
     power = 0
     w: list[int] = []
     for k in a.letters + tuple(-k for k in reversed(b.letters)):
@@ -822,28 +804,26 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
             w.pop()
             continue
         w.append(k)
-        if k == twist[-1] and tuple(w[-size:]) == twist:
+        end = ends.get(k)
+        if end and tuple(w[-size:]) == end[0]:
             del w[-size:]
-            power += 1
-        elif k == untwist[-1] and tuple(w[-size:]) == untwist:
-            del w[-size:]
-            power -= 1
+            power += end[1]
     lo, hi = 0, len(w)
     while hi - lo > 1 and w[lo] == -w[hi - 1]:
         lo += 1
         hi -= 1
-    # u and v are matrices of words of at most |p| twists and the reduced
-    # letters: the layout of the least power of two above that length
-    tstride, rowstride = _lk_layout(m, 1 << (hi - lo + abs(power) * size).bit_length())
-    u, v = _lk_identity(m, tstride, rowstride, power), _lk_identity(m, tstride, rowstride)
+    # u and v are matrices of the reduced letters, u's times t^-2p: t stays
+    # within the reduced length plus 2|p| of 0
+    stride = 2 * (hi - lo + 2 * abs(power)) + 1
+    u, v = _lk_identity(m, stride, power), _lk_identity(m, stride)
     u_terms = v_terms = len(u)
     while lo < hi:
         if u_terms <= v_terms:
-            _lk_apply(u, _lk_letter(m, w[lo], tstride))
+            _lk_apply(u, _lk_letter(m, w[lo]))
             lo += 1
-            u_terms = sum(map(len, u))
+            u_terms = sum(len(col) for col, _ in u)
         else:
             hi -= 1
-            _lk_apply(v, _lk_letter(m, -w[hi], tstride))
-            v_terms = sum(map(len, v))
-    return u == v
+            _lk_apply(v, _lk_letter(m, -w[hi]))
+            v_terms = sum(len(col) for col, _ in v)
+    return _lk_same(u, v)

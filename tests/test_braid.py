@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -751,28 +752,38 @@ def _lk_reference_equal(a, b):
     return _lk_reference(a) == _lk_reference(b)
 
 
+def _lk_at_half(mat):
+    """_lk_reference's matrix at q = 1/2, as {(row, col): {t-degree: value}}."""
+    half = {}
+    for rc, poly in mat.items():
+        entry = {}
+        for (q, t), c in poly.items():
+            entry[t] = entry.get(t, 0) + c * Fraction(1, 2) ** q
+        entry = {t: v for t, v in entry.items() if v}
+        if entry:
+            half[rc] = entry
+    return half
+
+
 def _lk_matrix(w):
-    """w's matrix as lk_equal builds a side: the identity in the layout
-    sized to w's length, times each letter's packed generator."""
-    m, length = w.strands, len(w.letters)
-    tstride, rowstride = braid._lk_layout(m, length)
-    cols = braid._lk_identity(m, tstride, rowstride)
+    """w's matrix as lk_equal builds a side: the identity with the row
+    stride of w's length, times each letter's packed generator."""
+    stride = 2 * len(w.letters) + 1
+    cols = braid._lk_identity(w.strands, stride)
     for letter in w.letters:
-        braid._lk_apply(cols, braid._lk_letter(m, letter, tstride))
-    return cols
+        braid._lk_apply(cols, braid._lk_letter(w.strands, letter))
+    return cols, stride
 
 
-def _lk_unpacked(cols, m, length):
-    """Column dicts packed for words of at most `length` letters on m
-    strands, in _lk_reference's shape."""
-    tstride, rowstride = braid._lk_layout(m, length)
-    low = 2 * length * tstride + length  # minus the least q * tstride + t
+def _lk_unpacked(matrix):
+    """A matrix from _lk_matrix in _lk_at_half's shape."""
+    cols, stride = matrix
+    half = stride // 2
     mat = {}
-    for j, col in enumerate(cols):
+    for j, (col, scale) in enumerate(cols):
         for key, v in col.items():
-            r, rest = divmod(key + low, rowstride)
-            q, t = divmod(rest - low + length, tstride)
-            mat.setdefault((r, j), {})[q, t - length] = v
+            r = (key + half) // stride
+            mat.setdefault((r, j), {})[key - r * stride] = v * Fraction(1, 2) ** scale
     return mat
 
 
@@ -781,8 +792,9 @@ def _lk_unpacked(cols, m, length):
 def test_lk_equal_matches_unreduced_reference(pair):
     a, b = pair
     assert lk_equal(a, b) == _lk_reference_equal(a, b)
-    # entry by entry, so a row stride too small to keep rows apart shows
-    assert _lk_unpacked(_lk_matrix(a), a.strands, len(a.letters)) == _lk_reference(a)
+    # entry by entry at q = 1/2, so a row stride too small to keep rows
+    # apart, or a column left at the wrong scale, shows
+    assert _lk_unpacked(_lk_matrix(a)) == _lk_at_half(_lk_reference(a))
 
 
 def _catalog_cases():
@@ -818,7 +830,7 @@ def test_lk_matrix_matches_reference_on_catalog_half_products(rhs):
     # hundreds of terms, the whole (central) product 10 to 15, and random
     # words stay smaller
     w = to_braid(rhs)
-    assert _lk_unpacked(_lk_matrix(w), w.strands, len(w.letters)) == _lk_reference(w)
+    assert _lk_unpacked(_lk_matrix(w)) == _lk_at_half(_lk_reference(w))
 
 
 @pytest.mark.parametrize(("lhs", "rhs", "holds"), list(_catalog_cases()))
@@ -886,110 +898,67 @@ def _lk_closed_forms(m):
 
 
 def test_lk_generator_degrees_fit_key_layout():
-    # the per-letter reach the per-call strides rest on: every generator
-    # term has q-degree -2..m and t-degree -1..1
+    # the per-letter reach the row stride rests on: every generator entry
+    # moves a t-degree by -1..1, so a key never leaves its row
     for m in range(2, 10):
-        for _, cols in _lk_closed_forms(m):
-            for col in cols.values():
-                for dq, dt, coeffs in col.values():
-                    assert -2 <= dq and dq + len(coeffs) - 1 <= m and -1 <= dt <= 1
-
-
-def test_lk_closed_form_columns_have_one_monic_entry():
-    # _lk_letter pulls the monic entry out of each column and packs every
-    # other entry's shift at its first term
-    for m in range(2, 10):
-        for _, cols in _lk_closed_forms(m):
-            for col in cols.values():
-                assert [coeffs for *_, coeffs in col.values()].count((1,)) == 1
-                assert all(0 not in coeffs for *_, coeffs in col.values())
-
-
-def _lk_step_rows(m, letter, tstride):
-    """_lk_letter's column steps as (col_j, row_k0, shift, rows read,
-    in_place), a product slot counting as a read of its row."""
-    shared, steps = braid._lk_letter(m, letter, tstride)
-    product_row = {j: rest[0][0] for j, _, _, rest, _ in steps[:shared]}
-    return [
-        (j, k0, shift, [product_row.get(k, k) for k, _ in rest], in_place)
-        for j, k0, shift, rest, in_place in steps[shared:]
-    ]
-
-
-def test_lk_in_place_columns_are_read_by_no_other_column():
-    for m in range(2, 10):
-        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
-            for tstride in (5, 33):
-                columns = _lk_step_rows(m, letter, tstride)
-                for j, k0, shift, _, in_place in columns:
-                    readers = [c for c in columns if c[0] != j and j in (c[1], *c[3])]
-                    assert in_place == (k0 == j and shift == 0 and not readers)
+        for letter, _ in _lk_closed_forms(m):
+            for _, entries in braid._lk_letter(m, letter):
+                assert all(-1 <= d <= 1 for _, d, _, _ in entries)
 
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_lk_packed_letter_expands_to_the_active_columns(m):
-    # products, shared reads and inline terms together give exactly the
-    # closed-form columns packed at the stride; products come first, each
-    # is read by two or more columns and none reads an in-place column's
-    # row, and every (row, base polynomial) left inline is read by one column
-    dim = m * (m - 1) // 2
-    for tstride in (5, 33):
-        for letter, cols in _lk_closed_forms(m):
-            shared, steps = braid._lk_letter(m, letter, tstride)
-            products, columns = steps[:shared], steps[shared:]
-            base = {}
-            for j, k0, shift, rest, in_place in products:
-                assert j == k0 >= dim and shift == 0 and in_place and len(rest) == 1
-                base[j] = rest[0]
-            in_place_rows = {j for j, *_, in_place in columns if in_place}
-            assert all(k < dim and k not in in_place_rows for k, _ in base.values())
-            readers = {j: 0 for j in base}
-            inline = []
-            packed = []
-            for j, k0, shift, rest, in_place in columns:
-                entries = {k0: {shift: 1}}
-                for k, terms in rest:
-                    if k >= dim:
-                        readers[k] += 1
-                        [(dk, one)] = terms
-                        assert one == 1
-                        k, terms = base[k][0], [(dk + d, c) for d, c in base[k][1]]
-                    else:
-                        inline.append((k, tuple((d - terms[0][0], c) for d, c in terms)))
-                    assert k not in entries
-                    entries[k] = dict(terms)
-                packed.append((j, entries))
-            assert all(n >= 2 for n in readers.values())
-            assert len(set(inline)) == len(inline) and not set(inline) & set(base.values())
-            assert packed == [
-                (j, {
-                    k: {(dq + e) * tstride + dt: c for e, c in enumerate(coeffs)}
-                    for k, (dq, dt, coeffs) in col.items()
-                })
-                for j, col in cols.items()
-            ]
+    # the packed letter is exactly the closed-form columns at q = 1/2: each
+    # non-unit column once, in order, each entry t^d n / 2^e with n odd
+    for letter, cols in _lk_closed_forms(m):
+        packed = {}
+        for j, entries in braid._lk_letter(m, letter):
+            assert j not in packed and all(n % 2 for _, _, n, _ in entries)
+            packed[j] = {k: (d, n * Fraction(1, 2) ** e) for k, d, n, e in entries}
+        assert list(packed) == list(cols)
+        assert packed == {
+            j: {
+                k: (dt, sum(c * Fraction(1, 2) ** (dq + i) for i, c in enumerate(coeffs)))
+                for k, (dq, dt, coeffs) in col.items()
+            }
+            for j, col in cols.items()
+        }
+
+
+def test_lk_apply_rescales_only_the_columns_it_touches():
+    # a letter rewrites the columns its packed form lists, each at the
+    # largest scale of its readings; every other column keeps its dict
+    for m in (3, 5):
+        cols, _ = _lk_matrix(BraidWord(m, (1, -2, 1, 2)))
+        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
+            gen = braid._lk_letter(m, letter)
+            after = list(cols)
+            braid._lk_apply(after, gen)
+            touched = {j for j, _ in gen}
+            for j, (col, scale) in enumerate(after):
+                if j in touched:
+                    assert scale == max(cols[k][1] + e for k, _, _, e in dict(gen)[j])
+                else:
+                    assert after[j] is cols[j]
 
 
 def test_lk_layout_holds_words_at_the_degree_extremes():
-    # powers of one letter reach the degrees at the layout's edges:
-    # sigma_1^-l has q^-2l t^-l, sigma_i^l has t^l, and sigma_{m-1}^l has
-    # q^(m + 2l - 2), the highest of all words of up to 4 letters on 3 to 5
-    # strands; each matrix, packed in the layout sized to its own length,
-    # matches the reference entry by entry
+    # powers of one letter reach the t-degrees at the layout's edges:
+    # sigma_1^-l has t^-l and sigma_i^l has t^l; each matrix, with the row
+    # stride of its own length, matches the reference at q = 1/2 entry by
+    # entry
     for m in (3, 5, 8):
         for length in (1, 2, 5, 12):
             reached = set()
             for i in range(1, m):
                 for sign in (1, -1):
                     w = BraidWord(m, (sign * i,) * length)
-                    ref = _lk_reference(w)
-                    assert _lk_unpacked(_lk_matrix(w), m, length) == ref
-                    reached |= {e for poly in ref.values() for e in poly}
-            qs, ts = {q for q, _ in reached}, {t for _, t in reached}
-            assert min(qs) == -2 * length and max(qs) == m + 2 * (length - 1)
-            assert min(ts) == -length and max(ts) == length
-    # no length limit: a reduced word of 200 letters on 8 strands
-    m, power = 8, 50
+                    ref = _lk_at_half(_lk_reference(w))
+                    assert _lk_unpacked(_lk_matrix(w)) == ref
+                    reached |= {t for poly in ref.values() for t in poly}
+            assert min(reached) == -length and max(reached) == length
+    # no length limit: a reduced word of 400 letters on 8 strands
+    m, power = 8, 100
     w = (1,) * power + (-7,) * power
     assert lk_equal(BraidWord(m, w), BraidWord(m, w[::-1]))
     assert not lk_equal(BraidWord(m, w), BraidWord(m, w[::-1][:-1] + (2,)))
@@ -997,23 +966,25 @@ def test_lk_layout_holds_words_at_the_degree_extremes():
 
 def test_lk_equal_sizes_its_layout_to_the_reduced_word(monkeypatch):
     # either side of the meet may take every letter of the reduced word,
-    # so the layout must hold the whole reduced length, and the letters of
-    # the full twists stripped from it, which u starts with as a scalar
+    # so the row stride must hold the t-degrees of the whole reduced length
+    # and the t^-2 of each full twist stripped from it, which u starts with
+    # as a scalar
     asked = []
-    layout = braid._lk_layout
-    monkeypatch.setattr(braid, "_lk_layout", lambda m, length: asked.append(length) or layout(m, length))
+    identity = braid._lk_identity
+    monkeypatch.setattr(braid, "_lk_identity", lambda m, stride, power=0: asked.append(stride) or identity(m, stride, power))
     m = 5
+    braid._lk_check(m)
     ft = full_twist(m).letters
     for length in (0, 1, 2, 5, 12, 16):
         w = (4,) * length
         for a, b in ((w, ()), ((), w), (w + (1,), (1,)), ((-2,) + w + (2,), ())):
             asked.clear()
             assert lk_equal(BraidWord(m, a), BraidWord(m, b)) == (length == 0)
-            assert asked[-1] >= length
+            assert min(asked) >= 2 * length + 1
         for power in (1, 2, 3):
             asked.clear()
             assert not lk_equal(BraidWord(m, ft * power + w), BraidWord(m))
-            assert asked[-1] >= length + power * len(ft)
+            assert min(asked) >= 2 * (length + 2 * power) + 1
 
 
 @given(braid_word_pairs(max_strands=8, max_len=14), st.booleans())
@@ -1048,6 +1019,47 @@ def test_lk_check_rejects_a_non_central_full_twist(monkeypatch):
         braid._lk_check.cache_clear()
 
 
+def test_lk_check_rejects_a_wrong_closed_form_entry(monkeypatch):
+    # sigma_1's x_{1,2} entry t q^2 written as t q: sigma_1 sigma_1^-1 is
+    # no longer the identity at q = 1/2
+    column = braid._lk_column
+
+    def wrong(s, t, i):
+        return {(1, 2): (1, 1, (1,))} if (s, t, i) == (1, 2, 1) else column(s, t, i)
+
+    braid._lk_check.cache_clear()
+    braid._lk_letter.cache_clear()
+    try:
+        monkeypatch.setattr(braid, "_lk_column", wrong)
+        with pytest.raises(AssertionError, match="LK inverse verification failed for m=4, i=1"):
+            braid._lk_check(4)
+    finally:
+        monkeypatch.undo()
+        braid._lk_check.cache_clear()
+        braid._lk_letter.cache_clear()
+
+
+def test_lk_equal_strips_rotated_full_twists(monkeypatch):
+    # a cyclic rotation of the twist's spelling, or of its inverse's, is a
+    # conjugate of a central element, so the twist itself: lk_equal pops it
+    # as the scalar and multiplies out no letter
+    for m in range(2, 9):
+        braid._lk_check(m)
+    applied = []
+    apply = braid._lk_apply
+    monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: applied.append(gen) or apply(cols, gen))
+    for m in range(2, 9):
+        ft = full_twist(m)
+        for spelling in (ft.letters, invert(ft).letters):
+            whole = BraidWord(m, spelling)
+            for i in range(len(spelling)):
+                rotation = BraidWord(m, spelling[i:] + spelling[:i])
+                assert lk_equal(rotation, whole) and not lk_equal(rotation, BraidWord(m))
+        assert lk_equal(BraidWord(m, (1,) + ft.letters + (-1,)), ft)
+        assert not lk_equal(BraidWord(m, ft.letters[1:] + ft.letters[:1]), BraidWord(m))
+    assert applied == []
+
+
 def _twist_spellings(m):
     """The full twist and its inverse on m strands, each also spelled with
     a cancelling pair inside, so it completes only once the pair cancels."""
@@ -1077,9 +1089,10 @@ def test_lk_equal_strips_every_spelling_of_the_full_twist(monkeypatch):
 def twist_splices(draw):
     """(a, b) on 1 to 6 strands with one to three full twists or inverses
     spliced in: into a, into b, or split across a's end and b's end (a.b^-1
-    reads the two parts in order), each possibly spelled with a cancelling
-    pair inside.  When a and b start equal, every splice is matched by the
-    same spelling spliced into the other side, which keeps them equal."""
+    reads the two parts in order), each spelled from a random rotation and
+    possibly with a cancelling pair inside.  When a and b start equal,
+    every splice is matched by the same spelling spliced into the other
+    side, which keeps them equal."""
     m = draw(st.integers(1, 6))
     gens = [sign * i for i in range(1, m) for sign in (1, -1)]
     word = st.lists(st.sampled_from(gens), max_size=10) if gens else st.just([])
@@ -1090,6 +1103,8 @@ def twist_splices(draw):
         spelling = list(full_twist(m).letters)
         if draw(st.booleans()):
             spelling = [-k for k in reversed(spelling)]
+        i = draw(st.integers(0, len(spelling)))
+        spelling = spelling[i:] + spelling[:i]  # a rotation is the twist too
         plain = list(spelling)
         if gens and draw(st.booleans()):
             x, i = draw(st.sampled_from(gens)), draw(st.integers(0, len(spelling)))
