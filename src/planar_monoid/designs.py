@@ -18,7 +18,7 @@ import itertools
 import random
 from collections.abc import Iterable, Sequence
 
-from . import braid, surface
+from . import braid
 from .braid import BraidWord, _dual_mul, _dual_normal_form, _Value
 from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
 from .surface import (
@@ -289,15 +289,13 @@ class SearchBudget(_Value):
     so they are drawn once per such triple and shared by every budget
     class that has it (see _draws).
     Both paths have one prune: each multiply stops as soon as its product
-    passes the sup bound of the dual Garside structure (see
-    search_orderings), past which no order of the unused blocks can
-    complete it; since every block is dual-positive, that is as soon as the
-    product does not left-divide delta^m, the full twist.  Both paths
-    start at a largest block, the head, which leaves the least room under
-    that bound.  The shuffle path reads every draw cyclically from the
-    head and recurses over the draws, put in buckets by the block that
-    follows, so each shared prefix is multiplied once.  Neither changes
-    what is found, only its cost.
+    does not left-divide delta^m, the full twist in the dual Garside
+    structure (see search_orderings), past which no order of the unused
+    blocks can complete it.  Both paths start at a largest block, the
+    head, which leaves the least room under that bound.  The shuffle path
+    reads every draw cyclically from the head and recurses over the draws,
+    put in buckets by the block that follows, so each shared prefix is
+    multiplied once.  Neither changes what is found, only its cost.
     """
 
     __slots__ = ("exhaustive_cap", "tries", "seed")
@@ -338,21 +336,22 @@ class SearchResult(_Value):
         }
 
 
-@functools.lru_cache(maxsize=512)  # every block on up to 7 points is 213 forms per sign
-def _block_nf(
-    table: braid._NonCrossing, block: tuple[int, ...], sign: int
-) -> tuple[int, tuple[int, ...]]:
+@functools.lru_cache(maxsize=512)  # every block on up to 7 points is 213 forms
+def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Dual normal form, in ids of `table`, of the mirror (every letter's
     sign flipped) of the swing over block on table.m strands.
 
-    The form is kept per key, so each is built once per table and sign.
-    The key holds all it depends on: the table whose ids it is written in,
-    the block, and sign, the gathering sign that swing_word reads; callers
-    pass the table and the sign as they stand at call time, so a fresh
-    table or a flipped sign builds the forms anew.
+    The form is kept per key, so each is built once per table: callers pass
+    the table as it stands at call time, so a fresh table builds the forms
+    anew.  The search's one bound rests on the form being delta_S^|S|, of
+    infimum 0 and |S| factors; a form that is not raises AssertionError and
+    is not kept, so the premise is checked once for every block searched.
     """
     swing = swing_word(ConvexCurve.over(block), SurfaceSpec(table.m + 1))
-    return _dual_normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
+    form = _dual_normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
+    if form[0] != 0 or len(form[1]) != len(block):
+        raise AssertionError(f"mirrored swing over {block} is not a dual simple power: {form}")
+    return form
 
 
 @functools.lru_cache(maxsize=8)  # an m <= 6 audit's budget classes meet at most 7 block counts
@@ -417,38 +416,30 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     draws share is multiplied once.  It reports the written orders of the
     realizing draws as drawn, read from the first block drawn, so it
     finds exactly what multiplying each draw out on its own would find.
-    Every block's mirrored form is built once per table of simples and
-    gathering sign (_block_nf) and shared by every search after.
+    Every block's mirrored form is built once per table of simples
+    (_block_nf) and shared by every search after.
 
     Both paths multiply mirrors (every letter's sign flipped) in normal
-    forms of the dual Garside structure of Birman-Ko-Lee (1998), where the
-    mirror of a block's swing is delta_S^|S| for its support S and the
-    mirror of the full twist is delta^m.  Mirroring is an automorphism, so
-    a product of mirrors is the mirror of the product.  Both paths prune by
-    one bound on the dual supremum (sup = inf + canonical length).  As in
-    any Garside structure, sup(xy) <= sup x + sup y, inf(xy) >= inf x +
-    inf y and sup(x^-1) = -inf x, with inf the dual infimum.  If a
-    partial product acc times the product P of the unused blocks R, in any
-    order, is the target T, then acc = T P^-1, so sup(acc) <= sup T -
-    sum_R inf(b).  Every block has infimum 0 here, so the bound reads
-    sup(acc) <= m: acc left-divides delta^m.  The bound, with R the blocks
-    still unused after the step, is given to each multiply, which returns
-    None unfinished as soon as its product passes it; such a product has
-    no completion and is dropped, in the DFS before it reaches the memo,
-    in the shuffle path together with every draw that shares the failed
-    prefix.  The head is not checked, but as sup(xy) >= sup x +
-    inf y, every product through a failing one fails its own step.  The
-    sum over R is an int.
+    forms of the dual Garside structure of Birman-Ko-Lee (1998).  Mirroring
+    is an automorphism, so a product of mirrors is the mirror of the
+    product, and the mirror of the full twist is delta^m.  Both paths rest
+    on one fact, which _block_nf checks for every block it builds: the
+    mirror of a block's swing is delta_S^|S| for its support S, so every
+    block is dual-positive.  A prefix of a realizing order times the
+    positive product of the rest is delta^m, so the prefix left-divides
+    delta^m: its dual supremum (infimum + canonical length) is at most m.
+    Each multiply is given the bound m and returns None unfinished as soon
+    as its product passes it; such a product has no completion and is
+    dropped, in the DFS before it reaches the memo, in the shuffle path
+    together with every draw that shares the failed prefix.  The head is
+    not checked, but a positive factor never lowers the supremum, so every
+    product through a failing one fails its own step.
     """
     m = d.points
     table = braid._dual_simples(m)
     target = (m, ())  # delta^m, the mirror of the full twist delta^-m
-    high = m  # sup of the target
-    sign = surface._GATHER_SIGN
-    nf_of = {b: _block_nf(table, b, sign) for b in d.blocks}
-    inf_of = {b: inf for b, (inf, _) in nf_of.items()}
+    nf_of = {b: _block_nf(table, b) for b in d.blocks}
     head = max(d.blocks, key=len)
-    start = (nf_of[head], sum(inf_of.values()) - inf_of[head])
 
     if len(d.blocks) <= budget.exhaustive_cap:
         # memo: partial-product NF -> all completing suffixes.  The product
@@ -458,24 +449,23 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         # (invariants of the braid) name the used blocks, hence remaining.
         memo: dict[tuple, tuple] = {}
 
-        def complete(remaining: frozenset, acc: tuple, rest_inf: int):
+        def complete(remaining: frozenset, acc: tuple):
             if not remaining:
                 return ((),) if acc == target else ()
             hit = memo.get(acc)
             if hit is None:
                 found = []
                 for b in sorted(remaining):
-                    rest_b = rest_inf - inf_of[b]
-                    nxt = _dual_mul(m, acc, nf_of[b], high - rest_b)
+                    nxt = _dual_mul(m, acc, nf_of[b], m)
                     if nxt is None:
                         continue
-                    for suffix in complete(remaining - {b}, nxt, rest_b):
+                    for suffix in complete(remaining - {b}, nxt):
                         found.append((b,) + suffix)
                 hit = tuple(found)
                 memo[acc] = hit
             return hit
 
-        sequences = [(head,) + s for s in complete(frozenset(d.blocks) - {head}, *start)]
+        sequences = [(head,) + s for s in complete(frozenset(d.blocks) - {head}, nf_of[head])]
         orderings = tuple(sorted(
             tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq))
         ))
@@ -484,7 +474,7 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     k = len(d.blocks)
     found: set[tuple[tuple[int, ...], ...]] = set()
 
-    def walk(group: Sequence[tuple[int, ...]], depth: int, cur: int, acc: tuple, rest_inf: int) -> None:
+    def walk(group: Sequence[tuple[int, ...]], depth: int, cur: int, acc: tuple) -> None:
         """Extend acc, the product of the first depth blocks shared by the
         draws in group, the last of them block cur, by each distinct block
         that follows cur among them."""
@@ -502,11 +492,9 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
         for draw in group:
             buckets.setdefault(draw[cur], []).append(draw)
         for i, sub in buckets.items():
-            b = d.blocks[i]
-            rest_b = rest_inf - inf_of[b]
-            nxt = _dual_mul(m, acc, nf_of[b], high - rest_b)
+            nxt = _dual_mul(m, acc, nf_of[d.blocks[i]], m)
             if nxt is not None:
-                walk(sub, depth + 1, i, nxt, rest_b)
+                walk(sub, depth + 1, i, nxt)
 
-    walk(_draws(k, budget.tries, budget.seed), 1, d.blocks.index(head), *start)
+    walk(_draws(k, budget.tries, budget.seed), 1, d.blocks.index(head), nf_of[head])
     return SearchResult(d, tuple(sorted(found)), "budget")

@@ -7,9 +7,9 @@ convex curves into a braid on n-1 strands, one strand per interior label.
 
 A twist over a convex curve becomes a "swing": gather the support strands
 into an adjacent block, apply the block full twist, undo the gathering.
-The gathering side is a global convention (see _GATHER_SIGN); the linking
-pattern of Dehn twists forces only the block twist's sign, and the catalog
-of known relations pins the side.
+The linking pattern of Dehn twists forces only the block twist's sign; the
+gathering side is the one the catalog of known relations pins (see
+swing_word).
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ __all__ = [
     "multiplicities",
     "equivalent",
 ]
-
-# Sign of the crossings used while gathering support strands toward the
-# minimal label.  Only one choice makes the catalog of known relations
-# verify; the mirrored convention (+1) describes the reflected swing.
-_GATHER_SIGN = -1
-
 
 def _json_list(value, what: str) -> list:
     """A JSON array from an input file; strings and objects raise."""
@@ -274,9 +268,11 @@ def swing_word(curve: ConvexCurve, surface: SurfaceSpec) -> BraidWord:
     base = s[0]
     gather: list[int] = []
     for j in range(1, k):
-        # walk the strand at slot s[j] left until it sits at slot base+j
+        # walk the strand at slot s[j] left until it sits at slot base+j,
+        # by negative crossings: the catalog of known relations pins this
+        # side, and the other side gathers the mirror image
         for pos in range(s[j] - 1, base + j - 1, -1):
-            gather.append(_GATHER_SIGN * pos)
+            gather.append(-pos)
     block = [-(base + off) for off in range(k - 1)] * k
     ungather = [-x for x in reversed(gather)]
     return BraidWord(m, tuple(gather + block + ungather))

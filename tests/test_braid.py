@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from planar_monoid import braid, surface
+from planar_monoid import braid
 from planar_monoid.braid import (
     BraidWord,
     NormalForm,
@@ -510,19 +510,12 @@ def test_dual_mul_matches_concatenation(pair):
 @st.composite
 def dual_factors(draw, m):
     """A dual normal form on m strands: a random word's, or a mirrored
-    swing over a random support under either gathering side (one side gives
-    swings of negative infimum)."""
+    swing over a random support, as the ordering search multiplies."""
     if draw(st.booleans()):
         letters = draw(st.lists(st.integers(1, m - 1).flatmap(lambda g: st.sampled_from((g, -g))), max_size=24))
         return braid._dual_normal_form(BraidWord(m, tuple(letters)))
     support = draw(st.lists(st.integers(1, m), min_size=2, max_size=m - 1, unique=True))
-    sign = draw(st.sampled_from((-1, 1)))
-    saved = surface._GATHER_SIGN
-    surface._GATHER_SIGN = sign
-    try:
-        word = swing_word(ConvexCurve.over(support), SurfaceSpec(m + 1))
-    finally:
-        surface._GATHER_SIGN = saved
+    word = swing_word(ConvexCurve.over(support), SurfaceSpec(m + 1))
     return braid._dual_normal_form(_mirror(word))
 
 
@@ -539,11 +532,17 @@ def test_capped_dual_mul_stops_exactly_past_the_bound(data):
     assert braid._dual_mul(m, a, b, bound) == (None if sup > bound else product)
 
 
-def test_mirrored_swings_take_negative_infima_on_one_gathering_side(monkeypatch):
-    # the capped multiply's tests see negative infima through dual_factors
-    monkeypatch.setattr(surface, "_GATHER_SIGN", 1)
-    word = swing_word(ConvexCurve.over((1, 3, 5)), SurfaceSpec(6))
-    assert braid._dual_normal_form(_mirror(word))[0] < 0
+def test_capped_dual_mul_on_a_negative_infimum():
+    # sigma_1^-1 sigma_2^-1 on 3 strands has dual infimum -1: capped at its
+    # own supremum the product is kept, one below it is None
+    a = braid._dual_normal_form(BraidWord(3, (-1,)))
+    b = braid._dual_normal_form(BraidWord(3, (-2,)))
+    product = braid._dual_mul(3, a, b)
+    assert product == braid._dual_normal_form(BraidWord(3, (-1, -2)))
+    assert product[0] < 0
+    sup = product[0] + len(product[1])
+    assert braid._dual_mul(3, a, b, sup) == product
+    assert braid._dual_mul(3, a, b, sup - 1) is None
 
 
 @given(braid_word_pairs(max_strands=8, max_len=24))

@@ -307,31 +307,21 @@ def test_search_exhausted_ordering_counts(m, blocks, count):
 
 # exhaustive ordering counts of the 7-, 8- and 9-block classes of
 # enumerate_designs(6, "dihedral"), in enumeration order
-GATHER_SIGN_COUNTS = {
+N6_DIHEDRAL_COUNTS = {
     7: [0] * 5,
     8: [40, 8, 16, 8, 16, 8],
     9: [18, 18, 18, 36, 63, 27, 18, 18, 45, 9, 54, 9, 72],
 }
 
 
-def test_gather_sign_keeps_ordering_counts(monkeypatch):
-    # the gathering side of a swing is a convention: mirroring it must not
-    # change how many orderings of a class realize the full twist
-    from planar_monoid import surface
-
-    classes = [d for d in enumerate_designs(6, "dihedral") if len(d.blocks) in GATHER_SIGN_COUNTS]
-
-    def counts():
-        found = {k: [] for k in GATHER_SIGN_COUNTS}
-        for d in classes:
+def test_n6_dihedral_ordering_counts():
+    found = {k: [] for k in N6_DIHEDRAL_COUNTS}
+    for d in enumerate_designs(6, "dihedral"):
+        if len(d.blocks) in found:
             res = search_orderings(d, SearchBudget(exhaustive_cap=len(d.blocks)))
             assert res.status == "exhausted"
             found[len(d.blocks)].append(len(res.orderings))
-        return found
-
-    assert counts() == GATHER_SIGN_COUNTS
-    monkeypatch.setattr(surface, "_GATHER_SIGN", -surface._GATHER_SIGN)
-    assert counts() == GATHER_SIGN_COUNTS
+    assert found == N6_DIHEDRAL_COUNTS
 
 
 @pytest.mark.parametrize(
@@ -533,8 +523,8 @@ def test_search_shuffle_path_interns_few_simples(monkeypatch):
 
 def test_search_forms_built_once_per_table(monkeypatch):
     # the n = 7 symmetric audit uses 90 blocks in its 9 classes, but only
-    # 28 distinct ones: 28 forms, built once per table and gathering sign
-    from planar_monoid import braid, surface
+    # 28 distinct ones: 28 forms, built once per table
+    from planar_monoid import braid
 
     def built():
         completeness_check(7, "symmetric", SearchBudget(8, 2000, 1))
@@ -543,11 +533,35 @@ def test_search_forms_built_once_per_table(monkeypatch):
     designs._block_nf.cache_clear()
     assert built() == 28
     assert built() == 28
-    # the sign is part of the key, so a flipped sign builds every block anew
-    monkeypatch.setattr(surface, "_GATHER_SIGN", -surface._GATHER_SIGN)
-    assert built() == 28 + 28
+    # the table is part of the key, so a fresh table builds every block anew
     monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
-    assert built() == 28 + 28 + 28
+    assert built() == 28 + 28
+
+
+def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
+    # the one bound of the search holds only if every mirrored swing is
+    # dual-positive.  With swing_word made to return each swing's mirror,
+    # _block_nf mirrors it back to the swing, of negative dual infimum: the
+    # search must refuse it before it multiplies, and keep no form, rather
+    # than prune realizing orders in silence
+    calls = []
+    mul = designs._dual_mul
+
+    def mirrored(curve, surface):
+        word = swing_word(curve, surface)
+        return BraidWord(word.strands, tuple(-k for k in word.letters))
+
+    def counted(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(designs, "swing_word", mirrored)
+    monkeypatch.setattr(designs, "_dual_mul", counted)
+    designs._block_nf.cache_clear()
+    with pytest.raises(AssertionError, match="not a dual simple power"):
+        search_orderings(Design(4, ALL_PAIRS_4))
+    assert calls == []
+    assert designs._block_nf.cache_info().currsize == 0
 
 
 def test_audit_work_repeats(monkeypatch):
