@@ -14,9 +14,9 @@ Words are sequences of signed Artin generator indices in *application order*:
   only: each pair that is not left-weighted is replaced by its
   left-weighted pair of ids from one lazily filled table per strand count.
   `_dual_normal_form` and `_dual_mul` give normal forms as private
-  (infimum, ids) tuples, which the ordering search multiplies, `_dual_mul`
-  stopping with None at an optional supremum bound;
-  `normal_form` and `nf_mul` wrap them as `NormalForm`s; and
+  (infimum, ids) tuples, and `normal_form` and `nf_mul` wrap them as
+  `NormalForm`s.  The ordering search calls the kernel itself, with its
+  optional limit on the factor count; and
 * the Lawrence-Krammer representation at q = 1/2, with t formal (a
   cross-check oracle with exact arithmetic, faithful by Krammer's theorem
   for every real 0 < q < 1).  `lk_equal` decides a = b as
@@ -450,6 +450,9 @@ def _left_weighted(
     left-weighted id tuple), or None as soon as the factors so far number
     more than `limit`: their count is the supremum of a positive product,
     and sup(xy) >= sup(x) for positive y, so the full product would too.
+    The ordering search multiplies a product delta^p A by a block form of
+    infimum 0 as `_left_weighted(table, A, block, m - p)`: None exactly
+    when the product's supremum passes m, else (k, ids) for delta^(p+k).
     """
     starts, finishes, pairs, size = table.starts, table.finishes, table.pairs, table.size
     ident = table.ident
@@ -547,19 +550,15 @@ def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
 
 
 def _dual_mul(
-    m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]], sup: int | None = None
-) -> tuple[int, tuple[int, ...]] | None:
+    m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]
+) -> tuple[int, tuple[int, ...]]:
     """Dual normal form of 'a then b' on m strands: delta^p A . delta^q B
-    = delta^(p+q) tau^-q(A) B.  With `sup`, None as soon as the supremum
-    passes it: the kernel stops once tau^-q(A) B has over sup - p - q factors."""
+    = delta^(p+q) tau^-q(A) B."""
     table = _dual_simples(m)
     (inf_a, ids_a), (inf_b, ids_b) = a, b
-    inf = inf_a + inf_b
     prefix = [table.tau(x, -inf_b) for x in ids_a] if inf_b % m else ids_a
-    found = _left_weighted(table, prefix, ids_b, sys.maxsize if sup is None else sup - inf)
-    if found is None:
-        return None
-    return inf + found[0], found[1]
+    k, ids = _left_weighted(table, prefix, ids_b)
+    return inf_a + inf_b + k, ids
 
 
 def normal_form(w: BraidWord) -> NormalForm:
@@ -691,12 +690,18 @@ def _lk_letter(m: int, letter: int) -> tuple:
     return tuple(steps)
 
 
-def _lk_apply(cols: list, gen) -> None:
-    """In-place right multiplication by a generator packed by `_lk_letter`.
-    A column it touches becomes the sum of its entries' readings of the old
-    columns, at the largest of their scales: the reading of the column with
-    the most terms is built as a new dict, and the others are added in."""
+def _lk_apply(cols: list, gen) -> int:
+    """Right multiplication of the matrix `cols` by a generator packed by
+    `_lk_letter`, in place in the list; returns the change in its term
+    count.  A column it touches becomes the sum of its entries' readings of
+    the old columns, at the largest of their scales: the reading of the
+    column with the most terms is built as a new dict, a plain copy when
+    that reading has weight one (t-shift 0 and factor 1), and the others
+    are added in.  A column dict is never written once stored: every column
+    a letter touches gets a new dict and the others are left as they are,
+    so a copy of the list, which shares the dicts, keeps the matrix copied."""
     updates = []
+    grown = 0
     for j, entries in gen:
         scale = most = None
         for k, d, n, e in entries:
@@ -707,7 +712,7 @@ def _lk_apply(cols: list, gen) -> None:
                 first, most = (k, col, s, d, n, e), len(col)
         k, col, s, d, n, e = first
         c = n << (scale - s - e)
-        acc = {key + d: v * c for key, v in col.items()}
+        acc = col.copy() if c == 1 and not d else {key + d: v * c for key, v in col.items()}
         get = acc.get
         for k, d, n, e in entries:
             if k == first[0]:
@@ -721,9 +726,11 @@ def _lk_apply(cols: list, gen) -> None:
                     acc[key] = nv
                 else:
                     del acc[key]
+        grown += len(acc) - len(cols[j][0])
         updates.append((j, (acc, scale)))
     for j, col in updates:
         cols[j] = col
+    return grown
 
 
 def _lk_identity(m: int, stride: int, power: int = 0) -> list:
@@ -819,11 +826,9 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
     u_terms = v_terms = len(u)
     while lo < hi:
         if u_terms <= v_terms:
-            _lk_apply(u, _lk_letter(m, w[lo]))
+            u_terms += _lk_apply(u, _lk_letter(m, w[lo]))
             lo += 1
-            u_terms = sum(len(col) for col, _ in u)
         else:
             hi -= 1
-            _lk_apply(v, _lk_letter(m, -w[hi]))
-            v_terms = sum(len(col) for col, _ in v)
+            v_terms += _lk_apply(v, _lk_letter(m, -w[hi]))
     return _lk_same(u, v)

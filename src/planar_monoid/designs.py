@@ -19,7 +19,7 @@ import random
 from collections.abc import Iterable, Sequence
 
 from . import braid
-from .braid import BraidWord, _dual_mul, _dual_normal_form, _Value
+from .braid import BraidWord, _dual_normal_form, _left_weighted, _Value
 from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
 from .surface import (
     BoundaryWord,
@@ -295,7 +295,8 @@ class SearchBudget(_Value):
     head, which leaves the least room under that bound.  The shuffle path
     reads every draw cyclically from the head and recurses over the draws,
     put in buckets by the block that follows, so each shared prefix is
-    multiplied once.  Neither changes what is found, only its cost.
+    multiplied once; a draw left alone in its bucket is followed to its end
+    in a loop.  Neither changes what is found, only its cost.
     """
 
     __slots__ = ("exhaustive_cap", "tries", "seed")
@@ -413,9 +414,11 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     of a group share their prefix, so they share its last block, and at
     each depth the walk puts them in buckets by the block after it, in the
     order first met, and multiplies once per bucket, so each prefix that
-    draws share is multiplied once.  It reports the written orders of the
-    realizing draws as drawn, read from the first block drawn, so it
-    finds exactly what multiplying each draw out on its own would find.
+    draws share is multiplied once.  A group of one draw needs no buckets:
+    the walk follows it in a loop to its end or its first failed multiply.
+    It reports the written orders of the realizing draws as drawn, read
+    from the first block drawn, so it finds exactly what multiplying each
+    draw out on its own would find.
     Every block's mirrored form is built once per table of simples
     (_block_nf) and shared by every search after.
 
@@ -428,17 +431,21 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     block is dual-positive.  A prefix of a realizing order times the
     positive product of the rest is delta^m, so the prefix left-divides
     delta^m: its dual supremum (infimum + canonical length) is at most m.
-    Each multiply is given the bound m and returns None unfinished as soon
-    as its product passes it; such a product has no completion and is
-    dropped, in the DFS before it reaches the memo, in the shuffle path
-    together with every draw that shares the failed prefix.  The head is
-    not checked, but a positive factor never lowers the supremum, so every
-    product through a failing one fails its own step.
+    Both paths hold a product as (infimum, factor ids) and multiply it by a
+    block in one call of the Garside kernel, _left_weighted, appending the
+    block's factors to the product's with the limit m - infimum.  No tau
+    conjugation is needed, since every block form has infimum 0, and the
+    kernel returns None unfinished as soon as the product's supremum passes
+    m; such a product has no completion and is dropped, in the DFS before
+    it reaches the memo, in the shuffle path together with every draw that
+    shares the failed prefix.  The head is not checked, but a positive
+    factor never lowers the supremum, so every product through a failing
+    one fails its own step.
     """
     m = d.points
     table = braid._dual_simples(m)
     target = (m, ())  # delta^m, the mirror of the full twist delta^-m
-    nf_of = {b: _block_nf(table, b) for b in d.blocks}
+    nf_of = {b: _block_nf(table, b)[1] for b in d.blocks}
     head = max(d.blocks, key=len)
 
     if len(d.blocks) <= budget.exhaustive_cap:
@@ -455,46 +462,57 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
             hit = memo.get(acc)
             if hit is None:
                 found = []
+                inf, ids = acc
                 for b in sorted(remaining):
-                    nxt = _dual_mul(m, acc, nf_of[b], m)
+                    nxt = _left_weighted(table, ids, nf_of[b], m - inf)
                     if nxt is None:
                         continue
-                    for suffix in complete(remaining - {b}, nxt):
+                    for suffix in complete(remaining - {b}, (inf + nxt[0], nxt[1])):
                         found.append((b,) + suffix)
                 hit = tuple(found)
                 memo[acc] = hit
             return hit
 
-        sequences = [(head,) + s for s in complete(frozenset(d.blocks) - {head}, nf_of[head])]
+        sequences = [(head,) + s for s in complete(frozenset(d.blocks) - {head}, (0, nf_of[head]))]
         orderings = tuple(sorted(
             tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq))
         ))
         return SearchResult(d, orderings, "exhausted")
 
     k = len(d.blocks)
+    forms = [nf_of[b] for b in d.blocks]
     found: set[tuple[tuple[int, ...], ...]] = set()
 
-    def walk(group: Sequence[tuple[int, ...]], depth: int, cur: int, acc: tuple) -> None:
-        """Extend acc, the product of the first depth blocks shared by the
-        draws in group, the last of them block cur, by each distinct block
-        that follows cur among them."""
-        if depth == k:
-            if acc == target:
-                for draw in group:
-                    i = draw[k]
-                    applied = []
-                    for _ in range(k):
-                        applied.append(i)
-                        i = draw[i]
-                    found.add(tuple(d.blocks[i] for i in reversed(applied)))
+    def walk(group: Sequence[tuple[int, ...]], depth: int, cur: int, inf: int, ids: tuple) -> None:
+        """Extend (inf, ids), the product of the first depth blocks shared
+        by the draws in group, the last of them block cur, by each distinct
+        block that follows cur among them; a lone draw is followed to its
+        end in a loop."""
+        if len(group) == 1:
+            draw = group[0]
+            for _ in range(depth, k):
+                cur = draw[cur]
+                nxt = _left_weighted(table, ids, forms[cur], m - inf)
+                if nxt is None:
+                    return
+                inf, ids = inf + nxt[0], nxt[1]
+        elif depth < k:
+            buckets: dict[int, list] = {}
+            for draw in group:
+                buckets.setdefault(draw[cur], []).append(draw)
+            for i, sub in buckets.items():
+                nxt = _left_weighted(table, ids, forms[i], m - inf)
+                if nxt is not None:
+                    walk(sub, depth + 1, i, inf + nxt[0], nxt[1])
             return
-        buckets: dict[int, list] = {}
-        for draw in group:
-            buckets.setdefault(draw[cur], []).append(draw)
-        for i, sub in buckets.items():
-            nxt = _dual_mul(m, acc, nf_of[d.blocks[i]], m)
-            if nxt is not None:
-                walk(sub, depth + 1, i, nxt)
+        if (inf, ids) == target:
+            for draw in group:
+                i = draw[k]
+                applied = []
+                for _ in range(k):
+                    applied.append(i)
+                    i = draw[i]
+                found.add(tuple(d.blocks[i] for i in reversed(applied)))
 
-    walk(_draws(k, budget.tries, budget.seed), 1, d.blocks.index(head), nf_of[head])
+    walk(_draws(k, budget.tries, budget.seed), 1, d.blocks.index(head), 0, nf_of[head])
     return SearchResult(d, tuple(sorted(found)), "budget")

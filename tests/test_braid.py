@@ -519,20 +519,30 @@ def dual_factors(draw, m):
     return braid._dual_normal_form(_mirror(word))
 
 
+def _capped_mul(m, a, b, sup):
+    """'a then b' as _dual_mul builds it, with the kernel's limit set to
+    the factors left under the supremum bound sup."""
+    table = braid._dual_simples(m)
+    (inf_a, ids_a), (inf_b, ids_b) = a, b
+    prefix = [table.tau(x, -inf_b) for x in ids_a]
+    found = braid._left_weighted(table, prefix, ids_b, sup - inf_a - inf_b)
+    return None if found is None else (inf_a + inf_b + found[0], found[1])
+
+
 @given(st.data())
 @settings(deadline=None)
-def test_capped_dual_mul_stops_exactly_past_the_bound(data):
-    # the capped multiply is None exactly when the product's supremum passes
-    # the bound, and otherwise the uncapped product
+def test_kernel_limit_stops_exactly_past_the_bound(data):
+    # the kernel with a limit is None exactly when the product's supremum
+    # passes the bound, and otherwise the uncapped product
     m = data.draw(st.integers(3, 8))
     a, b = data.draw(dual_factors(m)), data.draw(dual_factors(m))
     product = braid._dual_mul(m, a, b)
     sup = product[0] + len(product[1])
     bound = sup + data.draw(st.integers(-4, 2))
-    assert braid._dual_mul(m, a, b, bound) == (None if sup > bound else product)
+    assert _capped_mul(m, a, b, bound) == (None if sup > bound else product)
 
 
-def test_capped_dual_mul_on_a_negative_infimum():
+def test_kernel_limit_on_a_negative_infimum():
     # sigma_1^-1 sigma_2^-1 on 3 strands has dual infimum -1: capped at its
     # own supremum the product is kept, one below it is None
     a = braid._dual_normal_form(BraidWord(3, (-1,)))
@@ -541,8 +551,8 @@ def test_capped_dual_mul_on_a_negative_infimum():
     assert product == braid._dual_normal_form(BraidWord(3, (-1, -2)))
     assert product[0] < 0
     sup = product[0] + len(product[1])
-    assert braid._dual_mul(3, a, b, sup) == product
-    assert braid._dual_mul(3, a, b, sup - 1) is None
+    assert _capped_mul(3, a, b, sup) == product
+    assert _capped_mul(3, a, b, sup - 1) is None
 
 
 @given(braid_word_pairs(max_strands=8, max_len=24))
@@ -871,7 +881,7 @@ def test_lk_proves_inserted_relators(case):
 
     def counting(cols, gen):
         applied.append(gen)
-        apply(cols, gen)
+        return apply(cols, gen)
 
     braid._lk_apply = counting
     try:
@@ -939,6 +949,25 @@ def test_lk_apply_rescales_only_the_columns_it_touches():
                     assert scale == max(cols[k][1] + e for k, _, _, e in dict(gen)[j])
                 else:
                     assert after[j] is cols[j]
+
+
+@given(braid_words(max_strands=6, max_len=24), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lk_apply_writes_no_stored_column(w, data):
+    # a letter leaves every dict held before it as it was, so copies of a
+    # matrix share its column dicts safely, and its returned change in term
+    # count matches a full recount
+    m = w.strands
+    cols = braid._lk_identity(m, 2 * len(w) + 3)  # room for one more letter
+    for letter in w.letters:
+        braid._lk_apply(cols, braid._lk_letter(m, letter))
+    held = list(cols)
+    values = [dict(col) for col, _ in held]
+    letter = data.draw(st.sampled_from([sign * i for i in range(1, m) for sign in (1, -1)]))
+    before = sum(len(col) for col, _ in cols)
+    grown = braid._lk_apply(cols, braid._lk_letter(m, letter))
+    assert [col for col, _ in held] == values
+    assert grown == sum(len(col) for col, _ in cols) - before
 
 
 def test_lk_layout_holds_words_at_the_degree_extremes():

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from planar_monoid import designs
-from planar_monoid.braid import BraidWord, NormalForm, full_twist, lk_equal, nf_mul, normal_form
+from planar_monoid.braid import (
+    BraidWord,
+    NormalForm,
+    full_twist,
+    lk_equal,
+    nf_mul,
+    normal_form,
+    _dual_mul,
+    _dual_simples,
+    _left_weighted,
+)
 from planar_monoid.catalog import builtin, completeness_check, verify
 from planar_monoid.designs import (
     Design,
@@ -371,52 +381,97 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, f
 
 
 @pytest.fixture
-def dual_mul_calls(monkeypatch):
-    """A one-item list counting the search's designs._dual_mul calls."""
+def kernel_calls(monkeypatch):
+    """A one-item list counting the search's designs._left_weighted calls,
+    one per multiply."""
     calls = [0]
-    dual_mul = designs._dual_mul
+    left_weighted = designs._left_weighted
 
     def counted(*args):
         calls[0] += 1
-        return dual_mul(*args)
+        return left_weighted(*args)
 
-    monkeypatch.setattr(designs, "_dual_mul", counted)
+    monkeypatch.setattr(designs, "_left_weighted", counted)
     return calls
 
 
-def test_search_shuffle_walk_shares_prefix_products(dual_mul_calls):
+def test_search_shuffle_walk_shares_prefix_products(kernel_calls):
     res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000, seed=0))
     assert len(res.orderings) == 2
     # multiplying each of the 2,000 shuffles out on its own from the
     # identity, with the same prune, takes 8,922 calls
-    assert dual_mul_calls[0] == 1601
+    assert kernel_calls[0] == 1601
 
 
-def test_search_shuffle_walk_cost_from_largest_block(dual_mul_calls):
+def test_search_shuffle_walk_cost_from_largest_block(kernel_calls):
     # the n = 7 symmetric audit at cap 8: five of its six budget classes
     # (9 to 13 blocks) walk their draws from a triple or larger;
     # starting every search at blocks[0] instead takes 15,279 calls
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000, seed=1))
-    assert dual_mul_calls[0] == 9808
+    assert kernel_calls[0] == 9808
 
 
-def test_search_exhaustive_dfs_cost(dual_mul_calls):
+def test_search_exhaustive_dfs_cost(kernel_calls):
     blocks = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4, 5))
     res = search_orderings(Design(5, blocks), SearchBudget(exhaustive_cap=8))
     assert res.status == "exhausted"
     assert len(res.orderings) == 176
     # one multiply per memoized state and unused block, cut at the sup
     # bound, starting at the triple (443 starting at (1, 2))
-    assert dual_mul_calls[0] == 239
+    assert kernel_calls[0] == 239
 
 
-def test_search_exhaustive_dfs_cost_from_largest_block(dual_mul_calls):
+def test_search_exhaustive_dfs_cost_from_largest_block(kernel_calls):
     # the head (2, 5, 6) leaves the least room under the sup bound; the
     # same search from blocks[0] = (1, 2) takes 9,436 calls
     res = search_orderings(Design(6, FIRST_ELEVEN_M6), SearchBudget(exhaustive_cap=11))
     assert res.status == "exhausted"
     assert len(res.orderings) == 1947
-    assert dual_mul_calls[0] == 2796
+    assert kernel_calls[0] == 2796
+
+
+def _search_step(table, inf, ids, form):
+    """The search's multiply of the state delta^inf.ids by a block form,
+    checked against the uncapped product: equal to it while it left-divides
+    delta^m, else None."""
+    m = table.m
+    step = _left_weighted(table, ids, form, m - inf)
+    product = _dual_mul(m, (inf, ids), (0, form))
+    if product[0] + len(product[1]) > m:
+        assert step is None
+        return None
+    assert (inf + step[0], step[1]) == product
+    return step
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_search_step_is_the_capped_dual_mul(data):
+    # blocks of a design folded in a random order, as the search folds them
+    m = data.draw(st.integers(4, 6))
+    d = data.draw(st.sampled_from(enumerate_designs(m, "dihedral")))
+    table = _dual_simples(m)
+    inf, ids = 0, ()
+    for b in data.draw(st.permutations(d.blocks)):
+        step = _search_step(table, inf, ids, designs._block_nf(table, b)[1])
+        if step is None:
+            break
+        inf, ids = inf + step[0], step[1]
+
+
+def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
+    # every multiply of the n = 7 symmetric audit, whose states, unlike
+    # most random folds, reach infima above 0
+    infima = []
+
+    def checked(table, ids, form, limit):
+        infima.append(table.m - limit)
+        return _search_step(table, table.m - limit, ids, form)
+
+    monkeypatch.setattr(designs, "_left_weighted", checked)
+    completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000, seed=1))
+    assert len(infima) == 9808
+    assert sum(infima) == 596 and max(infima) > 0
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -545,7 +600,7 @@ def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
     # search must refuse it before it multiplies, and keep no form, rather
     # than prune realizing orders in silence
     calls = []
-    mul = designs._dual_mul
+    left_weighted = designs._left_weighted
 
     def mirrored(curve, surface):
         word = swing_word(curve, surface)
@@ -553,10 +608,10 @@ def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return mul(*args)
+        return left_weighted(*args)
 
     monkeypatch.setattr(designs, "swing_word", mirrored)
-    monkeypatch.setattr(designs, "_dual_mul", counted)
+    monkeypatch.setattr(designs, "_left_weighted", counted)
     designs._block_nf.cache_clear()
     with pytest.raises(AssertionError, match="not a dual simple power"):
         search_orderings(Design(4, ALL_PAIRS_4))
@@ -567,7 +622,7 @@ def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
 def test_audit_work_repeats(monkeypatch):
     # the traced benchmark counts multiplies per unit after an untraced one,
     # so every warm audit must make the same multiplies, and builds no swing
-    calls = {"swing_word": 0, "_dual_mul": 0}
+    calls = {"swing_word": 0, "_left_weighted": 0}
     for name in calls:
         def counted(*args, _fn=getattr(designs, name), _name=name):
             calls[_name] += 1
@@ -582,8 +637,8 @@ def test_audit_work_repeats(monkeypatch):
         seen.append(dict(calls))
         calls.update(dict.fromkeys(calls, 0))
     assert seen[0]["swing_word"] > 0
-    assert seen[1] == seen[2] == {"swing_word": 0, "_dual_mul": seen[0]["_dual_mul"]}
-    assert seen[1]["_dual_mul"] > 0
+    assert seen[1] == seen[2] == {"swing_word": 0, "_left_weighted": seen[0]["_left_weighted"]}
+    assert seen[1]["_left_weighted"] > 0
 
 
 @pytest.mark.parametrize("m", range(2, 9))
