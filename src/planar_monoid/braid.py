@@ -355,33 +355,35 @@ class _NonCrossing:
 
     Ids are the kernel's only currency.  For each id x: `perm[x]` is its
     permutation, `starts[x]` the mask of the pairs that share a block of x,
-    `finishes[x]` the complement of that mask for the left complement
-    dx = x^-1.delta, so a pair (a, b) is left-weighted iff no pair shares a
-    block of both da and b, that is, iff the meet da ^ b is the identity.
+    `masks[x]` the same mask for the left complement dx = x^-1.delta, so a
+    pair (a, b) is left-weighted iff no pair shares a block of both da and
+    b (starts[b] & masks[a] is 0), that is, iff the meet da ^ b is the
+    identity.
     `pairs` maps a pair that is not left-weighted, keyed a * size + b with
     size = Catalan(m) bounding every id, to the left-weighted pair
     (a.c, c^-1.b), c = da ^ b; `slide` fills a miss.  `taus` maps (x, c)
     to the id of tau^c(x) and `letters` (k, c) to the id of tau^c of
     letter k's factor, both filled on a miss.  Only the simples met are
-    interned, so large m costs only what is used.
+    interned, so large m costs only what is used.  `kernel` holds (starts,
+    masks, pairs, size, ident), the objects `_left_weighted` reads, in one
+    tuple.
     """
 
-    __slots__ = ("m", "size", "full", "ids", "perm", "starts", "finishes", "pairs", "taus", "ident", "delta", "letters")
+    __slots__ = ("m", "size", "ids", "perm", "starts", "masks", "pairs", "taus", "ident", "delta", "letters", "kernel")
 
     def __init__(self, m: int):
-        delta = tuple((i + 1) % m for i in range(m))
         self.m = m
         self.size = math.comb(2 * m, m) // (m + 1)
-        self.full = _shared_pairs(delta)
         self.ids: dict[tuple[int, ...], int] = {}
         self.perm: list[tuple[int, ...]] = []
         self.starts: list[int] = []
-        self.finishes: list[int] = []
+        self.masks: list[int] = []
         self.pairs: dict[int, tuple[int, int]] = {}
         self.taus: dict[int, int] = {}
         self.letters: dict[int, int] = {}
         self.ident = self.intern(_ident(m))
-        self.delta = self.intern(delta)
+        self.delta = self.intern(tuple((i + 1) % m for i in range(m)))
+        self.kernel = (self.starts, self.masks, self.pairs, self.size, self.ident)
 
     def intern(self, p: tuple[int, ...]) -> int:
         x = self.ids.get(p)
@@ -389,7 +391,7 @@ class _NonCrossing:
             x = self.ids[p] = len(self.perm)
             self.perm.append(p)
             self.starts.append(_shared_pairs(p))
-            self.finishes.append(self.full & ~_shared_pairs(_left_complement(p)))
+            self.masks.append(_shared_pairs(_left_complement(p)))
         return x
 
     def tau(self, x: int, c: int) -> int:
@@ -444,18 +446,19 @@ def _left_weighted(
 
     Each factor is slid left pair by pair until a pair is already
     left-weighted; a factor slid down to the identity is dropped.  A pair
-    (a, b) is left-weighted iff starts[b] is contained in finishes[a];
-    otherwise it is replaced by its left-weighted pair from the table, one
-    lookup per pair.  Returns (power of delta stripped from the front,
-    left-weighted id tuple), or None as soon as the factors so far number
-    more than `limit`: their count is the supremum of a positive product,
-    and sup(xy) >= sup(x) for positive y, so the full product would too.
+    (a, b) is left-weighted iff starts[b] & masks[a] is 0; otherwise it is
+    replaced by its left-weighted pair from the table, one lookup per pair.
+    Returns (power of delta stripped from the front, left-weighted id
+    tuple), or None as soon as the factors so far number more than
+    `limit`: their count is the supremum of a positive product, and
+    sup(xy) >= sup(x) for positive y, so the full product would too.
+    Only a leading delta can be stripped, so a product whose first factor
+    is not delta is returned as it stands.
     The ordering search multiplies a product delta^p A by a block form of
     infimum 0 as `_left_weighted(table, A, block, m - p)`: None exactly
     when the product's supremum passes m, else (k, ids) for delta^(p+k).
     """
-    starts, finishes, pairs, size = table.starts, table.finishes, table.pairs, table.size
-    ident = table.ident
+    starts, masks, pairs, size, ident = table.kernel
     fs = list(prefix)
     if len(fs) > limit:
         return None
@@ -464,9 +467,10 @@ def _left_weighted(
             continue
         j = len(fs)
         fs.append(b)
+        start = starts[b]
         while j:
             a = fs[j - 1]
-            if not starts[b] & ~finishes[a]:
+            if not start & masks[a]:
                 break
             v = pairs.get(a * size + b)
             if v is None:
@@ -479,10 +483,13 @@ def _left_weighted(
                 fs[j] = b
             j -= 1
             b = a
+            start = starts[b]
         if len(fs) > limit:
             return None
     delta = table.delta
-    k = 0
+    if not fs or fs[0] != delta:
+        return 0, tuple(fs)
+    k = 1
     while k < len(fs) and fs[k] == delta:
         k += 1
     return k, tuple(fs[k:])

@@ -152,10 +152,12 @@ def verify(r: Relation, lk: bool = True) -> VerificationReport:
 class AuditEntry(_Value):
     """Search outcome for one design class.
 
-    orderings_found counts what search_orderings found for the canonical
-    representative under the audit's budget; with status "budget" that is
-    random shuffles only.  The catalog verdict is per replication multiset:
-    see the ReplicationClassSummary keyed by replications.
+    orderings_found is search_orderings' count for the canonical
+    representative under the audit's budget, counted without listing the
+    orderings: exact with status "exhausted", and with status "budget" the
+    random shuffles that realize only.  The catalog verdict is per
+    replication multiset: see the ReplicationClassSummary keyed by
+    replications.
     """
 
     __slots__ = ("design", "orderings_found", "status")
@@ -273,8 +275,8 @@ def completeness_check(
     entries = []
     by_reps: dict[tuple[int, ...], list[AuditEntry]] = {}
     for d in enumerate_designs(m, mode):
-        res = search_orderings(d, budget)
-        e = AuditEntry(design=d, orderings_found=len(res.orderings), status=res.status)
+        res = search_orderings(d, budget, listed=False)
+        e = AuditEntry(design=d, orderings_found=res.count, status=res.status)
         entries.append(e)
         by_reps.setdefault(e.replications, []).append(e)
 

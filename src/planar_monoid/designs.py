@@ -281,8 +281,9 @@ def daisy(n: int, i: int) -> Relation:
 class SearchBudget(_Value):
     """Limits for search_orderings.
 
-    exhaustive_cap: max block count for the complete DFS; above it the
-    search degrades to random shuffles and the result's status says so.
+    exhaustive_cap: max block count for the complete DFS, which counts
+    every realizing ordering exactly; above it the search degrades to
+    random shuffles and the result's status says so.
     tries: random shuffles past the cap, drawn from random.Random(seed).
     All three are plain ints (not bools); neither of the first two may be
     negative.  The shuffles depend only on the block count, tries and seed,
@@ -312,27 +313,28 @@ class SearchBudget(_Value):
 
 
 class SearchResult(_Value):
-    """Orderings of a design's blocks realizing the full twist.
+    """How many orderings of a design's blocks realize the full twist.
 
-    status "exhausted": orderings is the complete list; empty means a
-    proof of non-realizability.  status "budget": incomplete search;
-    empty means only that nothing was found.
+    status "exhausted": count is exact, and 0 is a proof of
+    non-realizability.  status "budget": count is what random shuffles
+    found, and 0 means only that nothing was found.  orderings is the
+    sorted tuple of them if the search listed them, else None.
     """
 
-    __slots__ = ("design", "orderings", "status")
+    __slots__ = ("design", "count", "status", "orderings")
 
-    def __init__(
-        self, design: Design, orderings: tuple[tuple[tuple[int, ...], ...], ...], status: str
-    ):
-        self._set(design, orderings, status)
+    def __init__(self, design: Design, count: int, status: str, orderings: tuple | None = None):
+        if orderings is not None and len(orderings) != count:
+            raise ValueError(f"count {count} but {len(orderings)} orderings listed")
+        self._set(design, count, status, orderings)
 
     def realizable(self) -> bool:
-        return bool(self.orderings)
+        return self.count > 0
 
     def to_json_obj(self) -> dict:
         return {
             "design": self.design.to_json_obj(),
-            "orderings_found": len(self.orderings),
+            "orderings_found": self.count,
             "status": self.status,
         }
 
@@ -387,23 +389,31 @@ def _draws(k: int, tries: int, seed: int) -> tuple[tuple[int, ...], ...]:
     return tuple(draws)
 
 
-def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> SearchResult:
-    """Find block orderings whose twist product equals the full twist.
+def search_orderings(
+    d: Design, budget: SearchBudget = SearchBudget(), *, listed: bool = True
+) -> SearchResult:
+    """Count the block orderings whose twist product equals the full twist,
+    and list them when `listed`.
 
     Orderings are reported in written order (last block applied first).
     Up to budget.exhaustive_cap blocks the DFS with normal-form
-    memoization is complete; beyond that, budget.tries random shuffles are
-    tried and an empty result proves nothing.
+    memoization is complete and the count exact; beyond that, budget.tries
+    random shuffles are tried and a count of 0 proves nothing.  With
+    listed=False the same multiplies give the same count, and orderings is
+    None.
 
     The exhaustive DFS fixes the block applied first, the head, and
-    rotates what it finds.  This is sound because the full twist is
-    central: if b.w is the full twist, so is w.b = b^-1 (b.w) b.  The
-    realizing application orders are therefore closed under cyclic
-    rotation, and since the blocks are distinct each of them has exactly
-    one rotation that starts with the head.  Any block would do; the head
-    is the first largest one.  Its mirror is delta_S^|S|, of supremum |S|,
-    the largest of any block, so it leaves the least room under the sup
-    bound below and products fail soonest.
+    counts from it.  This is sound because the full twist is central: if
+    b.w is the full twist, so is w.b = b^-1 (b.w) b.  The realizing
+    application orders are therefore closed under cyclic rotation, and
+    since the blocks are distinct each of them has exactly one rotation
+    that starts with the head, so the count is the number of blocks times
+    the head's completions.  Any block would do; the head is the first
+    largest one.  Its mirror is delta_S^|S|, of supremum |S|, the largest of
+    any block, so it leaves the least room under the sup bound below and
+    products fail soonest.  The memo maps each product to its number of
+    completions and its live edges, the (block, next product) pairs with
+    a completion; listing walks them from the head, with no multiply.
 
     The shuffle path uses the same fact.  Its draws depend only on the
     block count, budget.tries and budget.seed, so _draws makes them once
@@ -447,39 +457,52 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
     target = (m, ())  # delta^m, the mirror of the full twist delta^-m
     nf_of = {b: _block_nf(table, b)[1] for b in d.blocks}
     head = max(d.blocks, key=len)
+    k = len(d.blocks)
 
-    if len(d.blocks) <= budget.exhaustive_cap:
-        # memo: partial-product NF -> all completing suffixes.  The product
+    if k <= budget.exhaustive_cap:
+        # memo: partial product -> (completions, live edges).  The product
         # alone fixes the blocks it used: every swing is pure and moves the
         # linking number of exactly its own pairs by the same unit, and each
         # pair lies in exactly one block, so the linking numbers of acc
         # (invariants of the braid) name the used blocks, hence remaining.
-        memo: dict[tuple, tuple] = {}
+        memo: dict[tuple, tuple[int, tuple]] = {}
 
-        def complete(remaining: frozenset, acc: tuple):
+        def count(remaining: tuple, acc: tuple) -> int:
             if not remaining:
-                return ((),) if acc == target else ()
+                return int(acc == target)
             hit = memo.get(acc)
             if hit is None:
-                found = []
                 inf, ids = acc
-                for b in sorted(remaining):
+                total = 0
+                live = []
+                for i, b in enumerate(remaining):
                     nxt = _left_weighted(table, ids, nf_of[b], m - inf)
-                    if nxt is None:
-                        continue
-                    for suffix in complete(remaining - {b}, (inf + nxt[0], nxt[1])):
-                        found.append((b,) + suffix)
-                hit = tuple(found)
-                memo[acc] = hit
-            return hit
+                    if nxt is not None:
+                        state = (inf + nxt[0], nxt[1])
+                        below = count(remaining[:i] + remaining[i + 1:], state)
+                        if below:
+                            total += below
+                            live.append((b, state))
+                # most states are dead; their (0, ()) is one folded constant
+                hit = memo[acc] = (total, tuple(live)) if live else (0, ())
+            return hit[0]
 
-        sequences = [(head,) + s for s in complete(frozenset(d.blocks) - {head}, (0, nf_of[head]))]
-        orderings = tuple(sorted(
-            tuple(reversed(seq[k:] + seq[:k])) for seq in sequences for k in range(len(seq))
-        ))
-        return SearchResult(d, orderings, "exhausted")
+        start = (0, nf_of[head])
+        total = k * count(tuple(b for b in d.blocks if b != head), start)
+        if not listed:
+            return SearchResult(d, total, "exhausted")
+        orderings: list[tuple[tuple[int, ...], ...]] = []
 
-    k = len(d.blocks)
+        def list_from(acc: tuple, seq: tuple) -> None:
+            if len(seq) == k:
+                orderings.extend(tuple(reversed(seq[i:] + seq[:i])) for i in range(k))
+                return
+            for b, state in memo[acc][1]:
+                list_from(state, seq + (b,))
+
+        list_from(start, (head,))
+        return SearchResult(d, total, "exhausted", tuple(sorted(orderings)))
+
     forms = [nf_of[b] for b in d.blocks]
     found: set[tuple[tuple[int, ...], ...]] = set()
 
@@ -515,4 +538,4 @@ def search_orderings(d: Design, budget: SearchBudget = SearchBudget()) -> Search
                 found.add(tuple(d.blocks[i] for i in reversed(applied)))
 
     walk(_draws(k, budget.tries, budget.seed), 1, d.blocks.index(head), 0, nf_of[head])
-    return SearchResult(d, tuple(sorted(found)), "budget")
+    return SearchResult(d, len(found), "budget", tuple(sorted(found)) if listed else None)

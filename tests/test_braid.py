@@ -291,19 +291,18 @@ def _non_crossing(m):
 @settings(deadline=None)
 def test_interned_simple_factors_match_definitions(p):
     # the kernel's table, checked from the definitions: starts = the pairs
-    # that share a block of p, finishes = the pairs that share no block of dp
+    # that share a block of p, masks = the pairs that share a block of dp
     m = len(p)
     table = braid._dual_simples(m)
 
     def bits(pairs):
         return sum(1 << (i * m + j) for i, j in pairs)
 
-    every = {(i, j) for i in range(m) for j in range(i + 1, m)}
     x = table.intern(p)
     assert table.perm[x] == p
     assert table.intern(p) == x
     assert table.starts[x] == bits(_ref_shared(p))
-    assert table.finishes[x] == bits(every - _ref_shared(_ref_left_complement(p)))
+    assert table.masks[x] == bits(_ref_shared(_ref_left_complement(p)))
 
 
 @given(st.integers(2, 8).flatmap(lambda m: st.tuples(_non_crossing(m), _non_crossing(m))))

@@ -430,6 +430,46 @@ def test_search_exhaustive_dfs_cost_from_largest_block(kernel_calls):
     assert kernel_calls[0] == 2796
 
 
+def test_counting_agrees_with_listing(kernel_calls):
+    # every dihedral class at m <= 5 and every one of <= 11 blocks at m = 6:
+    # counting without listing gives the listed number with the same
+    # multiplies, since listing walks the count's live edges
+    classes = [d for m in (3, 4, 5) for d in enumerate_designs(m, "dihedral")]
+    classes += [d for d in enumerate_designs(6, "dihedral") if len(d.blocks) <= 11]
+    for d in classes:
+        budget = SearchBudget(exhaustive_cap=len(d.blocks))
+        kernel_calls[0] = 0
+        counted = search_orderings(d, budget, listed=False)
+        calls = kernel_calls[0]
+        kernel_calls[0] = 0
+        listed = search_orderings(d, budget)
+        assert counted.orderings is None and counted.status == listed.status == "exhausted"
+        assert counted.count == listed.count == len(listed.orderings), d
+        assert kernel_calls[0] == calls, d
+
+
+@pytest.mark.parametrize(
+    "m, blocks, count, calls",
+    [
+        pytest.param(6, tuple(itertools.combinations(range(1, 7), 2)), 4218480, 477263, id="K6"),
+        # the first (4,4,4,5,5,5) dihedral class, 13 blocks
+        pytest.param(
+            6,
+            ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4),
+             (3, 5), (3, 6), (4, 5, 6)),
+            75088,
+            24609,
+            id="444555",
+        ),
+    ],
+)
+def test_search_counts_without_listing(kernel_calls, m, blocks, count, calls):
+    res = search_orderings(Design(m, blocks), SearchBudget(exhaustive_cap=len(blocks)), listed=False)
+    assert (res.status, res.count, res.orderings) == ("exhausted", count, None)
+    assert res.realizable()
+    assert kernel_calls[0] == calls
+
+
 def _search_step(table, inf, ids, form):
     """The search's multiply of the state delta^inf.ids by a block form,
     checked against the uncapped product: equal to it while it left-divides
@@ -712,10 +752,12 @@ def test_search_budget_path_is_deterministic():
 
 
 def test_search_result_json():
-    res = SearchResult(Design(3, ((1, 2), (2, 3), (1, 3))), (), "budget")
+    res = SearchResult(Design(3, ((1, 2), (2, 3), (1, 3))), 0, "budget")
     obj = res.to_json_obj()
     assert obj["orderings_found"] == 0
     assert obj["status"] == "budget"
+    with pytest.raises(ValueError, match="count 1 but 0 orderings"):
+        SearchResult(res.design, 1, "budget", ())
 
 
 @pytest.mark.parametrize("n", range(4, 11))

@@ -69,8 +69,8 @@ CASES = {
         {"exhaustive_cap": 8, "tries": 2000, "seed": 1},
     ),
     SearchResult: (
-        {"design": TRIANGLE, "orderings": (((1, 2), (2, 3), (1, 3)),), "status": "exhausted"},
-        {"design": TRIANGLE, "orderings": (((1, 2), (2, 3), (1, 3)),), "status": "budget"},
+        {"design": TRIANGLE, "count": 1, "status": "exhausted", "orderings": (((1, 2), (2, 3), (1, 3)),)},
+        {"design": TRIANGLE, "count": 1, "status": "budget", "orderings": (((1, 2), (2, 3), (1, 3)),)},
     ),
     PlumbingGraph: (
         {"vertices": ((0, -3), (1, -2)), "edges": frozenset({(0, 1)})},
