@@ -31,9 +31,8 @@ Words are sequences of signed Artin generator indices in *application order*:
   one power-of-two scale per column, and one cached builder, `_lk_letter`,
   packs each generator entry as a t-shift times n / 2^e.
 
-Simple elements are stored internally as 0-indexed permutations, interned
-per strand count; the public `Permutation` type is 1-indexed to match
-boundary-component labels.
+Simple elements are stored as 0-indexed permutations, interned per strand
+count.
 """
 
 from __future__ import annotations
@@ -41,20 +40,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, Sequence
 
 __all__ = [
     "BraidWord",
-    "Permutation",
     "NormalForm",
-    "LinkingMatrix",
-    "compose",
-    "invert",
-    "permutation",
-    "linking_matrix",
     "normal_form",
     "nf_mul",
     "equals",
@@ -139,43 +129,6 @@ class BraidWord(_Value):
 
     def __len__(self) -> int:
         return len(self.letters)
-
-
-class Permutation(_Value):
-    """Bijection on {1..m}; images[i] is the image of i+1."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Iterable[int]):
-        images = tuple(_json_int(x, "image") for x in images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a bijection on 1..{len(images)}: {images}")
-        self._set(images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
-
-class LinkingMatrix(_Value):
-    """Pairwise strand linking numbers, stored exactly as doubled integers.
-
-    doubled[x][y] is twice the linking number of the strands that *start*
-    at positions x+1 and y+1 (i.e. the signed crossing count itself).
-    """
-
-    __slots__ = ("strands", "doubled")
-
-    def __init__(self, strands: int, doubled: tuple[tuple[int, ...], ...]):
-        self._set(strands, doubled)
-
-    def entry(self, x: int, y: int) -> Fraction:
-        """Linking number of strands x and y (1-indexed)."""
-        from fractions import Fraction  # here, not at the top: nothing else needs it
-
-        return Fraction(self.doubled[x - 1][y - 1], 2)
 
 
 class NormalForm(_Value):
@@ -281,8 +234,9 @@ def _pinv(p: Sequence[int]) -> tuple[int, ...]:
 # block s_1 < .. < s_k is a_{s_k s_{k-1}}..a_{s_2 s_1}, and left (or right)
 # divisibility is refinement.  A simple is named by its permutation, which
 # sends each point to the next larger point of its block and the largest
-# back to the smallest; delta is i -> i+1 mod m.  Permutations here follow
-# `permutation`: the word u.v has the permutation "u's, then v's".
+# back to the smallest; delta is i -> i+1 mod m.  A permutation here sends
+# each strand's start position to its end position, so the word u.v has the
+# permutation "u's, then v's".
 
 
 def _block_perm(labels: Sequence) -> tuple[int, ...]:
@@ -493,46 +447,6 @@ def _left_weighted(
     while k < len(fs) and fs[k] == delta:
         k += 1
     return k, tuple(fs[k:])
-
-
-# ---------------------------------------------------------------------------
-# public word algebra
-
-def compose(a: BraidWord, b: BraidWord) -> BraidWord:
-    """The braid 'apply b first, then a' (function composition order)."""
-    if a.strands != b.strands:
-        raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
-    return BraidWord(a.strands, b.letters + a.letters)
-
-
-def invert(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(-k for k in reversed(w.letters)))
-
-
-def permutation(w: BraidWord) -> Permutation:
-    """Underlying strand permutation: start position -> end position."""
-    occupant = list(range(w.strands))  # occupant[pos] = strand that started at pos
-    for letter in w.letters:
-        i = abs(letter) - 1
-        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-    images = [0] * w.strands
-    for pos, strand in enumerate(occupant):
-        images[strand] = pos + 1
-    return Permutation(tuple(images))
-
-
-def linking_matrix(w: BraidWord) -> LinkingMatrix:
-    m = w.strands
-    doubled = [[0] * m for _ in range(m)]
-    occupant = list(range(m))
-    for letter in w.letters:
-        i = abs(letter) - 1
-        x, y = occupant[i], occupant[i + 1]
-        sign = 1 if letter > 0 else -1
-        doubled[x][y] += sign
-        doubled[y][x] += sign
-        occupant[i], occupant[i + 1] = y, x
-    return LinkingMatrix(m, tuple(tuple(row) for row in doubled))
 
 
 def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:

@@ -13,7 +13,7 @@ import json
 from collections.abc import Iterable
 
 from .braid import _Value
-from .surface import BoundaryWord, TwistWord, _json_int, _json_list, _json_object
+from .surface import BoundaryWord, TwistWord, _json_int
 
 __all__ = [
     "PlumbingGraph",
@@ -23,7 +23,6 @@ __all__ = [
     "chi_formulas",
     "bounds",
     "emit",
-    "parse",
 ]
 
 
@@ -78,12 +77,6 @@ class PlumbingGraph(_Value):
                     seen.add(nb)
                     stack.append(nb)
         return len(seen) == len(self.vertices)
-
-    def weight(self, vid: int) -> int:
-        for i, w in self.vertices:
-            if i == vid:
-                return w
-        raise KeyError(vid)
 
 
 class BoundsReport(_Value):
@@ -168,18 +161,3 @@ def emit(g: PlumbingGraph, fmt: str = "json") -> str:
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def parse(text: str) -> PlumbingGraph:
-    """Inverse of emit(g, "json"); no other key than emit writes is
-    accepted, and PlumbingGraph checks the ids, weights and edge ends."""
-    try:
-        value = json.loads(text)
-    except RecursionError:
-        raise ValueError("plumbing graph nests too deeply to read") from None
-    obj = _json_object(value, "plumbing graph", ("vertices", "edges"), ("vertices", "edges"))
-    verts = []
-    for v in _json_list(obj["vertices"], "vertices"):
-        v = _json_object(v, "vertex", ("id", "weight"), ("id", "weight"))
-        verts.append((v["id"], v["weight"]))
-    edges = [tuple(_json_list(e, "edge")) for e in _json_list(obj["edges"], "edges")]
-    return PlumbingGraph(tuple(verts), tuple(edges))

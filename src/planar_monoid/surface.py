@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .braid import BraidWord, _json_int, _Value, equals, full_twist
+from .braid import BraidWord, _json_int, _Value, full_twist
 
 __all__ = [
     "SurfaceSpec",
@@ -29,7 +29,6 @@ __all__ = [
     "swing_word",
     "to_braid",
     "multiplicities",
-    "equivalent",
 ]
 
 def _json_list(value, what: str) -> list:
@@ -71,14 +70,6 @@ class SurfaceSpec(_Value):
         if _json_int(n, "n") < 2:
             raise ValueError(f"need at least 2 boundary components, got {n}")
         self._set(n)
-
-    @property
-    def interior_labels(self) -> range:
-        return range(1, self.n)
-
-    @property
-    def strands(self) -> int:
-        return self.n - 1
 
 
 class ConvexCurve(_Value):
@@ -245,7 +236,7 @@ class MultiplicityVector(_Value):
     """Containment counts: interior[i-1] factors contain label i.
 
     The outer field counts factors isotopic to the outer boundary; it is
-    reported alongside but never compared by the monoid equivalence test.
+    reported alongside but never compared by `catalog.verify_words`.
     """
 
     __slots__ = ("interior", "outer")
@@ -309,14 +300,3 @@ def multiplicities(word: Union[TwistWord, BoundaryWord]) -> MultiplicityVector:
                 counts[label - 1] += 1
     return MultiplicityVector(tuple(counts), outer)
 
-
-def equivalent(w1: Union[TwistWord, BoundaryWord], w2: Union[TwistWord, BoundaryWord]) -> bool:
-    """Monoid equality test: braids isotopic and interior multiplicities equal.
-
-    Outer-parallel counts are deliberately not compared; see
-    MultiplicityVector.
-    """
-    _check_same_surface(w1, w2)
-    if multiplicities(w1).interior != multiplicities(w2).interior:
-        return False
-    return equals(to_braid(w1), to_braid(w2))

@@ -13,19 +13,15 @@ from planar_monoid import braid
 from planar_monoid.braid import (
     BraidWord,
     NormalForm,
-    Permutation,
-    compose,
     equals,
     full_twist,
-    invert,
-    linking_matrix,
     lk_equal,
     nf_mul,
     normal_form,
-    permutation,
 )
 from planar_monoid.catalog import builtin, verify
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word, to_braid
+from strand_reference import strand_linking
 
 
 @st.composite
@@ -53,6 +49,15 @@ def braid_word_pairs(draw, max_strands=6, max_len=24):
     return a, BraidWord(a.strands, tuple(letters))
 
 
+def _then(*words):
+    "The words applied in turn: their letters, concatenated in that order."
+    return BraidWord(words[0].strands, tuple(k for w in words for k in w.letters))
+
+
+def _inverse(w):
+    return BraidWord(w.strands, tuple(-k for k in reversed(w.letters)))
+
+
 def test_letter_range_checked():
     with pytest.raises(ValueError):
         BraidWord(3, (3,))
@@ -75,13 +80,6 @@ def test_braid_word_takes_ints_only(strands, letters, what):
     "Strands and letters are ints; nothing is left to fail in normal_form."
     with pytest.raises(ValueError, match=f"{what} must be an integer"):
         BraidWord(strands, letters)
-
-
-@pytest.mark.parametrize("images", [(1.0, 2), (True, 2)], ids=["float", "bool"])
-def test_permutation_takes_ints_only(images):
-    "Images are ints: a float or a bool equal to 1 is refused, not stored."
-    with pytest.raises(ValueError, match="image must be an integer"):
-        Permutation(images)
 
 
 def test_identity_normal_form():
@@ -115,8 +113,8 @@ def test_strand_mismatch_raises():
 
 @given(braid_words())
 def test_word_times_inverse_is_identity(w):
-    assert normal_form(compose(w, invert(w))).is_identity()
-    assert normal_form(compose(invert(w), w)).is_identity()
+    assert normal_form(_then(_inverse(w), w)).is_identity()
+    assert normal_form(_then(w, _inverse(w))).is_identity()
 
 
 @given(braid_words())
@@ -128,7 +126,7 @@ def test_normal_form_reexpands_to_equal_word(w):
 @given(braid_words(max_len=16))
 def test_full_twist_is_central(w):
     ft = full_twist(w.strands)
-    assert equals(compose(ft, w), compose(w, ft))
+    assert equals(_then(w, ft), _then(ft, w))
 
 
 @given(braid_word_pairs(max_len=16))
@@ -152,7 +150,7 @@ def test_inf_sup_bounds(pair):
     prod = nf_mul(na, nb)
     assert prod.infimum >= na.infimum + nb.infimum
     assert _sup(prod) <= _sup(na) + _sup(nb)
-    inv = normal_form(invert(a))
+    inv = normal_form(_inverse(a))
     assert inv.infimum == -_sup(na)
     assert _sup(inv) == -na.infimum
 
@@ -165,7 +163,7 @@ def test_full_twist_normal_form():
 
 
 # Reference dual (Birman-Ko-Lee) structure.  A simple element is named by
-# its permutation in `permutation`'s convention, which sends each point to
+# its permutation (start position to end position), which sends each point to
 # the next larger point of its block and the largest back to the smallest.
 # Everything here is computed from the definitions: blocks as sets, the
 # meet by search over all non-crossing partitions, and words through the
@@ -562,9 +560,9 @@ def test_dual_forms_decide_equality(pair):
     dual = braid._dual_normal_form
     assert (dual(a) == dual(b)) == lk_equal(a, b)
     # equal braids written differently: a.b.b^-1, and a past the central full twist
-    assert dual(a) == dual(BraidWord(m, a.letters + b.letters + invert(b).letters))
+    assert dual(a) == dual(_then(a, b, _inverse(b)))
     ft = full_twist(m)
-    assert dual(compose(ft, a)) == dual(compose(a, ft))
+    assert dual(_then(a, ft)) == dual(_then(ft, a))
 
 
 @given(braid_words(max_strands=8, max_len=24))
@@ -663,30 +661,17 @@ def test_dual_divisor_counts_of_delta_powers():
 
 def test_full_twist_is_pure_and_links_minus_one():
     for m in range(2, 7):
-        ft = full_twist(m)
-        assert permutation(ft).is_identity()
-        L = linking_matrix(ft)
-        for x in range(1, m + 1):
-            for y in range(x + 1, m + 1):
-                assert L.entry(x, y) == -1
+        pure, doubled = strand_linking(full_twist(m))
+        assert pure
+        assert set(doubled.values()) == {-2}
 
 
 @given(braid_words(max_len=12))
 def test_linking_is_conjugation_invariant_total(w):
     # total linking (exponent sum / 2 pattern): conjugating permutes entries
     g = BraidWord(w.strands, (1,) if w.strands > 1 else ())
-    conj = compose(compose(g, w), invert(g))
-    total = sum(
-        linking_matrix(w).entry(x, y)
-        for x in range(1, w.strands + 1)
-        for y in range(x + 1, w.strands + 1)
-    )
-    total_c = sum(
-        linking_matrix(conj).entry(x, y)
-        for x in range(1, w.strands + 1)
-        for y in range(x + 1, w.strands + 1)
-    )
-    assert total == total_c
+    conj = _then(_inverse(g), w, g)
+    assert sum(strand_linking(w)[1].values()) == sum(strand_linking(conj)[1].values())
 
 
 @pytest.mark.parametrize(
@@ -1021,7 +1006,7 @@ def test_lk_greedy_meet_matches_reference(pair, same):
     # letters and their inverses, so the meet joins two different spellings
     a, b = pair
     if same:
-        b = BraidWord(a.strands, normal_form(a).to_word().letters + b.letters + invert(b).letters)
+        b = _then(normal_form(a).to_word(), b, _inverse(b))
     assert lk_equal(a, b) == lk_equal(b, a) == _lk_reference_equal(a, b) == equals(a, b)
     if same:
         assert lk_equal(a, b)
@@ -1077,7 +1062,7 @@ def test_lk_equal_strips_rotated_full_twists(monkeypatch):
     monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: applied.append(gen) or apply(cols, gen))
     for m in range(2, 9):
         ft = full_twist(m)
-        for spelling in (ft.letters, invert(ft).letters):
+        for spelling in (ft.letters, _inverse(ft).letters):
             whole = BraidWord(m, spelling)
             for i in range(len(spelling)):
                 rotation = BraidWord(m, spelling[i:] + spelling[:i])
@@ -1090,7 +1075,7 @@ def test_lk_equal_strips_rotated_full_twists(monkeypatch):
 def _twist_spellings(m):
     """The full twist and its inverse on m strands, each also spelled with
     a cancelling pair inside, so it completes only once the pair cancels."""
-    for spelling in (full_twist(m).letters, invert(full_twist(m)).letters):
+    for spelling in (full_twist(m).letters, _inverse(full_twist(m)).letters):
         yield spelling
         for i in range(1, len(spelling)):
             yield spelling[:i] + (1, -1) + spelling[i:]
@@ -1107,7 +1092,7 @@ def test_lk_equal_strips_every_spelling_of_the_full_twist(monkeypatch):
     for m in range(2, 7):
         for spelling in _twist_spellings(m):
             for i in range(len(spelling) + 1):
-                a, b = BraidWord(m, spelling[:i]), invert(BraidWord(m, spelling[i:]))
+                a, b = BraidWord(m, spelling[:i]), _inverse(BraidWord(m, spelling[i:]))
                 assert not lk_equal(a, b) and not lk_equal(b, a)
     assert applied == []
 

@@ -19,7 +19,7 @@ from planar_monoid.braid import (
     _dual_simples,
     _left_weighted,
 )
-from planar_monoid.catalog import builtin, completeness_check, verify
+from planar_monoid.catalog import builtin, completeness_check, verify, verify_words
 from planar_monoid.designs import (
     Design,
     PairCoverageError,
@@ -36,6 +36,7 @@ from planar_monoid.designs import (
     _generators,
 )
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word
+from strand_reference import strand_linking
 
 ALL_PAIRS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K5 = tuple(itertools.combinations(range(1, 6), 2))
@@ -411,6 +412,22 @@ def test_search_shuffle_walk_cost_from_largest_block(kernel_calls):
     assert kernel_calls[0] == 9808
 
 
+def test_every_swing_links_only_its_own_pairs():
+    # the premise of the search memo: each block's swing is pure, links
+    # each pair inside the block once, negatively, and no other pair; on
+    # every block of 3..7 points, 213 of them (the full set is no block)
+    count = 0
+    for m in range(3, 8):
+        surface = SurfaceSpec(m + 1)
+        for k in range(2, m):
+            for block in itertools.combinations(range(1, m + 1), k):
+                pure, doubled = strand_linking(swing_word(ConvexCurve.over(block), surface))
+                assert pure, block
+                assert doubled == {p: -2 if set(p) <= set(block) else 0 for p in doubled}, block
+                count += 1
+    assert count == 213
+
+
 def test_search_exhaustive_dfs_cost(kernel_calls):
     blocks = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4, 5))
     res = search_orderings(Design(5, blocks), SearchBudget(exhaustive_cap=8))
@@ -585,12 +602,12 @@ def test_search_reports_written_order():
     d = Design(3, ((1, 2), (2, 3), (1, 3)))
     res = search_orderings(d)
     s = SurfaceSpec(4)
-    from planar_monoid.surface import BoundaryWord, equivalent
+    from planar_monoid.surface import BoundaryWord
 
     lhs = BoundaryWord(s, (1, 1, 1), outer=1)
     for ordering in res.orderings:
         rhs = TwistWord(s, tuple(ConvexCurve.over(b) for b in ordering))
-        assert equivalent(lhs, rhs)
+        assert verify_words("k3", lhs, rhs, lk=False).verified
 
 
 def test_search_shuffle_path_takes_designs_past_256_blocks():

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +13,17 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"planar_monoid.{name}")
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert missing == []
+    # and the converse: a public function or class defined here is listed,
+    # so __all__ is the whole public surface and a new helper joins it on purpose
+    unlisted = [
+        n
+        for n, v in vars(mod).items()
+        if (inspect.isfunction(v) or inspect.isclass(v))
+        and v.__module__ == mod.__name__
+        and not n.startswith("_")
+        and n not in mod.__all__
+    ]
+    assert unlisted == []
 
 
 def test_package_import_loads_neither_dataclasses_nor_fractions():

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -11,7 +12,6 @@ from planar_monoid.plumbing import (
     chi_formulas,
     emit,
     euler_characteristic,
-    parse,
     plumbing_of,
 )
 from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
@@ -23,10 +23,8 @@ def star(n, exponents):
 
 def test_plumbing_star_shape():
     g = star(5, (2, 2, 2, 2))
-    assert g.weight(0) == -5
-    assert len(g.vertices) == 5
+    assert g.vertices == ((0, -5), (1, -2), (2, -2), (3, -2), (4, -2))
     assert len(g.edges) == 4
-    assert all(g.weight(i) == -2 for i in range(1, 5))
     assert all((0, i) in g.edges for i in range(1, 5))
 
 
@@ -78,8 +76,14 @@ def test_graph_validation():
         (((0, -2), (1, -3)), {(0, 1.0)}),
         (((0, -2), (True, -3)), {(0, 1)}),
         (((0, -2), (1, -3)), {(0, True)}),
+        (((0, -2), ("1", -3)), {(0, 1)}),
+        (((0, -2), (1, "-3")), {(0, 1)}),
+        (((0, -2), (1, -3)), {"01"}),
     ],
-    ids=["float-and-string-vertices", "float-edge-end", "bool-id", "bool-edge-end"],
+    ids=[
+        "float-and-string-vertices", "float-edge-end", "bool-id", "bool-edge-end",
+        "string-id", "string-weight", "string-edge",
+    ],
 )
 def test_graph_takes_ints_only(vertices, edges):
     "Ids, weights and edge ends are ints; nothing is truncated or converted."
@@ -159,78 +163,9 @@ def test_bounds_realized_by_daisy_extremes(n):
 
 def test_emit_json_roundtrip():
     g = star(6, (2, 3, 1, 2, 4))
-    assert parse(emit(g)) == g
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"vertices": [{"id": 0, "weight": -5.7}, {"id": 1, "weight": -2}], "edges": [[0, 1]]}',
-        '{"vertices": [{"id": 0, "weight": -5}, {"id": "1", "weight": -2}], "edges": [[0, 1]]}',
-        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": "-2"}], "edges": [[0, 1]]}',
-        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1.0]]}',
-        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, true]]}',
-        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": ["01"]}',
-        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1, 1]]}',
-        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": {"0": 1}}',
-        '{"vertices": [[0, -5], [1, -2]], "edges": [[0, 1]]}',
-        '{"vertices": "01", "edges": [[0, 1]]}',
-    ],
-    ids=[
-        "float-weight",
-        "string-id",
-        "string-weight",
-        "float-edge-end",
-        "bool-edge-end",
-        "string-edge",
-        "three-ends",
-        "edges-object",
-        "vertex-pairs",
-        "string-vertices",
-    ],
-)
-def test_parse_reads_json_integers_only(text):
-    "Ids, weights and edge ends are JSON integers; nothing is truncated or converted."
-    with pytest.raises(ValueError):
-        parse(text)
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ('{"edges": []}', "plumbing graph has no 'vertices'"),
-        ('{"vertices": [{"id": 0, "weight": -5}]}', "plumbing graph has no 'edges'"),
-        ("[1]", "plumbing graph must be an object, got list"),
-        ('{"vertices": [{"id": 0}], "edges": []}', "vertex has no 'weight'"),
-        ('{"vertices": [{"weight": -5}], "edges": []}', "vertex has no 'id'"),
-        ('{"vertices": [5], "edges": []}', "vertex must be an object, got int"),
-        (
-            '{"vertices": [{"id": 0, "weight": -5}], "edges": [], "edge": [[0, 1]]}',
-            "unknown plumbing graph key 'edge', want 'vertices' or 'edges'",
-        ),
-        (
-            '{"vertices": [{"id": 0, "weight": -5, "wieght": -2}], "edges": []}',
-            "unknown vertex key 'wieght', want 'id' or 'weight'",
-        ),
-        (
-            '{"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}, {"id": 2, "weight": -2}],'
-            ' "edges": [[0, 1], [1, 0], [1, 2]]}',
-            "edge (1, 0) repeats (0, 1)",
-        ),
-        (
-            '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1, 2]]}',
-            "edge (0, 1, 2) must have two ends",
-        ),
-        ("[" * 100000 + "]" * 100000, "plumbing graph nests too deeply to read"),
-    ],
-    ids=[
-        "no-vertices", "no-edges", "array", "no-weight", "no-id", "int-vertex", "extra-key",
-        "extra-vertex-key", "repeated-edge", "three-ends", "deep-nesting",
-    ],
-)
-def test_parse_names_what_is_missing(text, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        parse(text)
+    obj = json.loads(emit(g))
+    assert [(v["id"], v["weight"]) for v in obj["vertices"]] == list(g.vertices)
+    assert [tuple(e) for e in obj["edges"]] == sorted(g.edges)
 
 
 def test_emit_json_is_deterministic():

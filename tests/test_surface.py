@@ -2,18 +2,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from planar_monoid.braid import equals, full_twist, linking_matrix, permutation
+from planar_monoid.braid import equals, full_twist
+from planar_monoid.catalog import verify_words
 from planar_monoid.surface import (
     BoundaryWord,
     ConvexCurve,
     SurfaceSpec,
     TwistWord,
-    equivalent,
     multiplicities,
     read_relation,
     swing_word,
     to_braid,
 )
+from strand_reference import strand_linking
 
 
 @st.composite
@@ -33,9 +34,10 @@ def twist_words(draw, max_m=6, max_factors=6):
 
 
 def test_surface_spec_labels():
+    # interior labels 1..n-1, one strand each
     s = SurfaceSpec(5)
-    assert list(s.interior_labels) == [1, 2, 3, 4]
-    assert s.strands == 4
+    assert multiplicities(TwistWord(s, (ConvexCurve.outer_parallel(),))).interior == (1, 1, 1, 1)
+    assert to_braid(TwistWord(s)).strands == 4
     with pytest.raises(ValueError):
         SurfaceSpec(1)
 
@@ -99,23 +101,20 @@ def test_full_support_swing_equals_outer():
 @given(twist_words())
 @settings(max_examples=50, deadline=None)
 def test_swings_are_pure(tw):
-    assert permutation(to_braid(tw)).is_identity()
+    assert strand_linking(to_braid(tw))[0]
 
 
 @given(twist_words())
 @settings(max_examples=50, deadline=None)
 def test_linking_counts_co_membership(tw):
     "Each strand pair links once, negatively, per factor containing both."
-    m = tw.surface.strands
-    L = linking_matrix(to_braid(tw))
-    for x in range(1, m + 1):
-        for y in range(x + 1, m + 1):
-            co = sum(
-                1
-                for c in tw.factors
-                if c.outer or (x in c.support and y in c.support)
-            )
-            assert L.entry(x, y) == -co
+    for (x, y), doubled in strand_linking(to_braid(tw))[1].items():
+        co = sum(
+            1
+            for c in tw.factors
+            if c.outer or (x in c.support and y in c.support)
+        )
+        assert doubled == -2 * co
 
 
 def test_boundary_word_is_the_full_twist():
@@ -196,7 +195,7 @@ def test_equivalent_accepts_known_relation():
     rhs = TwistWord(
         s, (ConvexCurve.over([1, 2]), ConvexCurve.over([2, 3]), ConvexCurve.over([1, 3]))
     )
-    assert equivalent(lhs, rhs)
+    assert verify_words("k3", lhs, rhs, lk=False).verified
 
 
 def test_equivalent_is_order_sensitive():
@@ -206,14 +205,14 @@ def test_equivalent_is_order_sensitive():
     rhs = TwistWord(
         s, (ConvexCurve.over([1, 2]), ConvexCurve.over([1, 3]), ConvexCurve.over([2, 3]))
     )
-    assert not equivalent(lhs, rhs)
+    assert not verify_words("k3-lex", lhs, rhs, lk=False).verified
 
 
 def test_equivalent_demands_same_surface():
-    a = TwistWord(SurfaceSpec(4))
+    a = BoundaryWord(SurfaceSpec(4), (0, 0, 0), outer=0)
     b = TwistWord(SurfaceSpec(5))
-    with pytest.raises(ValueError):
-        equivalent(a, b)
+    with pytest.raises(ValueError, match="same surface"):
+        verify_words("apart", a, b, lk=False)
 
 
 def test_json_roundtrip():

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from planar_monoid.braid import BraidWord, LinkingMatrix, NormalForm, Permutation, _from_ids, normal_form
+from planar_monoid.braid import BraidWord, NormalForm, _from_ids, normal_form
 from planar_monoid.catalog import (
     AuditEntry,
     AuditReport,
@@ -35,11 +35,6 @@ SUMMARY = ReplicationClassSummary((2, 2, 2), 2, 2, False, ("exhausted",), (), Fa
 # fields with one value changed
 CASES = {
     BraidWord: ({"strands": 3, "letters": (1, -2)}, {"strands": 3, "letters": (1,)}),
-    Permutation: ({"images": (2, 1, 3)}, {"images": (1, 2, 3)}),
-    LinkingMatrix: (
-        {"strands": 2, "doubled": ((0, 1), (1, 0))},
-        {"strands": 2, "doubled": ((0, -1), (-1, 0))},
-    ),
     SurfaceSpec: ({"n": 5}, {"n": 6}),
     ConvexCurve: ({"support": (1, 3), "outer": False}, {"support": (), "outer": True}),
     TwistWord: (
