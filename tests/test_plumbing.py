@@ -168,6 +168,49 @@ def test_emit_json_roundtrip():
     assert [tuple(e) for e in obj["edges"]] == sorted(g.edges)
 
 
+def _from_json(text):
+    "Build a PlumbingGraph from emit's JSON format, handing the decoded values on unchanged."
+    obj = json.loads(text)
+    return PlumbingGraph(((v["id"], v["weight"]) for v in obj["vertices"]), obj["edges"])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [{"id": 0, "weight": -5.7}, {"id": 1, "weight": -2}], "edges": [[0, 1]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1.0]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, true]]}',
+        '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1, 1]]}',
+    ],
+    ids=["float-weight", "float-edge-end", "bool-edge-end", "three-ends"],
+)
+def test_parse_reads_json_integers_only(text):
+    "JSON floats and booleans in emit's format reach the constructor as they are and are refused."
+    with pytest.raises(ValueError):
+        _from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}, {"id": 2, "weight": -2}],'
+            ' "edges": [[0, 1], [1, 0], [1, 2]]}',
+            "edge (1, 0) repeats (0, 1)",
+        ),
+        (
+            '{"vertices": [{"id": 0, "weight": -5}, {"id": 1, "weight": -2}], "edges": [[0, 1, 2]]}',
+            "edge (0, 1, 2) must have two ends",
+        ),
+    ],
+    ids=["repeated-edge", "three-ends"],
+)
+def test_parse_names_what_is_missing(text, message):
+    "Edges read as JSON lists are named in the constructor's messages as tuples."
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _from_json(text)
+
+
 def test_emit_json_is_deterministic():
     g = star(5, (2, 2, 2, 2))
     assert emit(g) == emit(star(5, (2, 2, 2, 2)))
