@@ -23,7 +23,6 @@ from .designs import (
     SearchBudget,
     enumerate_designs,
     exponents_from_design,
-    from_rhs,
     replication,
     search_orderings,
 )
@@ -154,10 +153,10 @@ class AuditEntry(_Value):
 
     orderings_found is search_orderings' count for the canonical
     representative under the audit's budget, counted without listing the
-    orderings: exact with status "exhausted", and with status "budget" the
-    random shuffles that realize only.  The catalog verdict is per
-    replication multiset: see the ReplicationClassSummary keyed by
-    replications.
+    orderings: exact with status "exhausted", and with status "budget" a
+    lower bound from a search its budget stopped, whose 0 proves nothing.
+    The catalog verdict is per replication multiset: see the
+    ReplicationClassSummary keyed by replications.
     """
 
     __slots__ = ("design", "orderings_found", "status")
@@ -187,10 +186,11 @@ class AuditEntry(_Value):
 class ReplicationClassSummary(_Value):
     """One replication multiset: its chi pair and the catalog verdict.
 
-    realizable: a search found an ordering of one of its design classes
+    realizable: a search counted an ordering of one of its design classes
     or, only if none did, one of its catalogued relations verifies (the
-    relation is the proof, through its own labelling).  With a "budget"
-    status, matches_catalog False can mean the search was too small.
+    relation is the proof, through its own labelling).  A "budget" status
+    means a search stopped at its limits before it ended, so there
+    matches_catalog False can mean the budget was too small.
     """
 
     __slots__ = (
@@ -282,7 +282,8 @@ def completeness_check(
 
     catalogued: dict[tuple[int, ...], list[Relation]] = {}
     for r in builtin(n):
-        catalogued.setdefault(tuple(sorted(replication(from_rhs(r.rhs)))), []).append(r)
+        # a relation's lhs exponent is its design's replication minus one
+        catalogued.setdefault(tuple(sorted(a + 1 for a in r.lhs.exponents)), []).append(r)
 
     printed = {tuple(rec["replications"]) for rec in _printed_chi()[str(n)]}
     classes = []

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Iterable
 
 from . import braid
 from .braid import BraidWord, _dual_normal_form, _left_weighted, _Value
@@ -279,46 +279,41 @@ def daisy(n: int, i: int) -> Relation:
 # ordering search
 
 class SearchBudget(_Value):
-    """Limits for search_orderings.
+    """Limits for search_orderings' one depth-first search.
 
-    exhaustive_cap: max block count for the complete DFS, which counts
-    every realizing ordering exactly; above it the search degrades to
-    random shuffles and the result's status says so.
-    tries: random shuffles past the cap, drawn from random.Random(seed).
-    All three are plain ints (not bools); neither of the first two may be
-    negative.  The shuffles depend only on the block count, tries and seed,
-    so they are drawn once per such triple and shared by every budget
-    class that has it (see _draws).
-    Both paths have one prune: each multiply stops as soon as its product
-    does not left-divide delta^m, the full twist in the dual Garside
-    structure (see search_orderings), past which no order of the unused
-    blocks can complete it.  Both paths start at a largest block, the
-    head, which leaves the least room under that bound.  The shuffle path
-    reads every draw cyclically from the head and recurses over the draws,
-    put in buckets by the block that follows, so each shared prefix is
-    multiplied once; a draw left alone in its bucket is followed to its end
-    in a loop.  Neither changes what is found, only its cost.
+    exhaustive_cap: max block count searched with no limit, so that the
+    count of realizing orderings is exact.
+    tries: past the cap, the search checks two limits before each multiply
+    and stops once it has made tries kernel multiplies or counted tries
+    orderings.  A search that ends first is still "exhausted"; one that a
+    limit stops reads "budget", and its count is a lower bound whose 0
+    proves nothing.
+    Both are plain ints (not bools) and neither may be negative.  seed is
+    accepted for callers that still pass it and is checked to be an int,
+    but it is not stored: the search draws nothing at random, so budgets
+    that search alike compare equal.
     """
 
-    __slots__ = ("exhaustive_cap", "tries", "seed")
+    __slots__ = ("exhaustive_cap", "tries")
 
     def __init__(self, exhaustive_cap: int = 8, tries: int = 2000, seed: int = 0):
-        for name, value in zip(self.__slots__, (exhaustive_cap, tries, seed)):
+        for name, value in (("exhaustive_cap", exhaustive_cap), ("tries", tries), ("seed", seed)):
             _json_int(value, name)
         if exhaustive_cap < 0:
             raise ValueError(f"exhaustive_cap must be >= 0, got {exhaustive_cap}")
         if tries < 0:
             raise ValueError(f"tries must be >= 0, got {tries}")
-        self._set(exhaustive_cap, tries, seed)
+        self._set(exhaustive_cap, tries)
 
 
 class SearchResult(_Value):
     """How many orderings of a design's blocks realize the full twist.
 
     status "exhausted": count is exact, and 0 is a proof of
-    non-realizability.  status "budget": count is what random shuffles
-    found, and 0 means only that nothing was found.  orderings is the
-    sorted tuple of them if the search listed them, else None.
+    non-realizability.  status "budget": the search stopped at a limit, and
+    count is a lower bound: every ordering counted realizes, but 0 proves
+    nothing.  orderings is the sorted tuple of the counted ones if the
+    search listed them, else None.
     """
 
     __slots__ = ("design", "count", "status", "orderings")
@@ -357,38 +352,6 @@ def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, t
     return form
 
 
-@functools.lru_cache(maxsize=8)  # an m <= 6 audit's budget classes meet at most 7 block counts
-def _draws(k: int, tries: int, seed: int) -> tuple[tuple[int, ...], ...]:
-    """`tries` successive shuffles of range(k) by random.Random(seed), each
-    as a successor map: draw[i] is the index after i in the shuffle, read
-    cyclically, and draw[k] is the first index drawn.
-
-    The shuffle is random.shuffle's own: for i from k-1 down to 1, draw
-    j = getrandbits(bits of i+1) until j <= i and swap positions i and j.
-    The draws depend only on (k, tries, seed), so they are drawn once per
-    key and every budget class with that block count and budget walks the
-    same immutable tuple; the last 8 keys are kept.
-    """
-    getrandbits = random.Random(seed).getrandbits
-    steps = [(i, (i + 1).bit_length()) for i in range(k - 1, 0, -1)]
-    shuffled = list(range(k))  # shuffle permutes positions the same whatever the items
-    succ = [0] * (k + 1)
-    draws = []
-    for _ in range(tries):
-        for i, bits in steps:
-            j = getrandbits(bits)
-            while j > i:
-                j = getrandbits(bits)
-            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-        prev = shuffled[-1]
-        for i in shuffled:
-            succ[prev] = i
-            prev = i
-        succ[k] = shuffled[0]
-        draws.append(tuple(succ))
-    return tuple(draws)
-
-
 def search_orderings(
     d: Design, budget: SearchBudget = SearchBudget(), *, listed: bool = True
 ) -> SearchResult:
@@ -396,146 +359,124 @@ def search_orderings(
     and list them when `listed`.
 
     Orderings are reported in written order (last block applied first).
-    Up to budget.exhaustive_cap blocks the DFS with normal-form
-    memoization is complete and the count exact; beyond that, budget.tries
-    random shuffles are tried and a count of 0 proves nothing.  With
-    listed=False the same multiplies give the same count, and orderings is
-    None.
+    One depth-first search serves every design.  Up to
+    budget.exhaustive_cap blocks it runs to the end and the count is exact.
+    Past the cap it checks two limits before each multiply, and stops once
+    it has spent budget.tries multiplies or counted budget.tries orderings.
+    If it ends first the status is still "exhausted" and the count exact;
+    if a limit stops it the status is "budget" and the count is a lower
+    bound, whose 0 proves nothing.  With listed=False the same multiplies
+    give the same count, and orderings is None.
 
-    The exhaustive DFS fixes the block applied first, the head, and
-    counts from it.  This is sound because the full twist is central: if
-    b.w is the full twist, so is w.b = b^-1 (b.w) b.  The realizing
-    application orders are therefore closed under cyclic rotation, and
-    since the blocks are distinct each of them has exactly one rotation
-    that starts with the head, so the count is the number of blocks times
-    the head's completions.  Any block would do; the head is the first
-    largest one.  Its mirror is delta_S^|S|, of supremum |S|, the largest of
-    any block, so it leaves the least room under the sup bound below and
-    products fail soonest.  The memo maps each product to its number of
-    completions and its live edges, the (block, next product) pairs with
-    a completion; listing walks them from the head, with no multiply.
-
-    The shuffle path uses the same fact.  Its draws depend only on the
-    block count, budget.tries and budget.seed, so _draws makes them once
-    per such triple and budget classes that share it walk the same tuple.
-    Each draw is a successor map, so it can be read cyclically from any
-    block; reading it from the head keeps whether the draw realizes the
-    full twist.  Like the DFS the walk recurses from the head: the draws
-    of a group share their prefix, so they share its last block, and at
-    each depth the walk puts them in buckets by the block after it, in the
-    order first met, and multiplies once per bucket, so each prefix that
-    draws share is multiplied once.  A group of one draw needs no buckets:
-    the walk follows it in a loop to its end or its first failed multiply.
-    It reports the written orders of the realizing draws as drawn, read
-    from the first block drawn, so it finds exactly what multiplying each
-    draw out on its own would find.
+    The search fixes the block applied first, the head, and counts from
+    it.  This is sound because the full twist is central: if b.w is the
+    full twist, so is w.b = b^-1 (b.w) b.  The realizing application orders
+    are therefore closed under cyclic rotation, and since the blocks are
+    distinct each of them has exactly one rotation that starts with the
+    head, so the count is the number of blocks times the head's
+    completions.  Any block would do; the head is the first largest one.
+    Its mirror is delta_S^|S|, of supremum |S|, the largest of any block, so
+    it leaves the least room under the sup bound below and products fail
+    soonest.  The other blocks are tried in d.blocks order.  The memo maps
+    each product to its number of completions and its live edges, the
+    (block, next product) pairs with a completion; a product already in
+    the memo adds its count with no multiply, and listing walks the live
+    edges from the head, with no multiply.  A search stopped by a limit
+    stores each open product's partial entry as it unwinds, so the count
+    and the listing cover the same orderings, each of which realizes.
     Every block's mirrored form is built once per table of simples
     (_block_nf) and shared by every search after.
 
-    Both paths multiply mirrors (every letter's sign flipped) in normal
+    The search multiplies mirrors (every letter's sign flipped) in normal
     forms of the dual Garside structure of Birman-Ko-Lee (1998).  Mirroring
     is an automorphism, so a product of mirrors is the mirror of the
-    product, and the mirror of the full twist is delta^m.  Both paths rest
+    product, and the mirror of the full twist is delta^m.  The search rests
     on one fact, which _block_nf checks for every block it builds: the
     mirror of a block's swing is delta_S^|S| for its support S, so every
     block is dual-positive.  A prefix of a realizing order times the
     positive product of the rest is delta^m, so the prefix left-divides
     delta^m: its dual supremum (infimum + canonical length) is at most m.
-    Both paths hold a product as (infimum, factor ids) and multiply it by a
-    block in one call of the Garside kernel, _left_weighted, appending the
-    block's factors to the product's with the limit m - infimum.  No tau
+    A product is held as (infimum, factor ids) and multiplied by a block in
+    one call of the Garside kernel, _left_weighted, appending the block's
+    factors to the product's with the limit m - infimum.  No tau
     conjugation is needed, since every block form has infimum 0, and the
     kernel returns None unfinished as soon as the product's supremum passes
-    m; such a product has no completion and is dropped, in the DFS before
-    it reaches the memo, in the shuffle path together with every draw that
-    shares the failed prefix.  The head is not checked, but a positive
-    factor never lowers the supremum, so every product through a failing
-    one fails its own step.
+    m; such a product has no completion and is dropped before it reaches
+    the memo.  The head is not checked, but a positive factor never lowers
+    the supremum, so every product through a failing one fails its own
+    step.
     """
     m = d.points
     table = braid._dual_simples(m)
     target = (m, ())  # delta^m, the mirror of the full twist delta^-m
-    nf_of = {b: _block_nf(table, b)[1] for b in d.blocks}
     head = max(d.blocks, key=len)
     k = len(d.blocks)
-
     if k <= budget.exhaustive_cap:
-        # memo: partial product -> (completions, live edges).  The product
-        # alone fixes the blocks it used: every swing is pure and moves the
-        # linking number of exactly its own pairs by the same unit, and each
-        # pair lies in exactly one block, so the linking numbers of acc
-        # (invariants of the braid) name the used blocks, hence remaining.
-        memo: dict[tuple, tuple[int, tuple]] = {}
+        tries = need = sys.maxsize  # no limit is ever reached
+    else:
+        tries = budget.tries
+        need = -(-tries // k)  # head completions that make tries orderings
+    spent = found = 0  # multiplies made; head completions counted
+    stopped = False
 
-        def count(remaining: tuple, acc: tuple) -> int:
-            if not remaining:
-                return int(acc == target)
-            hit = memo.get(acc)
-            if hit is None:
-                inf, ids = acc
-                total = 0
-                live = []
-                for i, b in enumerate(remaining):
-                    nxt = _left_weighted(table, ids, nf_of[b], m - inf)
-                    if nxt is not None:
-                        state = (inf + nxt[0], nxt[1])
-                        below = count(remaining[:i] + remaining[i + 1:], state)
-                        if below:
-                            total += below
-                            live.append((b, state))
-                # most states are dead; their (0, ()) is one folded constant
-                hit = memo[acc] = (total, tuple(live)) if live else (0, ())
-            return hit[0]
+    # memo: partial product -> (completions, live edges).  The product
+    # alone fixes the blocks it used: every swing is pure and moves the
+    # linking number of exactly its own pairs by the same unit, and each
+    # pair lies in exactly one block, so the linking numbers of acc
+    # (invariants of the braid) name the used blocks, hence remaining.
+    memo: dict[tuple, tuple[int, tuple]] = {}
+    dead = (0, ())  # the one entry of every product with no completion
 
-        start = (0, nf_of[head])
-        total = k * count(tuple(b for b in d.blocks if b != head), start)
-        if not listed:
-            return SearchResult(d, total, "exhausted")
-        orderings: list[tuple[tuple[int, ...], ...]] = []
+    def count(remaining: tuple, acc: tuple) -> int:
+        """The completions of acc by the (block, form) pairs remaining,
+        counted until a limit stops the search; stores acc's memo entry."""
+        nonlocal spent, found, stopped
+        inf, ids = acc
+        last = len(remaining) == 1
+        total = 0
+        live = []
+        for i, (b, form) in enumerate(remaining):
+            if spent >= tries or found >= need:
+                stopped = True
+                break
+            spent += 1
+            nxt = _left_weighted(table, ids, form, m - inf)
+            if nxt is None:
+                continue
+            state = (inf + nxt[0], nxt[1])
+            if last:
+                if state != target:
+                    continue
+                below = 1
+                found += 1
+            else:
+                hit = memo.get(state)
+                if hit is None:
+                    below = count(remaining[:i] + remaining[i + 1:], state)
+                else:
+                    below = hit[0]
+                    found += below
+                if not below:
+                    continue
+            total += below
+            live.append((b, state))
+        memo[acc] = (total, tuple(live)) if live else dead
+        return total
 
-        def list_from(acc: tuple, seq: tuple) -> None:
-            if len(seq) == k:
-                orderings.extend(tuple(reversed(seq[i:] + seq[:i])) for i in range(k))
-                return
-            for b, state in memo[acc][1]:
-                list_from(state, seq + (b,))
+    start = (0, _block_nf(table, head)[1])
+    rest = tuple((b, _block_nf(table, b)[1]) for b in d.blocks if b != head)
+    total = k * count(rest, start)
+    status = "budget" if stopped else "exhausted"
+    if not listed:
+        return SearchResult(d, total, status)
+    orderings: list[tuple[tuple[int, ...], ...]] = []
 
-        list_from(start, (head,))
-        return SearchResult(d, total, "exhausted", tuple(sorted(orderings)))
-
-    forms = [nf_of[b] for b in d.blocks]
-    found: set[tuple[tuple[int, ...], ...]] = set()
-
-    def walk(group: Sequence[tuple[int, ...]], depth: int, cur: int, inf: int, ids: tuple) -> None:
-        """Extend (inf, ids), the product of the first depth blocks shared
-        by the draws in group, the last of them block cur, by each distinct
-        block that follows cur among them; a lone draw is followed to its
-        end in a loop."""
-        if len(group) == 1:
-            draw = group[0]
-            for _ in range(depth, k):
-                cur = draw[cur]
-                nxt = _left_weighted(table, ids, forms[cur], m - inf)
-                if nxt is None:
-                    return
-                inf, ids = inf + nxt[0], nxt[1]
-        elif depth < k:
-            buckets: dict[int, list] = {}
-            for draw in group:
-                buckets.setdefault(draw[cur], []).append(draw)
-            for i, sub in buckets.items():
-                nxt = _left_weighted(table, ids, forms[i], m - inf)
-                if nxt is not None:
-                    walk(sub, depth + 1, i, inf + nxt[0], nxt[1])
+    def list_from(acc: tuple, seq: tuple) -> None:
+        if len(seq) == k:
+            orderings.extend(tuple(reversed(seq[i:] + seq[:i])) for i in range(k))
             return
-        if (inf, ids) == target:
-            for draw in group:
-                i = draw[k]
-                applied = []
-                for _ in range(k):
-                    applied.append(i)
-                    i = draw[i]
-                found.add(tuple(d.blocks[i] for i in reversed(applied)))
+        for b, state in memo[acc][1]:
+            list_from(state, seq + (b,))
 
-    walk(_draws(k, budget.tries, budget.seed), 1, d.blocks.index(head), 0, nf_of[head])
-    return SearchResult(d, len(found), "budget", tuple(sorted(found)) if listed else None)
+    list_from(start, (head,))
+    return SearchResult(d, total, status, tuple(sorted(orderings)))

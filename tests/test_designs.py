@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -335,52 +334,6 @@ def test_n6_dihedral_ordering_counts():
     assert found == N6_DIHEDRAL_COUNTS
 
 
-@pytest.mark.parametrize(
-    "m, blocks, seed, tries, finds",
-    [
-        pytest.param(5, K5, 0, 2000, 2, id="5-blocks0-0"),
-        pytest.param(5, K5, 1, 2000, 5, id="5-blocks0-1"),
-        pytest.param(5, K5, 2, 2000, 4, id="5-blocks0-2"),
-        pytest.param(4, ALL_PAIRS_4, 0, 2000, 47, id="4-blocks1-0"),
-        pytest.param(4, ALL_PAIRS_4, 1, 2000, 45, id="4-blocks1-1"),
-        pytest.param(4, ALL_PAIRS_4, 2, 2000, 47, id="4-blocks1-2"),
-        # the n=7 (3,3,3,4,4,4) symmetric representative: 9 blocks, so the
-        # walk shares prefixes up to 8 deep
-        pytest.param(6, THREE_TRIPLES, 3, 2000, 1, id="6-three-triples-3"),
-        # its head (1, 5, 6) is block 3, so the walk starts past the first
-        # index of every draw
-        pytest.param(6, THREE_TRIPLES, 24, 2000, 1, id="6-three-triples-24"),
-        pytest.param(6, THREE_TRIPLES, 36, 2000, 1, id="6-three-triples-36"),
-        pytest.param(5, K5, 0, 0, 0, id="5-blocks0-no-tries"),
-    ],
-)
-def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, finds):
-    # reference: the same shuffles, each multiplied out in full from the
-    # identity, unrotated, unsorted and with no bound
-    d = Design(m, blocks)
-    budget = SearchBudget(exhaustive_cap=0, tries=tries, seed=seed)
-    target = normal_form(full_twist(m))
-    nf_of = {b: normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))) for b in d.blocks}
-
-    def product(application_order):
-        acc = NormalForm(m, 0, ())
-        for b in application_order:
-            acc = nf_mul(acc, nf_of[b])
-        return acc
-
-    expected = set()
-    rng = random.Random(seed)
-    shuffled = list(d.blocks)
-    for _ in range(budget.tries):
-        rng.shuffle(shuffled)
-        if product(shuffled) == target:
-            expected.add(tuple(reversed(shuffled)))
-    res = search_orderings(d, budget)
-    assert res.status == "budget"
-    assert len(expected) == finds
-    assert res.orderings == tuple(sorted(expected))
-
-
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """A one-item list counting the search's designs._left_weighted calls,
@@ -396,20 +349,72 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_search_shuffle_walk_shares_prefix_products(kernel_calls):
-    res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000, seed=0))
-    assert len(res.orderings) == 2
-    # multiplying each of the 2,000 shuffles out on its own from the
-    # identity, with the same prune, takes 8,922 calls
-    assert kernel_calls[0] == 1601
+@functools.cache
+def _realizes(m, ordering):
+    """Reference: the written ordering multiplied out in full from the
+    identity, unrotated and with no bound, equals the full twist."""
+    acc = NormalForm(m, 0, ())
+    for b in reversed(ordering):
+        acc = nf_mul(acc, normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))))
+    return acc == normal_form(full_twist(m))
 
 
-def test_search_shuffle_walk_cost_from_largest_block(kernel_calls):
-    # the n = 7 symmetric audit at cap 8: five of its six budget classes
-    # (9 to 13 blocks) walk their draws from a triple or larger;
-    # starting every search at blocks[0] instead takes 15,279 calls
-    completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000, seed=1))
-    assert kernel_calls[0] == 9808
+@pytest.mark.parametrize("tries", [0, 1, 50, 546, 547, 10**6])
+@pytest.mark.parametrize(
+    "m, blocks",
+    [
+        pytest.param(5, K5, id="K5"),
+        pytest.param(4, ALL_PAIRS_4, id="K4"),
+        # the n=7 (3,3,3,4,4,4) symmetric representative; its head (1, 5, 6)
+        # is block 3, so the search starts past the first block
+        pytest.param(6, THREE_TRIPLES, id="three-triples"),
+    ],
+)
+def test_search_budget_path_matches_unpruned_products(kernel_calls, m, blocks, tries):
+    d = Design(m, blocks)
+    full = search_orderings(d, SearchBudget(exhaustive_cap=len(blocks)))
+    multiplies = kernel_calls[0]
+    kernel_calls[0] = 0
+    res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries))
+    assert res.count == len(res.orderings)
+    assert all(_realizes(m, o) for o in res.orderings)
+    assert set(res.orderings) <= set(full.orderings)
+    # each limit is checked before a multiply, so the search makes at most
+    # tries of them, and exactly min(tries, multiplies) when it never counts
+    # tries orderings
+    assert kernel_calls[0] <= min(tries, multiplies)
+    if res.count < tries:
+        assert kernel_calls[0] == min(tries, multiplies)
+    if tries > max(multiplies, full.count):  # neither limit binds
+        assert res.status == "exhausted"
+    if res.status == "exhausted":
+        assert res == full
+
+
+def test_search_budget_path_on_three_triples():
+    # 547 multiplies end the search; the orderings limit never binds
+    d = Design(6, THREE_TRIPLES)
+    found = []
+    for tries in (100, 546, 547):
+        res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries))
+        found.append((res.status, res.count))
+    assert found == [("budget", 0), ("budget", 18), ("exhausted", 18)]
+
+
+def test_search_budget_path_stops_at_the_orderings_limit(kernel_calls):
+    res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000))
+    # the limit is checked before each multiply, and a memo hit adds all
+    # its completions at once, so the count passes 2,000 by one hit
+    assert (res.status, res.count) == ("budget", 2060)
+    assert kernel_calls[0] == 1049
+
+
+def test_search_budget_path_cost_from_largest_block(kernel_calls):
+    # the n = 7 symmetric audit at cap 8: its four budget classes (11 to 15
+    # blocks) and its 9- and 10-block classes search from a triple or
+    # larger; starting every search at blocks[0] instead takes 10,634 calls
+    completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
+    assert kernel_calls[0] == 6726
 
 
 def test_every_swing_links_only_its_own_pairs():
@@ -526,9 +531,9 @@ def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
         return _search_step(table, table.m - limit, ids, form)
 
     monkeypatch.setattr(designs, "_left_weighted", checked)
-    completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000, seed=1))
-    assert len(infima) == 9808
-    assert sum(infima) == 596 and max(infima) > 0
+    completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
+    assert len(infima) == 6726
+    assert sum(infima) == 4428 and max(infima) > 0
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -592,7 +597,7 @@ def test_search_budget_rejects_negative(kwargs):
     [("exhaustive_cap", 8.5), ("tries", 2.5), ("tries", True), ("seed", 1.5), ("seed", "0")],
 )
 def test_search_budget_takes_ints_only(field, value):
-    # the three fields key the cache of draws, which must see plain ints
+    # seed is checked like the others, though no search reads it
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         SearchBudget(**{field: value})
 
@@ -610,16 +615,16 @@ def test_search_reports_written_order():
         assert verify_words("k3", lhs, rhs, lk=False).verified
 
 
-def test_search_shuffle_path_takes_designs_past_256_blocks():
-    # the 24-point all-pairs design has 276 blocks; draws are plain int
-    # tuples, so no block index has a byte-sized limit
+def test_search_budget_path_takes_designs_past_256_blocks():
+    # the 24-point all-pairs design has 276 blocks; with one try the search
+    # makes one multiply and stops
     d = Design(24, tuple(itertools.combinations(range(1, 25), 2)))
     res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=1))
     assert len(d.blocks) == 276
     assert res.status == "budget"
 
 
-def test_search_shuffle_path_interns_few_simples(monkeypatch):
+def test_search_budget_path_interns_few_simples(monkeypatch):
     # memory guard: the kernel interns only the two results of each pair it
     # slides, not every simple met on the way; a fresh table per strand
     # count keeps the count cold.  The search runs in the dual structure,
@@ -639,7 +644,7 @@ def test_search_forms_built_once_per_table(monkeypatch):
     from planar_monoid import braid
 
     def built():
-        completeness_check(7, "symmetric", SearchBudget(8, 2000, 1))
+        completeness_check(7, "symmetric", SearchBudget(8, 2000))
         return designs._block_nf.cache_info().misses
 
     designs._block_nf.cache_clear()
@@ -687,10 +692,9 @@ def test_audit_work_repeats(monkeypatch):
 
         monkeypatch.setattr(designs, name, counted)
     designs._block_nf.cache_clear()
-    designs._draws.cache_clear()
     seen = []
     for _ in range(3):
-        completeness_check(6, "dihedral", SearchBudget(8, 2000, 5))
+        completeness_check(6, "dihedral", SearchBudget(8, 2000))
         seen.append(dict(calls))
         calls.update(dict.fromkeys(calls, 0))
     assert seen[0]["swing_word"] > 0
@@ -707,65 +711,23 @@ def test_mirrored_full_twist_is_delta_power(m):
     assert braid._dual_normal_form(mirror) == (m, ())
 
 
-@pytest.mark.parametrize("seed", [0, 1, 5, 2024])
-def test_draws_reproduce_random_shuffle(seed):
-    # the shuffle path draws with random.shuffle's own rejection sequence,
-    # inlined, so each draw's successor map, read from its first index,
-    # gives back the sequence of random.Random(seed).shuffle
-    for k in range(1, 301):
-        rng = random.Random(seed)
-        shuffled = list(range(k))
-        expected = []
-        for _ in range(3):
-            rng.shuffle(shuffled)
-            expected.append(tuple(shuffled))
-        decoded = []
-        for draw in designs._draws(k, 3, seed):
-            assert len(draw) == k + 1
-            i, seq = draw[k], []
-            for _ in range(k):
-                seq.append(i)
-                i = draw[i]
-            assert i == draw[k]  # the map closes into one cycle
-            decoded.append(tuple(seq))
-        assert decoded == expected
-
-
-def test_draws_are_one_shared_tuple_per_key():
-    draws = designs._draws(11, 2000, 0)
-    assert type(draws) is tuple and all(type(t) is tuple for t in draws)
-    assert designs._draws(11, 2000, 0) is draws
-    assert designs._draws(11, 5, 0) == draws[:5]
-
-
-@pytest.mark.parametrize("mode, misses, hits", [("dihedral", 5, 27), ("symmetric", 5, 1)])
-def test_audit_draws_once_per_block_count(mode, misses, hits):
-    # the n = 7 budget classes have 9-15 blocks: five block counts, so
-    # five draw lists, whatever the number of classes
-    designs._draws.cache_clear()
-    completeness_check(7, mode, SearchBudget(8, 2000, 0))
-    info = designs._draws.cache_info()
-    assert (info.misses, info.hits) == (misses, hits)
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_shared_draws_keep_audit_report(monkeypatch, seed):
-    budget = SearchBudget(8, 2000, seed)
-    designs._draws.cache_clear()
-    cold = completeness_check(7, "symmetric", budget).to_json_obj()
-    warm = completeness_check(7, "symmetric", budget).to_json_obj()
-    monkeypatch.setattr(designs, "_draws", designs._draws.__wrapped__)
-    assert completeness_check(7, "symmetric", budget).to_json_obj() == cold == warm
-
-
 def test_search_budget_path_is_deterministic():
+    # the seed is accepted and ignored: nothing in the search is random
     d = Design(4, ALL_PAIRS_4)
-    budget = SearchBudget(exhaustive_cap=2, tries=300, seed=7)
-    r1 = search_orderings(d, budget)
-    designs._draws.cache_clear()  # the second search draws afresh
-    r2 = search_orderings(d, budget)
+    r1 = search_orderings(d, SearchBudget(exhaustive_cap=2, tries=50, seed=7))
+    r2 = search_orderings(d, SearchBudget(exhaustive_cap=2, tries=50, seed=8))
+    assert SearchBudget(2, 50, seed=7) == SearchBudget(2, 50, seed=8)
     assert r1.status == "budget"
-    assert r1.orderings == r2.orderings
+    assert r1 == r2
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("mode", ["dihedral", "symmetric"])
+def test_default_budget_decides_every_audit_class(n, mode):
+    # no class is left at ("budget", 0): each is exhausted or counts an
+    # ordering, so no verdict rests on a search that found nothing
+    rep = completeness_check(n, mode)
+    assert all((e.status, e.orderings_found) != ("budget", 0) for e in rep.entries)
 
 
 def test_search_result_json():
