@@ -427,56 +427,66 @@ def search_orderings(
     memo: dict[tuple, tuple[int, tuple]] = {}
     dead = (0, ())  # the one entry of every product with no completion
 
-    def count(remaining: tuple, acc: tuple) -> int:
-        """The completions of acc by the (block, form) pairs remaining,
-        counted until a limit stops the search; stores acc's memo entry."""
-        nonlocal spent, found, stopped
+    # The depth-first search keeps its own stack, so a design of any block
+    # count stays within the interpreter's recursion limit.  A frame is the
+    # product acc, the (block, form) pairs remaining, the index i of the
+    # next one to try, and the completions and live edges found so far;
+    # parents holds the suspended frames and the block that led from each.
+    start = (0, _block_nf(table, head)[1])
+    remaining = tuple((b, _block_nf(table, b)[1]) for b in d.blocks if b != head)
+    acc, i, total, live = start, 0, 0, []
+    parents: list[tuple] = []
+    while True:
         inf, ids = acc
-        last = len(remaining) == 1
-        total = 0
-        live = []
-        for i, (b, form) in enumerate(remaining):
-            if spent >= tries or found >= need:
-                stopped = True
-                break
+        n = len(remaining)
+        while i < n and spent < tries and found < need:
+            b, form = remaining[i]
+            i += 1
             spent += 1
             nxt = _left_weighted(table, ids, form, m - inf)
             if nxt is None:
                 continue
             state = (inf + nxt[0], nxt[1])
-            if last:
+            if n == 1:
                 if state != target:
                     continue
                 below = 1
                 found += 1
             else:
                 hit = memo.get(state)
-                if hit is None:
-                    below = count(remaining[:i] + remaining[i + 1:], state)
-                else:
-                    below = hit[0]
-                    found += below
+                if hit is None:  # descend: suspend this frame, open the next
+                    parents.append((acc, remaining, i, total, live, b))
+                    acc, remaining = state, remaining[:i - 1] + remaining[i:]
+                    i = total = 0
+                    live = []
+                    break
+                below = hit[0]
+                found += below
                 if not below:
                     continue
             total += below
             live.append((b, state))
-        memo[acc] = (total, tuple(live)) if live else dead
-        return total
-
-    start = (0, _block_nf(table, head)[1])
-    rest = tuple((b, _block_nf(table, b)[1]) for b in d.blocks if b != head)
-    total = k * count(rest, start)
+        else:
+            # the frame is done, or a limit stopped it before its last block
+            stopped = stopped or i < n
+            memo[acc] = (total, tuple(live)) if live else dead
+            if not parents:
+                break
+            below, state = total, acc
+            acc, remaining, i, total, live, b = parents.pop()
+            if below:
+                total += below
+                live.append((b, state))
+    total *= k
     status = "budget" if stopped else "exhausted"
     if not listed:
         return SearchResult(d, total, status)
     orderings: list[tuple[tuple[int, ...], ...]] = []
-
-    def list_from(acc: tuple, seq: tuple) -> None:
+    todo = [(start, (head,))]
+    while todo:  # walk the live edges from the head
+        acc, seq = todo.pop()
         if len(seq) == k:
             orderings.extend(tuple(reversed(seq[i:] + seq[:i])) for i in range(k))
-            return
-        for b, state in memo[acc][1]:
-            list_from(state, seq + (b,))
-
-    list_from(start, (head,))
+        else:
+            todo.extend((state, seq + (b,)) for b, state in memo[acc][1])
     return SearchResult(d, total, status, tuple(sorted(orderings)))

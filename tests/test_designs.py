@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -404,7 +405,7 @@ def test_search_budget_path_on_three_triples():
 def test_search_budget_path_stops_at_the_orderings_limit(kernel_calls):
     res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000))
     # the limit is checked before each multiply, and a memo hit adds all
-    # its completions at once, so the count passes 2,000 by one hit
+    # its completions at once, so the count can pass 2,000
     assert (res.status, res.count) == ("budget", 2060)
     assert kernel_calls[0] == 1049
 
@@ -616,12 +617,19 @@ def test_search_reports_written_order():
 
 
 def test_search_budget_path_takes_designs_past_256_blocks():
-    # the 24-point all-pairs design has 276 blocks; with one try the search
-    # makes one multiply and stops
+    # the 24-point all-pairs design has 276 blocks.  The search keeps its
+    # own stack, so under a recursion limit of 200 it still goes 276 blocks
+    # deep and lists the orderings it counted
     d = Design(24, tuple(itertools.combinations(range(1, 25), 2)))
-    res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=400))
+    finally:
+        sys.setrecursionlimit(limit)
     assert len(d.blocks) == 276
-    assert res.status == "budget"
+    assert (res.status, res.count) == ("budget", 552)
+    assert {len(o) for o in res.orderings} == {276}
 
 
 def test_search_budget_path_interns_few_simples(monkeypatch):
