@@ -392,6 +392,32 @@ def test_search_budget_path_matches_unpruned_products(kernel_calls, m, blocks, t
         assert res == full
 
 
+@pytest.mark.parametrize(
+    "m, blocks, seed, tries, status, count",
+    [
+        pytest.param(5, K5, 0, 2000, "budget", 2060, id="5-blocks0-0"),
+        pytest.param(5, K5, 1, 2000, "budget", 2060, id="5-blocks0-1"),
+        pytest.param(5, K5, 2, 2000, "budget", 2060, id="5-blocks0-2"),
+        pytest.param(4, ALL_PAIRS_4, 0, 2000, "exhausted", 48, id="4-blocks1-0"),
+        pytest.param(4, ALL_PAIRS_4, 1, 2000, "exhausted", 48, id="4-blocks1-1"),
+        pytest.param(4, ALL_PAIRS_4, 2, 2000, "exhausted", 48, id="4-blocks1-2"),
+        pytest.param(6, THREE_TRIPLES, 3, 2000, "exhausted", 18, id="6-three-triples-3"),
+        pytest.param(6, THREE_TRIPLES, 24, 2000, "exhausted", 18, id="6-three-triples-24"),
+        pytest.param(6, THREE_TRIPLES, 36, 2000, "exhausted", 18, id="6-three-triples-36"),
+        pytest.param(5, K5, 0, 0, "budget", 0, id="5-blocks0-no-tries"),
+    ],
+)
+def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, status, count):
+    # the seeded cases of the former shuffle path, now run by the budgeted
+    # search: a seed is still accepted but chooses nothing, and every
+    # ordering found past the cap multiplies out in full to the full twist
+    d = Design(m, blocks)
+    res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries, seed=seed))
+    assert (res.status, res.count) == (status, count)
+    assert res == search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries))
+    assert all(_realizes(m, o) for o in res.orderings)
+
+
 def test_search_budget_path_on_three_triples():
     # 547 multiplies end the search; the orderings limit never binds
     d = Design(6, THREE_TRIPLES)
