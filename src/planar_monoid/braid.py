@@ -13,10 +13,11 @@ Words are sequences of signed Artin generator indices in *application order*:
   starting- and finishing-set bitmasks, and the kernel works on those ids
   only: each pair that is not left-weighted is replaced by its
   left-weighted pair of ids from one lazily filled table per strand count.
-  `_dual_normal_form` and `_dual_mul` give normal forms as private
-  (infimum, ids) tuples, and `normal_form` and `nf_mul` wrap them as
-  `NormalForm`s.  The ordering search calls the kernel itself, with its
-  optional limit on the factor count; and
+  The kernel keeps every delta at the front of the tuple it returns;
+  `_dual_normal_form` and `_dual_mul` strip them into private (infimum,
+  ids) tuples, which `normal_form` and `nf_mul` wrap as `NormalForm`s.
+  The ordering search holds its products as the kernel's tuples and calls
+  it with a limit on the factor count; and
 * the Lawrence-Krammer representation at q = 1/2, with t formal (a
   cross-check oracle with exact arithmetic, faithful by Krammer's theorem
   for every real 0 < q < 1).  `lk_equal` decides a = b as
@@ -394,23 +395,20 @@ def _dual_simples(m: int) -> _NonCrossing:
 
 def _left_weighted(
     table: _NonCrossing, prefix: Iterable[int], factors: Iterable[int], limit: int = sys.maxsize
-) -> tuple[int, tuple[int, ...]] | None:
-    """Append simple factors to a left-weighted, delta-free prefix, all as
-    ids of one strand count's table.
+) -> tuple[int, ...] | None:
+    """Append simple factors to a left-weighted prefix, all as ids of one
+    strand count's table.
 
     Each factor is slid left pair by pair until a pair is already
     left-weighted; a factor slid down to the identity is dropped.  A pair
     (a, b) is left-weighted iff starts[b] & masks[a] is 0; otherwise it is
     replaced by its left-weighted pair from the table, one lookup per pair.
-    Returns (power of delta stripped from the front, left-weighted id
-    tuple), or None as soon as the factors so far number more than
-    `limit`: their count is the supremum of a positive product, and
-    sup(xy) >= sup(x) for positive y, so the full product would too.
-    Only a leading delta can be stripped, so a product whose first factor
-    is not delta is returned as it stands.
-    The ordering search multiplies a product delta^p A by a block form of
-    infimum 0 as `_left_weighted(table, A, block, m - p)`: None exactly
-    when the product's supremum passes m, else (k, ids) for delta^(p+k).
+    A delta's mask is 0, so slides stop at it and every delta stays in
+    front.  Returns the left-weighted id tuple, or None as soon as the
+    factors so far number more than `limit`: their count is the supremum
+    of a positive product, and sup(xy) >= sup(x) for positive y, so the
+    full product would too.  The ordering search multiplies a product by
+    a block form with the limit m: None exactly when it passes delta^m.
     """
     starts, masks, pairs, size, ident = table.kernel
     fs = list(prefix)
@@ -440,13 +438,15 @@ def _left_weighted(
             start = starts[b]
         if len(fs) > limit:
             return None
-    delta = table.delta
-    if not fs or fs[0] != delta:
-        return 0, tuple(fs)
-    k = 1
-    while k < len(fs) and fs[k] == delta:
+    return tuple(fs)
+
+
+def _strip_delta(table: _NonCrossing, ids: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(k, rest) for the left-weighted ids delta^k . rest."""
+    k = 0
+    while k < len(ids) and ids[k] == table.delta:
         k += 1
-    return k, tuple(fs[k:])
+    return k, ids[k:]
 
 
 def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
@@ -466,7 +466,7 @@ def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
         if k < 0:
             c -= 1
         factors.append(table.letter(k, c))
-    extra, ids = _left_weighted(table, (), factors)
+    extra, ids = _strip_delta(table, _left_weighted(table, (), factors))
     return extra - negatives, ids
 
 
@@ -478,7 +478,7 @@ def _dual_mul(
     table = _dual_simples(m)
     (inf_a, ids_a), (inf_b, ids_b) = a, b
     prefix = [table.tau(x, -inf_b) for x in ids_a] if inf_b % m else ids_a
-    k, ids = _left_weighted(table, prefix, ids_b)
+    k, ids = _strip_delta(table, _left_weighted(table, prefix, ids_b))
     return inf_a + inf_b + k, ids
 
 

@@ -335,8 +335,8 @@ class SearchResult(_Value):
 
 
 @functools.lru_cache(maxsize=512)  # every block on up to 7 points is 213 forms
-def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Dual normal form, in ids of `table`, of the mirror (every letter's
+def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, ...]:
+    """Dual normal form, as ids of `table`, of the mirror (every letter's
     sign flipped) of the swing over block on table.m strands.
 
     The form is kept per key, so each is built once per table: callers pass
@@ -349,7 +349,7 @@ def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, t
     form = _dual_normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
     if form[0] != 0 or len(form[1]) != len(block):
         raise AssertionError(f"mirrored swing over {block} is not a dual simple power: {form}")
-    return form
+    return form[1]
 
 
 def search_orderings(
@@ -396,19 +396,19 @@ def search_orderings(
     block is dual-positive.  A prefix of a realizing order times the
     positive product of the rest is delta^m, so the prefix left-divides
     delta^m: its dual supremum (infimum + canonical length) is at most m.
-    A product is held as (infimum, factor ids) and multiplied by a block in
-    one call of the Garside kernel, _left_weighted, appending the block's
-    factors to the product's with the limit m - infimum.  No tau
-    conjugation is needed, since every block form has infimum 0, and the
-    kernel returns None unfinished as soon as the product's supremum passes
-    m; such a product has no completion and is dropped before it reaches
-    the memo.  The head is not checked, but a positive factor never lowers
-    the supremum, so every product through a failing one fails its own
-    step.
+    A product is held as the kernel's left-weighted id tuple, deltas in
+    front, whose length is its supremum, and is multiplied by a block in
+    one call of the Garside kernel, _left_weighted, with the limit m.  No
+    tau conjugation is needed, since every block form has infimum 0, and
+    the kernel returns None unfinished as soon as the product's supremum
+    passes m; such a product has no completion and is dropped before it
+    reaches the memo.  The head is not checked, but a positive factor
+    never lowers the supremum, so every product through a failing one
+    fails its own step.
     """
     m = d.points
     table = braid._dual_simples(m)
-    target = (m, ())  # delta^m, the mirror of the full twist delta^-m
+    target = (table.delta,) * m  # delta^m, the mirror of the full twist delta^-m
     head = max(d.blocks, key=len)
     k = len(d.blocks)
     if k <= budget.exhaustive_cap:
@@ -424,7 +424,7 @@ def search_orderings(
     # linking number of exactly its own pairs by the same unit, and each
     # pair lies in exactly one block, so the linking numbers of acc
     # (invariants of the braid) name the used blocks, hence remaining.
-    memo: dict[tuple, tuple[int, tuple]] = {}
+    memo: dict[tuple[int, ...], tuple[int, tuple]] = {}
     dead = (0, ())  # the one entry of every product with no completion
 
     # The depth-first search keeps its own stack, so a design of any block
@@ -432,21 +432,19 @@ def search_orderings(
     # product acc, the (block, form) pairs remaining, the index i of the
     # next one to try, and the completions and live edges found so far;
     # parents holds the suspended frames and the block that led from each.
-    start = (0, _block_nf(table, head)[1])
-    remaining = tuple((b, _block_nf(table, b)[1]) for b in d.blocks if b != head)
+    start = _block_nf(table, head)
+    remaining = tuple((b, _block_nf(table, b)) for b in d.blocks if b != head)
     acc, i, total, live = start, 0, 0, []
     parents: list[tuple] = []
     while True:
-        inf, ids = acc
         n = len(remaining)
         while i < n and spent < tries and found < need:
             b, form = remaining[i]
             i += 1
             spent += 1
-            nxt = _left_weighted(table, ids, form, m - inf)
-            if nxt is None:
+            state = _left_weighted(table, acc, form, m)
+            if state is None:
                 continue
-            state = (inf + nxt[0], nxt[1])
             if n == 1:
                 if state != target:
                     continue

@@ -20,6 +20,7 @@ from planar_monoid.braid import (
     normal_form,
 )
 from planar_monoid.catalog import builtin, verify
+from planar_monoid.designs import Design, _block_nf, enumerate_designs
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word, to_braid
 from strand_reference import strand_linking
 
@@ -269,6 +270,15 @@ def _ref_dual_word(m, form):
 def _ref_atoms(p):
     # the number of atoms a_ts in any positive word for p: m - blocks
     return len(p) - len(_ref_blocks(p))
+
+
+def _ref_leading_deltas(table, ids):
+    """The number of ids at the front of a kernel tuple that are delta, read
+    from their permutations: the tuple's infimum."""
+    k = 0
+    while k < len(ids) and table.perm[ids[k]] == _ref_delta(table.m):
+        k += 1
+    return k
 
 
 def _assert_left_weighted(m, perms):
@@ -523,7 +533,10 @@ def _capped_mul(m, a, b, sup):
     (inf_a, ids_a), (inf_b, ids_b) = a, b
     prefix = [table.tau(x, -inf_b) for x in ids_a]
     found = braid._left_weighted(table, prefix, ids_b, sup - inf_a - inf_b)
-    return None if found is None else (inf_a + inf_b + found[0], found[1])
+    if found is None:
+        return None
+    k = _ref_leading_deltas(table, found)
+    return inf_a + inf_b + k, found[k:]
 
 
 @given(st.data())
@@ -586,6 +599,44 @@ def test_dual_form_is_left_weighted(pair):
         _assert_left_weighted(m, [table.perm[x] for x in ids])
 
 
+@st.composite
+def positive_dual_factors(draw, m):
+    """Ids of simple factors on m strands, in the shared table: a random
+    positive dual word, or the mirrored block forms of a design folded in a
+    random order, as the ordering search folds them."""
+    table = braid._dual_simples(m)
+    if draw(st.booleans()):
+        simples = _ref_non_crossing(m)
+        return [table.intern(p) for p in draw(st.lists(st.sampled_from(simples), max_size=16))]
+    if m <= 7:
+        d = draw(st.sampled_from(enumerate_designs(m, "dihedral")))
+    else:
+        d = Design(m, itertools.combinations(range(1, m + 1), 2))
+    blocks = draw(st.permutations(d.blocks))
+    return [x for b in blocks[: draw(st.integers(0, len(blocks)))] for x in _block_nf(table, b)]
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_kernel_keeps_every_delta_in_front(data):
+    # the kernel's tuple: its deltas lead, stripped it is the dual normal
+    # form of the concatenated word, and deltas put in front of the prefix
+    # come out in front of the product, one for one
+    m = data.draw(st.integers(3, 8))
+    table = braid._dual_simples(m)
+    head, tail = data.draw(positive_dual_factors(m)), data.draw(positive_dual_factors(m))
+    prefix = braid._left_weighted(table, (), head)
+    product = braid._left_weighted(table, prefix, tail)
+    deltas = [i for i, x in enumerate(product) if x == table.delta]
+    assert deltas == list(range(len(deltas)))
+    k = _ref_leading_deltas(table, product)
+    assert k == len(deltas)
+    word = BraidWord(m, tuple(g for x in head + tail for g in _ref_simple_word(table.perm[x])))
+    assert (k, product[k:]) == braid._dual_normal_form(word)
+    j = data.draw(st.integers(0, 3))
+    assert braid._left_weighted(table, (table.delta,) * j + prefix, tail) == (table.delta,) * j + product
+
+
 def _ref_dual_pair(m, a, b, simples):
     """Left-weighted, delta-stripped form of the pair (a, b) of permutations:
     (a.c, c^-1.b) with c the meet of da and b, the non-crossing partition
@@ -617,8 +668,9 @@ def test_dual_pair_table_keys_are_exact_for_every_id(monkeypatch):
     rng = random.Random(7)
     for _ in range(400):
         a, b = rng.choice(simples), rng.choice(simples)
-        k, ids = braid._left_weighted(table, (table.intern(a),), (table.intern(b),))
-        assert (k, tuple(map(table.perm.__getitem__, ids))) == _ref_dual_pair(m, a, b, simples)
+        ids = braid._left_weighted(table, (table.intern(a),), (table.intern(b),))
+        k = _ref_leading_deltas(table, ids)
+        assert (k, tuple(map(table.perm.__getitem__, ids[k:]))) == _ref_dual_pair(m, a, b, simples)
     assert len(table.perm) == 429
     for m in range(1, 9):
         assert braid._NonCrossing(m).size == len(_ref_non_crossing(m))

@@ -37,6 +37,7 @@ from planar_monoid.designs import (
 )
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, swing_word
 from strand_reference import strand_linking
+from test_braid import _ref_atoms, _ref_leading_deltas
 
 ALL_PAIRS_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K5 = tuple(itertools.combinations(range(1, 6), 2))
@@ -519,17 +520,26 @@ def test_search_counts_without_listing(kernel_calls, m, blocks, count, calls):
     assert kernel_calls[0] == calls
 
 
-def _search_step(table, inf, ids, form):
-    """The search's multiply of the state delta^inf.ids by a block form,
-    checked against the uncapped product: equal to it while it left-divides
-    delta^m, else None."""
+def _search_step(table, state, form):
+    """The search's multiply of a state, the kernel's tuple whose leading
+    delta ids count its infimum, by a block form, checked against the
+    uncapped product: equal to it while it left-divides delta^m, else None.
+
+    The length argument: the dual monoid is graded by atom count, delta^m
+    has m(m - 1) atoms, and a left divisor of delta^m with as many atoms
+    is delta^m itself.  Every design's blocks hold m(m - 1) atoms in all,
+    so a last step that fits under the bound is the target."""
     m = table.m
-    step = _left_weighted(table, ids, form, m - inf)
-    product = _dual_mul(m, (inf, ids), (0, form))
+    step = _left_weighted(table, state, form, m)
+    inf = _ref_leading_deltas(table, state)
+    product = _dual_mul(m, (inf, state[inf:]), (0, form))
     if product[0] + len(product[1]) > m:
         assert step is None
         return None
-    assert (inf + step[0], step[1]) == product
+    k = _ref_leading_deltas(table, step)
+    assert (k, step[k:]) == product
+    if sum(_ref_atoms(table.perm[x]) for x in step) == m * (m - 1):
+        assert step == (table.delta,) * m
     return step
 
 
@@ -540,27 +550,32 @@ def test_search_step_is_the_capped_dual_mul(data):
     m = data.draw(st.integers(4, 6))
     d = data.draw(st.sampled_from(enumerate_designs(m, "dihedral")))
     table = _dual_simples(m)
-    inf, ids = 0, ()
+    state = ()
     for b in data.draw(st.permutations(d.blocks)):
-        step = _search_step(table, inf, ids, designs._block_nf(table, b)[1])
-        if step is None:
+        state = _search_step(table, state, designs._block_nf(table, b))
+        if state is None:
             break
-        inf, ids = inf + step[0], step[1]
 
 
 def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
     # every multiply of the n = 7 symmetric audit, whose states, unlike
-    # most random folds, reach infima above 0
+    # most random folds, reach infima above 0, and 21 of which reach the
+    # target, each by the length argument
     infima = []
+    targets = [0]
 
-    def checked(table, ids, form, limit):
-        infima.append(table.m - limit)
-        return _search_step(table, table.m - limit, ids, form)
+    def checked(table, state, form, limit):
+        assert limit == table.m
+        infima.append(_ref_leading_deltas(table, state))
+        step = _search_step(table, state, form)
+        targets[0] += step == (table.delta,) * table.m
+        return step
 
     monkeypatch.setattr(designs, "_left_weighted", checked)
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
     assert len(infima) == 6726
     assert sum(infima) == 4428 and max(infima) > 0
+    assert targets[0] == 21
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
