@@ -21,6 +21,7 @@ from .braid import _json_int, _Value, equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
+    SearchResult,
     enumerate_designs,
     exponents_from_design,
     replication,
@@ -42,7 +43,6 @@ from .surface import (
 __all__ = [
     "Relation",
     "VerificationReport",
-    "AuditEntry",
     "ReplicationClassSummary",
     "AuditReport",
     "ChiRecord",
@@ -148,41 +148,6 @@ def verify(r: Relation, lk: bool = True) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # completeness audits
 
-class AuditEntry(_Value):
-    """Search outcome for one design class.
-
-    orderings_found is search_orderings' count for the canonical
-    representative under the audit's budget, counted without listing the
-    orderings: exact with status "exhausted", and with status "budget" a
-    lower bound from a search its budget stopped, whose 0 proves nothing.
-    The catalog verdict is per replication multiset: see the
-    ReplicationClassSummary keyed by replications.
-    """
-
-    __slots__ = ("design", "orderings_found", "status")
-
-    def __init__(self, design: Design, orderings_found: int, status: str):
-        self._set(design, orderings_found, status)
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        """The lhs exponents of the relation the design's blocks would give."""
-        return exponents_from_design(self.design).exponents
-
-    @property
-    def replications(self) -> tuple[int, ...]:
-        """The design's replication multiset, sorted."""
-        return tuple(sorted(replication(self.design)))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "design": self.design.to_json_obj(),
-            "exponents": list(self.exponents),
-            "orderings_found": self.orderings_found,
-            "status": self.status,
-        }
-
-
 class ReplicationClassSummary(_Value):
     """One replication multiset: its chi pair and the catalog verdict.
 
@@ -225,7 +190,7 @@ class AuditReport(_Value):
     __slots__ = ("n", "mode", "entries", "replication_classes")
 
     def __init__(
-        self, n: int, mode: str, entries: tuple[AuditEntry, ...],
+        self, n: int, mode: str, entries: tuple[SearchResult, ...],
         replication_classes: tuple[ReplicationClassSummary, ...],
     ):
         self._set(n, mode, entries, replication_classes)
@@ -237,7 +202,10 @@ class AuditReport(_Value):
         return {
             "n": self.n,
             "mode": self.mode,
-            "entries": [e.to_json_obj() for e in self.entries],
+            "entries": [
+                {**e.to_json_obj(), "exponents": list(exponents_from_design(e.design).exponents)}
+                for e in self.entries
+            ],
             "replication_classes": [c.to_json_obj() for c in self.replication_classes],
         }
 
@@ -261,10 +229,11 @@ def completeness_check(
 ) -> AuditReport:
     """Search every design class at m = n-1; compare per replication multiset.
 
-    Every class is searched with the caller's budget.  An empty search
-    proves non-realizability only with status "exhausted"; with "budget"
-    it proves nothing.  The catalog and the bundled printed-chi table are
-    compared per multiset (ReplicationClassSummary).
+    Every class is searched with the caller's budget, and the report's
+    entries are search_orderings' own results, counted without listing.
+    An empty search proves non-realizability only with status "exhausted";
+    with "budget" it proves nothing.  The catalog and the bundled
+    printed-chi table are compared per multiset (ReplicationClassSummary).
     """
     if _json_int(n, "n") not in CATALOGUED_N:
         raise ValueError(f"no catalog to audit against for n={n}")
@@ -272,13 +241,10 @@ def completeness_check(
         raise ValueError(f"unknown audit mode {mode!r}, want one of {AUDIT_MODES}")
     m = n - 1
 
-    entries = []
-    by_reps: dict[tuple[int, ...], list[AuditEntry]] = {}
-    for d in enumerate_designs(m, mode):
-        res = search_orderings(d, budget, listed=False)
-        e = AuditEntry(design=d, orderings_found=res.count, status=res.status)
-        entries.append(e)
-        by_reps.setdefault(e.replications, []).append(e)
+    entries = tuple(search_orderings(d, budget, listed=False) for d in enumerate_designs(m, mode))
+    by_reps: dict[tuple[int, ...], list[SearchResult]] = {}
+    for e in entries:
+        by_reps.setdefault(tuple(sorted(replication(e.design))), []).append(e)
 
     catalogued: dict[tuple[int, ...], list[Relation]] = {}
     for r in builtin(n):
@@ -303,7 +269,7 @@ def completeness_check(
             )
         )
 
-    return AuditReport(n=n, mode=mode, entries=tuple(entries), replication_classes=tuple(classes))
+    return AuditReport(n=n, mode=mode, entries=entries, replication_classes=tuple(classes))
 
 
 # ---------------------------------------------------------------------------

@@ -309,27 +309,27 @@ class SearchBudget(_Value):
 class SearchResult(_Value):
     """How many orderings of a design's blocks realize the full twist.
 
-    status "exhausted": count is exact, and 0 is a proof of
+    status "exhausted": orderings_found is exact, and 0 is a proof of
     non-realizability.  status "budget": the search stopped at a limit, and
-    count is a lower bound: every ordering counted realizes, but 0 proves
-    nothing.  orderings is the sorted tuple of the counted ones if the
-    search listed them, else None.
+    orderings_found is a lower bound: every ordering counted realizes, but
+    0 proves nothing.  orderings is the sorted tuple of the counted ones if
+    the search listed them, else None; completeness audits count without
+    listing, so their entries hold None.
     """
 
-    __slots__ = ("design", "count", "status", "orderings")
+    __slots__ = ("design", "orderings_found", "status", "orderings")
 
-    def __init__(self, design: Design, count: int, status: str, orderings: tuple | None = None):
-        if orderings is not None and len(orderings) != count:
-            raise ValueError(f"count {count} but {len(orderings)} orderings listed")
-        self._set(design, count, status, orderings)
-
-    def realizable(self) -> bool:
-        return self.count > 0
+    def __init__(
+        self, design: Design, orderings_found: int, status: str, orderings: tuple | None = None
+    ):
+        if orderings is not None and len(orderings) != orderings_found:
+            raise ValueError(f"count {orderings_found} but {len(orderings)} orderings listed")
+        self._set(design, orderings_found, status, orderings)
 
     def to_json_obj(self) -> dict:
         return {
             "design": self.design.to_json_obj(),
-            "orderings_found": self.count,
+            "orderings_found": self.orderings_found,
             "status": self.status,
         }
 
@@ -366,7 +366,8 @@ def search_orderings(
     If it ends first the status is still "exhausted" and the count exact;
     if a limit stops it the status is "budget" and the count is a lower
     bound, whose 0 proves nothing.  With listed=False the same multiplies
-    give the same count, and orderings is None.
+    give the same count, and orderings is None; completeness_check keeps
+    each such result as it stands as an audit entry.
 
     The search fixes the block applied first, the head, and counts from
     it.  This is sound because the full twist is central: if b.w is the
@@ -381,7 +382,10 @@ def search_orderings(
     each product to its number of completions and its live edges, the
     (block, next product) pairs with a completion; a product already in
     the memo adds its count with no multiply, and listing walks the live
-    edges from the head, with no multiply.  A search stopped by a limit
+    edges from the head, with no multiply.  The memo starts with delta^m
+    and its one empty completion, so the last multiply of a realizing
+    order is a memo hit like any other (only the product of every block
+    has the atoms of delta^m; see the seed).  A search stopped by a limit
     stores each open product's partial entry as it unwinds, so the count
     and the listing cover the same orderings, each of which realizes.
     Every block's mirrored form is built once per table of simples
@@ -408,7 +412,6 @@ def search_orderings(
     """
     m = d.points
     table = braid._dual_simples(m)
-    target = (table.delta,) * m  # delta^m, the mirror of the full twist delta^-m
     head = max(d.blocks, key=len)
     k = len(d.blocks)
     if k <= budget.exhaustive_cap:
@@ -424,7 +427,13 @@ def search_orderings(
     # linking number of exactly its own pairs by the same unit, and each
     # pair lies in exactly one block, so the linking numbers of acc
     # (invariants of the braid) name the used blocks, hence remaining.
-    memo: dict[tuple[int, ...], tuple[int, tuple]] = {}
+    # delta^m, the mirror of the full twist, has one empty completion.  Atoms
+    # add up under multiplication of positive braids, a block's form
+    # delta_S^|S| has |S|(|S| - 1) of them, and the blocks partition the
+    # pairs, so only the product of every block has the m(m - 1) atoms of
+    # delta^m: no earlier product hits its entry, and a last product kept
+    # under supremum m (m simples of at most m - 1 atoms) is delta^m.
+    memo: dict[tuple[int, ...], tuple[int, tuple]] = {(table.delta,) * m: (1, ())}
     dead = (0, ())  # the one entry of every product with no completion
 
     # The depth-first search keeps its own stack, so a design of any block
@@ -445,23 +454,17 @@ def search_orderings(
             state = _left_weighted(table, acc, form, m)
             if state is None:
                 continue
-            if n == 1:
-                if state != target:
-                    continue
-                below = 1
-                found += 1
-            else:
-                hit = memo.get(state)
-                if hit is None:  # descend: suspend this frame, open the next
-                    parents.append((acc, remaining, i, total, live, b))
-                    acc, remaining = state, remaining[:i - 1] + remaining[i:]
-                    i = total = 0
-                    live = []
-                    break
-                below = hit[0]
-                found += below
-                if not below:
-                    continue
+            hit = memo.get(state)
+            if hit is None:  # descend: suspend this frame, open the next
+                parents.append((acc, remaining, i, total, live, b))
+                acc, remaining = state, remaining[:i - 1] + remaining[i:]
+                i = total = 0
+                live = []
+                break
+            below = hit[0]
+            found += below
+            if not below:
+                continue
             total += below
             live.append((b, state))
         else:

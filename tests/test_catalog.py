@@ -11,7 +11,14 @@ from planar_monoid.catalog import (
     verify,
     verify_words,
 )
-from planar_monoid.designs import SearchBudget, feasible_replication, from_rhs, replication
+from planar_monoid.designs import (
+    SearchBudget,
+    enumerate_designs,
+    feasible_replication,
+    from_rhs,
+    replication,
+    search_orderings,
+)
 from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
 
 
@@ -159,14 +166,16 @@ def test_completeness_member_witness_decides_catalogued_classes():
     # members' own words, never by a search find
     rep = completeness_check(6, "dihedral", SearchBudget(exhaustive_cap=8, tries=0))
     assert rep.all_match()
-    k5 = [e for e in rep.entries if e.replications == (4, 4, 4, 4, 4)]
+    k5 = [e for e in rep.entries if tuple(sorted(replication(e.design))) == (4, 4, 4, 4, 4)]
     assert [(e.status, e.orderings_found) for e in k5] == [("budget", 0)]
     by_reps = {c.replications: c for c in rep.replication_classes}
     assert by_reps[(4, 4, 4, 4, 4)].realizable
 
     rep = completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=0))
     assert all(c.realizable for c in rep.replication_classes if c.catalog_labels)
-    four_triples = next(e for e in rep.entries if e.replications == (3, 3, 3, 3, 3, 3))
+    four_triples = next(
+        e for e in rep.entries if tuple(sorted(replication(e.design))) == (3, 3, 3, 3, 3, 3)
+    )
     assert four_triples.status == "exhausted" and four_triples.orderings_found == 0
     by_reps = {c.replications: c for c in rep.replication_classes}
     assert not by_reps[(3, 3, 3, 3, 3, 3)].realizable
@@ -194,7 +203,9 @@ def test_n7_audit_at_cap_11_is_seed_free(mode):
     rep = completeness_check(7, mode, SearchBudget(11, 2000))
     assert all(e.status == "exhausted" for e in rep.entries if len(e.design.blocks) <= 11)
     assert {len(e.design.blocks) for e in rep.entries if e.status == "budget"} == {13, 15}
-    four_triples = [e for e in rep.entries if e.replications == (3, 3, 3, 3, 3, 3)]
+    four_triples = [
+        e for e in rep.entries if tuple(sorted(replication(e.design))) == (3, 3, 3, 3, 3, 3)
+    ]
     assert len(four_triples) == (5 if mode == "dihedral" else 1)
     assert all(e.status == "exhausted" and e.orderings_found == 0 for e in four_triples)
     assert rep.all_match()
@@ -206,9 +217,24 @@ def test_completeness_rejects_unknown_n(n, mode):
         completeness_check(n, mode)
 
 
+@pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(0, 50)], ids=["default", "tries50"])
+@pytest.mark.parametrize("mode", AUDIT_MODES)
+@pytest.mark.parametrize("n", [5, 6])
+def test_audit_entries_are_the_searches_own_results(n, mode, budget):
+    # an audit keeps each class's search result, counted without listing,
+    # as its entry, with no copy into another record; 50 tries stop some
+    rep = completeness_check(n, mode, budget)
+    assert rep.entries == tuple(
+        search_orderings(d, budget, listed=False) for d in enumerate_designs(n - 1, mode)
+    )
+    assert all(e.orderings is None for e in rep.entries)
+    if budget.tries == 50:
+        assert "budget" in {e.status for e in rep.entries}
+
+
 def test_audit_entry_json_schema():
     rep = completeness_check(5)
-    obj = rep.entries[0].to_json_obj()
+    obj = rep.to_json_obj()["entries"][0]
     assert set(obj) == {"design", "exponents", "orderings_found", "status"}
     assert set(rep.replication_classes[0].to_json_obj()) == {
         "replications",

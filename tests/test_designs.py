@@ -263,7 +263,7 @@ def test_search_lantern_class_exhaustive():
     res = search_orderings(Design(3, ((1, 2), (2, 3), (1, 3))))
     assert res.status == "exhausted"
     assert len(res.orderings) == 3
-    assert res.realizable()
+    assert res.orderings_found > 0
 
 
 def test_search_all_pairs_m4():
@@ -378,16 +378,16 @@ def test_search_budget_path_matches_unpruned_products(kernel_calls, m, blocks, t
     multiplies = kernel_calls[0]
     kernel_calls[0] = 0
     res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries))
-    assert res.count == len(res.orderings)
+    assert res.orderings_found == len(res.orderings)
     assert all(_realizes(m, o) for o in res.orderings)
     assert set(res.orderings) <= set(full.orderings)
     # each limit is checked before a multiply, so the search makes at most
     # tries of them, and exactly min(tries, multiplies) when it never counts
     # tries orderings
     assert kernel_calls[0] <= min(tries, multiplies)
-    if res.count < tries:
+    if res.orderings_found < tries:
         assert kernel_calls[0] == min(tries, multiplies)
-    if tries > max(multiplies, full.count):  # neither limit binds
+    if tries > max(multiplies, full.orderings_found):  # neither limit binds
         assert res.status == "exhausted"
     if res.status == "exhausted":
         assert res == full
@@ -414,7 +414,7 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, s
     # ordering found past the cap multiplies out in full to the full twist
     d = Design(m, blocks)
     res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries, seed=seed))
-    assert (res.status, res.count) == (status, count)
+    assert (res.status, res.orderings_found) == (status, count)
     assert res == search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries))
     assert all(_realizes(m, o) for o in res.orderings)
 
@@ -425,7 +425,7 @@ def test_search_budget_path_on_three_triples():
     found = []
     for tries in (100, 546, 547):
         res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=tries))
-        found.append((res.status, res.count))
+        found.append((res.status, res.orderings_found))
     assert found == [("budget", 0), ("budget", 18), ("exhausted", 18)]
 
 
@@ -433,7 +433,7 @@ def test_search_budget_path_stops_at_the_orderings_limit(kernel_calls):
     res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000))
     # the limit is checked before each multiply, and a memo hit adds all
     # its completions at once, so the count can pass 2,000
-    assert (res.status, res.count) == ("budget", 2060)
+    assert (res.status, res.orderings_found) == ("budget", 2060)
     assert kernel_calls[0] == 1049
 
 
@@ -494,7 +494,7 @@ def test_counting_agrees_with_listing(kernel_calls):
         kernel_calls[0] = 0
         listed = search_orderings(d, budget)
         assert counted.orderings is None and counted.status == listed.status == "exhausted"
-        assert counted.count == listed.count == len(listed.orderings), d
+        assert counted.orderings_found == listed.orderings_found == len(listed.orderings), d
         assert kernel_calls[0] == calls, d
 
 
@@ -515,8 +515,8 @@ def test_counting_agrees_with_listing(kernel_calls):
 )
 def test_search_counts_without_listing(kernel_calls, m, blocks, count, calls):
     res = search_orderings(Design(m, blocks), SearchBudget(exhaustive_cap=len(blocks)), listed=False)
-    assert (res.status, res.count, res.orderings) == ("exhausted", count, None)
-    assert res.realizable()
+    assert (res.status, res.orderings_found, res.orderings) == ("exhausted", count, None)
+    assert res.orderings_found > 0
     assert kernel_calls[0] == calls
 
 
@@ -528,7 +528,9 @@ def _search_step(table, state, form):
     The length argument: the dual monoid is graded by atom count, delta^m
     has m(m - 1) atoms, and a left divisor of delta^m with as many atoms
     is delta^m itself.  Every design's blocks hold m(m - 1) atoms in all,
-    so a last step that fits under the bound is the target."""
+    so a last step that fits under the bound is the target.  Conversely a
+    step that reaches delta^m holds m(m - 1) atoms, so it used every block:
+    the search's memo entry for delta^m is hit by no earlier step."""
     m = table.m
     step = _left_weighted(table, state, form, m)
     inf = _ref_leading_deltas(table, state)
@@ -538,23 +540,26 @@ def _search_step(table, state, form):
         return None
     k = _ref_leading_deltas(table, step)
     assert (k, step[k:]) == product
-    if sum(_ref_atoms(table.perm[x]) for x in step) == m * (m - 1):
-        assert step == (table.delta,) * m
+    full = sum(_ref_atoms(table.perm[x]) for x in step) == m * (m - 1)
+    assert full == (step == (table.delta,) * m)
     return step
 
 
 @given(st.data())
 @settings(deadline=None)
 def test_search_step_is_the_capped_dual_mul(data):
-    # blocks of a design folded in a random order, as the search folds them
+    # blocks of a design folded in a random order, as the search folds them;
+    # a fold reaches delta^m, the search's seeded memo entry, exactly when
+    # it has used every block
     m = data.draw(st.integers(4, 6))
     d = data.draw(st.sampled_from(enumerate_designs(m, "dihedral")))
     table = _dual_simples(m)
     state = ()
-    for b in data.draw(st.permutations(d.blocks)):
+    for used, b in enumerate(data.draw(st.permutations(d.blocks)), 1):
         state = _search_step(table, state, designs._block_nf(table, b))
         if state is None:
             break
+        assert (state == (table.delta,) * m) == (used == len(d.blocks))
 
 
 def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
@@ -669,7 +674,7 @@ def test_search_budget_path_takes_designs_past_256_blocks():
     finally:
         sys.setrecursionlimit(limit)
     assert len(d.blocks) == 276
-    assert (res.status, res.count) == ("budget", 552)
+    assert (res.status, res.orderings_found) == ("budget", 552)
     assert {len(o) for o in res.orderings} == {276}
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from planar_monoid.braid import BraidWord, NormalForm, _from_ids, normal_form
 from planar_monoid.catalog import (
-    AuditEntry,
     AuditReport,
     ChiRecord,
     ReplicationClassSummary,
@@ -28,7 +27,7 @@ from planar_monoid.surface import (
 S4, S5 = SurfaceSpec(4), SurfaceSpec(5)
 K4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 TRIANGLE = Design(3, ((1, 2), (1, 3), (2, 3)))
-ENTRY = AuditEntry(TRIANGLE, 0, "exhausted")
+ENTRY = SearchResult(TRIANGLE, 0, "exhausted")
 SUMMARY = ReplicationClassSummary((2, 2, 2), 2, 2, False, ("exhausted",), (), False)
 
 # type -> its fields in constructor order with one value each, and the same
@@ -64,8 +63,14 @@ CASES = {
         {"exhaustive_cap": 8, "tries": 50},
     ),
     SearchResult: (
-        {"design": TRIANGLE, "count": 1, "status": "exhausted", "orderings": (((1, 2), (2, 3), (1, 3)),)},
-        {"design": TRIANGLE, "count": 1, "status": "budget", "orderings": (((1, 2), (2, 3), (1, 3)),)},
+        {
+            "design": TRIANGLE, "orderings_found": 1, "status": "exhausted",
+            "orderings": (((1, 2), (2, 3), (1, 3)),),
+        },
+        {
+            "design": TRIANGLE, "orderings_found": 1, "status": "budget",
+            "orderings": (((1, 2), (2, 3), (1, 3)),),
+        },
     ),
     PlumbingGraph: (
         {"vertices": ((0, -3), (1, -2)), "edges": frozenset({(0, 1)})},
@@ -84,10 +89,6 @@ CASES = {
             "label": "k4", "braid_equal": True, "multiplicities_equal": True, "lhs_chi": 6,
             "rhs_chi": 3, "oracle_agreement": True, "lhs_outer": 1, "rhs_outer": 0,
         },
-    ),
-    AuditEntry: (
-        {"design": TRIANGLE, "orderings_found": 0, "status": "exhausted"},
-        {"design": TRIANGLE, "orderings_found": 1, "status": "exhausted"},
     ),
     ReplicationClassSummary: (
         {
