@@ -4,20 +4,21 @@ Words are sequences of signed Artin generator indices in *application order*:
 ``letters[0]`` acts first.  Equality is decided two independent ways:
 
 * the left-greedy normal form of the dual (Birman-Ko-Lee) Garside
-  structure (the canonical engine; normal forms are hashable and double as
-  memoization keys).  Its simple elements are the non-crossing partitions,
-  and its Garside element delta has delta^m = Delta^2, so the infimum of a
-  normal form is a power of delta and the full twist is delta^-m.  One
-  kernel, `_left_weighted`, appends simple factors one at a time to a
-  left-weighted prefix.  Simple factors are interned as small ints with
-  starting- and finishing-set bitmasks, and the kernel works on those ids
-  only: each pair that is not left-weighted is replaced by its
-  left-weighted pair of ids from one lazily filled table per strand count.
-  The kernel keeps every delta at the front of the tuple it returns;
-  `_dual_normal_form` and `_dual_mul` strip them into private (infimum,
-  ids) tuples, which `normal_form` and `nf_mul` wrap as `NormalForm`s.
-  The ordering search holds its products as the kernel's tuples and calls
-  it with a limit on the factor count; and
+  structure (the canonical engine).  Its simple elements are the
+  non-crossing partitions, and its Garside element delta has delta^m =
+  Delta^2, so the infimum of a normal form is a power of delta and the
+  full twist is delta^-m.  Simple factors are interned as small ints, in
+  one table per strand count, with starting- and finishing-set bitmasks.
+  The layer is two functions over those ids.  The kernel, `nf_mul`,
+  appends simple factors one at a time to a left-weighted prefix: each
+  pair that is not left-weighted is replaced by its left-weighted pair of
+  ids from the table's lazily filled pair map.  It keeps every delta at
+  the front of the tuple it returns, and stops with None once the factors
+  pass an optional limit.  `normal_form` feeds it a word's letters and
+  strips the deltas into an (infimum, ids) tuple; within one process, two
+  words on one strand count have equal tuples exactly when they are the
+  same braid.  The ordering search holds its products as the kernel's
+  tuples and calls it with a limit on the factor count; and
 * the Lawrence-Krammer representation at q = 1/2, with t formal (a
   cross-check oracle with exact arithmetic, faithful by Krammer's theorem
   for every real 0 < q < 1).  `lk_equal` decides a = b as
@@ -45,7 +46,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "BraidWord",
-    "NormalForm",
     "normal_form",
     "nf_mul",
     "equals",
@@ -132,85 +132,6 @@ class BraidWord(_Value):
         return len(self.letters)
 
 
-class NormalForm(_Value):
-    """Dual (Birman-Ko-Lee) left normal form delta^infimum . F_1 ... F_r.
-
-    The infimum is a power of delta, the Garside element with delta^m =
-    Delta^2, so `full_twist(m)` is delta^-m.  Factors are dual simple
-    elements (non-crossing partitions, see `_NonCrossing`), applied left to
-    right, none equal to the identity or to delta, and every adjacent pair
-    left-weighted.  A normal form holds its factors as ids interned in the
-    strand count's table (`_dual_simples`); equality and hashing compare
-    (strands, infimum, ids), so equal braids are equal normal forms.
-    `factors` gives the simples as 0-indexed permutations.
-
-    The constructor takes permutations, checks that they are canonical
-    before interning any, and interns them.  The kernel builds its results
-    from ids with `_from_ids`.  Ids mean something only inside one process,
-    so a normal form pickles through its permutations.
-    """
-
-    __slots__ = ("strands", "infimum", "_ids")
-
-    def __init__(self, strands: int, infimum: int, factors: Iterable[Sequence[int]]):
-        if _json_int(strands, "strand count") < 1:
-            raise ValueError(f"strand count must be positive, got {strands}")
-        _json_int(infimum, "infimum")
-        factors = tuple(tuple(f) for f in factors)
-        table = _dual_simples(strands)
-        ident, delta = table.perm[table.ident], table.perm[table.delta]
-        for f in factors:
-            if sorted(f) != list(ident):
-                raise ValueError(f"factor {f} is not a permutation of 0..{strands - 1}")
-            # p is a non-crossing simple iff it lies below delta in the
-            # absolute order: cycles(p) + cycles(p^-1.delta) = m + 1
-            if len({*_block_labels(f)}) + len({*_block_labels(_left_complement(f))}) != strands + 1:
-                raise ValueError(f"factor {f} is not a non-crossing partition")
-            if f == ident or f == delta:
-                raise ValueError(f"factor {f} is the identity or delta")
-        for a, b in zip(factors, factors[1:]):
-            if _shared_pairs(_left_complement(a)) & _shared_pairs(b):
-                raise ValueError(f"factors {a}, {b} are not left-weighted")
-        self._set(strands, infimum, tuple(map(table.intern, factors)))
-
-    def __repr__(self) -> str:
-        return f"NormalForm(strands={self.strands}, infimum={self.infimum}, factors={self.factors})"
-
-    def __reduce__(self):
-        return NormalForm, (self.strands, self.infimum, self.factors)
-
-    @property
-    def factors(self) -> tuple[tuple[int, ...], ...]:
-        """The factors as 0-indexed permutations."""
-        return tuple(map(_dual_simples(self.strands).perm.__getitem__, self._ids))
-
-    def canonical_length(self) -> int:
-        return len(self._ids)
-
-    def is_identity(self) -> bool:
-        return self.infimum == 0 and not self._ids
-
-    def to_word(self) -> BraidWord:
-        """Re-expand to a braid word (delta power first, then the factors)."""
-        m = self.strands
-        table = _dual_simples(m)
-        delta_letters = _dual_simple_letters(table.perm[table.delta])
-        if self.infimum >= 0:
-            letters = delta_letters * self.infimum
-        else:
-            letters = [-k for k in reversed(delta_letters)] * -self.infimum
-        for f in self.factors:
-            letters += _dual_simple_letters(f)
-        return BraidWord(m, tuple(letters))
-
-
-def _from_ids(strands: int, infimum: int, ids: tuple[int, ...]) -> NormalForm:
-    """The normal form with these interned factor ids, taken as canonical."""
-    nf = object.__new__(NormalForm)
-    nf._set(strands, infimum, ids)
-    return nf
-
-
 # ---------------------------------------------------------------------------
 # permutation helpers (0-indexed image tuples)
 
@@ -291,20 +212,6 @@ def _rotate(p: Sequence[int], c: int) -> tuple[int, ...]:
     return tuple((p[(i + c) % m] - c) % m for i in range(m))
 
 
-def _dual_simple_letters(p: Sequence[int]) -> list[int]:
-    """A positive word (applied left to right) for the dual simple p: each
-    block s_1 < .. < s_k, 1-indexed, as a_{s_k s_{k-1}}..a_{s_2 s_1}."""
-    blocks: dict[int, list[int]] = {}
-    for i, label in enumerate(_block_labels(p)):
-        blocks.setdefault(label, []).append(i + 1)
-    out: list[int] = []
-    for block in blocks.values():
-        for t, s in zip(block[:0:-1], block[-2::-1]):
-            mid = range(t - 1, s, -1)
-            out += [*mid, s, *(-k for k in reversed(mid))]
-    return out
-
-
 class _NonCrossing:
     """The dual simple elements on m strands met so far, interned as ints.
 
@@ -320,8 +227,7 @@ class _NonCrossing:
     to the id of tau^c(x) and `letters` (k, c) to the id of tau^c of
     letter k's factor, both filled on a miss.  Only the simples met are
     interned, so large m costs only what is used.  `kernel` holds (starts,
-    masks, pairs, size, ident), the objects `_left_weighted` reads, in one
-    tuple.
+    masks, pairs, size, ident), the objects `nf_mul` reads, in one tuple.
     """
 
     __slots__ = ("m", "size", "ids", "perm", "starts", "masks", "pairs", "taus", "ident", "delta", "letters", "kernel")
@@ -393,7 +299,7 @@ def _dual_simples(m: int) -> _NonCrossing:
     return _NonCrossing(m)
 
 
-def _left_weighted(
+def nf_mul(
     table: _NonCrossing, prefix: Iterable[int], factors: Iterable[int], limit: int = sys.maxsize
 ) -> tuple[int, ...] | None:
     """Append simple factors to a left-weighted prefix, all as ids of one
@@ -441,21 +347,13 @@ def _left_weighted(
     return tuple(fs)
 
 
-def _strip_delta(table: _NonCrossing, ids: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(k, rest) for the left-weighted ids delta^k . rest."""
-    k = 0
-    while k < len(ids) and ids[k] == table.delta:
-        k += 1
-    return k, ids[k:]
-
-
-def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
+def normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
     """The dual left normal form delta^infimum . F_1 ... F_r of w, as
     (infimum, ids of `_dual_simples(w.strands)`).
 
     Each sigma_k^-1 is delta^-1 . tau(d sigma_k); moving the delta^-1
     markers to the front conjugates each factor by tau once per marker
-    right of it.
+    right of it.  The kernel's leading deltas join the infimum.
     """
     m = w.strands
     table = _dual_simples(m)
@@ -466,33 +364,11 @@ def _dual_normal_form(w: BraidWord) -> tuple[int, tuple[int, ...]]:
         if k < 0:
             c -= 1
         factors.append(table.letter(k, c))
-    extra, ids = _strip_delta(table, _left_weighted(table, (), factors))
-    return extra - negatives, ids
-
-
-def _dual_mul(
-    m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]
-) -> tuple[int, tuple[int, ...]]:
-    """Dual normal form of 'a then b' on m strands: delta^p A . delta^q B
-    = delta^(p+q) tau^-q(A) B."""
-    table = _dual_simples(m)
-    (inf_a, ids_a), (inf_b, ids_b) = a, b
-    prefix = [table.tau(x, -inf_b) for x in ids_a] if inf_b % m else ids_a
-    k, ids = _strip_delta(table, _left_weighted(table, prefix, ids_b))
-    return inf_a + inf_b + k, ids
-
-
-def normal_form(w: BraidWord) -> NormalForm:
-    """The dual left normal form of w."""
-    return _from_ids(w.strands, *_dual_normal_form(w))
-
-
-def nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Normal form of the concatenation 'a then b'."""
-    m = a.strands
-    if m != b.strands:
-        raise ValueError(f"strand counts differ: {m} != {b.strands}")
-    return _from_ids(m, *_dual_mul(m, (a.infimum, a._ids), (b.infimum, b._ids)))
+    ids = nf_mul(table, (), factors)
+    k = 0
+    while k < len(ids) and ids[k] == table.delta:
+        k += 1
+    return k - negatives, ids[k:]
 
 
 def equals(a: BraidWord, b: BraidWord) -> bool:

@@ -19,8 +19,7 @@ import sys
 from collections.abc import Iterable
 
 from . import braid
-from .braid import BraidWord, _dual_normal_form, _left_weighted, _Value
-from .braid import nf_mul, normal_form  # noqa: F401  (bound here so the benchmark tracer can wrap them)
+from .braid import BraidWord, _Value, nf_mul, normal_form
 from .surface import (
     BoundaryWord,
     ConvexCurve,
@@ -336,8 +335,9 @@ class SearchResult(_Value):
 
 @functools.lru_cache(maxsize=512)  # every block on up to 7 points is 213 forms
 def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, ...]:
-    """Dual normal form, as ids of `table`, of the mirror (every letter's
-    sign flipped) of the swing over block on table.m strands.
+    """The ids of `table` in the dual normal form (`normal_form`) of the
+    mirror (every letter's sign flipped) of the swing over block on table.m
+    strands.
 
     The form is kept per key, so each is built once per table: callers pass
     the table as it stands at call time, so a fresh table builds the forms
@@ -346,7 +346,7 @@ def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, .
     is not kept, so the premise is checked once for every block searched.
     """
     swing = swing_word(ConvexCurve.over(block), SurfaceSpec(table.m + 1))
-    form = _dual_normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
+    form = normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
     if form[0] != 0 or len(form[1]) != len(block):
         raise AssertionError(f"mirrored swing over {block} is not a dual simple power: {form}")
     return form[1]
@@ -402,7 +402,7 @@ def search_orderings(
     delta^m: its dual supremum (infimum + canonical length) is at most m.
     A product is held as the kernel's left-weighted id tuple, deltas in
     front, whose length is its supremum, and is multiplied by a block in
-    one call of the Garside kernel, _left_weighted, with the limit m.  No
+    one call of the Garside kernel, nf_mul, with the limit m.  No
     tau conjugation is needed, since every block form has infimum 0, and
     the kernel returns None unfinished as soon as the product's supremum
     passes m; such a product has no completion and is dropped before it
@@ -451,7 +451,7 @@ def search_orderings(
             b, form = remaining[i]
             i += 1
             spent += 1
-            state = _left_weighted(table, acc, form, m)
+            state = nf_mul(table, acc, form, m)
             if state is None:
                 continue
             hit = memo.get(state)

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from planar_monoid import designs
+from planar_monoid import braid, designs
 from planar_monoid.braid import (
     BraidWord,
-    NormalForm,
     full_twist,
     lk_equal,
     nf_mul,
     normal_form,
-    _dual_mul,
     _dual_simples,
-    _left_weighted,
 )
 from planar_monoid.catalog import builtin, completeness_check, verify, verify_words
 from planar_monoid.designs import (
@@ -338,27 +335,27 @@ def test_n6_dihedral_ordering_counts():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """A one-item list counting the search's designs._left_weighted calls,
-    one per multiply."""
+    """A one-item list counting the search's designs.nf_mul calls, one per
+    multiply."""
     calls = [0]
-    left_weighted = designs._left_weighted
+    kernel = designs.nf_mul
 
     def counted(*args):
         calls[0] += 1
-        return left_weighted(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(designs, "_left_weighted", counted)
+    monkeypatch.setattr(designs, "nf_mul", counted)
     return calls
 
 
 @functools.cache
 def _realizes(m, ordering):
-    """Reference: the written ordering multiplied out in full from the
-    identity, unrotated and with no bound, equals the full twist."""
-    acc = NormalForm(m, 0, ())
-    for b in reversed(ordering):
-        acc = nf_mul(acc, normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))))
-    return acc == normal_form(full_twist(m))
+    """Reference: the written ordering's swings, last block first, as one
+    word, unrotated and with no bound, have the normal form of the full
+    twist."""
+    surface = SurfaceSpec(m + 1)
+    word = [k for b in reversed(ordering) for k in swing_word(ConvexCurve.over(b), surface).letters]
+    return normal_form(BraidWord(m, tuple(word))) == normal_form(full_twist(m))
 
 
 @pytest.mark.parametrize("tries", [0, 1, 50, 546, 547, 10**6])
@@ -523,7 +520,8 @@ def test_search_counts_without_listing(kernel_calls, m, blocks, count, calls):
 def _search_step(table, state, form):
     """The search's multiply of a state, the kernel's tuple whose leading
     delta ids count its infimum, by a block form, checked against the
-    uncapped product: equal to it while it left-divides delta^m, else None.
+    kernel with no limit on the state's and the form's factors from the
+    identity: equal to it while it left-divides delta^m, else None.
 
     The length argument: the dual monoid is graded by atom count, delta^m
     has m(m - 1) atoms, and a left divisor of delta^m with as many atoms
@@ -532,14 +530,12 @@ def _search_step(table, state, form):
     step that reaches delta^m holds m(m - 1) atoms, so it used every block:
     the search's memo entry for delta^m is hit by no earlier step."""
     m = table.m
-    step = _left_weighted(table, state, form, m)
-    inf = _ref_leading_deltas(table, state)
-    product = _dual_mul(m, (inf, state[inf:]), (0, form))
-    if product[0] + len(product[1]) > m:
+    step = nf_mul(table, state, form, m)
+    product = nf_mul(table, (), state + form)
+    if len(product) > m:
         assert step is None
         return None
-    k = _ref_leading_deltas(table, step)
-    assert (k, step[k:]) == product
+    assert step == product
     full = sum(_ref_atoms(table.perm[x]) for x in step) == m * (m - 1)
     assert full == (step == (table.delta,) * m)
     return step
@@ -576,7 +572,7 @@ def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
         targets[0] += step == (table.delta,) * table.m
         return step
 
-    monkeypatch.setattr(designs, "_left_weighted", checked)
+    monkeypatch.setattr(designs, "nf_mul", checked)
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
     assert len(infima) == 6726
     assert sum(infima) == 4428 and max(infima) > 0
@@ -585,19 +581,16 @@ def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_search_matches_brute_force(m):
-    # reference path: every application order, multiplied left to right
-    # from the identity, without the search's DFS or rotation quotient
+    # reference path: every application order, its swings as one word in
+    # normal form, without the search's DFS, rotation quotient or mirroring
     target = normal_form(full_twist(m))
     for d in enumerate_designs(m, "dihedral"):
         if len(d.blocks) > 6:
             continue
-        nf_of = {b: normal_form(swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1))) for b in d.blocks}
+        swing = {b: swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1)).letters for b in d.blocks}
         expected = set()
         for order in itertools.permutations(d.blocks):
-            acc = NormalForm(m, 0, ())
-            for b in order:
-                acc = nf_mul(acc, nf_of[b])
-            if acc == target:
+            if normal_form(BraidWord(m, tuple(k for b in order for k in swing[b]))) == target:
                 expected.add(tuple(reversed(order)))
         res = search_orderings(d)
         assert res.status == "exhausted"
@@ -683,8 +676,6 @@ def test_search_budget_path_interns_few_simples(monkeypatch):
     # slides, not every simple met on the way; a fresh table per strand
     # count keeps the count cold.  The search runs in the dual structure,
     # whose table holds some of the Catalan(24) ~ 1.3e12 simples.
-    from planar_monoid import braid
-
     monkeypatch.setattr(braid, "_dual_simples", functools.cache(braid._NonCrossing))
     d = Design(24, tuple(itertools.combinations(range(1, 25), 2)))
     res = search_orderings(d, SearchBudget(exhaustive_cap=0, tries=1))
@@ -695,8 +686,6 @@ def test_search_budget_path_interns_few_simples(monkeypatch):
 def test_search_forms_built_once_per_table(monkeypatch):
     # the n = 7 symmetric audit uses 90 blocks in its 9 classes, but only
     # 28 distinct ones: 28 forms, built once per table
-    from planar_monoid import braid
-
     def built():
         completeness_check(7, "symmetric", SearchBudget(8, 2000))
         return designs._block_nf.cache_info().misses
@@ -716,7 +705,7 @@ def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
     # search must refuse it before it multiplies, and keep no form, rather
     # than prune realizing orders in silence
     calls = []
-    left_weighted = designs._left_weighted
+    kernel = designs.nf_mul
 
     def mirrored(curve, surface):
         word = swing_word(curve, surface)
@@ -724,10 +713,10 @@ def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return left_weighted(*args)
+        return kernel(*args)
 
     monkeypatch.setattr(designs, "swing_word", mirrored)
-    monkeypatch.setattr(designs, "_left_weighted", counted)
+    monkeypatch.setattr(designs, "nf_mul", counted)
     designs._block_nf.cache_clear()
     with pytest.raises(AssertionError, match="not a dual simple power"):
         search_orderings(Design(4, ALL_PAIRS_4))
@@ -737,8 +726,12 @@ def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
 
 def test_audit_work_repeats(monkeypatch):
     # the traced benchmark counts multiplies per unit after an untraced one,
-    # so every warm audit must make the same multiplies, and builds no swing
-    calls = {"swing_word": 0, "_left_weighted": 0}
+    # so every warm audit must make the same multiplies, and builds no swing;
+    # it wraps the names designs binds, which are braid's two Garside
+    # functions, so its audit-n6 unit reads these 1,607 multiplies
+    assert designs.nf_mul is braid.nf_mul
+    assert designs.normal_form is braid.normal_form
+    calls = {"swing_word": 0, "nf_mul": 0}
     for name in calls:
         def counted(*args, _fn=getattr(designs, name), _name=name):
             calls[_name] += 1
@@ -752,17 +745,15 @@ def test_audit_work_repeats(monkeypatch):
         seen.append(dict(calls))
         calls.update(dict.fromkeys(calls, 0))
     assert seen[0]["swing_word"] > 0
-    assert seen[1] == seen[2] == {"swing_word": 0, "_left_weighted": seen[0]["_left_weighted"]}
-    assert seen[1]["_left_weighted"] > 0
+    assert seen[1] == seen[2] == {"swing_word": 0, "nf_mul": seen[0]["nf_mul"]}
+    assert seen[1]["nf_mul"] == 1607
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_mirrored_full_twist_is_delta_power(m):
     # the search's target: the full twist is delta^-m, so its mirror is delta^m
-    from planar_monoid import braid
-
     mirror = BraidWord(m, tuple(-k for k in full_twist(m).letters))
-    assert braid._dual_normal_form(mirror) == (m, ())
+    assert normal_form(mirror) == (m, ())
 
 
 def test_search_budget_path_is_deterministic():

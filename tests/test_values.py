@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from planar_monoid.braid import BraidWord, NormalForm, _from_ids, normal_form
+from planar_monoid.braid import BraidWord
 from planar_monoid.catalog import (
     AuditReport,
     ChiRecord,
@@ -140,36 +140,3 @@ def test_value_type_contract(cls):
 
     shown = ", ".join(f"{k}={getattr(value, k)!r}" for k in fields)
     assert repr(value) == f"{cls.__name__}({shown})"
-
-
-def test_normal_form_is_immutable():
-    nf = normal_form(BraidWord(3, (1, 2)))
-    assert isinstance(nf, NormalForm)
-    for name in ("strands", "infimum", "_ids"):
-        with pytest.raises(AttributeError):
-            setattr(nf, name, getattr(nf, name))
-        with pytest.raises(AttributeError):
-            delattr(nf, name)
-    assert nf == normal_form(BraidWord(3, (1, 2)))
-
-
-def test_normal_form_value_contract():
-    # equal braids written differently give equal forms, hashed alike
-    nf = normal_form(BraidWord(3, (1, 2, 1)))
-    same = normal_form(BraidWord(3, (2, 1, 2)))
-    assert nf == same and hash(nf) == hash(same)
-    assert nf != normal_form(BraidWord(3, (1, 2)))
-    # never equal to a subclass instance holding the same fields
-    other = type("Other", (NormalForm,), {})(nf.strands, nf.infimum, nf.factors)
-    assert other._ids == nf._ids
-    assert nf != other and other != nf
-
-    # vars() gives the stored fields, which the kernel's constructor takes back
-    assert vars(nf) == {"strands": 3, "infimum": nf.infimum, "_ids": nf._ids}
-    assert _from_ids(*vars(nf).values()) == nf
-    # ids mean something only inside one process, so pickling and the repr
-    # go through the factors as permutations
-    back = pickle.loads(pickle.dumps(nf))
-    assert back == nf and type(back) is NormalForm
-    assert NormalForm(nf.strands, nf.infimum, nf.factors) == nf
-    assert repr(nf) == f"NormalForm(strands=3, infimum={nf.infimum}, factors={nf.factors})"
