@@ -470,6 +470,56 @@ def test_nf_mul_matches_concatenation(data):
     assert nf_mul(table, fb, fa) == _kernel_tuple(table, normal_form(_then(b, a)))
 
 
+def _form_mul(table, fa, fb):
+    """The form of 'a then b' from the forms of a and b: a's factors pass
+    delta^inf_b as tau^-inf_b, the kernel multiplies, and its leading
+    deltas join the infimum."""
+    (inf_a, ids_a), (inf_b, ids_b) = fa, fb
+    product = nf_mul(table, [table.tau(x, -inf_b) for x in ids_a], ids_b)
+    k = _ref_leading_deltas(table, product)
+    return inf_a + inf_b + k, product[k:]
+
+
+@given(braid_word_pairs(max_strands=8, max_len=24))
+@settings(deadline=None)
+def test_dual_mul_matches_concatenation(pair):
+    # the kernel on the forms of two words of either sign, a's factors
+    # conjugated past b's infimum, is the form of the concatenated word
+    a, b = pair
+    table = braid._dual_simples(a.strands)
+    fa, fb = normal_form(a), normal_form(b)
+    assert _form_mul(table, fa, fb) == normal_form(_then(a, b))
+    assert _form_mul(table, fb, fa) == normal_form(_then(b, a))
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_dual_form_is_left_weighted(data):
+    # the kernel's products of simple factors, as the ordering search folds
+    # them, are left-weighted once their leading deltas are stripped
+    m = data.draw(st.integers(3, 8))
+    table = braid._dual_simples(m)
+    prefix = nf_mul(table, (), data.draw(positive_dual_factors(m)))
+    product = nf_mul(table, prefix, data.draw(positive_dual_factors(m)))
+    for ids in (prefix, product):
+        k = _ref_leading_deltas(table, ids)
+        _assert_left_weighted(m, [table.perm[x] for x in ids[k:]])
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_dual_form_reexpands_to_equal_word(data):
+    # a kernel product of simple factors, re-expanded as a dual form, is
+    # the braid of the factors' words by the LK oracle
+    m = data.draw(st.integers(3, 8))
+    table = braid._dual_simples(m)
+    factors = data.draw(positive_dual_factors(m))
+    product = nf_mul(table, (), factors)
+    k = _ref_leading_deltas(table, product)
+    word = BraidWord(m, tuple(g for x in factors for g in _ref_simple_word(table.perm[x])))
+    assert lk_equal(_ref_dual_word(m, (k, product[k:])), word)
+
+
 @given(st.data())
 @settings(deadline=None)
 def test_kernel_limit_stops_exactly_past_the_bound(data):
