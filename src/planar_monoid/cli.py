@@ -135,7 +135,7 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
         "--tries",
         type=int,
         default=default.tries,
-        help="most multiplies, and most orderings, past the cap",
+        help="most tries (one block against one product), and most orderings, past the cap",
     )
 
 

@@ -282,11 +282,12 @@ class SearchBudget(_Value):
 
     exhaustive_cap: max block count searched with no limit, so that the
     count of realizing orderings is exact.
-    tries: past the cap, the search checks two limits before each multiply
-    and stops once it has made tries kernel multiplies or counted tries
-    orderings.  A search that ends first is still "exhausted"; one that a
-    limit stops reads "budget", and its count is a lower bound whose 0
-    proves nothing.
+    tries: past the cap, the search checks two limits before each try and
+    stops once it has made tries tries or counted tries orderings.  A try
+    is one block tried against one product, settled by the search's mask
+    test or by a kernel multiply.  A search that ends first is still
+    "exhausted"; one that a limit stops reads "budget", and its count is a
+    lower bound whose 0 proves nothing.
     Both are plain ints (not bools) and neither may be negative.  seed is
     accepted for callers that still pass it and is checked to be an int,
     but it is not stored: the search draws nothing at random, so budgets
@@ -341,13 +342,14 @@ def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, .
 
     The form is kept per key, so each is built once per table: callers pass
     the table as it stands at call time, so a fresh table builds the forms
-    anew.  The search's one bound rests on the form being delta_S^|S|, of
-    infimum 0 and |S| factors; a form that is not raises AssertionError and
-    is not kept, so the premise is checked once for every block searched.
+    anew.  The search's bound and its mask test rest on the form being
+    delta_S^|S|, of infimum 0 and |S| equal factors; a form that is not
+    raises AssertionError and is not kept, so the premise is checked once
+    for every block searched.
     """
     swing = swing_word(ConvexCurve.over(block), SurfaceSpec(table.m + 1))
     form = normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
-    if form[0] != 0 or len(form[1]) != len(block):
+    if form[0] != 0 or len(form[1]) != len(block) or len(set(form[1])) != 1:
         raise AssertionError(f"mirrored swing over {block} is not a dual simple power: {form}")
     return form[1]
 
@@ -361,13 +363,14 @@ def search_orderings(
     Orderings are reported in written order (last block applied first).
     One depth-first search serves every design.  Up to
     budget.exhaustive_cap blocks it runs to the end and the count is exact.
-    Past the cap it checks two limits before each multiply, and stops once
-    it has spent budget.tries multiplies or counted budget.tries orderings.
-    If it ends first the status is still "exhausted" and the count exact;
-    if a limit stops it the status is "budget" and the count is a lower
-    bound, whose 0 proves nothing.  With listed=False the same multiplies
-    give the same count, and orderings is None; completeness_check keeps
-    each such result as it stands as an audit entry.
+    Past the cap it checks two limits before each try, one block tried
+    against one product, and stops once it has spent budget.tries tries or
+    counted budget.tries orderings.  If it ends first the status is still
+    "exhausted" and the count exact; if a limit stops it the status is
+    "budget" and the count is a lower bound, whose 0 proves nothing.  With
+    listed=False the same tries give the same count, and orderings is None;
+    completeness_check keeps each such result as it stands as an audit
+    entry.
 
     The search fixes the block applied first, the head, and counts from
     it.  This is sound because the full twist is central: if b.w is the
@@ -409,6 +412,23 @@ def search_orderings(
     reaches the memo.  The head is not checked, but a positive factor
     never lowers the supremum, so every product through a failing one
     fails its own step.
+
+    Most failed multiplies are settled before the kernel by one mask test,
+    by this lemma.  Let acc have r factors, the last one a, and let a block
+    over S, k = |S|, have the form delta_S^k, each factor delta_S.  The
+    kernel deletes an appended factor only at its first slide step, and
+    only when it is below da = a^-1.delta.  If delta_S is not below da, the
+    last slot keeps a non-identity divisor rho of delta_S, and the next
+    delta_S could be absorbed only if rho.delta_S were simple.  It is not:
+    a simple's reflection length is its atom count, k - 1 + (that of rho)
+    here, but rho.delta_S lies in Sym(S), where the length is at most
+    k - 1.  The same holds at each later factor, so each of the k factors
+    adds one and sup(acc.delta_S^k) = r + k.  delta_S is below da iff
+    every pair joined by delta_S is joined by da, and masks[a] holds the
+    pairs da joins.  So a block with r + k > m whose first factor joins a
+    pair outside masks[a] passes delta^m, and is skipped as a failed
+    multiply.  A skipped block still counts as a try, so every status,
+    count and listing is the one the kernel alone gives.
     """
     m = d.points
     table = braid._dual_simples(m)
@@ -419,7 +439,7 @@ def search_orderings(
     else:
         tries = budget.tries
         need = -(-tries // k)  # head completions that make tries orderings
-    spent = found = 0  # multiplies made; head completions counted
+    spent = found = 0  # tries made; head completions counted
     stopped = False
 
     # memo: partial product -> (completions, live edges).  The product
@@ -438,19 +458,27 @@ def search_orderings(
 
     # The depth-first search keeps its own stack, so a design of any block
     # count stays within the interpreter's recursion limit.  A frame is the
-    # product acc, the (block, form) pairs remaining, the index i of the
-    # next one to try, and the completions and live edges found so far;
-    # parents holds the suspended frames and the block that led from each.
+    # product acc, the blocks remaining, the index i of the next one to
+    # try, and the completions and live edges found so far; parents holds
+    # the suspended frames and the block that led from each.  A remaining
+    # block is (block, form, the pairs its first factor joins, m - |S|),
+    # and a frame's r and room are acc's length and the pairs that the
+    # complement of acc's last factor does not join, for the lemma's test.
     start = _block_nf(table, head)
-    remaining = tuple((b, _block_nf(table, b)) for b in d.blocks if b != head)
+    forms = [(b, _block_nf(table, b)) for b in d.blocks if b != head]
+    remaining = tuple((b, form, table.starts[form[0]], m - len(form)) for b, form in forms)
     acc, i, total, live = start, 0, 0, []
     parents: list[tuple] = []
     while True:
         n = len(remaining)
+        r = len(acc)
+        room = ~table.masks[acc[-1]]
         while i < n and spent < tries and found < need:
-            b, form = remaining[i]
+            b, form, first, slack = remaining[i]
             i += 1
             spent += 1
+            if r > slack and first & room:  # passes delta^m, by the lemma
+                continue
             state = nf_mul(table, acc, form, m)
             if state is None:
                 continue

@@ -336,7 +336,7 @@ def test_n6_dihedral_ordering_counts():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """A one-item list counting the search's designs.nf_mul calls, one per
-    multiply."""
+    try that the mask test does not settle."""
     calls = [0]
     kernel = designs.nf_mul
 
@@ -360,16 +360,38 @@ def _realizes(m, ordering):
 
 @pytest.mark.parametrize("tries", [0, 1, 50, 546, 547, 10**6])
 @pytest.mark.parametrize(
-    "m, blocks",
+    "m, blocks, stops",
     [
-        pytest.param(5, K5, id="K5"),
-        pytest.param(4, ALL_PAIRS_4, id="K4"),
+        # each budget's (status, orderings_found), as the search found them
+        # when every try was a kernel call: a try settled by the mask test
+        # still counts, so each limit stops the search at the same block
+        pytest.param(
+            5,
+            K5,
+            {0: ("budget", 0), 1: ("budget", 0), 50: ("budget", 50), 546: ("budget", 560),
+             547: ("budget", 560), 10**6: ("exhausted", 5150)},
+            id="K5",
+        ),
+        pytest.param(
+            4,
+            ALL_PAIRS_4,
+            {0: ("budget", 0), 1: ("budget", 0), 50: ("budget", 42), 546: ("exhausted", 48),
+             547: ("exhausted", 48), 10**6: ("exhausted", 48)},
+            id="K4",
+        ),
         # the n=7 (3,3,3,4,4,4) symmetric representative; its head (1, 5, 6)
-        # is block 3, so the search starts past the first block
-        pytest.param(6, THREE_TRIPLES, id="three-triples"),
+        # is block 3, so the search starts past the first block, and it ends
+        # after 547 tries
+        pytest.param(
+            6,
+            THREE_TRIPLES,
+            {0: ("budget", 0), 1: ("budget", 0), 50: ("budget", 0), 546: ("budget", 18),
+             547: ("exhausted", 18), 10**6: ("exhausted", 18)},
+            id="three-triples",
+        ),
     ],
 )
-def test_search_budget_path_matches_unpruned_products(kernel_calls, m, blocks, tries):
+def test_search_budget_path_matches_unpruned_products(kernel_calls, m, blocks, stops, tries):
     d = Design(m, blocks)
     full = search_orderings(d, SearchBudget(exhaustive_cap=len(blocks)))
     multiplies = kernel_calls[0]
@@ -378,14 +400,10 @@ def test_search_budget_path_matches_unpruned_products(kernel_calls, m, blocks, t
     assert res.orderings_found == len(res.orderings)
     assert all(_realizes(m, o) for o in res.orderings)
     assert set(res.orderings) <= set(full.orderings)
-    # each limit is checked before a multiply, so the search makes at most
-    # tries of them, and exactly min(tries, multiplies) when it never counts
-    # tries orderings
+    assert (res.status, res.orderings_found) == stops[tries]
+    # each limit is checked before a try, and up to where it stops the
+    # budgeted search makes the full search's kernel calls, at most one a try
     assert kernel_calls[0] <= min(tries, multiplies)
-    if res.orderings_found < tries:
-        assert kernel_calls[0] == min(tries, multiplies)
-    if tries > max(multiplies, full.orderings_found):  # neither limit binds
-        assert res.status == "exhausted"
     if res.status == "exhausted":
         assert res == full
 
@@ -417,7 +435,7 @@ def test_search_shuffle_path_matches_unpruned_products(m, blocks, seed, tries, s
 
 
 def test_search_budget_path_on_three_triples():
-    # 547 multiplies end the search; the orderings limit never binds
+    # 547 tries end the search; the orderings limit never binds
     d = Design(6, THREE_TRIPLES)
     found = []
     for tries in (100, 546, 547):
@@ -428,18 +446,18 @@ def test_search_budget_path_on_three_triples():
 
 def test_search_budget_path_stops_at_the_orderings_limit(kernel_calls):
     res = search_orderings(Design(5, K5), SearchBudget(exhaustive_cap=0, tries=2000))
-    # the limit is checked before each multiply, and a memo hit adds all
+    # the limit is checked before each try, and a memo hit adds all
     # its completions at once, so the count can pass 2,000
     assert (res.status, res.orderings_found) == ("budget", 2060)
-    assert kernel_calls[0] == 1049
+    assert kernel_calls[0] == 628
 
 
 def test_search_budget_path_cost_from_largest_block(kernel_calls):
     # the n = 7 symmetric audit at cap 8: its four budget classes (11 to 15
     # blocks) and its 9- and 10-block classes search from a triple or
-    # larger; starting every search at blocks[0] instead takes 10,634 calls
+    # larger; starting every search at blocks[0] instead takes 5,583 calls
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
-    assert kernel_calls[0] == 6726
+    assert kernel_calls[0] == 3476
 
 
 def test_every_swing_links_only_its_own_pairs():
@@ -463,18 +481,19 @@ def test_search_exhaustive_dfs_cost(kernel_calls):
     res = search_orderings(Design(5, blocks), SearchBudget(exhaustive_cap=8))
     assert res.status == "exhausted"
     assert len(res.orderings) == 176
-    # one multiply per memoized state and unused block, cut at the sup
-    # bound, starting at the triple (443 starting at (1, 2))
-    assert kernel_calls[0] == 239
+    # one try per memoized state and unused block, cut at the sup bound,
+    # and a kernel call for each the mask test does not settle, starting at
+    # the triple (242 starting at (1, 2))
+    assert kernel_calls[0] == 141
 
 
 def test_search_exhaustive_dfs_cost_from_largest_block(kernel_calls):
     # the head (2, 5, 6) leaves the least room under the sup bound; the
-    # same search from blocks[0] = (1, 2) takes 9,436 calls
+    # same search from blocks[0] = (1, 2) takes 4,483 calls
     res = search_orderings(Design(6, FIRST_ELEVEN_M6), SearchBudget(exhaustive_cap=11))
     assert res.status == "exhausted"
     assert len(res.orderings) == 1947
-    assert kernel_calls[0] == 2796
+    assert kernel_calls[0] == 1465
 
 
 def test_counting_agrees_with_listing(kernel_calls):
@@ -498,14 +517,14 @@ def test_counting_agrees_with_listing(kernel_calls):
 @pytest.mark.parametrize(
     "m, blocks, count, calls",
     [
-        pytest.param(6, tuple(itertools.combinations(range(1, 7), 2)), 4218480, 477263, id="K6"),
+        pytest.param(6, tuple(itertools.combinations(range(1, 7), 2)), 4218480, 227866, id="K6"),
         # the first (4,4,4,5,5,5) dihedral class, 13 blocks
         pytest.param(
             6,
             ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4),
              (3, 5), (3, 6), (4, 5, 6)),
             75088,
-            24609,
+            11503,
             id="444555",
         ),
     ],
@@ -559,7 +578,7 @@ def test_search_step_is_the_capped_dual_mul(data):
 
 
 def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
-    # every multiply of the n = 7 symmetric audit, whose states, unlike
+    # every kernel call of the n = 7 symmetric audit, whose states, unlike
     # most random folds, reach infima above 0, and 21 of which reach the
     # target, each by the length argument
     infima = []
@@ -574,9 +593,51 @@ def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
 
     monkeypatch.setattr(designs, "nf_mul", checked)
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
-    assert len(infima) == 6726
-    assert sum(infima) == 4428 and max(infima) > 0
+    assert len(infima) == 3476
+    assert sum(infima) == 2977 and max(infima) > 0
     assert targets[0] == 21
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_unabsorbed_block_adds_all_its_factors(data):
+    # the lemma behind the search's mask test, on random products of block
+    # forms: a block over S whose first factor delta_S the product's last
+    # factor cannot absorb adds all |S| of its factors, so the supremum
+    # rises by exactly |S|.  Absorbed is read off the kernel (the last
+    # factor times delta_S is one simple), and the pair masks agree with it
+    m = data.draw(st.integers(4, 7))
+    table = _dual_simples(m)
+    blocks = [b for k in range(2, m) for b in itertools.combinations(range(1, m + 1), k)]
+    acc = ()
+    for b in data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=m)):
+        acc = nf_mul(table, acc, designs._block_nf(table, b))
+    for b in blocks:
+        form = designs._block_nf(table, b)
+        absorbed = len(nf_mul(table, acc[-1:], form[:1])) == 1
+        assert absorbed == (not table.starts[form[0]] & ~table.masks[acc[-1]])
+        if not absorbed:
+            assert len(nf_mul(table, acc, form)) == len(acc) + len(form), (acc, b)
+
+
+def test_search_calls_the_kernel_only_where_the_mask_test_cannot_settle(monkeypatch):
+    # on the n = 7 symmetric audit and the K6 count, every kernel call the
+    # search still makes fits under delta^m by length (r + |S| <= m) or
+    # has a first factor that the product's last factor absorbs, read off
+    # the kernel itself: the mask test settles every other try
+    calls = [0]
+
+    def checked(table, state, form, limit):
+        calls[0] += 1
+        assert len(state) + len(form) <= limit or len(nf_mul(table, state[-1:], form[:1])) == 1
+        return nf_mul(table, state, form, limit)
+
+    monkeypatch.setattr(designs, "nf_mul", checked)
+    completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
+    k6 = Design(6, tuple(itertools.combinations(range(1, 7), 2)))
+    res = search_orderings(k6, SearchBudget(exhaustive_cap=15), listed=False)
+    assert res.orderings_found == 4218480
+    assert calls[0] == 3476 + 227866
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -725,10 +786,10 @@ def test_search_checks_every_block_is_a_dual_simple_power(monkeypatch):
 
 
 def test_audit_work_repeats(monkeypatch):
-    # the traced benchmark counts multiplies per unit after an untraced one,
-    # so every warm audit must make the same multiplies, and builds no swing;
+    # the traced benchmark counts kernel calls per unit after an untraced
+    # one, so every warm audit must make the same calls, and builds no swing;
     # it wraps the names designs binds, which are braid's two Garside
-    # functions, so its audit-n6 unit reads these 1,607 multiplies
+    # functions, so its audit-n6 unit reads these 960 kernel calls
     assert designs.nf_mul is braid.nf_mul
     assert designs.normal_form is braid.normal_form
     calls = {"swing_word": 0, "nf_mul": 0}
@@ -746,7 +807,7 @@ def test_audit_work_repeats(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
     assert seen[0]["swing_word"] > 0
     assert seen[1] == seen[2] == {"swing_word": 0, "nf_mul": seen[0]["nf_mul"]}
-    assert seen[1]["nf_mul"] == 1607
+    assert seen[1]["nf_mul"] == 960
 
 
 @pytest.mark.parametrize("m", range(2, 9))
