@@ -427,8 +427,21 @@ def search_orderings(
     every pair joined by delta_S is joined by da, and masks[a] holds the
     pairs da joins.  So a block with r + k > m whose first factor joins a
     pair outside masks[a] passes delta^m, and is skipped as a failed
-    multiply.  A skipped block still counts as a try, so every status,
-    count and listing is the one the kernel alone gives.
+    multiply.
+
+    The second step takes the lemma one copy further.  If the first copy
+    is absorbed, the kernel sets the last slot to a.delta_S and deletes
+    the appended one; sliding a.delta_S into the factor prev before it
+    fixes the new last factor T, and every later slide touches only lower
+    slots, so the product keeps r factors.  T is a.delta_S, or, if
+    (prev, a.delta_S) is not left-weighted, the second of its left-weighted
+    pair: two reads of the kernel's pair table.  If delta_S is not below
+    dT, the lemma applied to the other k - 1 copies gives
+    sup(acc.delta_S^k) = r + k - 1, so a block with r + k - 1 > m that
+    fails this second mask test is skipped too.  A pair block is thus
+    decided before the kernel, which never fails on one.  A skipped block
+    still counts as a try, so every status, count and listing is the one
+    the kernel alone gives.
     """
     m = d.points
     table = braid._dual_simples(m)
@@ -461,24 +474,40 @@ def search_orderings(
     # product acc, the blocks remaining, the index i of the next one to
     # try, and the completions and live edges found so far; parents holds
     # the suspended frames and the block that led from each.  A remaining
-    # block is (block, form, the pairs its first factor joins, m - |S|),
-    # and a frame's r and room are acc's length and the pairs that the
-    # complement of acc's last factor does not join, for the lemma's test.
+    # block is (block, form, its factor delta_S, the pairs delta_S joins,
+    # m - |S|), and a frame's r, a, prev and room are acc's length, its
+    # last two factors and the pairs that da does not join, for the
+    # lemma's two tests.
+    starts, masks, pairs, size, _ = table.kernel
     start = _block_nf(table, head)
     forms = [(b, _block_nf(table, b)) for b in d.blocks if b != head]
-    remaining = tuple((b, form, table.starts[form[0]], m - len(form)) for b, form in forms)
+    remaining = tuple((b, form, form[0], starts[form[0]], m - len(form)) for b, form in forms)
     acc, i, total, live = start, 0, 0, []
     parents: list[tuple] = []
     while True:
         n = len(remaining)
         r = len(acc)
-        room = ~table.masks[acc[-1]]
+        prev, a = acc[-2:]  # every product holds the head's |S| >= 2 factors
+        room = ~masks[a]
         while i < n and spent < tries and found < need:
-            b, form, first, slack = remaining[i]
+            b, form, f, first, slack = remaining[i]
             i += 1
             spent += 1
-            if r > slack and first & room:  # passes delta^m, by the lemma
-                continue
+            if r > slack:
+                if first & room:  # passes delta^m, by the lemma
+                    continue
+                if r > slack + 1:  # the second copy must be absorbed too
+                    v = pairs.get(a * size + f)
+                    if v is None:
+                        v = table.slide(a, f)
+                    t = v[0]  # a.delta_S; its slide into prev fixes the last slot
+                    if starts[t] & masks[prev]:
+                        v = pairs.get(prev * size + t)
+                        if v is None:
+                            v = table.slide(prev, t)
+                        t = v[1]
+                    if first & ~masks[t]:  # passes delta^m, by the lemma
+                        continue
             state = nf_mul(table, acc, form, m)
             if state is None:
                 continue

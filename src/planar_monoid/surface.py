@@ -149,8 +149,10 @@ class BoundaryWord(_Value):
         exponents = tuple(_json_int(a, "exponent") for a in exponents)
         if len(exponents) != surface.n - 1:
             raise ValueError(f"need {surface.n - 1} exponents, got {len(exponents)}")
-        if any(a < 0 for a in exponents) or _json_int(outer, "outer") < 0:
+        if any(a < 0 for a in exponents):
             raise ValueError("exponents must be non-negative")
+        if _json_int(outer, "outer") < 0:
+            raise ValueError(f"outer must be non-negative, got {outer}")
         self._set(surface, exponents, outer)
 
     def expand(self) -> TwistWord:

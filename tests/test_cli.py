@@ -193,8 +193,9 @@ def test_rejects_malformed_numbers(tmp_path, capsys, cmd, obj):
         (dict(LANTERN_N5, lhs={"outer": 1}), "lhs has no 'exponents'"),
         ([LANTERN_N5], "relation must be an object, got list"),
         (dict(LANTERN_N5, lhs=[2, 2, 2, 2]), "lhs must be an object, got list"),
+        (dict(LANTERN_N5, lhs=dict(LANTERN_N5["lhs"], outer=-1)), "outer must be non-negative, got -1"),
     ],
-    ids=["no-n", "no-lhs", "no-exponents", "array", "lhs-array"],
+    ids=["no-n", "no-lhs", "no-exponents", "array", "lhs-array", "negative-outer"],
 )
 def test_verify_names_a_malformed_relation_object(tmp_path, capsys, obj, message):
     path = write(tmp_path, "rel.json", obj)

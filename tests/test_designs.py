@@ -336,7 +336,7 @@ def test_n6_dihedral_ordering_counts():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """A one-item list counting the search's designs.nf_mul calls, one per
-    try that the mask test does not settle."""
+    try that neither test settles."""
     calls = [0]
     kernel = designs.nf_mul
 
@@ -363,7 +363,7 @@ def _realizes(m, ordering):
     "m, blocks, stops",
     [
         # each budget's (status, orderings_found), as the search found them
-        # when every try was a kernel call: a try settled by the mask test
+        # when every try was a kernel call: a try settled by either test
         # still counts, so each limit stops the search at the same block
         pytest.param(
             5,
@@ -449,15 +449,15 @@ def test_search_budget_path_stops_at_the_orderings_limit(kernel_calls):
     # the limit is checked before each try, and a memo hit adds all
     # its completions at once, so the count can pass 2,000
     assert (res.status, res.orderings_found) == ("budget", 2060)
-    assert kernel_calls[0] == 628
+    assert kernel_calls[0] == 393
 
 
 def test_search_budget_path_cost_from_largest_block(kernel_calls):
     # the n = 7 symmetric audit at cap 8: its four budget classes (11 to 15
     # blocks) and its 9- and 10-block classes search from a triple or
-    # larger; starting every search at blocks[0] instead takes 5,583 calls
+    # larger; starting every search at blocks[0] instead takes 3,431 calls
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
-    assert kernel_calls[0] == 3476
+    assert kernel_calls[0] == 2035
 
 
 def test_every_swing_links_only_its_own_pairs():
@@ -482,18 +482,18 @@ def test_search_exhaustive_dfs_cost(kernel_calls):
     assert res.status == "exhausted"
     assert len(res.orderings) == 176
     # one try per memoized state and unused block, cut at the sup bound,
-    # and a kernel call for each the mask test does not settle, starting at
-    # the triple (242 starting at (1, 2))
-    assert kernel_calls[0] == 141
+    # and a kernel call for each that neither test settles, starting at the
+    # triple (162 starting at (1, 2))
+    assert kernel_calls[0] == 87
 
 
 def test_search_exhaustive_dfs_cost_from_largest_block(kernel_calls):
     # the head (2, 5, 6) leaves the least room under the sup bound; the
-    # same search from blocks[0] = (1, 2) takes 4,483 calls
+    # same search from blocks[0] = (1, 2) takes 2,712 calls
     res = search_orderings(Design(6, FIRST_ELEVEN_M6), SearchBudget(exhaustive_cap=11))
     assert res.status == "exhausted"
     assert len(res.orderings) == 1947
-    assert kernel_calls[0] == 1465
+    assert kernel_calls[0] == 792
 
 
 def test_counting_agrees_with_listing(kernel_calls):
@@ -517,14 +517,14 @@ def test_counting_agrees_with_listing(kernel_calls):
 @pytest.mark.parametrize(
     "m, blocks, count, calls",
     [
-        pytest.param(6, tuple(itertools.combinations(range(1, 7), 2)), 4218480, 227866, id="K6"),
+        pytest.param(6, tuple(itertools.combinations(range(1, 7), 2)), 4218480, 121667, id="K6"),
         # the first (4,4,4,5,5,5) dihedral class, 13 blocks
         pytest.param(
             6,
             ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4),
              (3, 5), (3, 6), (4, 5, 6)),
             75088,
-            11503,
+            6514,
             id="444555",
         ),
     ],
@@ -593,8 +593,8 @@ def test_search_steps_of_the_n7_audit_are_capped_dual_muls(monkeypatch):
 
     monkeypatch.setattr(designs, "nf_mul", checked)
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
-    assert len(infima) == 3476
-    assert sum(infima) == 2977 and max(infima) > 0
+    assert len(infima) == 2035
+    assert sum(infima) == 1722 and max(infima) > 0
     assert targets[0] == 21
 
 
@@ -620,24 +620,67 @@ def test_unabsorbed_block_adds_all_its_factors(data):
             assert len(nf_mul(table, acc, form)) == len(acc) + len(form), (acc, b)
 
 
+def _pair(table, a, b):
+    """The left-weighted pair of (a, b) from the kernel's pair table."""
+    return table.pairs.get(a * table.size + b) or table.slide(a, b)
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_absorbed_block_adds_all_but_one_factor_past_an_unabsorbed_second(data):
+    # the lemma's second step, behind the search's second-copy test: once
+    # the last factor a absorbs a block's first factor delta_S, the new last
+    # factor T is a.delta_S, or its slide into the factor before a, read
+    # from two pair-table lookups; and if T cannot absorb the next delta_S,
+    # each of the other |S| - 1 factors adds one to the supremum
+    m = data.draw(st.integers(4, 7))
+    table = _dual_simples(m)
+    blocks = [b for k in range(2, m) for b in itertools.combinations(range(1, m + 1), k)]
+    acc = ()
+    for b in data.draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=m)):
+        acc = nf_mul(table, acc, designs._block_nf(table, b))
+    for b in blocks:
+        form = designs._block_nf(table, b)
+        f = form[0]
+        if table.starts[f] & ~table.masks[acc[-1]]:
+            continue  # the first factor is not absorbed: the mask test's case
+        t = _pair(table, acc[-1], f)[0]
+        if table.starts[t] & table.masks[acc[-2]]:
+            t = _pair(table, acc[-2], t)[1]
+        once = nf_mul(table, acc, form[:1])
+        assert len(once) == len(acc) and once[-1] == t, (acc, b)
+        absorbed = len(nf_mul(table, acc, form[:2])) == len(acc)
+        assert absorbed == (not table.starts[f] & ~table.masks[t]), (acc, b)
+        if not absorbed:
+            assert len(nf_mul(table, acc, form)) == len(acc) + len(form) - 1, (acc, b)
+
+
 def test_search_calls_the_kernel_only_where_the_mask_test_cannot_settle(monkeypatch):
     # on the n = 7 symmetric audit and the K6 count, every kernel call the
-    # search still makes fits under delta^m by length (r + |S| <= m) or
-    # has a first factor that the product's last factor absorbs, read off
-    # the kernel itself: the mask test settles every other try
+    # search still makes fits under delta^m by length (r + |S| <= m), or
+    # has a first factor that the product's last factor absorbs and fits
+    # by length with one factor fewer (r + |S| - 1 <= m) or absorbs the
+    # second factor too, each read off the kernel itself: the two tests
+    # settle every other try.  So a pair block is decided before the
+    # kernel, and no kernel call on one fails; K6 has only pair blocks
     calls = [0]
 
     def checked(table, state, form, limit):
         calls[0] += 1
-        assert len(state) + len(form) <= limit or len(nf_mul(table, state[-1:], form[:1])) == 1
-        return nf_mul(table, state, form, limit)
+        r, k = len(state), len(form)
+        if r + k > limit:
+            assert len(nf_mul(table, state[-1:], form[:1])) == 1
+            assert r + k - 1 <= limit or len(nf_mul(table, state, form[:2])) == r
+        step = nf_mul(table, state, form, limit)
+        assert k > 2 or step is not None
+        return step
 
     monkeypatch.setattr(designs, "nf_mul", checked)
     completeness_check(7, "symmetric", SearchBudget(exhaustive_cap=8, tries=2000))
     k6 = Design(6, tuple(itertools.combinations(range(1, 7), 2)))
     res = search_orderings(k6, SearchBudget(exhaustive_cap=15), listed=False)
     assert res.orderings_found == 4218480
-    assert calls[0] == 3476 + 227866
+    assert calls[0] == 2035 + 121667
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -789,7 +832,7 @@ def test_audit_work_repeats(monkeypatch):
     # the traced benchmark counts kernel calls per unit after an untraced
     # one, so every warm audit must make the same calls, and builds no swing;
     # it wraps the names designs binds, which are braid's two Garside
-    # functions, so its audit-n6 unit reads these 960 kernel calls
+    # functions, so its audit-n6 unit reads these 595 kernel calls
     assert designs.nf_mul is braid.nf_mul
     assert designs.normal_form is braid.normal_form
     calls = {"swing_word": 0, "nf_mul": 0}
@@ -807,7 +850,7 @@ def test_audit_work_repeats(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
     assert seen[0]["swing_word"] > 0
     assert seen[1] == seen[2] == {"swing_word": 0, "nf_mul": seen[0]["nf_mul"]}
-    assert seen[1]["nf_mul"] == 960
+    assert seen[1]["nf_mul"] == 595
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -131,6 +131,13 @@ def test_boundary_word_validation():
         BoundaryWord(SurfaceSpec(5), (1, 1, 1, -1))
 
 
+def test_boundary_word_names_a_negative_outer_exponent():
+    with pytest.raises(ValueError, match=r"^outer must be non-negative, got -1$"):
+        BoundaryWord(SurfaceSpec(5), (1, 1, 1, 1), outer=-1)
+    with pytest.raises(ValueError, match=r"^exponents must be non-negative$"):
+        BoundaryWord(SurfaceSpec(5), (1, 1, -1, 1), outer=1)
+
+
 @pytest.mark.parametrize(
     "exponents, outer",
     [((1.0, 1, 1), 1), ((True, 1, 1), 1), ((1, "1", 1), 1), ((1, 1, 1), 1.0), ((1, 1, 1), True)],
