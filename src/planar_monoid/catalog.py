@@ -288,15 +288,6 @@ class ChiRecord(_Value):
     def agree(self) -> bool:
         return self.printed == self.computed
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "replications": list(self.replications),
-            "printed": list(self.printed),
-            "computed": list(self.computed),
-            "agree": self.agree,
-        }
-
 
 def _chi_pair(d: Design) -> tuple[int, int]:
     """(lhs_chi, rhs_chi) of the relation whose rhs supports are d's blocks.
@@ -304,7 +295,7 @@ def _chi_pair(d: Design) -> tuple[int, int]:
     Both depend on d only through its replication multiset for m <= 7:
     designs sharing one have the same block count.
     """
-    rhs = TwistWord(SurfaceSpec(d.points + 1), tuple(ConvexCurve.over(b) for b in d.blocks))
+    rhs = TwistWord(SurfaceSpec(d.points + 1), tuple(ConvexCurve(b) for b in d.blocks))
     return euler_characteristic(exponents_from_design(d)), euler_characteristic(rhs)
 
 

@@ -108,9 +108,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_search(args) -> int:
     d = Design.from_json_obj(_load_json(args.design))
     res = search_orderings(d, _budget(args))
-    obj = res.to_json_obj()
-    obj["orderings"] = [[list(b) for b in o] for o in res.orderings]
-    _emit_json(obj)
+    _emit_json({**res.to_json_obj(), "orderings": res.orderings})
     return 0
 
 

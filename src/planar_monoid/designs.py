@@ -266,10 +266,10 @@ def daisy(n: int, i: int) -> Relation:
         raise ValueError(f"need n >= 4 and 2 <= i < n-1, got n={n}, i={i}")
     surface = SurfaceSpec(n)
     lhs = BoundaryWord(surface, tuple([n - i - 1] * i + [n - 3] * (n - 1 - i)), outer=1)
-    factors = [ConvexCurve.over(range(1, i + 1))]
+    factors = [ConvexCurve(range(1, i + 1))]
     for j in range(i + 1, n):
         for l in range(j - 1, 0, -1):
-            factors.append(ConvexCurve.over([l, j]))
+            factors.append(ConvexCurve([l, j]))
     rhs = TwistWord(surface, tuple(factors))
     return Relation(label=f"daisy({n},{i})", lhs=lhs, rhs=rhs)
 
@@ -347,7 +347,7 @@ def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, .
     raises AssertionError and is not kept, so the premise is checked once
     for every block searched.
     """
-    swing = swing_word(ConvexCurve.over(block), SurfaceSpec(table.m + 1))
+    swing = swing_word(ConvexCurve(block), SurfaceSpec(table.m + 1))
     form = normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
     if form[0] != 0 or len(form[1]) != len(block) or len(set(form[1])) != 1:
         raise AssertionError(f"mirrored swing over {block} is not a dual simple power: {form}")

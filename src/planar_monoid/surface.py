@@ -1,9 +1,12 @@
 """The n-holed sphere, convex curves, and positive twist products.
 
 The surface is modeled as a disk with n-1 interior holes labeled 1..n-1 in
-convex position; the disk boundary is component n.  Capping each interior
-hole with a punctured disk turns a product of positive Dehn twists over
-convex curves into a braid on n-1 strands, one strand per interior label.
+convex position; the disk boundary is component n.  A convex curve is
+named by the interior labels it encloses, one name per isotopy class: the
+curve parallel to the outer boundary is the curve around every interior
+hole, 1..n-1.  Capping each interior hole with a punctured disk turns a
+product of positive Dehn twists over convex curves into a braid on n-1
+strands, one strand per interior label.
 
 A twist over a convex curve becomes a "swing": gather the support strands
 into an adjacent block, apply the block full twist, undo the gathering.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .braid import BraidWord, _json_int, _Value, full_twist
+from .braid import BraidWord, _json_int, _Value
 
 __all__ = [
     "SurfaceSpec",
@@ -73,42 +76,27 @@ class SurfaceSpec(_Value):
 
 
 class ConvexCurve(_Value):
-    """A convex simple closed curve, named by the labels it encloses.
+    """A convex simple closed curve: the sorted interior labels it encloses.
 
-    Either a sorted tuple of interior labels, or the distinguished marker
-    for a curve parallel to the outer boundary.  Boundary-parallel cases:
-    a single label, the outer marker, or the full interior set (the last
-    is isotopic to the outer-parallel curve).
+    On the n-holed sphere the curve parallel to the outer boundary is the
+    one around every interior hole, ConvexCurve(range(1, n)).
+    Boundary-parallel cases: a single label or the full interior set.
     """
 
-    __slots__ = ("support", "outer")
+    __slots__ = ("support",)
 
-    def __init__(self, support: Iterable[int] = (), outer: bool = False):
+    def __init__(self, support: Iterable[int]):
         support = tuple(sorted(_json_int(x, "label") for x in support))
-        if type(outer) is not bool:
-            raise ValueError(f"outer must be a bool, got {outer!r}")
-        if outer:
-            if support:
-                raise ValueError("outer-parallel curve carries no support set")
-        else:
-            if not support:
-                raise ValueError("curve needs a non-empty support")
-            if len(set(support)) != len(support):
-                raise ValueError(f"repeated labels in support {support}")
-            if support[0] < 1:
-                raise ValueError(f"labels must be positive, got {support}")
-        self._set(support, outer)
-
-    @staticmethod
-    def over(labels: Iterable[int]) -> "ConvexCurve":
-        return ConvexCurve(support=tuple(labels))
-
-    @staticmethod
-    def outer_parallel() -> "ConvexCurve":
-        return ConvexCurve(outer=True)
+        if not support:
+            raise ValueError("curve needs a non-empty support")
+        if len(set(support)) != len(support):
+            raise ValueError(f"repeated labels in support {support}")
+        if support[0] < 1:
+            raise ValueError(f"labels must be positive, got {support}")
+        self._set(support)
 
     def is_boundary_parallel(self, surface: SurfaceSpec) -> bool:
-        return self.outer or len(self.support) == 1 or len(self.support) == surface.n - 1
+        return len(self.support) in (1, surface.n - 1)
 
 
 class TwistWord(_Value):
@@ -128,7 +116,7 @@ class TwistWord(_Value):
         for c in factors:
             if not isinstance(c, ConvexCurve):
                 raise ValueError(f"factor must be a ConvexCurve, got {c!r}")
-            if not c.outer and (c.support[0] < 1 or c.support[-1] > top):
+            if c.support[-1] > top:
                 raise ValueError(
                     f"support {c.support} exceeds interior labels 1..{top}"
                 )
@@ -158,8 +146,8 @@ class BoundaryWord(_Value):
     def expand(self) -> TwistWord:
         factors = []
         for label, a in enumerate(self.exponents, start=1):
-            factors.extend([ConvexCurve.over([label])] * a)
-        factors.extend([ConvexCurve.outer_parallel()] * self.outer)
+            factors.extend([ConvexCurve((label,))] * a)
+        factors.extend([ConvexCurve(range(1, self.surface.n))] * self.outer)
         return TwistWord(self.surface, tuple(factors))
 
     def twist_count(self) -> int:
@@ -209,9 +197,11 @@ def read_relation(
     `n`, `lhs` and `lhs.exponents` are required, a missing one, a key not
     shown here or a non-object raising ValueError; `outer` defaults to 1,
     `label` to default_label; `rhs` may be absent.
-    A factor is a list of labels or "outer".  "rightmost-first" (default)
-    is function notation, the last factor acts first; "leftmost-first"
-    lists are reversed.  Relation's factor rules are not applied.
+    A factor is a list of labels or "outer", read as the curve around every
+    interior hole, the same factor as [1, ..., n-1].  "rightmost-first"
+    (default) is function notation, the last factor acts first;
+    "leftmost-first" lists are reversed.  Relation's factor rules are not
+    applied.
     """
     _json_object(obj, "relation", ("label", "n", "lhs", "rhs", "order"), ("n", "lhs"))
     surface = SurfaceSpec(obj["n"])
@@ -223,9 +213,9 @@ def read_relation(
         raise ValueError(f"order must be rightmost-first or leftmost-first, got {order!r}")
     rhs = None
     if "rhs" in obj:
-        outer = ConvexCurve.outer_parallel()
+        outer = ConvexCurve(range(1, surface.n))
         factors = [
-            outer if f == "outer" else ConvexCurve.over(_json_list(f, "factor"))
+            outer if f == "outer" else ConvexCurve(_json_list(f, "factor"))
             for f in _json_list(obj["rhs"], "rhs")
         ]
         if order == "leftmost-first":
@@ -250,8 +240,6 @@ class MultiplicityVector(_Value):
 def swing_word(curve: ConvexCurve, surface: SurfaceSpec) -> BraidWord:
     """Braid of one positive twist over a convex curve, on n-1 strands."""
     m = surface.n - 1
-    if curve.outer:
-        return full_twist(m)
     s = curve.support
     if s[-1] > m:
         raise ValueError(f"support {s} exceeds interior labels 1..{m}")
@@ -284,8 +272,8 @@ def to_braid(word: Union[TwistWord, BoundaryWord]) -> BraidWord:
 def multiplicities(word: Union[TwistWord, BoundaryWord]) -> MultiplicityVector:
     """How many factors contain each boundary component.
 
-    Outer-parallel factors (marker or full interior support) contain every
-    interior label and the outer component.
+    A factor around every interior hole is parallel to the outer boundary,
+    so it contains the outer component as well as every interior label.
     """
     if isinstance(word, BoundaryWord):
         word = word.expand()
@@ -293,12 +281,9 @@ def multiplicities(word: Union[TwistWord, BoundaryWord]) -> MultiplicityVector:
     counts = [0] * (n - 1)
     outer = 0
     for c in word.factors:
-        if c.outer or len(c.support) == n - 1:
+        if len(c.support) == n - 1:
             outer += 1
-            for i in range(n - 1):
-                counts[i] += 1
-        else:
-            for label in c.support:
-                counts[label - 1] += 1
+        for label in c.support:
+            counts[label - 1] += 1
     return MultiplicityVector(tuple(counts), outer)
 

@@ -229,17 +229,17 @@ def test_c7_oracle_and_algebra():
         factors = []
         for _ in range(rng.randint(0, 6)):
             if rng.random() < 0.15:
-                factors.append(ConvexCurve.outer_parallel())
+                factors.append(ConvexCurve(range(1, m + 1)))
             else:
                 k = rng.randint(1, m)
-                factors.append(ConvexCurve.over(rng.sample(range(1, m + 1), k)))
+                factors.append(ConvexCurve(rng.sample(range(1, m + 1), k)))
         tw = TwistWord(surface, tuple(factors))
         if all(
             doubled
             == -2 * sum(
                 1
                 for c in tw.factors
-                if c.outer or (x in c.support and y in c.support)
+                if x in c.support and y in c.support
             )
             for (x, y), doubled in strand_linking(to_braid(tw))[1].items()
         ):

@@ -403,7 +403,7 @@ def test_every_swing_is_the_mirror_of_a_dual_simple_power(m):
     surface = SurfaceSpec(m + 1)
     for k in range(2, m):
         for support in itertools.combinations(range(1, m + 1), k):
-            mirrored = _mirror(swing_word(ConvexCurve.over(support), surface))
+            mirrored = _mirror(swing_word(ConvexCurve(support), surface))
             power = BraidWord(m, tuple(_dual_simple_letters(support) * k))
             assert equals(mirrored, power), support
             assert lk_equal(mirrored, power), support

@@ -66,7 +66,7 @@ def test_shared_lhs_factorizations():
 
 def test_relation_rejects_surface_mismatch():
     lhs = BoundaryWord(SurfaceSpec(5), (1, 1, 1, 1), outer=1)
-    rhs = TwistWord(SurfaceSpec(4), (ConvexCurve.over([1, 2]),))
+    rhs = TwistWord(SurfaceSpec(4), (ConvexCurve([1, 2]),))
     with pytest.raises(ValueError):
         Relation(label="x", lhs=lhs, rhs=rhs)
 
@@ -75,12 +75,10 @@ def test_relation_rejects_boundary_parallel_factor():
     s = SurfaceSpec(4)
     lhs = BoundaryWord(s, (1, 1, 1), outer=1)
     with pytest.raises(ValueError):
-        Relation(label="x", lhs=lhs, rhs=TwistWord(s, (ConvexCurve.over([2]),)))
+        Relation(label="x", lhs=lhs, rhs=TwistWord(s, (ConvexCurve([2]),)))
 
 
-@pytest.mark.parametrize(
-    "curve", [ConvexCurve.over([2]), ConvexCurve.over([1, 2, 3]), ConvexCurve.outer_parallel()]
-)
+@pytest.mark.parametrize("curve", [ConvexCurve([2]), ConvexCurve([1, 2, 3])])
 def test_boundary_parallel_rule_has_one_message(curve):
     s = SurfaceSpec(4)
     rhs = TwistWord(s, (curve,))
@@ -110,7 +108,7 @@ def test_verify_reports_failure_without_raising():
     s = SurfaceSpec(4)
     lhs = BoundaryWord(s, (2, 2, 2), outer=1)
     rhs = TwistWord(
-        s, (ConvexCurve.over([1, 2]), ConvexCurve.over([2, 3]), ConvexCurve.over([1, 3]))
+        s, (ConvexCurve([1, 2]), ConvexCurve([2, 3]), ConvexCurve([1, 3]))
     )
     rep = verify_words("bad", lhs, rhs)
     assert not rep.verified

@@ -7,7 +7,7 @@ import pytest
 
 from planar_monoid.cli import main
 from planar_monoid.catalog import builtin, completeness_check
-from planar_monoid.designs import SearchBudget
+from planar_monoid.designs import Design, SearchBudget, search_orderings
 
 LANTERN_N5 = {
     "n": 5,
@@ -293,6 +293,13 @@ def test_search_command(tmp_path, capsys):
     assert obj["status"] == "exhausted"
     assert obj["orderings_found"] == 3
     assert len(obj["orderings"]) == 3
+    # K4's 48 orderings, written as the search lists them
+    k4 = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+    path = write(tmp_path, "k4.json", {"m": 4, "blocks": k4})
+    code, out, _ = run(capsys, "search", "--design", path)
+    res = search_orderings(Design(4, tuple(map(tuple, k4))), SearchBudget())
+    assert code == 0 and res.orderings_found == 48
+    assert out == json.dumps({**res.to_json_obj(), "orderings": res.orderings}, sort_keys=True) + "\n"
 
 
 def test_search_rejects_design_on_fewer_than_three_points(tmp_path, capsys):

@@ -115,20 +115,20 @@ def test_replication_counts():
 
 def test_from_rhs_reads_supports():
     s = SurfaceSpec(5)
-    tw = TwistWord(s, tuple(ConvexCurve.over(b) for b in ALL_PAIRS_4))
+    tw = TwistWord(s, tuple(ConvexCurve(b) for b in ALL_PAIRS_4))
     assert from_rhs(tw) == Design(4, ALL_PAIRS_4)
 
 
 def test_from_rhs_rejects_outer_factor():
     s = SurfaceSpec(5)
     with pytest.raises(ValueError):
-        from_rhs(TwistWord(s, (ConvexCurve.outer_parallel(),)))
+        from_rhs(TwistWord(s, (ConvexCurve([1, 2, 3, 4]),)))
 
 
 def test_from_rhs_rejects_non_design():
     s = SurfaceSpec(5)
     with pytest.raises(PairCoverageError) as exc:
-        from_rhs(TwistWord(s, (ConvexCurve.over([1, 2]),)))
+        from_rhs(TwistWord(s, (ConvexCurve([1, 2]),)))
     e = exc.value
     assert (e.x, e.y, e.count) == (1, 3, 0)
 
@@ -354,7 +354,7 @@ def _realizes(m, ordering):
     word, unrotated and with no bound, have the normal form of the full
     twist."""
     surface = SurfaceSpec(m + 1)
-    word = [k for b in reversed(ordering) for k in swing_word(ConvexCurve.over(b), surface).letters]
+    word = [k for b in reversed(ordering) for k in swing_word(ConvexCurve(b), surface).letters]
     return normal_form(BraidWord(m, tuple(word))) == normal_form(full_twist(m))
 
 
@@ -469,7 +469,7 @@ def test_every_swing_links_only_its_own_pairs():
         surface = SurfaceSpec(m + 1)
         for k in range(2, m):
             for block in itertools.combinations(range(1, m + 1), k):
-                pure, doubled = strand_linking(swing_word(ConvexCurve.over(block), surface))
+                pure, doubled = strand_linking(swing_word(ConvexCurve(block), surface))
                 assert pure, block
                 assert doubled == {p: -2 if set(p) <= set(block) else 0 for p in doubled}, block
                 count += 1
@@ -691,7 +691,7 @@ def test_search_matches_brute_force(m):
     for d in enumerate_designs(m, "dihedral"):
         if len(d.blocks) > 6:
             continue
-        swing = {b: swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1)).letters for b in d.blocks}
+        swing = {b: swing_word(ConvexCurve(b), SurfaceSpec(m + 1)).letters for b in d.blocks}
         expected = set()
         for order in itertools.permutations(d.blocks):
             if normal_form(BraidWord(m, tuple(k for b in order for k in swing[b]))) == target:
@@ -713,7 +713,7 @@ def test_search_matches_lk_on_every_order_m4():
     assert len(designs_m4) == 2
     orders = found = 0
     for d in designs_m4:
-        swing = {b: swing_word(ConvexCurve.over(b), SurfaceSpec(m + 1)).letters for b in d.blocks}
+        swing = {b: swing_word(ConvexCurve(b), SurfaceSpec(m + 1)).letters for b in d.blocks}
         expected = set()
         for order in itertools.permutations(d.blocks):
             orders += 1
@@ -755,7 +755,7 @@ def test_search_reports_written_order():
 
     lhs = BoundaryWord(s, (1, 1, 1), outer=1)
     for ordering in res.orderings:
-        rhs = TwistWord(s, tuple(ConvexCurve.over(b) for b in ordering))
+        rhs = TwistWord(s, tuple(ConvexCurve(b) for b in ordering))
         assert verify_words("k3", lhs, rhs, lk=False).verified
 
 

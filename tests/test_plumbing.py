@@ -100,7 +100,7 @@ def test_graph_normalizes_edge_direction():
 def test_euler_characteristic_counts_twists():
     s = SurfaceSpec(5)
     assert euler_characteristic(BoundaryWord(s, (2, 2, 2, 2), outer=1)) == 6
-    tw = TwistWord(s, (ConvexCurve.over([1, 2]), ConvexCurve.over([3, 4])))
+    tw = TwistWord(s, (ConvexCurve([1, 2]), ConvexCurve([3, 4])))
     assert euler_characteristic(tw) == -1
 
 

@@ -23,20 +23,20 @@ def twist_words(draw, max_m=6, max_factors=6):
     factors = []
     for _ in range(draw(st.integers(0, max_factors))):
         if draw(st.booleans()) and draw(st.integers(0, 5)) == 0:
-            factors.append(ConvexCurve.outer_parallel())
+            factors.append(ConvexCurve(range(1, m + 1)))
         else:
             k = draw(st.integers(1, m))
             support = draw(
                 st.lists(st.integers(1, m), min_size=k, max_size=k, unique=True)
             )
-            factors.append(ConvexCurve.over(support))
+            factors.append(ConvexCurve(support))
     return TwistWord(SurfaceSpec(m + 1), tuple(factors))
 
 
 def test_surface_spec_labels():
     # interior labels 1..n-1, one strand each
     s = SurfaceSpec(5)
-    assert multiplicities(TwistWord(s, (ConvexCurve.outer_parallel(),))).interior == (1, 1, 1, 1)
+    assert multiplicities(TwistWord(s, (ConvexCurve([1, 2, 3, 4]),))).interior == (1, 1, 1, 1)
     assert to_braid(TwistWord(s)).strands == 4
     with pytest.raises(ValueError):
         SurfaceSpec(1)
@@ -53,49 +53,37 @@ def test_curve_validation():
         ConvexCurve(support=(1, 1))
     with pytest.raises(ValueError):
         ConvexCurve(support=(0, 2))
-    with pytest.raises(ValueError):
-        ConvexCurve(support=(1,), outer=True)
-    with pytest.raises(ValueError):
-        ConvexCurve()
+    with pytest.raises(ValueError, match="non-empty support"):
+        ConvexCurve(())
 
 
 @pytest.mark.parametrize("labels", [[1, 2.5], [1.0, 2], [True, 2], [1, "2"]])
 def test_curve_takes_ints_only(labels):
     "Labels are ints; nothing is truncated, converted or left to fail in swing_word."
     with pytest.raises(ValueError, match="label must be an integer"):
-        ConvexCurve.over(labels)
-
-
-@pytest.mark.parametrize("kwargs", [{"outer": 1}, {"support": (1, 2), "outer": "no"}])
-def test_curve_outer_is_a_bool(kwargs):
-    with pytest.raises(ValueError, match="outer must be a bool"):
-        ConvexCurve(**kwargs)
+        ConvexCurve(labels)
 
 
 def test_curve_support_sorted():
-    assert ConvexCurve.over([3, 1, 2]).support == (1, 2, 3)
+    assert ConvexCurve([3, 1, 2]).support == (1, 2, 3)
 
 
 def test_boundary_parallel_cases():
     s = SurfaceSpec(5)
-    assert ConvexCurve.over([2]).is_boundary_parallel(s)
-    assert ConvexCurve.over([1, 2, 3, 4]).is_boundary_parallel(s)
-    assert ConvexCurve.outer_parallel().is_boundary_parallel(s)
-    assert not ConvexCurve.over([1, 2]).is_boundary_parallel(s)
+    assert ConvexCurve([2]).is_boundary_parallel(s)
+    assert ConvexCurve([1, 2, 3, 4]).is_boundary_parallel(s)
+    assert not ConvexCurve([1, 2]).is_boundary_parallel(s)
 
 
 def test_singleton_swing_is_empty():
     # capping turns an interior boundary twist into nothing
-    assert swing_word(ConvexCurve.over([2]), SurfaceSpec(5)).letters == ()
-
-
-def test_outer_swing_is_full_twist():
-    assert swing_word(ConvexCurve.outer_parallel(), SurfaceSpec(5)) == full_twist(4)
+    assert swing_word(ConvexCurve([2]), SurfaceSpec(5)).letters == ()
 
 
 def test_full_support_swing_equals_outer():
-    s = SurfaceSpec(5)
-    assert equals(swing_word(ConvexCurve.over([1, 2, 3, 4]), s), full_twist(4))
+    # the outer twist's swing spells the full twist letter for letter
+    for n in range(2, 11):
+        assert swing_word(ConvexCurve(range(1, n)), SurfaceSpec(n)) == full_twist(n - 1)
 
 
 @given(twist_words())
@@ -112,7 +100,7 @@ def test_linking_counts_co_membership(tw):
         co = sum(
             1
             for c in tw.factors
-            if c.outer or (x in c.support and y in c.support)
+            if x in c.support and y in c.support
         )
         assert doubled == -2 * co
 
@@ -158,7 +146,7 @@ def test_boundary_word_expand_counts():
     assert w.twist_count() == 5
     expanded = w.expand()
     assert len(expanded) == 5
-    assert sum(1 for c in expanded.factors if c.outer) == 2
+    assert sum(1 for c in expanded.factors if c.support == (1, 2, 3)) == 2
 
 
 def test_multiplicities_interior_and_outer():
@@ -166,9 +154,9 @@ def test_multiplicities_interior_and_outer():
     tw = TwistWord(
         s,
         (
-            ConvexCurve.over([1, 2]),
-            ConvexCurve.over([1, 2, 3, 4]),  # isotopic to outer
-            ConvexCurve.outer_parallel(),
+            ConvexCurve([1, 2]),
+            ConvexCurve([1, 2, 3, 4]),  # parallel to the outer boundary
+            ConvexCurve([4, 3, 2, 1]),
         ),
     )
     mv = multiplicities(tw)
@@ -190,9 +178,9 @@ def test_twist_word_takes_a_surface_and_curves(surface, factors, match):
 
 def test_support_beyond_labels_rejected():
     with pytest.raises(ValueError):
-        TwistWord(SurfaceSpec(4), (ConvexCurve.over([1, 4]),))
+        TwistWord(SurfaceSpec(4), (ConvexCurve([1, 4]),))
     with pytest.raises(ValueError):
-        swing_word(ConvexCurve.over([5]), SurfaceSpec(4))
+        swing_word(ConvexCurve([5]), SurfaceSpec(4))
 
 
 def test_equivalent_accepts_known_relation():
@@ -200,7 +188,7 @@ def test_equivalent_accepts_known_relation():
     s = SurfaceSpec(4)
     lhs = BoundaryWord(s, (1, 1, 1), outer=1)
     rhs = TwistWord(
-        s, (ConvexCurve.over([1, 2]), ConvexCurve.over([2, 3]), ConvexCurve.over([1, 3]))
+        s, (ConvexCurve([1, 2]), ConvexCurve([2, 3]), ConvexCurve([1, 3]))
     )
     assert verify_words("k3", lhs, rhs, lk=False).verified
 
@@ -210,7 +198,7 @@ def test_equivalent_is_order_sensitive():
     s = SurfaceSpec(4)
     lhs = BoundaryWord(s, (1, 1, 1), outer=1)
     rhs = TwistWord(
-        s, (ConvexCurve.over([1, 2]), ConvexCurve.over([1, 3]), ConvexCurve.over([2, 3]))
+        s, (ConvexCurve([1, 2]), ConvexCurve([1, 3]), ConvexCurve([2, 3]))
     )
     assert not verify_words("k3-lex", lhs, rhs, lk=False).verified
 
@@ -225,12 +213,16 @@ def test_equivalent_demands_same_surface():
 def test_json_roundtrip():
     # a relation file reads back as the words it was written from
     s = SurfaceSpec(5)
-    tw = TwistWord(s, (ConvexCurve.over([1, 3]), ConvexCurve.outer_parallel()))
+    tw = TwistWord(s, (ConvexCurve([1, 3]), ConvexCurve([1, 2, 3, 4])))
     bw = BoundaryWord(s, (2, 0, 1, 3), outer=2)
     obj = {"n": 5, "lhs": {"exponents": [2, 0, 1, 3], "outer": 2}, "rhs": [[1, 3], "outer"]}
     assert read_relation(dict(obj, label="r")) == ("r", bw, tw)
     assert read_relation(obj, "stem") == ("stem", bw, tw)
     assert read_relation(dict(obj, rhs=["outer", [3, 1]], order="leftmost-first"), "x")[2] == tw
+    # "outer" is the curve around every interior hole: one word, one report
+    spelled = read_relation(dict(obj, rhs=[[1, 3], [1, 2, 3, 4]]), "r")
+    assert spelled == read_relation(obj, "r")
+    assert verify_words(*spelled) == verify_words(*read_relation(obj, "r"))
     no_rhs = {"n": 5, "lhs": {"exponents": [2, 0, 1, 3]}, "label": "r"}
     assert read_relation(no_rhs) == ("r", BoundaryWord(s, (2, 0, 1, 3), outer=1), None)
     with pytest.raises(ValueError, match="label must be a string"):

@@ -35,7 +35,7 @@ SUMMARY = ReplicationClassSummary((2, 2, 2), 2, 2, False, ("exhausted",), (), Fa
 CASES = {
     BraidWord: ({"strands": 3, "letters": (1, -2)}, {"strands": 3, "letters": (1,)}),
     SurfaceSpec: ({"n": 5}, {"n": 6}),
-    ConvexCurve: ({"support": (1, 3), "outer": False}, {"support": (), "outer": True}),
+    ConvexCurve: ({"support": (1, 3)}, {"support": (1, 4)}),
     TwistWord: (
         {"surface": S4, "factors": (ConvexCurve((1, 2)),)},
         {"surface": S4, "factors": (ConvexCurve((2, 3)),)},
