@@ -78,7 +78,15 @@ def test_relation_rejects_boundary_parallel_factor():
         Relation(label="x", lhs=lhs, rhs=TwistWord(s, (ConvexCurve([2]),)))
 
 
-@pytest.mark.parametrize("curve", [ConvexCurve([2]), ConvexCurve([1, 2, 3])])
+@pytest.mark.parametrize(
+    "curve",
+    [
+        ConvexCurve([2]),
+        ConvexCurve([1, 2, 3]),
+        # the outer twist as a boundary word builds it
+        BoundaryWord(SurfaceSpec(4), (0, 0, 0), outer=1).expand().factors[0],
+    ],
+)
 def test_boundary_parallel_rule_has_one_message(curve):
     s = SurfaceSpec(4)
     rhs = TwistWord(s, (curve,))

@@ -80,6 +80,12 @@ def test_singleton_swing_is_empty():
     assert swing_word(ConvexCurve([2]), SurfaceSpec(5)).letters == ()
 
 
+def test_outer_swing_is_full_twist():
+    # the curve a boundary word's outer twist expands to swings to the full twist
+    (outer,) = BoundaryWord(SurfaceSpec(5), (0, 0, 0, 0), outer=1).expand().factors
+    assert swing_word(outer, SurfaceSpec(5)) == full_twist(4)
+
+
 def test_full_support_swing_equals_outer():
     # the outer twist's swing spells the full twist letter for letter
     for n in range(2, 11):
