@@ -501,19 +501,21 @@ def _lk_apply(cols: list, gen) -> int:
     grown = 0
     for j, entries in gen:
         scale = most = None
-        for k, d, n, e in entries:
-            col, s = cols[k]
-            if scale is None or s + e > scale:
-                scale = s + e
+        for entry in entries:
+            col, s = cols[entry[0]]
+            if scale is None or s + entry[3] > scale:
+                scale = s + entry[3]
             if most is None or len(col) > most:
-                first, most = (k, col, s, d, n, e), len(col)
-        k, col, s, d, n, e = first
+                first, most = entry, len(col)
+        k, d, n, e = first
+        col, s = cols[k]
         c = n << (scale - s - e)
         acc = col.copy() if c == 1 and not d else {key + d: v * c for key, v in col.items()}
         get = acc.get
-        for k, d, n, e in entries:
-            if k == first[0]:
+        for entry in entries:
+            if entry is first:
                 continue
+            k, d, n, e = entry
             col, s = cols[k]
             c = n << (scale - s - e)
             for key, v in col.items():
@@ -537,10 +539,15 @@ def _lk_identity(m: int, stride: int, power: int = 0) -> list:
 
 
 def _lk_same(u: list, v: list) -> bool:
-    """u = v, column by column at the larger of the two scales."""
+    """u = v, column by column: a pair at one scale is compared as it
+    stands, otherwise the lower-scale side is shifted up to the other's.
+    A column holds only non-zero terms, so equal scales mean equal dicts."""
     for (a, s), (b, r) in zip(u, v):
-        top = max(s, r)
-        if {key: x << (top - s) for key, x in a.items()} != {key: x << (top - r) for key, x in b.items()}:
+        if s < r:
+            a = {key: x << (r - s) for key, x in a.items()}
+        elif r < s:
+            b = {key: x << (s - r) for key, x in b.items()}
+        if a != b:
             return False
     return True
 
@@ -609,7 +616,7 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
             continue
         w.append(k)
         end = ends.get(k)
-        if end and tuple(w[-size:]) == end[0]:
+        if end and len(w) >= size and w[-size] == end[0][0] and tuple(w[-size:]) == end[0]:
             del w[-size:]
             power += end[1]
     lo, hi = 0, len(w)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .braid import BraidWord, _json_int, _Value
+from .braid import BraidWord, _json_int, _Value, full_twist
 
 __all__ = [
     "SurfaceSpec",
@@ -144,6 +144,9 @@ class BoundaryWord(_Value):
         self._set(surface, exponents, outer)
 
     def expand(self) -> TwistWord:
+        """The product as a twist word, one factor per twist: the reference
+        for `to_braid` and `multiplicities`, which read a boundary word's
+        braid and counts off its exponents instead."""
         factors = []
         for label, a in enumerate(self.exponents, start=1):
             factors.extend([ConvexCurve((label,))] * a)
@@ -260,9 +263,16 @@ def swing_word(curve: ConvexCurve, surface: SurfaceSpec) -> BraidWord:
 
 
 def to_braid(word: Union[TwistWord, BoundaryWord]) -> BraidWord:
-    """Composition of the factor swings, in application order."""
+    """Composition of the factor swings, in application order.
+
+    A one-hole twist swings no strand and the outer twist swings every
+    strand as the full twist, so a BoundaryWord's braid is
+    `full_twist(n - 1)`'s letters `outer` times, the braid of its `expand()`
+    letter for letter.
+    """
     if isinstance(word, BoundaryWord):
-        word = word.expand()
+        m = word.surface.n - 1
+        return BraidWord(m, full_twist(m).letters * word.outer)
     letters: list[int] = []
     for curve in reversed(word.factors):
         letters.extend(swing_word(curve, word.surface).letters)
@@ -274,10 +284,15 @@ def multiplicities(word: Union[TwistWord, BoundaryWord]) -> MultiplicityVector:
 
     A factor around every interior hole is parallel to the outer boundary,
     so it contains the outer component as well as every interior label.
+    A BoundaryWord's counts are read off its exponents, as its `expand()`
+    would count them: label i is in its a_i one-hole factors and its outer
+    ones, and at n = 2 the one-hole curve is the outer-parallel one too.
     """
-    if isinstance(word, BoundaryWord):
-        word = word.expand()
     n = word.surface.n
+    if isinstance(word, BoundaryWord):
+        outer = word.outer
+        interior = tuple(a + outer for a in word.exponents)
+        return MultiplicityVector(interior, interior[0] if n == 2 else outer)
     counts = [0] * (n - 1)
     outer = 0
     for c in word.factors:

@@ -924,6 +924,51 @@ def test_lk_apply_writes_no_stored_column(w, data):
     assert grown == sum(len(col) for col, _ in cols) - before
 
 
+def test_lk_same_compares_columns_across_scales():
+    # a column stored again at a higher scale (ints << 3, scale + 3) is the
+    # same column; one changed coefficient, one dropped term or one key
+    # moved by a t-degree is not, whichever side carries the higher scale
+    cols, _ = _lk_matrix(BraidWord(4, (1, -2, 3, 1, 2, -3, 2)))
+    j = max(range(len(cols)), key=lambda i: len(cols[i][0]))
+    col, scale = cols[j]
+    assert len(col) >= 3
+    first = next(iter(col))
+    moved = next(key for key in col if key + 1 not in col)
+    changes = (
+        lambda c: {**c, first: c[first] + 1},
+        lambda c: {key: v for key, v in c.items() if key != first},
+        lambda c: {key + (key == moved): v for key, v in c.items()},
+    )
+    for shift in (0, 3):
+        rescaled = list(cols)
+        rescaled[j] = ({key: v << shift for key, v in col.items()}, scale + shift)
+        assert braid._lk_same(cols, rescaled) and braid._lk_same(rescaled, cols)
+        for change in changes:
+            wrong = list(rescaled)
+            wrong[j] = (change(rescaled[j][0]), scale + shift)
+            assert len(wrong[j][0]) == len(col) - (change is changes[1])
+            assert not braid._lk_same(cols, wrong) and not braid._lk_same(wrong, cols)
+
+
+def test_lk_equal_strips_no_twist_with_a_changed_middle_letter(monkeypatch):
+    # the spelling starts and ends as the full twist does, so the stack
+    # pass's first-letter test passes and only the whole rotation fails:
+    # nothing is stripped and every letter is multiplied out
+    for m in range(3, 8):
+        braid._lk_check(m)
+    applied = []
+    apply = braid._lk_apply
+    monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: applied.append(gen) or apply(cols, gen))
+    for m in range(3, 8):
+        for spelling in (full_twist(m).letters, _inverse(full_twist(m)).letters):
+            mid = len(spelling) // 2
+            changed = BraidWord(m, spelling[:mid] + (-spelling[mid],) + spelling[mid + 1:])
+            for a, b in ((changed, BraidWord(m)), (BraidWord(m), changed)):
+                applied.clear()
+                assert lk_equal(a, b) == _lk_reference_equal(a, b) == equals(a, b) is False
+                assert len(applied) == len(spelling)
+
+
 def test_lk_layout_holds_words_at_the_degree_extremes():
     # powers of one letter reach the t-degrees at the layout's edges:
     # sigma_1^-l has t^-l and sigma_i^l has t^l; each matrix, with the row

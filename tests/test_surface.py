@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -7,6 +9,7 @@ from planar_monoid.catalog import verify_words
 from planar_monoid.surface import (
     BoundaryWord,
     ConvexCurve,
+    MultiplicityVector,
     SurfaceSpec,
     TwistWord,
     multiplicities,
@@ -116,6 +119,38 @@ def test_boundary_word_is_the_full_twist():
     for exps in ((0, 0, 0, 0), (1, 2, 3, 4), (2, 2, 2, 2)):
         w = BoundaryWord(SurfaceSpec(5), exps, outer=1)
         assert equals(to_braid(w), full_twist(4))
+
+
+def _exponent_vectors(n):
+    """Exponent vectors with entries 0..3: every one up to n = 5, past it
+    the 16 vectors (step * i + offset) % 4, which put every value at every
+    label."""
+    if n <= 5:
+        return itertools.product(range(4), repeat=n - 1)
+    return {
+        tuple((step * i + offset) % 4 for i in range(n - 1))
+        for step in range(4)
+        for offset in range(4)
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_boundary_word_readings_match_its_expansion(n):
+    # to_braid and multiplicities read a boundary word off its exponents;
+    # the expanded twist word is the reference, letter for letter
+    s = SurfaceSpec(n)
+    for exps in _exponent_vectors(n):
+        for outer in range(4):
+            w = BoundaryWord(s, exps, outer)
+            assert to_braid(w) == to_braid(w.expand())
+            assert multiplicities(w) == multiplicities(w.expand())
+
+
+def test_annulus_one_hole_twists_count_as_outer():
+    # at n = 2 the curve around hole 1 is the curve around every interior
+    # hole, so each one-hole twist is outer-parallel too
+    w = BoundaryWord(SurfaceSpec(2), (3,), outer=1)
+    assert multiplicities(w) == MultiplicityVector((4,), 4)
 
 
 def test_boundary_word_validation():
