@@ -67,10 +67,10 @@ _setattr = object.__setattr__  # _Value._set stores each field past _Value.__set
 
 class _Value:
     """Immutable slotted value: equal only to its own class with equal
-    fields, hashed by them, shown as Name(field=value, ...) and pickled
-    through the constructor.  A subclass names its fields in __slots__,
-    checks its arguments in __init__ and stores them with _set.  The methods
-    are written once here: methods generated per class compile at every start.
+    fields, hashed by them and shown as Name(field=value, ...).  A subclass
+    names its fields in __slots__, checks its arguments in __init__ and
+    stores them with _set.  The methods are written once here: methods
+    generated per class compile at every start.
     """
 
     __slots__ = ()
@@ -104,9 +104,6 @@ class _Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
         return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class BraidWord(_Value):

@@ -45,14 +45,12 @@ __all__ = [
     "VerificationReport",
     "ReplicationClassSummary",
     "AuditReport",
-    "ChiRecord",
     "CATALOGUED_N",
     "builtin",
     "verify",
     "verify_words",
     "AUDIT_MODES",
     "completeness_check",
-    "chi_discrepancies",
 ]
 
 
@@ -155,23 +153,32 @@ class ReplicationClassSummary(_Value):
     or, only if none did, one of its catalogued relations verifies (the
     relation is the proof, through its own labelling).  A "budget" status
     means a search stopped at its limits before it ended, so there
-    matches_catalog False can mean the budget was too small.
+    matches_catalog False can mean the budget was too small.  printed: the
+    paper's (lhs, rhs) chi pair from the bundled printed-chi table, None
+    where it prints none.  The 2-n+k formula is the oracle of record: a
+    printed pair that differs from (lhs_chi, rhs_chi) is reported as it
+    stands, never silently corrected in the data.
     """
 
     __slots__ = (
-        "replications", "lhs_chi", "rhs_chi", "realizable", "statuses", "catalog_labels", "listed",
+        "replications", "lhs_chi", "rhs_chi", "realizable", "statuses", "catalog_labels", "printed",
     )
 
     def __init__(
         self, replications: tuple[int, ...], lhs_chi: int, rhs_chi: int, realizable: bool,
         statuses: tuple[str, ...], catalog_labels: tuple[str, ...],
-        listed: bool,  # appears in the bundled printed-chi table
+        printed: Optional[tuple[int, int]],
     ):
-        self._set(replications, lhs_chi, rhs_chi, realizable, statuses, catalog_labels, listed)
+        self._set(replications, lhs_chi, rhs_chi, realizable, statuses, catalog_labels, printed)
 
     @property
     def matches_catalog(self) -> bool:
         return self.realizable == bool(self.catalog_labels)
+
+    @property
+    def listed(self) -> bool:
+        """The multiset appears in the bundled printed-chi table."""
+        return self.printed is not None
 
     def to_json_obj(self) -> dict:
         return {
@@ -183,6 +190,7 @@ class ReplicationClassSummary(_Value):
             "catalog_labels": list(self.catalog_labels),
             "matches_catalog": self.matches_catalog,
             "listed": self.listed,
+            "printed": None if self.printed is None else list(self.printed),
         }
 
 
@@ -215,6 +223,16 @@ def _printed_chi() -> dict:
     return json.loads(_data_text("printed_chi.json"))
 
 
+def _chi_pair(d: Design) -> tuple[int, int]:
+    """(lhs_chi, rhs_chi) of the relation whose rhs supports are d's blocks.
+
+    Both depend on d only through its replication multiset for m <= 7:
+    designs sharing one have the same block count.
+    """
+    rhs = TwistWord(SurfaceSpec(d.points + 1), tuple(ConvexCurve(b) for b in d.blocks))
+    return euler_characteristic(exponents_from_design(d)), euler_characteristic(rhs)
+
+
 # Verdicts are per replication multiset, which relabeling preserves.  A
 # labeling's realizability is known to be preserved only by rotations and
 # reflections, so a "dihedral" audit covers every labeling and a "labeled"
@@ -233,7 +251,8 @@ def completeness_check(
     entries are search_orderings' own results, counted without listing.
     An empty search proves non-realizability only with status "exhausted";
     with "budget" it proves nothing.  The catalog and the bundled
-    printed-chi table are compared per multiset (ReplicationClassSummary).
+    printed-chi table are compared per multiset (ReplicationClassSummary):
+    each class carries the paper's printed chi pair next to the computed one.
     """
     if _json_int(n, "n") not in CATALOGUED_N:
         raise ValueError(f"no catalog to audit against for n={n}")
@@ -251,7 +270,7 @@ def completeness_check(
         # a relation's lhs exponent is its design's replication minus one
         catalogued.setdefault(tuple(sorted(a + 1 for a in r.lhs.exponents)), []).append(r)
 
-    printed = {tuple(rec["replications"]) for rec in _printed_chi()[str(n)]}
+    printed = {tuple(rec["replications"]): tuple(rec["printed"]) for rec in _printed_chi()[str(n)]}
     classes = []
     for reps, cls in sorted(by_reps.items()):
         members = catalogued.get(reps, [])
@@ -265,58 +284,8 @@ def completeness_check(
                 or any(verify(r, lk=False).verified for r in members),
                 statuses=tuple(sorted({e.status for e in cls})),
                 catalog_labels=tuple(r.label for r in members),
-                listed=reps in printed,
+                printed=printed.get(reps),
             )
         )
 
     return AuditReport(n=n, mode=mode, entries=entries, replication_classes=tuple(classes))
-
-
-# ---------------------------------------------------------------------------
-# printed-vs-formula chi bookkeeping
-
-class ChiRecord(_Value):
-    __slots__ = ("n", "replications", "printed", "computed")
-
-    def __init__(
-        self, n: int, replications: tuple[int, ...], printed: tuple[int, int],
-        computed: tuple[int, int],
-    ):
-        self._set(n, replications, printed, computed)
-
-    @property
-    def agree(self) -> bool:
-        return self.printed == self.computed
-
-
-def _chi_pair(d: Design) -> tuple[int, int]:
-    """(lhs_chi, rhs_chi) of the relation whose rhs supports are d's blocks.
-
-    Both depend on d only through its replication multiset for m <= 7:
-    designs sharing one have the same block count.
-    """
-    rhs = TwistWord(SurfaceSpec(d.points + 1), tuple(ConvexCurve(b) for b in d.blocks))
-    return euler_characteristic(exponents_from_design(d)), euler_characteristic(rhs)
-
-
-def chi_discrepancies() -> list[ChiRecord]:
-    """Every chi pair in the bundled printed table, next to the 2-n+k value.
-
-    The formula is the oracle of record; disagreements are flagged via
-    .agree, never silently corrected in the data.
-    """
-    records = []
-    for n_str, recs in sorted(_printed_chi().items()):
-        n = int(n_str)
-        designs = {tuple(sorted(replication(d))): d for d in enumerate_designs(n - 1, "symmetric")}
-        for rec in recs:
-            reps = tuple(rec["replications"])
-            records.append(
-                ChiRecord(
-                    n=n,
-                    replications=reps,
-                    printed=tuple(rec["printed"]),
-                    computed=_chi_pair(designs[reps]),
-                )
-            )
-    return records

@@ -6,9 +6,9 @@ interior labels is enclosed by exactly one factor (the linking matrix
 forces this).  The factor supports therefore form a linear space on
 m = n-1 points: blocks of size 2..m-1 covering every pair exactly once.
 
-This module enumerates such designs up to symmetry, decides replication
-feasibility, builds the generalized daisy relation, and searches block
-orderings whose product realizes the full twist.
+This module enumerates such designs up to symmetry, builds the
+generalized daisy relation, and searches block orderings whose product
+realizes the full twist.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "replication",
     "exponents_from_design",
     "enumerate_designs",
-    "feasible_replication",
     "daisy",
     "search_orderings",
 ]
@@ -232,23 +231,6 @@ def enumerate_designs(m: int, mode: SymmetryMode = "dihedral") -> list[Design]:
     representative is the least member of its orbit.
     """
     return list(_classes(_json_int(m, "m"), mode))  # checked first: the cache takes 5.0 for 5
-
-
-@functools.cache
-def _multisets(m: int) -> frozenset[tuple[int, ...]]:
-    """The sorted replication vectors of the designs on m points; relabeling
-    keeps them, so the dihedral classes carry every one."""
-    return frozenset(tuple(sorted(replication(d))) for d in _classes(m, "dihedral"))
-
-
-def feasible_replication(m: int, r: ReplicationVector) -> bool:
-    """True iff some design on m points has exactly this replication vector."""
-    r = tuple(_json_int(x, "replication") for x in r)
-    if len(r) != _json_int(m, "m"):
-        raise ValueError(f"replication vector length {len(r)} != {m} points")
-    if m < 3:
-        return False
-    return tuple(sorted(r)) in _multisets(m)
 
 
 # ---------------------------------------------------------------------------

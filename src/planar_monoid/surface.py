@@ -143,16 +143,6 @@ class BoundaryWord(_Value):
             raise ValueError(f"outer must be non-negative, got {outer}")
         self._set(surface, exponents, outer)
 
-    def expand(self) -> TwistWord:
-        """The product as a twist word, one factor per twist: the reference
-        for `to_braid` and `multiplicities`, which read a boundary word's
-        braid and counts off its exponents instead."""
-        factors = []
-        for label, a in enumerate(self.exponents, start=1):
-            factors.extend([ConvexCurve((label,))] * a)
-        factors.extend([ConvexCurve(range(1, self.surface.n))] * self.outer)
-        return TwistWord(self.surface, tuple(factors))
-
     def twist_count(self) -> int:
         return sum(self.exponents) + self.outer
 
@@ -267,8 +257,8 @@ def to_braid(word: Union[TwistWord, BoundaryWord]) -> BraidWord:
 
     A one-hole twist swings no strand and the outer twist swings every
     strand as the full twist, so a BoundaryWord's braid is
-    `full_twist(n - 1)`'s letters `outer` times, the braid of its `expand()`
-    letter for letter.
+    `full_twist(n - 1)`'s letters `outer` times, letter for letter the braid
+    of the product written out one factor per twist.
     """
     if isinstance(word, BoundaryWord):
         m = word.surface.n - 1
@@ -284,9 +274,10 @@ def multiplicities(word: Union[TwistWord, BoundaryWord]) -> MultiplicityVector:
 
     A factor around every interior hole is parallel to the outer boundary,
     so it contains the outer component as well as every interior label.
-    A BoundaryWord's counts are read off its exponents, as its `expand()`
-    would count them: label i is in its a_i one-hole factors and its outer
-    ones, and at n = 2 the one-hole curve is the outer-parallel one too.
+    A BoundaryWord's counts are read off its exponents, as the product
+    written out one factor per twist would count them: label i is in its a_i
+    one-hole factors and its outer ones, and at n = 2 the one-hole curve is
+    the outer-parallel one too.
     """
     n = word.surface.n
     if isinstance(word, BoundaryWord):

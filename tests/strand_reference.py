@@ -1,5 +1,8 @@
-"""Integer reference for the strands of a braid word, read from its letters
-alone: the tests' check of purity and linking numbers."""
+"""References the tests check the package against: the strands of a braid
+word, read from its letters alone (purity and linking numbers), and a
+boundary word written out one factor per twist."""
+
+from planar_monoid.surface import ConvexCurve, TwistWord
 
 
 def strand_linking(w):
@@ -15,3 +18,15 @@ def strand_linking(w):
         doubled[min(x, y), max(x, y)] += 1 if k > 0 else -1
         occupant[i], occupant[i + 1] = y, x
     return occupant == sorted(occupant), doubled
+
+
+def expand(w):
+    """A BoundaryWord as a twist word, one factor per twist: a_i twists
+    around hole i, then `outer` around every interior hole.  The reference
+    for `to_braid` and `multiplicities`, which read a boundary word's braid
+    and counts off its exponents instead."""
+    factors = []
+    for label, a in enumerate(w.exponents, start=1):
+        factors.extend([ConvexCurve((label,))] * a)
+    factors.extend([ConvexCurve(range(1, w.surface.n))] * w.outer)
+    return TwistWord(w.surface, tuple(factors))

@@ -9,12 +9,7 @@ import random
 import time
 
 from planar_monoid.braid import BraidWord, equals, lk_equal, normal_form
-from planar_monoid.catalog import (
-    builtin,
-    chi_discrepancies,
-    completeness_check,
-    verify,
-)
+from planar_monoid.catalog import builtin, completeness_check, verify
 from planar_monoid.designs import daisy, enumerate_designs, replication
 from planar_monoid.plumbing import bounds, euler_characteristic
 from planar_monoid.surface import ConvexCurve, SurfaceSpec, TwistWord, to_braid
@@ -134,14 +129,22 @@ def test_c4_completeness_counts():
 
 
 def test_c5_euler_characteristics():
-    records = chi_discrepancies()
-    n6 = [r for r in records if r.n == 6]
-    n6_ok = len(n6) == 4 and all(r.agree for r in n6) and sorted(
-        r.printed for r in n6
+    # each audit class carries the paper's printed chi pair, if any,
+    # next to the 2-n+k one
+    printed = {
+        n: [c for c in completeness_check(n).replication_classes if c.listed] for n in (5, 6, 7)
+    }
+
+    def agree(c):
+        return c.printed == (c.lhs_chi, c.rhs_chi)
+
+    n6 = printed[6]
+    n6_ok = len(n6) == 4 and all(agree(c) for c in n6) and sorted(
+        c.printed for c in n6
     ) == [(4, 1), (6, 2), (9, 4), (12, 6)]
 
-    n7_agree = [r for r in records if r.n == 7 and r.agree]
-    n7_ok = sorted(r.printed for r in n7_agree) == [
+    n7_agree = [c for c in printed[7] if agree(c)]
+    n7_ok = sorted(c.printed for c in n7_agree) == [
         (5, 1),
         (9, 3),
         (12, 5),
@@ -150,12 +153,12 @@ def test_c5_euler_characteristics():
         (17, 8),
     ]
 
-    flagged = [r for r in records if not r.agree]
-    flags_ok = sorted((r.n, r.printed) for r in flagged) == [
+    flagged = [(n, c) for n, cs in printed.items() for c in cs if not agree(c)]
+    flags_ok = sorted((n, c.printed) for n, c in flagged) == [
         (5, (3, 3)),
         (5, (6, 1)),
         (7, (16, 10)),
-    ] and next(r for r in flagged if r.n == 7).computed == (20, 10)
+    ] and next((c.lhs_chi, c.rhs_chi) for n, c in flagged if n == 7) == (20, 10)
 
     ok = n6_ok and n7_ok and flags_ok
     _report(

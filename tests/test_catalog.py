@@ -1,12 +1,13 @@
 import json
+from importlib import resources
 
 import pytest
 
 from planar_monoid.catalog import (
     AUDIT_MODES,
+    CATALOGUED_N,
     Relation,
     builtin,
-    chi_discrepancies,
     completeness_check,
     verify,
     verify_words,
@@ -14,12 +15,12 @@ from planar_monoid.catalog import (
 from planar_monoid.designs import (
     SearchBudget,
     enumerate_designs,
-    feasible_replication,
     from_rhs,
     replication,
     search_orderings,
 )
 from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
+from strand_reference import expand
 
 
 @pytest.mark.parametrize(("n", "count"), [(5, 2), (6, 7), (7, 17)])
@@ -84,7 +85,7 @@ def test_relation_rejects_boundary_parallel_factor():
         ConvexCurve([2]),
         ConvexCurve([1, 2, 3]),
         # the outer twist as a boundary word builds it
-        BoundaryWord(SurfaceSpec(4), (0, 0, 0), outer=1).expand().factors[0],
+        expand(BoundaryWord(SurfaceSpec(4), (0, 0, 0), outer=1)).factors[0],
     ],
 )
 def test_boundary_parallel_rule_has_one_message(curve):
@@ -251,36 +252,62 @@ def test_audit_entry_json_schema():
         "catalog_labels",
         "matches_catalog",
         "listed",
+        "printed",
     }
     json.dumps(rep.to_json_obj())
 
 
 def test_builtin_replications_are_feasible():
+    # relabeling keeps a replication multiset, so the dihedral classes
+    # carry every one
+    multisets = {
+        m: {tuple(sorted(replication(d))) for d in enumerate_designs(m, "dihedral")}
+        for m in (4, 5, 6)
+    }
     for n in (5, 6, 7):
         for r in builtin(n):
             d = from_rhs(r.rhs)
             assert sorted(replication(d)) == sorted(
                 a + 1 for a in r.lhs.exponents
             )
-            assert feasible_replication(n - 1, replication(d))
+            assert tuple(sorted(replication(d))) in multisets[n - 1]
     # feasible is not realizable: the four-triples class on 6 points
     # exists but no ordering of its blocks gives the full twist
-    assert feasible_replication(6, (3,) * 6)
-    assert not feasible_replication(6, (2,) * 6)
+    assert (3,) * 6 in multisets[6]
+    assert (2,) * 6 not in multisets[6]
+
+
+@pytest.mark.parametrize("mode", AUDIT_MODES)
+@pytest.mark.parametrize("n", CATALOGUED_N)
+def test_every_printed_row_reaches_the_audit(n, mode):
+    # every row of the bundled printed-chi table lands on its class, and
+    # no class shows a printed pair the table lacks
+    rows = json.loads(
+        resources.files("planar_monoid").joinpath("data", "printed_chi.json").read_text()
+    )[str(n)]
+    table = {tuple(row["replications"]): row["printed"] for row in rows}
+    assert len(table) == len(rows)
+    classes = completeness_check(n, mode).to_json_obj()["replication_classes"]
+    assert all(c["listed"] == (c["printed"] is not None) for c in classes)
+    assert {tuple(c["replications"]): c["printed"] for c in classes if c["listed"]} == table
 
 
 def test_chi_discrepancy_report():
-    records = chi_discrepancies()
-    flagged = [r for r in records if not r.agree]
+    printed = [
+        (n, c)
+        for n in CATALOGUED_N
+        for c in completeness_check(n).replication_classes
+        if c.printed is not None
+    ]
+    flagged = [(n, c) for n, c in printed if c.printed != (c.lhs_chi, c.rhs_chi)]
     # exactly three printed chi values disagree with the 2-n+k formula
     assert len(flagged) == 3
-    assert sorted((r.n, tuple(r.printed)) for r in flagged) == [
+    assert sorted((n, c.printed) for n, c in flagged) == [
         (5, (3, 3)),
         (5, (6, 1)),
         (7, (16, 10)),
     ]
     # the n=7 disagreement: printed 16 where the formula gives 20
-    big = next(r for r in flagged if r.n == 7)
-    assert big.computed == (20, 10)
-    agreeing = [r for r in records if r.agree]
-    assert len(agreeing) == len(records) - 3 >= 10
+    big = next(c for n, c in flagged if n == 7)
+    assert (big.lhs_chi, big.rhs_chi) == (20, 10)
+    assert len(printed) - len(flagged) >= 10

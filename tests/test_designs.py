@@ -25,7 +25,6 @@ from planar_monoid.designs import (
     daisy,
     enumerate_designs,
     exponents_from_design,
-    feasible_replication,
     from_rhs,
     replication,
     search_orderings,
@@ -235,25 +234,18 @@ def test_enumeration_rejects_out_of_range():
         enumerate_designs(5.0)
 
 
-def test_feasible_replication_screens():
-    assert feasible_replication(4, (3, 3, 3, 3))
-    assert not feasible_replication(4, (2, 2, 2, 2))
-    with pytest.raises(ValueError):
-        feasible_replication(4, (3, 3, 3))
-    with pytest.raises(ValueError, match="replication must be an integer"):
-        feasible_replication(5, (4, 4, 4, 4, 4.0))
-
-
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_multiset_designs_fix_the_block_count(m):
     # the chi pair of a replication multiset is read off one design per
     # multiset, which is sound because every design sharing the multiset
-    # has the same number of blocks
+    # has the same number of blocks; relabeling keeps the multiset, so the
+    # dihedral classes carry every one
     block_count: dict[tuple[int, ...], int] = {}
     for blocks in designs._cover_all(m):
         reps = tuple(sorted(replication(Design(m, blocks))))
         assert block_count.setdefault(reps, len(blocks)) == len(blocks)
-    assert designs._multisets(m) == set(block_count)
+    dihedral = {tuple(sorted(replication(d))) for d in enumerate_designs(m, "dihedral")}
+    assert dihedral == set(block_count)
 
 
 def test_search_lantern_class_exhaustive():
