@@ -23,15 +23,18 @@ Words are sequences of signed Artin generator indices in *application order*:
   cross-check oracle with exact arithmetic, faithful by Krammer's theorem
   for every real 0 < q < 1).  `lk_equal` decides a = b as
   "the freely and cyclically reduced word a.b^-1 = u.v^-1 is the
-  identity": u and v grow from the identity, each step on whichever side
-  holds fewer terms, until they meet and are compared.  Each full twist
-  or inverse that the free reduction finds spelled out, in any cyclic
-  rotation, is taken out of the word and u starts at its image instead,
-  the central scalar 2^2m t^-2 to the power found; `_lk_check` verifies
-  that image once per strand count, so the verdict stays exact.  A matrix
+  identity": u and v grow from the identity, each step a letter pair on
+  whichever side holds fewer terms, until they meet and are compared.
+  Each full twist or inverse that the free reduction finds spelled out,
+  in any cyclic rotation, is taken out of the word and u starts at its
+  image instead, the central scalar 2^2m t^-2 to the power found;
+  `_lk_check` verifies that image once per strand count, so the verdict
+  stays exact.  A matrix
   is one sparse dict of ints per column, keyed by row and t-degree, with
-  one power-of-two scale per column, and one cached builder, `_lk_letter`,
-  packs each generator entry as a t-shift times n / 2^e.
+  one power-of-two scale per column.  One cached builder, `_lk_letter`,
+  packs each generator entry as a t-shift times n / 2^e, and a second,
+  `_lk_pair`, packs the product of two letters in the same layout, so a
+  step applies a letter pair from its table.
 
 Simple elements are stored as 0-indexed permutations, interned per strand
 count.
@@ -401,10 +404,11 @@ def full_twist(m: int) -> BraidWord:
 # t in [-l, l], the key is one-to-one, and adding a generator's t-shift to
 # it never changes its row.  A closed-form entry (_lk_column) is packed by
 # `_lk_letter` as t^b n / 2^e, so reading a column costs one int multiply
-# per key; the new column's scale is the largest of its readings', and a
-# column that the letter leaves alone is never rescaled.  The oracle shares
-# nothing with the Garside engine, and catalog.verify reports on every
-# relation whether the two agree (`oracle_agreement`).
+# per key; `_lk_pair` packs a product of two letters the same way, its
+# t-shifts within -2 .. +2.  The new column's scale is the largest of its
+# readings', and a column that the step leaves alone is never rescaled.
+# The oracle shares nothing with the Garside engine, and catalog.verify
+# reports on every relation whether the two agree (`oracle_agreement`).
 
 
 @functools.cache
@@ -484,15 +488,43 @@ def _lk_letter(m: int, letter: int) -> tuple:
     return tuple(steps)
 
 
+@functools.cache
+def _lk_pair(m: int, first: int, second: int) -> tuple:
+    """The product of two generator matrices, `first` applied first, packed
+    as `_lk_letter` packs one: the columns that are not unit columns, entry
+    k of column j the sum of its terms t^t_shift n / 2^e, one term per row
+    and t-shift, with n odd.  A pair moves a t-degree by -2 .. +2."""
+    a, b = dict(_lk_letter(m, first)), dict(_lk_letter(m, second))
+    steps = []
+    for j in sorted(a.keys() | b.keys()):
+        terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for k, d, n, e in b.get(j, ((j, 0, 1, 0),)):
+            for row, d2, n2, e2 in a.get(k, ((k, 0, 1, 0),)):
+                terms.setdefault((row, d + d2), []).append((n * n2, e + e2))
+        entries = []
+        for (row, d), parts in terms.items():
+            e = max(pe for _, pe in parts)
+            n = sum(pn << (e - pe) for pn, pe in parts)
+            if n:
+                while not n & 1:
+                    n, e = n >> 1, e - 1
+                entries.append((row, d, n, e))
+        if entries != [(j, 0, 1, 0)]:
+            steps.append((j, tuple(entries)))
+    return tuple(steps)
+
+
 def _lk_apply(cols: list, gen) -> int:
-    """Right multiplication of the matrix `cols` by a generator packed by
-    `_lk_letter`, in place in the list; returns the change in its term
-    count.  A column it touches becomes the sum of its entries' readings of
-    the old columns, at the largest of their scales: the reading of the
-    column with the most terms is built as a new dict, a plain copy when
-    that reading has weight one (t-shift 0 and factor 1), and the others
-    are added in.  A column dict is never written once stored: every column
-    a letter touches gets a new dict and the others are left as they are,
+    """Right multiplication of the matrix `cols` by a letter or a letter
+    pair packed by `_lk_letter` or `_lk_pair`, in place in the list;
+    returns the change in its term count.  lk_equal's steps apply a pair
+    each, so the per-column work below is paid once per two letters.  A
+    column it touches becomes the sum of its entries' readings of the old
+    columns, at the largest of their scales: the reading of the column
+    with the most terms is built as a new dict, a plain copy when that
+    reading has weight one (t-shift 0 and factor 1), and the others are
+    added in.  A column dict is never written once stored: every column a
+    step touches gets a new dict and the others are left as they are,
     so a copy of the list, which shares the dicts, keeps the matrix copied."""
     updates = []
     grown = 0
@@ -596,9 +628,11 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
     2^2m t^-2 (`_lk_check` verifies it), so w = w'.twist^p.  w' is then
     cyclically reduced, since x.w'.x^-1 = 1 iff w' = 1.  The result is
     u.v^-1 = 1 iff u = v: u starts at the scalar to the power p and v at
-    the identity, and each step gives the next letter from the front of w'
-    to u, or the inverse of the next from its back to v, whichever side
-    holds fewer terms, until the two meet; then u and v are compared.
+    the identity, and each step applies a letter pair from its `_lk_pair`
+    table: the next two letters from the front of w' to u, or the inverses
+    of the next two from its back to v, whichever side holds fewer terms,
+    until the two meet, a lone last letter going by itself; then u and v
+    are compared.
     """
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} != {b.strands}")
@@ -627,8 +661,15 @@ def lk_equal(a: BraidWord, b: BraidWord) -> bool:
     u_terms = v_terms = len(u)
     while lo < hi:
         if u_terms <= v_terms:
-            u_terms += _lk_apply(u, _lk_letter(m, w[lo]))
-            lo += 1
+            if hi - lo > 1:
+                u_terms += _lk_apply(u, _lk_pair(m, w[lo], w[lo + 1]))
+                lo += 2
+            else:
+                u_terms += _lk_apply(u, _lk_letter(m, w[lo]))
+                lo += 1
+        elif hi - lo > 1:
+            hi -= 2
+            v_terms += _lk_apply(v, _lk_pair(m, -w[hi + 1], -w[hi]))
         else:
             hi -= 1
             v_terms += _lk_apply(v, _lk_letter(m, -w[hi]))

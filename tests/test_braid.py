@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -751,6 +752,24 @@ def _lk_unpacked(matrix):
     return mat
 
 
+def _letters_applied(applied):
+    """An _lk_apply that appends to `applied` how many letters each call
+    applies: 1 for a table from _lk_letter, 2 for one from _lk_pair."""
+    apply = braid._lk_apply
+
+    def counting(cols, gen):
+        m = (1 + math.isqrt(1 + 8 * len(cols))) // 2
+        letters = [sign * i for i in range(1, m) for sign in (1, -1)]
+        if any(gen is braid._lk_letter(m, x) for x in letters):
+            applied.append(1)
+        else:
+            assert any(gen is braid._lk_pair(m, x, y) for x in letters for y in letters)
+            applied.append(2)
+        return apply(cols, gen)
+
+    return counting
+
+
 @given(braid_word_pairs(max_len=16))
 @settings(max_examples=60, deadline=None)
 def test_lk_equal_matches_unreduced_reference(pair):
@@ -832,17 +851,12 @@ def test_lk_proves_inserted_relators(case):
     braid._lk_check(w.strands)  # its own letters are not the word's
     applied = []
     apply = braid._lk_apply
-
-    def counting(cols, gen):
-        applied.append(gen)
-        return apply(cols, gen)
-
-    braid._lk_apply = counting
+    braid._lk_apply = _letters_applied(applied)
     try:
         assert lk_equal(w, padded)
     finally:
         braid._lk_apply = apply
-    assert len(applied) >= 4
+    assert sum(applied) >= 4
     assert lk_equal(w, padded) == _lk_reference_equal(w, padded)
 
 
@@ -888,13 +902,50 @@ def test_lk_packed_letter_expands_to_the_active_columns(m):
         }
 
 
+def _lk_tables(m):
+    """Every packed table on m strands: each letter's, then each ordered
+    pair's, a letter with itself and with its own inverse too."""
+    letters = [sign * i for i in range(1, m) for sign in (1, -1)]
+    singles = [braid._lk_letter(m, x) for x in letters]
+    return singles + [braid._lk_pair(m, x, y) for x in letters for y in letters]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_lk_pair_is_its_two_letters_in_turn(m):
+    # every ordered pair of letters, a letter with itself and with its own
+    # inverse too: the packed product is the two letters applied one after
+    # the other, entry by entry, each non-unit column listed once, each
+    # entry one row and t-shift with n odd, and a pair moves a t-degree by
+    # -2..2 (the key layout's reach for two letters)
+    letters = [sign * i for i in range(1, m) for sign in (1, -1)]
+    dim = m * (m - 1) // 2
+    for a in letters:
+        for b in letters:
+            gen = braid._lk_pair(m, a, b)
+            listed = [j for j, _ in gen]
+            assert listed == sorted(set(listed))
+            packed = {(j, j): {0: 1} for j in range(dim) if j not in listed}
+            for j, entries in gen:
+                assert len({(k, d) for k, d, _, _ in entries}) == len(entries)
+                assert entries != ((j, 0, 1, 0),)
+                for k, d, n, e in entries:
+                    assert -2 <= d <= 2 and n % 2
+                    packed.setdefault((k, j), {})[d] = n * Fraction(1, 2) ** e
+            assert packed == _lk_unpacked(_lk_matrix(BraidWord(m, (a, b)))), (a, b)
+            if b == -a:
+                assert gen == ()
+
+
 def test_lk_apply_rescales_only_the_columns_it_touches():
-    # a letter rewrites the columns its packed form lists, each at the
-    # largest scale of its readings; every other column keeps its dict
+    # a letter or a letter pair rewrites the columns its packed form lists,
+    # each at the largest scale of its readings; every other column keeps
+    # its dict
     for m in (3, 5):
-        cols, _ = _lk_matrix(BraidWord(m, (1, -2, 1, 2)))
-        for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
-            gen = braid._lk_letter(m, letter)
+        word = (1, -2, 1, 2)
+        cols = braid._lk_identity(m, 2 * len(word) + 5)  # room for a pair
+        for letter in word:
+            braid._lk_apply(cols, braid._lk_letter(m, letter))
+        for gen in _lk_tables(m):
             after = list(cols)
             braid._lk_apply(after, gen)
             touched = {j for j, _ in gen}
@@ -908,18 +959,18 @@ def test_lk_apply_rescales_only_the_columns_it_touches():
 @given(braid_words(max_strands=6, max_len=24), st.data())
 @settings(max_examples=60, deadline=None)
 def test_lk_apply_writes_no_stored_column(w, data):
-    # a letter leaves every dict held before it as it was, so copies of a
-    # matrix share its column dicts safely, and its returned change in term
-    # count matches a full recount
+    # a letter or a letter pair leaves every dict held before it as it
+    # was, so copies of a matrix share its column dicts safely, and its
+    # returned change in term count matches a full recount
     m = w.strands
-    cols = braid._lk_identity(m, 2 * len(w) + 3)  # room for one more letter
+    cols = braid._lk_identity(m, 2 * len(w) + 5)  # room for a pair more
     for letter in w.letters:
         braid._lk_apply(cols, braid._lk_letter(m, letter))
     held = list(cols)
     values = [dict(col) for col, _ in held]
-    letter = data.draw(st.sampled_from([sign * i for i in range(1, m) for sign in (1, -1)]))
+    gen = data.draw(st.sampled_from(_lk_tables(m)))
     before = sum(len(col) for col, _ in cols)
-    grown = braid._lk_apply(cols, braid._lk_letter(m, letter))
+    grown = braid._lk_apply(cols, gen)
     assert [col for col, _ in held] == values
     assert grown == sum(len(col) for col, _ in cols) - before
 
@@ -957,8 +1008,7 @@ def test_lk_equal_strips_no_twist_with_a_changed_middle_letter(monkeypatch):
     for m in range(3, 8):
         braid._lk_check(m)
     applied = []
-    apply = braid._lk_apply
-    monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: applied.append(gen) or apply(cols, gen))
+    monkeypatch.setattr(braid, "_lk_apply", _letters_applied(applied))
     for m in range(3, 8):
         for spelling in (full_twist(m).letters, _inverse(full_twist(m)).letters):
             mid = len(spelling) // 2
@@ -966,7 +1016,7 @@ def test_lk_equal_strips_no_twist_with_a_changed_middle_letter(monkeypatch):
             for a, b in ((changed, BraidWord(m)), (BraidWord(m), changed)):
                 applied.clear()
                 assert lk_equal(a, b) == _lk_reference_equal(a, b) == equals(a, b) is False
-                assert len(applied) == len(spelling)
+                assert sum(applied) == len(spelling)
 
 
 def test_lk_layout_holds_words_at_the_degree_extremes():
@@ -1025,6 +1075,62 @@ def test_lk_greedy_meet_matches_reference(pair, same):
     assert lk_equal(a, b) == lk_equal(b, a) == _lk_reference_equal(a, b) == equals(a, b)
     if same:
         assert lk_equal(a, b)
+
+
+@st.composite
+def short_reduced_quotients(draw):
+    """(a, b) on 1 to 7 strands whose a.b^-1, freely and cyclically reduced,
+    has 0 to 5 letters: a freely and cyclically reduced word r (sometimes a
+    rotation of a far commutator, which is the identity), conjugated by a
+    random word x and cut in two, a = x.r[:i] and b = x.(r[i:])^-1."""
+    m = draw(st.integers(1, 7))
+    gens = [sign * i for i in range(1, m) for sign in (1, -1)]
+    r: list[int] = []
+    if m >= 4 and draw(st.booleans()):
+        i = draw(st.integers(1, m - 3))
+        j = draw(st.integers(i + 2, m - 1))
+        i, j = draw(st.sampled_from((i, -i))), draw(st.sampled_from((j, -j)))
+        r = [i, j, -i, -j]
+        k = draw(st.integers(0, 3))
+        r = r[k:] + r[:k]
+    elif gens:
+        length = draw(st.integers(0, 5))
+        while len(r) < length:
+            banned = {-r[-1], -r[0]} if len(r) == length - 1 and r else {-r[-1]} if r else set()
+            r.append(draw(st.sampled_from([g for g in gens if g not in banned])))
+    x = draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
+    i = draw(st.integers(0, len(r)))
+    return BraidWord(m, tuple(x + r[:i])), BraidWord(m, tuple(x + [-k for k in reversed(r[i:])]))
+
+
+@given(short_reduced_quotients())
+@settings(max_examples=100, deadline=None)
+def test_lk_equal_on_short_reduced_quotients_matches_reference(pair):
+    # 0 to 5 reduced letters: a lone letter, a pair, a pair and a lone
+    # letter, two pairs, and two pairs and a lone letter, split between
+    # the two sides of the meet
+    a, b = pair
+    assert lk_equal(a, b) == lk_equal(b, a) == _lk_reference_equal(a, b) == equals(a, b)
+
+
+def test_lk_equal_takes_pairs_and_a_lone_last_letter_on_each_side(monkeypatch):
+    # u moves first; the reduced word's letters go two at a time to
+    # whichever side holds fewer terms, and an odd one out goes alone last,
+    # so words of 1 to 5 reduced letters reach all four steps
+    m = 5
+    braid._lk_check(m)
+    applied, sides = [], []
+    counting = _letters_applied(applied)
+    monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: sides.append(cols) or counting(cols, gen))
+    steps = set()
+    for length in range(1, 6):
+        w = BraidWord(m, (1, 3, -2, 4, 2)[:length])
+        applied.clear()
+        sides.clear()
+        assert not lk_equal(w, BraidWord(m))
+        assert sum(applied) == length
+        steps |= {("u" if cols is sides[0] else "v", n) for cols, n in zip(sides, applied)}
+    assert steps == {("u", 2), ("u", 1), ("v", 2), ("v", 1)}
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -1165,8 +1271,7 @@ def test_lk_catalog_work_is_the_reduced_rhs(monkeypatch):
     for m in (4, 5, 6):
         braid._lk_check(m)
     applied = []
-    apply = braid._lk_apply
-    monkeypatch.setattr(braid, "_lk_apply", lambda cols, gen: applied.append(gen) or apply(cols, gen))
+    monkeypatch.setattr(braid, "_lk_apply", _letters_applied(applied))
     counts = []
     for n in (5, 6, 7):
         for r in builtin(n):
@@ -1178,8 +1283,10 @@ def test_lk_catalog_work_is_the_reduced_rhs(monkeypatch):
                     reduced.pop()
                 else:
                     reduced.append(k)
-            assert len(applied) == len(reduced), r.label
-            counts.append(len(applied))
+            assert sum(applied) == len(reduced), r.label
+            # a letter pair per call, a lone letter only last at odd length
+            assert applied == [2] * (len(reduced) // 2) + [1] * (len(reduced) % 2), r.label
+            counts.append(sum(applied))
     assert len(counts) == 26 and sum(counts) == 812
     assert (min(counts), max(counts)) == (12, 58)
 
