@@ -1096,7 +1096,9 @@ def short_reduced_quotients(draw):
     elif gens:
         length = draw(st.integers(0, 5))
         while len(r) < length:
-            banned = {-r[-1], -r[0]} if len(r) == length - 1 and r else {-r[-1]} if r else set()
+            banned = {-r[-1]} if r else set()
+            if r and len(r) == length - 1:
+                banned.add(-r[0])  # the last letter must not cancel the first
             r.append(draw(st.sampled_from([g for g in gens if g not in banned])))
     x = draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
     i = draw(st.integers(0, len(r)))
