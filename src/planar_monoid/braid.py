@@ -18,7 +18,8 @@ Words are sequences of signed Artin generator indices in *application order*:
   strips the deltas into an (infimum, ids) tuple; within one process, two
   words on one strand count have equal tuples exactly when they are the
   same braid.  The ordering search holds its products as the kernel's
-  tuples and calls it with a limit on the factor count; and
+  tuples and calls it with a limit on the factor count, and a catalog
+  verdict multiplies the same cached block forms in one call; and
 * the Lawrence-Krammer representation at q = 1/2, with t formal (a
   cross-check oracle with exact arithmetic, faithful by Krammer's theorem
   for every real 0 < q < 1).  `lk_equal` decides a = b as

@@ -6,6 +6,10 @@ diff, not a code read.  Each line of one is a relation file that
 `surface.read_relation`.  Verification always runs the combinatorial
 check (multiplicities) and the Garside engine; the Lawrence-Krammer pass is a
 second, independent engine whose only job is to catch a bug in the first.
+The Garside verdict multiplies the rhs's block forms, the cached dual
+normal forms that the ordering search multiplies too (`designs._twist_nf`),
+in one kernel call; the Lawrence-Krammer pass reads both sides' braids
+letter by letter.
 Batch verification (`planar-monoid catalog`) runs in one process: one
 `verify` call per relation, in catalog order.
 """
@@ -17,11 +21,13 @@ import json
 from importlib import resources
 from typing import Optional
 
+# no verdict calls equals, but perfbench/spans.py wraps catalog.equals
 from .braid import _json_int, _Value, equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
     SearchResult,
+    _twist_nf,
     enumerate_designs,
     exponents_from_design,
     replication,
@@ -115,17 +121,22 @@ def verify_words(
     """Check an lhs/rhs pair end to end, without Relation's factor rules.
 
     A falsified relation is a report state, not an exception; an lhs and
-    rhs on different surfaces raise ValueError.  oracle_agreement says
-    whether the Lawrence-Krammer engine reached the same yes/no as the
-    Garside engine (None when lk=False).
+    rhs on different surfaces raise ValueError.  braid_equal compares, in
+    the dual Garside structure, the mirrors of the two sides' braids: the
+    rhs's from one kernel call over its cached block forms (`_twist_nf`,
+    the forms the ordering search multiplies), the lhs's read off its outer
+    exponent, delta^(m * outer).  oracle_agreement says whether the
+    Lawrence-Krammer engine, on both sides' letters (`to_braid`), reached
+    the same yes/no (None when lk=False, and no letters are spelled).
     """
     _check_same_surface(lhs, rhs)
     ml = multiplicities(lhs)
     mr = multiplicities(rhs)
-    bl = to_braid(lhs)
-    br = to_braid(rhs)
-    braid_ok = equals(bl, br)
-    agreement = (lk_equal(bl, br) == braid_ok) if lk else None
+    # the lhs's braid is the full twist `outer` times, so its mirror's
+    # normal form is (m * outer, ()); in B_1, at n = 2, every braid is trivial
+    m = lhs.surface.n - 1
+    braid_ok = _twist_nf(rhs) == (m * lhs.outer if m > 1 else 0, ())
+    agreement = (lk_equal(to_braid(lhs), to_braid(rhs)) == braid_ok) if lk else None
     return VerificationReport(
         label=label,
         braid_equal=braid_ok,

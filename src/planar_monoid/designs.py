@@ -8,7 +8,8 @@ m = n-1 points: blocks of size 2..m-1 covering every pair exactly once.
 
 This module enumerates such designs up to symmetry, builds the
 generalized daisy relation, and searches block orderings whose product
-realizes the full twist.
+realizes the full twist.  The mirrored block forms the search multiplies
+also give a catalog verdict its Garside half (_twist_nf).
 """
 
 from __future__ import annotations
@@ -316,24 +317,55 @@ class SearchResult(_Value):
         }
 
 
-@functools.lru_cache(maxsize=512)  # every block on up to 7 points is 213 forms
+@functools.lru_cache(maxsize=512)  # every block on 3 to 8 points is 459 forms
 def _block_nf(table: braid._NonCrossing, block: tuple[int, ...]) -> tuple[int, ...]:
     """The ids of `table` in the dual normal form (`normal_form`) of the
     mirror (every letter's sign flipped) of the swing over block on table.m
-    strands.
+    strands, 2 <= |block| <= table.m - 1.
 
-    The form is kept per key, so each is built once per table: callers pass
+    The form is kept per key, so each is built once per table and shared by
+    the ordering search and the catalog's verdicts (_twist_nf): callers pass
     the table as it stands at call time, so a fresh table builds the forms
     anew.  The search's bound and its mask test rest on the form being
     delta_S^|S|, of infimum 0 and |S| equal factors; a form that is not
     raises AssertionError and is not kept, so the premise is checked once
-    for every block searched.
+    for every block searched or verified.
     """
     swing = swing_word(ConvexCurve(block), SurfaceSpec(table.m + 1))
     form = normal_form(BraidWord(table.m, tuple(-k for k in swing.letters)))
     if form[0] != 0 or len(form[1]) != len(block) or len(set(form[1])) != 1:
         raise AssertionError(f"mirrored swing over {block} is not a dual simple power: {form}")
     return form[1]
+
+
+def _twist_nf(word: TwistWord) -> tuple[int, tuple[int, ...]]:
+    """The dual normal form (infimum, ids), as `normal_form` gives it, of
+    the mirror of to_braid(word), from one kernel call.
+
+    The factors' mirrored swings are multiplied in application order (last
+    factor first), each block's from its cached form delta_S^|S|
+    (_block_nf).  An outer-parallel factor swings every strand as the full
+    twist, whose mirror delta^m is central, so it adds delta^m in front; a
+    one-hole factor swings no strand and adds nothing.  Every factor is
+    dual-positive, so the infimum is the count of leading deltas.
+    """
+    m = word.surface.n - 1
+    table = braid._dual_simples(m)
+    outer = 0
+    factors: list[int] = []
+    for c in reversed(word.factors):
+        k = len(c.support)
+        if k == 1:
+            continue
+        if k == m:
+            outer += 1
+        else:
+            factors.extend(_block_nf(table, c.support))
+    ids = nf_mul(table, (table.delta,) * (m * outer), factors)
+    inf = 0
+    while inf < len(ids) and ids[inf] == table.delta:
+        inf += 1
+    return inf, ids[inf:]
 
 
 def search_orderings(
@@ -374,7 +406,7 @@ def search_orderings(
     stores each open product's partial entry as it unwinds, so the count
     and the listing cover the same orderings, each of which realizes.
     Every block's mirrored form is built once per table of simples
-    (_block_nf) and shared by every search after.
+    (_block_nf) and shared by every search and verdict after.
 
     The search multiplies mirrors (every letter's sign flipped) in normal
     forms of the dual Garside structure of Birman-Ko-Lee (1998).  Mirroring

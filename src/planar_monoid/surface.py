@@ -17,6 +17,7 @@ swing_word).
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence, Union
 
 from .braid import BraidWord, _json_int, _Value, full_twist
@@ -252,21 +253,30 @@ def swing_word(curve: ConvexCurve, surface: SurfaceSpec) -> BraidWord:
     return BraidWord(m, tuple(gather + block + ungather))
 
 
+@functools.cache
+def _swing_letters(support: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """swing_word's letters for a support on the n-holed sphere, kept per
+    key of plain ints: a curve key would hash in Python, in _Value.__hash__."""
+    return swing_word(ConvexCurve(support), SurfaceSpec(n)).letters
+
+
 def to_braid(word: Union[TwistWord, BoundaryWord]) -> BraidWord:
     """Composition of the factor swings, in application order.
 
     A one-hole twist swings no strand and the outer twist swings every
     strand as the full twist, so a BoundaryWord's braid is
     `full_twist(n - 1)`'s letters `outer` times, letter for letter the braid
-    of the product written out one factor per twist.
+    of the product written out one factor per twist.  Each support's swing
+    is spelled once per process (_swing_letters).
     """
     if isinstance(word, BoundaryWord):
         m = word.surface.n - 1
         return BraidWord(m, full_twist(m).letters * word.outer)
+    n = word.surface.n
     letters: list[int] = []
     for curve in reversed(word.factors):
-        letters.extend(swing_word(curve, word.surface).letters)
-    return BraidWord(word.surface.n - 1, tuple(letters))
+        letters.extend(_swing_letters(curve.support, n))
+    return BraidWord(n - 1, tuple(letters))
 
 
 def multiplicities(word: Union[TwistWord, BoundaryWord]) -> MultiplicityVector:

@@ -141,8 +141,11 @@ def test_inf_sup_bounds(pair):
 
 def test_full_twist_normal_form():
     # the full twist is Delta^2 = delta^m; with the negative-letter
-    # convention the normal form is the bare delta power, no factors
-    for m in range(2, 7):
+    # convention the normal form is the bare delta power, no factors.  A
+    # catalog verdict reads the boundary side's form off this constant.  In
+    # B_1 delta is the identity, and so is the full twist, with no letter
+    assert normal_form(full_twist(1)) == (0, ())
+    for m in range(2, 9):
         assert normal_form(full_twist(m)) == (-m, ())
 
 

@@ -2,7 +2,11 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from planar_monoid import designs
+from planar_monoid.braid import BraidWord, equals, normal_form
 from planar_monoid.catalog import (
     AUDIT_MODES,
     CATALOGUED_N,
@@ -19,7 +23,7 @@ from planar_monoid.designs import (
     replication,
     search_orderings,
 )
-from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord
+from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord, to_braid
 from strand_reference import expand
 
 
@@ -123,6 +127,98 @@ def test_verify_reports_failure_without_raising():
     assert not rep.verified
     assert not rep.multiplicities_equal
     assert rep.oracle_agreement is True  # both engines said "unequal"
+
+
+def _catalog_variants():
+    """Every rotation of every catalogued rhs, and every adjacent swap of
+    each rotation's factors, as (lhs, rhs, holds) triples.  A rotation of a
+    relation is a relation; a swap is one exactly when the two blocks are
+    disjoint, so that their twists commute (two blocks of a design share at
+    most one label)."""
+    for n in CATALOGUED_N:
+        for r in builtin(n):
+            f = r.rhs.factors
+            for k in range(len(f)):
+                rot = f[k:] + f[:k]
+                yield r.lhs, TwistWord(r.rhs.surface, rot), True
+                for i in range(len(rot) - 1):
+                    swapped = rot[:i] + (rot[i + 1], rot[i]) + rot[i + 2:]
+                    disjoint = not set(rot[i].support) & set(rot[i + 1].support)
+                    yield r.lhs, TwistWord(r.rhs.surface, swapped), disjoint
+
+
+def test_verdict_agrees_with_letter_by_letter_equals_on_catalog_variants():
+    # the verdict multiplies cached block forms; equals spells both sides
+    # letter by letter
+    verdicts = []
+    for lhs, rhs, holds in _catalog_variants():
+        held = verify_words("v", lhs, rhs, lk=False).braid_equal
+        assert held == equals(to_braid(lhs), to_braid(rhs)) == holds, rhs
+        verdicts.append(held)
+    # 232 rotations and 2,016 swaps, 164 of them of disjoint blocks
+    assert (len(verdicts), verdicts.count(True)) == (2248, 232 + 164)
+
+
+def _mirror(w):
+    return BraidWord(w.strands, tuple(-k for k in w.letters))
+
+
+@st.composite
+def edge_words(draw):
+    """An (lhs, rhs) pair on n = 2..8: rhs factors of any support, one-hole
+    and outer-parallel ones drawn often, and sometimes a catalogued rhs
+    spliced in, which is the full twist; lhs outer 0..3."""
+    n = draw(st.integers(2, 8))
+    m = n - 1
+    surface = SurfaceSpec(n)
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("one-hole", "outer", "any")))
+        if kind == "one-hole":
+            support = [draw(st.integers(1, m))]
+        elif kind == "outer":
+            support = range(1, n)
+        else:
+            support = draw(st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True))
+        factors.append(ConvexCurve(support))
+    if n in CATALOGUED_N and draw(st.booleans()):
+        at = draw(st.integers(0, len(factors)))
+        factors[at:at] = draw(st.sampled_from(builtin(n))).rhs.factors
+    exponents = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    lhs = BoundaryWord(surface, exponents, outer=draw(st.integers(0, 3)))
+    return lhs, TwistWord(surface, factors)
+
+
+@given(edge_words())
+@settings(max_examples=300, deadline=None)
+def test_verdict_agrees_with_letter_by_letter_equals_on_drawn_words(pair):
+    lhs, rhs = pair
+    assert designs._twist_nf(rhs) == normal_form(_mirror(to_braid(rhs)))
+    held = verify_words("v", lhs, rhs, lk=False).braid_equal
+    assert held == equals(to_braid(lhs), to_braid(rhs))
+
+
+@pytest.mark.parametrize(
+    "n, exponents, outer, supports, held",
+    [
+        # more outer factors on the rhs than on the lhs, interior counts equal
+        (5, (1, 2, 1, 1), 1, ((2,), (1, 2, 3, 4), (1, 2, 3, 4)), False),
+        (5, (0, 0, 0, 0), 0, (), True),  # empty rhs
+        (5, (0, 0, 0, 0), 1, (), False),
+        (3, (0, 0), 2, ((1, 2), (1, 2)), True),  # outer factors only
+        (3, (0, 0), 1, ((1, 2), (1, 2)), False),
+        (2, (2,), 1, ((1,), (1,), (1,)), True),  # the annulus: B_1 is trivial
+        (2, (0,), 0, ((1,),), True),
+    ],
+)
+def test_verdict_edge_cases(n, exponents, outer, supports, held):
+    s = SurfaceSpec(n)
+    lhs = BoundaryWord(s, exponents, outer=outer)
+    rhs = TwistWord(s, tuple(ConvexCurve(c) for c in supports))
+    rep = verify_words("edge", lhs, rhs)
+    assert rep.braid_equal is held
+    assert rep.oracle_agreement is True
+    assert held == equals(to_braid(lhs), to_braid(rhs))
 
 
 def test_verify_chi_fields():

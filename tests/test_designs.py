@@ -695,6 +695,39 @@ def test_search_matches_brute_force(m):
         assert {o[k:] + o[:k] for o in expected for k in range(len(o))} == expected
 
 
+def _relabel_in_order(perm, blocks):
+    """_relabel that keeps the blocks in their order, for an ordering."""
+    return tuple(tuple(sorted(perm[x - 1] for x in b)) for b in blocks)
+
+
+@pytest.mark.parametrize("m, classes, realizing", [(3, 1, 1), (4, 2, 2), (5, 7, 7), (6, 28, 23)])
+def test_search_listings_follow_reflection_and_turn(m, classes, realizing):
+    # a kernel check that needs no stored figure.  The reflection
+    # i -> m+1-i reverses orientation, so it conjugates each twist to the
+    # inverse twist over the reflected curve (Farb-Margalit, Primer, 3.1):
+    # a realizing ordering of d, reflected and reversed, realizes on the
+    # reflected design, and this map is onto.  The turn i -> i+1 keeps
+    # orientation and maps orderings as they stand.  The three searches
+    # multiply different products, so a kernel fault that depends on the
+    # labels, such as a wrong pair-table entry, shows as a disagreement
+    reflect = tuple(range(m, 0, -1))
+    turn = (*range(2, m + 1), 1)
+    budget = SearchBudget(exhaustive_cap=10)
+    seen = found = 0
+    for d in enumerate_designs(m, "dihedral"):
+        if len(d.blocks) > 10:
+            continue
+        listed = search_orderings(d, budget).orderings
+        for g, reverse in ((reflect, True), (turn, False)):
+            image = search_orderings(Design(m, _relabel(g, d.blocks)), budget)
+            want = sorted(_relabel_in_order(g, o)[::-1 if reverse else 1] for o in listed)
+            assert image.status == "exhausted"
+            assert list(image.orderings) == want, (d, g)
+        seen += 1
+        found += bool(listed)
+    assert (seen, found) == (classes, realizing)
+
+
 def test_search_matches_lk_on_every_order_m4():
     # a check that shares no code with the Garside kernel: every application
     # order of the m = 4 designs of at most 6 blocks (744 orders), decided

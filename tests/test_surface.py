@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from planar_monoid.braid import equals, full_twist
 from planar_monoid.catalog import verify_words
+from planar_monoid import surface
 from planar_monoid.surface import (
     BoundaryWord,
     ConvexCurve,
@@ -93,6 +94,15 @@ def test_full_support_swing_equals_outer():
     # the outer twist's swing spells the full twist letter for letter
     for n in range(2, 11):
         assert swing_word(ConvexCurve(range(1, n)), SurfaceSpec(n)) == full_twist(n - 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cached_swing_letters_are_swing_word_letters(m):
+    # to_braid reads each factor's letters from a cache keyed by plain ints
+    s = SurfaceSpec(m + 1)
+    for k in range(1, m + 1):
+        for support in itertools.combinations(range(1, m + 1), k):
+            assert surface._swing_letters(support, m + 1) == swing_word(ConvexCurve(support), s).letters
 
 
 @given(twist_words())
