@@ -127,7 +127,7 @@ def verify_words(
     the forms the ordering search multiplies), the lhs's read off its outer
     exponent, delta^(m * outer).  oracle_agreement says whether the
     Lawrence-Krammer engine, on both sides' letters (`to_braid`), reached
-    the same yes/no (None when lk=False, and no letters are spelled).
+    the same yes/no (None when lk=False, when neither side is spelled).
     """
     _check_same_surface(lhs, rhs)
     ml = multiplicities(lhs)
