@@ -8,8 +8,8 @@ check (multiplicities) and the Garside engine; the Lawrence-Krammer pass is a
 second, independent engine whose only job is to catch a bug in the first.
 The Garside verdict multiplies the rhs's block forms, the cached dual
 normal forms that the ordering search multiplies too (`designs._twist_nf`),
-in one kernel call; the Lawrence-Krammer pass reads both sides' braids
-letter by letter.
+in one kernel call; the Lawrence-Krammer pass spells both sides as braid
+words and multiplies their freely reduced quotient a letter pair a step.
 Batch verification (`planar-monoid catalog`) runs in one process: one
 `verify` call per relation, in catalog order.
 """

@@ -691,7 +691,7 @@ def _lk_reference(w):
     """LK matrix of w as {(row, col): {(q-degree, t-degree): coeff}},
     evaluated letter by letter from the identity with no reduction, straight
     from the closed-form generator columns (no packed keys, no flattening)."""
-    pairs, index = braid._lk_basis(w.strands)
+    pairs, index, _ = braid._lk_basis(w.strands)
     mat = {(r, r): {(0, 0): 1} for r in range(len(pairs))}
     for letter in w.letters:
         column = braid._lk_column if letter > 0 else braid._lk_inverse_column
@@ -734,40 +734,47 @@ def _lk_at_half(mat):
 
 
 def _lk_matrix(w):
-    """w's matrix as lk_equal builds a side: the identity with the row
-    stride of w's length, times each letter's packed generator."""
-    stride = 2 * len(w.letters) + 1
-    cols = braid._lk_identity(w.strands, stride)
+    """w's matrix as lk_equal builds a side: the identity times each
+    letter's packed table."""
+    cols = braid._lk_identity(w.strands)
     for letter in w.letters:
-        braid._lk_apply(cols, braid._lk_letter(w.strands, letter))
-    return cols, stride
+        braid._lk_apply(cols, braid._lk_table(w.strands, (letter,)))
+    return cols
 
 
-def _lk_unpacked(matrix):
-    """A matrix from _lk_matrix in _lk_at_half's shape."""
-    cols, stride = matrix
-    half = stride // 2
+def _lk_strands(cols):
+    """The strand count m of a matrix of m(m-1)/2 columns."""
+    return (1 + math.isqrt(1 + 8 * len(cols))) // 2
+
+
+def _lk_unpacked(cols):
+    """A matrix from _lk_matrix in _lk_at_half's shape: key d * K + r is
+    row r's t^d term."""
+    width = braid._lk_basis(_lk_strands(cols))[2]
     mat = {}
     for j, (col, scale) in enumerate(cols):
         for key, v in col.items():
-            r = (key + half) // stride
-            mat.setdefault((r, j), {})[key - r * stride] = v * Fraction(1, 2) ** scale
+            d, r = divmod(key, width)
+            mat.setdefault((r, j), {})[d] = v * Fraction(1, 2) ** scale
     return mat
+
+
+def _lk_keys(m):
+    """Every `_lk_table` key on m strands: each letter, then each ordered
+    pair of letters, a letter with itself and with its own inverse too."""
+    letters = [sign * i for i in range(1, m) for sign in (1, -1)]
+    return [(x,) for x in letters] + [(x, y) for x in letters for y in letters]
 
 
 def _letters_applied(applied):
     """An _lk_apply that appends to `applied` how many letters each call
-    applies: 1 for a table from _lk_letter, 2 for one from _lk_pair."""
+    applies: the length of the `_lk_table` key whose table it is given."""
     apply = braid._lk_apply
 
     def counting(cols, gen):
-        m = (1 + math.isqrt(1 + 8 * len(cols))) // 2
-        letters = [sign * i for i in range(1, m) for sign in (1, -1)]
-        if any(gen is braid._lk_letter(m, x) for x in letters):
-            applied.append(1)
-        else:
-            assert any(gen is braid._lk_pair(m, x, y) for x in letters for y in letters)
-            applied.append(2)
+        m = _lk_strands(cols)
+        (length,) = {len(key) for key in _lk_keys(m) if braid._lk_table(m, key) is gen}
+        applied.append(length)
         return apply(cols, gen)
 
     return counting
@@ -778,8 +785,8 @@ def _letters_applied(applied):
 def test_lk_equal_matches_unreduced_reference(pair):
     a, b = pair
     assert lk_equal(a, b) == _lk_reference_equal(a, b)
-    # entry by entry at q = 1/2, so a row stride too small to keep rows
-    # apart, or a column left at the wrong scale, shows
+    # entry by entry at q = 1/2, so keys that mix rows or t-degrees, or a
+    # column left at the wrong scale, show
     assert _lk_unpacked(_lk_matrix(a)) == _lk_at_half(_lk_reference(a))
 
 
@@ -866,7 +873,7 @@ def test_lk_proves_inserted_relators(case):
 def _lk_closed_forms(m):
     """(letter, {column: {row: (q_shift, t_shift, coeffs)}}) for every
     sigma_i^+-1 on m strands, the non-unit columns of each."""
-    pairs, index = braid._lk_basis(m)
+    pairs, index, _ = braid._lk_basis(m)
     for letter in [sign * i for i in range(1, m) for sign in (1, -1)]:
         column = braid._lk_column if letter > 0 else braid._lk_inverse_column
         cols = {}
@@ -877,28 +884,22 @@ def _lk_closed_forms(m):
         yield letter, cols
 
 
-def test_lk_generator_degrees_fit_key_layout():
-    # the per-letter reach the row stride rests on: every generator entry
-    # moves a t-degree by -1..1, so a key never leaves its row
-    for m in range(2, 10):
-        for letter, _ in _lk_closed_forms(m):
-            for _, entries in braid._lk_letter(m, letter):
-                assert all(-1 <= d <= 1 for _, d, _, _ in entries)
-
-
 @pytest.mark.parametrize("m", range(2, 10))
 def test_lk_packed_letter_expands_to_the_active_columns(m):
     # the packed letter is exactly the closed-form columns at q = 1/2: each
-    # non-unit column once, in order, each entry t^d n / 2^e with n odd
+    # non-unit column once, in order, each entry t^d n / 2^e with n odd and
+    # its t-shift stored as d * K, within -K..K
+    width = braid._lk_basis(m)[2]
     for letter, cols in _lk_closed_forms(m):
         packed = {}
-        for j, entries in braid._lk_letter(m, letter):
+        for j, entries in braid._lk_table(m, (letter,)):
             assert j not in packed and all(n % 2 for _, _, n, _ in entries)
+            assert all(d % width == 0 and -width <= d <= width for _, d, _, _ in entries)
             packed[j] = {k: (d, n * Fraction(1, 2) ** e) for k, d, n, e in entries}
         assert list(packed) == list(cols)
         assert packed == {
             j: {
-                k: (dt, sum(c * Fraction(1, 2) ** (dq + i) for i, c in enumerate(coeffs)))
+                k: (dt * width, sum(c * Fraction(1, 2) ** (dq + i) for i, c in enumerate(coeffs)))
                 for k, (dq, dt, coeffs) in col.items()
             }
             for j, col in cols.items()
@@ -906,11 +907,8 @@ def test_lk_packed_letter_expands_to_the_active_columns(m):
 
 
 def _lk_tables(m):
-    """Every packed table on m strands: each letter's, then each ordered
-    pair's, a letter with itself and with its own inverse too."""
-    letters = [sign * i for i in range(1, m) for sign in (1, -1)]
-    singles = [braid._lk_letter(m, x) for x in letters]
-    return singles + [braid._lk_pair(m, x, y) for x in letters for y in letters]
+    """Every packed table on m strands, one per `_lk_keys` key."""
+    return [braid._lk_table(m, key) for key in _lk_keys(m)]
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -918,13 +916,14 @@ def test_lk_pair_is_its_two_letters_in_turn(m):
     # every ordered pair of letters, a letter with itself and with its own
     # inverse too: the packed product is the two letters applied one after
     # the other, entry by entry, each non-unit column listed once, each
-    # entry one row and t-shift with n odd, and a pair moves a t-degree by
-    # -2..2 (the key layout's reach for two letters)
+    # entry one row and t-shift with n odd, and its t-shift a multiple of K
+    # within -2K..2K (a t-degree moved by at most 2)
     letters = [sign * i for i in range(1, m) for sign in (1, -1)]
     dim = m * (m - 1) // 2
+    width = braid._lk_basis(m)[2]
     for a in letters:
         for b in letters:
-            gen = braid._lk_pair(m, a, b)
+            gen = braid._lk_table(m, (a, b))
             listed = [j for j, _ in gen]
             assert listed == sorted(set(listed))
             packed = {(j, j): {0: 1} for j in range(dim) if j not in listed}
@@ -932,8 +931,8 @@ def test_lk_pair_is_its_two_letters_in_turn(m):
                 assert len({(k, d) for k, d, _, _ in entries}) == len(entries)
                 assert entries != ((j, 0, 1, 0),)
                 for k, d, n, e in entries:
-                    assert -2 <= d <= 2 and n % 2
-                    packed.setdefault((k, j), {})[d] = n * Fraction(1, 2) ** e
+                    assert d % width == 0 and -2 * width <= d <= 2 * width and n % 2
+                    packed.setdefault((k, j), {})[d // width] = n * Fraction(1, 2) ** e
             assert packed == _lk_unpacked(_lk_matrix(BraidWord(m, (a, b)))), (a, b)
             if b == -a:
                 assert gen == ()
@@ -944,10 +943,7 @@ def test_lk_apply_rescales_only_the_columns_it_touches():
     # each at the largest scale of its readings; every other column keeps
     # its dict
     for m in (3, 5):
-        word = (1, -2, 1, 2)
-        cols = braid._lk_identity(m, 2 * len(word) + 5)  # room for a pair
-        for letter in word:
-            braid._lk_apply(cols, braid._lk_letter(m, letter))
+        cols = _lk_matrix(BraidWord(m, (1, -2, 1, 2)))
         for gen in _lk_tables(m):
             after = list(cols)
             braid._lk_apply(after, gen)
@@ -966,9 +962,7 @@ def test_lk_apply_writes_no_stored_column(w, data):
     # was, so copies of a matrix share its column dicts safely, and its
     # returned change in term count matches a full recount
     m = w.strands
-    cols = braid._lk_identity(m, 2 * len(w) + 5)  # room for a pair more
-    for letter in w.letters:
-        braid._lk_apply(cols, braid._lk_letter(m, letter))
+    cols = _lk_matrix(w)
     held = list(cols)
     values = [dict(col) for col, _ in held]
     gen = data.draw(st.sampled_from(_lk_tables(m)))
@@ -982,16 +976,17 @@ def test_lk_same_compares_columns_across_scales():
     # a column stored again at a higher scale (ints << 3, scale + 3) is the
     # same column; one changed coefficient, one dropped term or one key
     # moved by a t-degree is not, whichever side carries the higher scale
-    cols, _ = _lk_matrix(BraidWord(4, (1, -2, 3, 1, 2, -3, 2)))
+    cols = _lk_matrix(BraidWord(4, (1, -2, 3, 1, 2, -3, 2)))
+    width = braid._lk_basis(4)[2]
     j = max(range(len(cols)), key=lambda i: len(cols[i][0]))
     col, scale = cols[j]
     assert len(col) >= 3
     first = next(iter(col))
-    moved = next(key for key in col if key + 1 not in col)
+    moved = next(key for key in col if key + width not in col)
     changes = (
         lambda c: {**c, first: c[first] + 1},
         lambda c: {key: v for key, v in c.items() if key != first},
-        lambda c: {key + (key == moved): v for key, v in c.items()},
+        lambda c: {key + width * (key == moved): v for key, v in c.items()},
     )
     for shift in (0, 3):
         rescaled = list(cols)
@@ -1024,9 +1019,8 @@ def test_lk_equal_strips_no_twist_with_a_changed_middle_letter(monkeypatch):
 
 def test_lk_layout_holds_words_at_the_degree_extremes():
     # powers of one letter reach the t-degrees at the layout's edges:
-    # sigma_1^-l has t^-l and sigma_i^l has t^l; each matrix, with the row
-    # stride of its own length, matches the reference at q = 1/2 entry by
-    # entry
+    # sigma_1^-l has t^-l and sigma_i^l has t^l; each matrix matches the
+    # reference at q = 1/2 entry by entry
     for m in (3, 5, 8):
         for length in (1, 2, 5, 12):
             reached = set()
@@ -1044,27 +1038,19 @@ def test_lk_layout_holds_words_at_the_degree_extremes():
     assert not lk_equal(BraidWord(m, w), BraidWord(m, w[::-1][:-1] + (2,)))
 
 
-def test_lk_equal_sizes_its_layout_to_the_reduced_word(monkeypatch):
+def test_lk_equal_tells_letter_powers_and_twist_powers_from_one():
     # either side of the meet may take every letter of the reduced word,
-    # so the row stride must hold the t-degrees of the whole reduced length
-    # and the t^-2 of each full twist stripped from it, which u starts with
-    # as a scalar
-    asked = []
-    identity = braid._lk_identity
-    monkeypatch.setattr(braid, "_lk_identity", lambda m, stride, power=0: asked.append(stride) or identity(m, stride, power))
+    # and u starts with the t^-2 of each full twist stripped from it as a
+    # scalar: a power of one letter, on either side, conjugated or not,
+    # and times one to three twists, is never the identity
     m = 5
-    braid._lk_check(m)
     ft = full_twist(m).letters
     for length in (0, 1, 2, 5, 12, 16):
         w = (4,) * length
         for a, b in ((w, ()), ((), w), (w + (1,), (1,)), ((-2,) + w + (2,), ())):
-            asked.clear()
             assert lk_equal(BraidWord(m, a), BraidWord(m, b)) == (length == 0)
-            assert min(asked) >= 2 * length + 1
         for power in (1, 2, 3):
-            asked.clear()
             assert not lk_equal(BraidWord(m, ft * power + w), BraidWord(m))
-            assert min(asked) >= 2 * (length + 2 * power) + 1
 
 
 @given(braid_word_pairs(max_strands=8, max_len=14), st.booleans())
@@ -1157,24 +1143,37 @@ def test_lk_check_rejects_a_non_central_full_twist(monkeypatch):
         braid._lk_check.cache_clear()
 
 
-def test_lk_check_rejects_a_wrong_closed_form_entry(monkeypatch):
-    # sigma_1's x_{1,2} entry t q^2 written as t q: sigma_1 sigma_1^-1 is
-    # no longer the identity at q = 1/2
-    column = braid._lk_column
+def _lk_check_with_entry(monkeypatch, name, sti, entry):
+    """_lk_check(4) with the closed form `name`'s column x_{s,t} of sigma_i,
+    (s, t, i) = sti, replaced by the one entry x_{s,t}: `entry`."""
+    column = getattr(braid, name)
 
     def wrong(s, t, i):
-        return {(1, 2): (1, 1, (1,))} if (s, t, i) == (1, 2, 1) else column(s, t, i)
+        return {sti[:2]: entry} if (s, t, i) == sti else column(s, t, i)
 
     braid._lk_check.cache_clear()
-    braid._lk_letter.cache_clear()
+    braid._lk_table.cache_clear()
     try:
-        monkeypatch.setattr(braid, "_lk_column", wrong)
-        with pytest.raises(AssertionError, match="LK inverse verification failed for m=4, i=1"):
-            braid._lk_check(4)
+        monkeypatch.setattr(braid, name, wrong)
+        braid._lk_check(4)
     finally:
         monkeypatch.undo()
         braid._lk_check.cache_clear()
-        braid._lk_letter.cache_clear()
+        braid._lk_table.cache_clear()
+
+
+def test_lk_check_rejects_a_wrong_closed_form_entry(monkeypatch):
+    # sigma_1's x_{1,2} entry t q^2 written as t q: sigma_1 sigma_1^-1 is
+    # no longer the identity at q = 1/2
+    with pytest.raises(AssertionError, match="LK inverse verification failed for m=4, i=1"):
+        _lk_check_with_entry(monkeypatch, "_lk_column", (1, 2, 1), (1, 1, (1,)))
+
+
+def test_lk_check_rejects_a_wrong_inverse_closed_form_entry(monkeypatch):
+    # sigma_2^-1's x_{2,3} entry t^-1 q^-2 written as t^-1 q^-2 (1 + q):
+    # sigma_2 sigma_2^-1 is no longer the identity at q = 1/2
+    with pytest.raises(AssertionError, match="LK inverse verification failed for m=4, i=2"):
+        _lk_check_with_entry(monkeypatch, "_lk_inverse_column", (2, 3, 2), (-2, -1, (1, 1)))
 
 
 def test_lk_equal_strips_rotated_full_twists(monkeypatch):
