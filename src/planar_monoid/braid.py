@@ -515,14 +515,14 @@ def _lk_apply(cols: list, gen) -> int:
     """Right multiplication of the matrix `cols` by a letter or a letter
     pair packed by `_lk_table`, in place in the list; returns the change
     in its term count.  lk_equal's steps apply a pair each, so the
-    per-column work below is paid once per two letters.  A
-    column it touches becomes the sum of its entries' readings of the old
-    columns, at the largest of their scales: the reading of the column
-    with the most terms is built as a new dict, a plain copy when that
-    reading has weight one (t-shift 0 and factor 1), and the others are
-    added in.  A column dict is never written once stored: every column a
-    step touches gets a new dict and the others are left as they are,
-    so a copy of the list, which shares the dicts, keeps the matrix copied."""
+    per-column work below is paid once per two letters.  A column it
+    touches becomes the sum of its entries' readings of the old columns,
+    at the largest of their scales: the reading of the column with the
+    most terms is built as a new dict, a plain copy when that reading has
+    weight one (t-shift 0 and factor 1), and the others are added in.  A
+    column dict is never written once stored: every column a step touches
+    gets a new dict and the others are left as they are, so a copy of the
+    list, which shares the dicts, keeps the matrix copied."""
     updates = []
     grown = 0
     for j, entries in gen:
