@@ -10,6 +10,10 @@ The Garside verdict multiplies the rhs's block forms, the cached dual
 normal forms that the ordering search multiplies too (`designs._twist_nf`),
 in one kernel call; the Lawrence-Krammer pass spells both sides as braid
 words and multiplies their freely reduced quotient a letter pair a step.
+It takes the rhs word cut at the middle of its longest block swing
+(`_lk_rhs`): the cut is a cyclic rotation, so it conjugates the rhs braid,
+and the lhs braid, a power of the central full twist, equals the rhs
+exactly when it equals any conjugate of it.
 Batch verification (`planar-monoid catalog`) runs in one process: one
 `verify` call per relation, in catalog order.
 """
@@ -22,7 +26,7 @@ from importlib import resources
 from typing import Optional
 
 # no verdict calls equals, but perfbench/spans.py wraps catalog.equals
-from .braid import _json_int, _Value, equals, lk_equal
+from .braid import BraidWord, _json_int, _Value, equals, lk_equal
 from .designs import (
     Design,
     SearchBudget,
@@ -41,6 +45,7 @@ from .surface import (
     SurfaceSpec,
     TwistWord,
     _check_same_surface,
+    _swing_letters,
     multiplicities,
     read_relation,
     to_braid,
@@ -115,6 +120,23 @@ def builtin(n: int) -> list[Relation]:
     return list(_builtin(n))
 
 
+def _lk_rhs(rhs: TwistWord) -> BraidWord:
+    """to_braid(rhs) rotated to start at the middle letter of the longest
+    swing of a block, a factor with 2 <= |S| <= n - 2, the first such
+    swing in application order on a tie; as spelled when no factor is a
+    block.  The cut never falls inside an outer-parallel swing, so
+    lk_equal's stack pass still strips each one whole as a full twist."""
+    word = to_braid(rhs)
+    n = rhs.surface.n
+    at = cut = longest = 0
+    for curve in reversed(rhs.factors):
+        length = len(_swing_letters(curve.support, n))
+        if 2 <= len(curve.support) <= n - 2 and length > longest:
+            longest, cut = length, at + length // 2
+        at += length
+    return BraidWord(word.strands, word.letters[cut:] + word.letters[:cut])
+
+
 def verify_words(
     label: str, lhs: BoundaryWord, rhs: TwistWord, lk: bool = True
 ) -> VerificationReport:
@@ -128,6 +150,10 @@ def verify_words(
     exponent, delta^(m * outer).  oracle_agreement says whether the
     Lawrence-Krammer engine, on both sides' letters (`to_braid`), reached
     the same yes/no (None when lk=False, when neither side is spelled).
+    The engine multiplies the rhs word rotated to start at the middle of
+    its longest block swing (`_lk_rhs`), a conjugate of the rhs braid;
+    since the lhs braid is central, the yes/no is the same for every
+    rotation, and only its cost differs.
     """
     _check_same_surface(lhs, rhs)
     ml = multiplicities(lhs)
@@ -136,7 +162,7 @@ def verify_words(
     # normal form is (m * outer, ()); in B_1, at n = 2, every braid is trivial
     m = lhs.surface.n - 1
     braid_ok = _twist_nf(rhs) == (m * lhs.outer if m > 1 else 0, ())
-    agreement = (lk_equal(to_braid(lhs), to_braid(rhs)) == braid_ok) if lk else None
+    agreement = (lk_equal(to_braid(lhs), _lk_rhs(rhs)) == braid_ok) if lk else None
     return VerificationReport(
         label=label,
         braid_equal=braid_ok,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from planar_monoid import designs
-from planar_monoid.braid import BraidWord, equals, normal_form
+from planar_monoid import braid, catalog, designs
+from planar_monoid.braid import BraidWord, equals, full_twist, lk_equal, normal_form
 from planar_monoid.catalog import (
     AUDIT_MODES,
     CATALOGUED_N,
@@ -23,8 +23,16 @@ from planar_monoid.designs import (
     replication,
     search_orderings,
 )
-from planar_monoid.surface import BoundaryWord, ConvexCurve, SurfaceSpec, TwistWord, to_braid
+from planar_monoid.surface import (
+    BoundaryWord,
+    ConvexCurve,
+    SurfaceSpec,
+    TwistWord,
+    swing_word,
+    to_braid,
+)
 from strand_reference import expand
+from test_braid import _letters_applied
 
 
 @pytest.mark.parametrize(("n", "count"), [(5, 2), (6, 7), (7, 17)])
@@ -129,9 +137,10 @@ def test_verify_reports_failure_without_raising():
     assert rep.oracle_agreement is True  # both engines said "unequal"
 
 
-def _catalog_variants():
+def _catalog_variants(swap_rotations=True):
     """Every rotation of every catalogued rhs, and every adjacent swap of
-    each rotation's factors, as (lhs, rhs, holds) triples.  A rotation of a
+    each rotation's factors (of the rhs as catalogued only, unless
+    swap_rotations), as (lhs, rhs, holds) triples.  A rotation of a
     relation is a relation; a swap is one exactly when the two blocks are
     disjoint, so that their twists commute (two blocks of a design share at
     most one label)."""
@@ -141,6 +150,8 @@ def _catalog_variants():
             for k in range(len(f)):
                 rot = f[k:] + f[:k]
                 yield r.lhs, TwistWord(r.rhs.surface, rot), True
+                if k and not swap_rotations:
+                    continue
                 for i in range(len(rot) - 1):
                     swapped = rot[:i] + (rot[i + 1], rot[i]) + rot[i + 2:]
                     disjoint = not set(rot[i].support) & set(rot[i + 1].support)
@@ -157,6 +168,93 @@ def test_verdict_agrees_with_letter_by_letter_equals_on_catalog_variants():
         verdicts.append(held)
     # 232 rotations and 2,016 swaps, 164 of them of disjoint blocks
     assert (len(verdicts), verdicts.count(True)) == (2248, 232 + 164)
+
+
+def test_lk_oracle_agrees_on_rotations_and_swaps_as_catalogued():
+    # the LK pass multiplies the rhs cut at its longest swing, a conjugate
+    # of the rhs braid: it must still accept every rotation and reject
+    # every swap of two overlapping blocks
+    verdicts = []
+    for lhs, rhs, holds in _catalog_variants(swap_rotations=False):
+        rep = verify_words("v", lhs, rhs, lk=True)
+        assert rep.oracle_agreement is True and rep.braid_equal == holds, rhs
+        verdicts.append(holds)
+    # 232 rotations and the 206 swaps of the 26 relations as catalogued,
+    # 194 of them of overlapping blocks
+    assert (len(verdicts), verdicts.count(False)) == (232 + 206, 194)
+
+
+def _longest_swing_cut(rhs):
+    """to_braid(rhs)'s letters rotated to start at the middle letter of the
+    first longest swing over 2 <= |S| <= n - 2, in application order, or
+    as spelled when no factor qualifies."""
+    n = rhs.surface.n
+    swings = [swing_word(c, rhs.surface).letters for c in reversed(rhs.factors)]
+    lengths = [
+        len(w) if 2 <= len(c.support) <= n - 2 else 0
+        for w, c in zip(swings, reversed(rhs.factors))
+    ]
+    letters = sum(swings, ())
+    assert letters == to_braid(rhs).letters
+    if not any(lengths):
+        return letters
+    first = lengths.index(max(lengths))
+    cut = sum(lengths[:first]) + lengths[first] // 2
+    return letters[cut:] + letters[:cut]
+
+
+@pytest.fixture
+def lk_rhs_words(monkeypatch):
+    """The rhs words that verify_words hands to lk_equal, in call order."""
+    words = []
+
+    def capture(a, b):
+        words.append(b.letters)
+        return lk_equal(a, b)
+
+    monkeypatch.setattr(catalog, "lk_equal", capture)
+    return words
+
+
+def test_lk_pass_cuts_the_rhs_at_its_longest_swing(lk_rhs_words):
+    unique = 0
+    for n in CATALOGUED_N:
+        for r in builtin(n):
+            f = r.rhs.factors
+            rotations = [TwistWord(r.rhs.surface, f[k:] + f[:k]) for k in range(len(f))]
+            lk_rhs_words.clear()
+            for rhs in rotations:
+                assert verify_words(r.label, r.lhs, rhs).oracle_agreement is True
+            assert lk_rhs_words == [_longest_swing_cut(rhs) for rhs in rotations], r.label
+            longest = max(len(swing_word(c, r.rhs.surface)) for c in f)
+            if sum(len(swing_word(c, r.rhs.surface)) == longest for c in f) == 1:
+                # the cut is at the same letter of every rotation
+                assert len(set(lk_rhs_words)) == 1, r.label
+                unique += 1
+    # 21 of the 26 relations have one longest swing
+    assert unique == 21
+
+
+def test_lk_pass_keeps_an_outer_factor_whole(lk_rhs_words, monkeypatch):
+    # the outer twist is applied first and [1, 2] second; the cut falls in
+    # the middle of the [1, 2] swing, so the outer swing stays whole and the
+    # stack pass strips it as a full twist, leaving 2 letters to multiply
+    s = SurfaceSpec(5)
+    lhs = BoundaryWord(s, (1, 1, 0, 0), outer=1)
+    rhs = TwistWord(s, (ConvexCurve([1, 2]), ConvexCurve([1, 2, 3, 4])))
+    braid._lk_check(4)
+    applied = []
+    monkeypatch.setattr(braid, "_lk_apply", _letters_applied(applied))
+    rep = verify_words("outer", lhs, rhs)
+    assert (rep.braid_equal, rep.oracle_agreement) == (False, True)
+    twist, pair = full_twist(4).letters, (-1, -1)
+    assert lk_rhs_words == [pair[1:] + twist + pair[:1]]
+    assert sum(applied) == 2
+    # a cut in the middle of the outer swing would leave 14 letters
+    applied.clear()
+    half = len(twist) // 2
+    assert not lk_equal(to_braid(lhs), BraidWord(4, twist[half:] + pair + twist[:half]))
+    assert sum(applied) == 14
 
 
 def _mirror(w):

@@ -949,3 +949,95 @@ def test_daisy_design_replications(n, data):
     m = n - 1
     expected = sorted([1 + (m - i)] * i + [m - 1] * (m - i))
     assert reps == expected
+
+
+# ---------------------------------------------------------------------------
+# one search over every labeled design: a check of the audits that uses no
+# enumeration (_cover_all), no class reduction (_classes), no relabeling
+# argument and none of search_orderings' mask tests
+
+
+@functools.cache
+def _every_labeled_design(m):
+    """(completions, realizable replication multisets, products searched) of
+    one search over every labeled design on m points at once.
+
+    The state is the product alone, the kernel's id tuple.  A move
+    multiplies in any block, 2 <= |S| <= m - 1, that shares no pair with
+    the blocks already used; the product fixes those (each swing moves the
+    linking number of exactly its own pairs), so the memo is keyed on it
+    alone.  The first block is the one holding {1, 2}: every labeled design
+    has exactly one, and every rotation of a realizing order realizes, so
+    each realizing order is counted once per block count.  A product
+    reaches delta^m only once every pair is used (atoms add up), so delta^m
+    is the one completion.  The memo maps a product to its completion
+    count and the replication vectors of the blocks its completions add.
+    """
+    table = _dual_simples(m)
+    bit = {p: 1 << i for i, p in enumerate(itertools.combinations(range(1, m + 1), 2))}
+    moves = [
+        (b, sum(bit[p] for p in itertools.combinations(b, 2)), designs._block_nf(table, b))
+        for size in range(2, m)
+        for b in itertools.combinations(range(1, m + 1), size)
+    ]
+    memo = {(table.delta,) * m: (1, frozenset({(0,) * m}))}
+
+    def walk(acc, used):
+        hit = memo.get(acc)
+        if hit is None:
+            count, rests = 0, set()
+            for b, mask, form in moves:
+                if not mask & used:
+                    state = nf_mul(table, acc, form, m)
+                    if state is not None:
+                        below, vectors = walk(state, used | mask)
+                        count += below
+                        rests.update(_add_block(v, b) for v in vectors)
+            hit = memo[acc] = (count, frozenset(rests))
+        return hit
+
+    total, multisets = 0, set()
+    for b, mask, form in moves:
+        if b[:2] == (1, 2):
+            count, vectors = walk(form, mask)
+            total += count
+            multisets.update(tuple(sorted(_add_block(v, b))) for v in vectors)
+    return total, multisets, len(memo) - 1  # the products searched, delta^m not among them
+
+
+def _add_block(vector, block):
+    return tuple(r + (x in block) for x, r in enumerate(vector, 1))
+
+
+@pytest.mark.parametrize(
+    "m, count, products", [(3, 1, 2), (4, 12, 24), (5, 750, 677), (6, 396230, 63892)]
+)
+def test_every_labeled_design_count_matches_the_audit_classes(m, count, products):
+    # each dihedral class, searched to exhaustion, stands for its orbit of
+    # labeled designs; a realizing order of k blocks has one rotation
+    # that starts with the block holding {1, 2}
+    group = _group_perms(m, "dihedral")
+    weighted = orbits = 0
+    for d in enumerate_designs(m, "dihedral"):
+        k = len(d.blocks)
+        found = search_orderings(d, SearchBudget(exhaustive_cap=k), listed=False)
+        assert found.status == "exhausted" and found.orderings_found % k == 0
+        orbit = len({_relabel(g, d.blocks) for g in group})
+        weighted += orbit * found.orderings_found // k
+        orbits += orbit
+    assert orbits == len(enumerate_designs(m, "labeled"))
+    assert _every_labeled_design(m)[::2] == (weighted, products)
+    assert weighted == count
+
+
+@pytest.mark.parametrize("m, realizable, classes", [(4, 2, 2), (5, 4, 4), (6, 8, 9)])
+def test_every_labeled_design_multisets_match_audit_and_catalog(m, realizable, classes):
+    # at m = 6 every multiset but (3^6), the four triples, realizes
+    found = _every_labeled_design(m)[1]
+    audit = completeness_check(m + 1, "dihedral")
+    assert len(audit.replication_classes) == classes
+    assert found == {c.replications for c in audit.replication_classes if c.realizable}
+    assert found == {tuple(sorted(a + 1 for a in r.lhs.exponents)) for r in builtin(m + 1)}
+    assert len(found) == realizable
+    if m == 6:
+        assert {c.replications for c in audit.replication_classes} - found == {(3,) * 6}
