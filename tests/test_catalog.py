@@ -226,8 +226,8 @@ def test_lk_pass_cuts_the_rhs_at_its_longest_swing(lk_rhs_words):
             for rhs in rotations:
                 assert verify_words(r.label, r.lhs, rhs).oracle_agreement is True
             assert lk_rhs_words == [_longest_swing_cut(rhs) for rhs in rotations], r.label
-            longest = max(len(swing_word(c, r.rhs.surface)) for c in f)
-            if sum(len(swing_word(c, r.rhs.surface)) == longest for c in f) == 1:
+            lengths = [len(swing_word(c, r.rhs.surface)) for c in f]
+            if lengths.count(max(lengths)) == 1:
                 # the cut is at the same letter of every rotation
                 assert len(set(lk_rhs_words)) == 1, r.label
                 unique += 1
@@ -247,13 +247,13 @@ def test_lk_pass_keeps_an_outer_factor_whole(lk_rhs_words, monkeypatch):
     monkeypatch.setattr(braid, "_lk_apply", _letters_applied(applied))
     rep = verify_words("outer", lhs, rhs)
     assert (rep.braid_equal, rep.oracle_agreement) == (False, True)
-    twist, pair = full_twist(4).letters, (-1, -1)
-    assert lk_rhs_words == [pair[1:] + twist + pair[:1]]
+    twist, swing = full_twist(4).letters, (-1, -1)  # the [1, 2] swing
+    assert lk_rhs_words == [swing[1:] + twist + swing[:1]]
     assert sum(applied) == 2
     # a cut in the middle of the outer swing would leave 14 letters
     applied.clear()
     half = len(twist) // 2
-    assert not lk_equal(to_braid(lhs), BraidWord(4, twist[half:] + pair + twist[:half]))
+    assert not lk_equal(to_braid(lhs), BraidWord(4, twist[half:] + swing + twist[:half]))
     assert sum(applied) == 14
 
 
